@@ -408,11 +408,6 @@ class AdamW:
         zero_grads(self.params)
 
 
-def adamw_step(params, opt):
-    """Single optimizer step over `params` using their .grad fields."""
-    opt.step()
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference checking
 # ---------------------------------------------------------------------------

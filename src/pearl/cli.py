@@ -457,9 +457,15 @@ def main(argv=None):
     try:
         return args.fn(args)
     except PearlError as exc:
-        json.dump({"error": exc.code, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return _fail(exc.code, exc)
+    except OSError as exc:  # e.g. a missing, unreadable or directory path
+        return _fail("io", exc)
+
+
+def _fail(code, exc):
+    json.dump({"error": code, "message": str(exc)}, sys.stderr)
+    sys.stderr.write("\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -296,6 +296,13 @@ def _parse_triplets(path):
     return ExpressionMatrix(spot_ids, gene_ids, mat, RAW_COUNTS)
 
 
+def _parse_floats(cells, lineno):
+    try:
+        return [float(v) for v in cells]
+    except ValueError as exc:
+        raise DataFormatError(str(exc), line=lineno) from None
+
+
 def _parse_value(cell, lineno):
     try:
         v = float(cell)
@@ -396,10 +403,7 @@ def read_features(path):
         if len(fields) != d + 1:
             raise DataFormatError(f"expected {d + 1} fields, got {len(fields)}", line=lineno)
         spot_ids.append(fields[0])
-        try:
-            rows.append([float(v) for v in fields[1:]])
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line=lineno) from None
+        rows.append(_parse_floats(fields[1:], lineno))
     return PatchFeatureMatrix(spot_ids, np.asarray(rows, dtype=np.float64))
 
 
@@ -464,7 +468,7 @@ def read_scores(path):
                 f"expected {len(names) + 1} fields, got {len(fields)}", line=lineno
             )
         spot_ids.append(fields[0])
-        rows.append([float(v) for v in fields[1:]])
+        rows.append(_parse_floats(fields[1:], lineno))
     return PathwayScoreMatrix(spot_ids, names, np.asarray(rows, dtype=np.float64))
 
 

@@ -19,14 +19,6 @@ def _t(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
 
 
-def _check(fn, tensors):
-    try:
-        return ad.gradcheck(fn, tensors)
-    except Exception:
-        # gradcheck raises with the error embedded; recompute to report it
-        raise
-
-
 def run_all(seed=0):
     """Returns [(name, worst relative error)] for every kernel."""
     rng = np.random.default_rng(seed)

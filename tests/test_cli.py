@@ -242,6 +242,26 @@ class TestErrors:
         err = json.loads(proc.stderr)
         assert "error" in err and "message" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "command, other_flag",
+        [("preprocess", "--coords"), ("score-pathways", "--gene-sets")],
+    )
+    def test_unopenable_input_file(self, tmp_path, capsys, command, other_flag, kind):
+        path = tmp_path / "expression.tsv"
+        if kind == "directory":
+            path.mkdir()
+        argv = [
+            command,
+            "--expression", str(path),
+            other_flag, str(tmp_path / "other"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io"
+        assert str(path) in err["message"]
+
     def test_gradcheck_command(self, capsys):
         assert run(["gradcheck"]) == 0
         out = capsys.readouterr().out

@@ -152,6 +152,13 @@ class TestCoordsSurvivalFeatures:
         assert sm2.pathway_names == sm.pathway_names
         np.testing.assert_array_equal(sm2.scores, sm.scores)
 
+    def test_scores_bad_cell_names_line(self, tmp_path):
+        p = tmp_path / "sc.tsv"
+        p.write_text("spot\tA\ns1\tabc\n")
+        with pytest.raises(DataFormatError, match="line 2") as info:
+            data_io.read_scores(p)
+        assert info.value.line == 2
+
 
 class TestCheckpoint:
     def _model(self):

@@ -182,6 +182,25 @@ class TestScoreMatrix:
         s2, _ = score_matrix(m, sets, cfg, threads=4)
         np.testing.assert_array_equal(s1.scores, s2.scores)
 
+    def test_multi_chunk_matches_nes_and_threads(self):
+        # 300 spots span two spot chunks, so threads=2 really uses the pool;
+        # small integer values force heavy ties in the ranking
+        rng = np.random.default_rng(8)
+        genes = [f"g{j:02d}" for j in range(30)]
+        dense = rng.integers(0, 4, size=(300, 30)).astype(float)
+        m = make_matrix(dense, genes)
+        member_sets = [
+            set(rng.choice(genes, size=size, replace=False)) for size in (2, 5, 5, 11, 17)
+        ]
+        sets = self._sets(*((f"P{k}", g) for k, g in enumerate(member_sets)))
+        for alpha in (0.75, 1.0):
+            cfg = SsgseaConfig(weight_exponent=alpha, null_sets=6, rng_seed=4)
+            s1, _ = score_matrix(m, sets, cfg, threads=1)
+            s2, _ = score_matrix(m, sets, cfg, threads=2)
+            np.testing.assert_array_equal(s1.scores, s2.scores)
+            ref = [[nes(row, genes, g, cfg) for g in member_sets] for row in dense]
+            np.testing.assert_allclose(s1.scores, ref, rtol=1e-12, atol=1e-12)
+
     def test_oracle_equivalence_random_instances(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
