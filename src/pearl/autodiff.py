@@ -2,19 +2,28 @@
 
 Tape-based: each op closes over what its backward needs; backward() walks a
 topological order of the graph and accumulates adjoints.  First-order only;
-the graph is discarded after use.  Kernels preserve the input dtype, so a
-float64 graph can be built for finite-difference checks while models store
-float32.
+the graph is discarded after use.  Kernels preserve the input dtype, forward
+and backward (tests/test_autodiff.py checks every kernel on float32), so a
+float64 graph can be built for finite-difference checks while models run in
+float32: constants are Python floats, which NumPy does not let promote.
+`matmul`, `transpose`, `softmax_rows`, `reshape` and `slice_rows` also take
+stacked (..., n, m) arrays, which is how attention runs all heads at once.
+Inside `no_grad()` kernels record no parents and no backward closure, so
+inference builds no tape.
 """
 
 from __future__ import annotations
+
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import PearlError
 
-_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+_grad_enabled = True
 
 
 class Tensor:
@@ -52,9 +61,20 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
 
+@contextmanager
+def no_grad():
+    """Within the block, kernel outputs keep no graph and never require grad."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(values, parents, backward_fn):
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -114,21 +134,36 @@ def zero_grads(params):
 
 
 def matmul(a, b):
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise PearlError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    """(..., n, k) @ (..., k, m); stacked operands must have equal leading dims."""
     av, bv = a.values, b.values
+    if (
+        av.ndim < 2
+        or bv.ndim != av.ndim
+        or av.shape[:-2] != bv.shape[:-2]
+        or av.shape[-1] != bv.shape[-2]
+    ):
+        raise PearlError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def bw(g):
-        return g @ bv.T, av.T @ g
+        return g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g
 
     return _node(av @ bv, (a, b), bw)
 
 
-def transpose(a):
-    def bw(g):
-        return (g.T,)
+def transpose(a, axes=None):
+    """Swap the last two axes, or permute them as np.transpose(a, axes) does."""
+    if axes is None:
 
-    return _node(a.values.T, (a,), bw)
+        def bw(g):
+            return (np.swapaxes(g, -1, -2),)
+
+        return _node(np.swapaxes(a.values, -1, -2), (a,), bw)
+    inverse = tuple(np.argsort(axes))
+
+    def bw_axes(g):
+        return (np.transpose(g, inverse),)
+
+    return _node(np.transpose(a.values, axes), (a,), bw_axes)
 
 
 def add(a, b):
@@ -212,12 +247,19 @@ def tanh(a):
 def gelu(a):
     """tanh-approximation GELU."""
     x = a.values
-    inner = _SQRT_2_OVER_PI * (x + _GELU_C * x**3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # t = tanh(sqrt(2/pi) * (x + c x^3)), in place: on inference-sized arrays
+    # fresh temporaries cost more than the arithmetic
+    t = x * x
+    t *= _SQRT_2_OVER_PI * _GELU_C
+    t += _SQRT_2_OVER_PI
+    t *= x
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def bw(g):
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x**2)
+        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * (x * x))
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         return (g * d,)
 
@@ -251,7 +293,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
 
     def bw(g):
         gxhat = g * gain.values
-        gvar = (gxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+        gvar = (gxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * (inv * inv * inv)
         gmu = -gxhat.sum(axis=-1, keepdims=True) * inv + gvar * (-2.0 / n) * xc.sum(
             axis=-1, keepdims=True
         )

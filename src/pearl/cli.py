@@ -15,12 +15,14 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data_io, preprocess, ssgsea, synthgen, survival, trainer
 from .encoders import CoordNormalizer, ModelConfig, PearlModel, load_model, save_model
 from .errors import ConfigError, PearlError
 from .metrics import evaluate_expression
 from .preprocess import PreprocessConfig
 from .ssgsea import SsgseaConfig
+from .survival import SurvivalTrainConfig
 from .trainer import SpotDataset, TrainConfig
 
 _CONFIG_SECTIONS = {
@@ -28,6 +30,7 @@ _CONFIG_SECTIONS = {
     "ssgsea": SsgseaConfig,
     "train": TrainConfig,
     "model": ModelConfig,
+    "survival": SurvivalTrainConfig,
 }
 
 
@@ -131,13 +134,20 @@ def _write_slide_embeddings(embeddings, path):
 def _read_slide_embeddings(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise data_io.DataFormatError("empty embedding file", line=1)
     header = lines[0].split("\t")
     if header[:2] != ["spot_id", "slide_id"]:
-        raise data_io.DataFormatError("expected header starting 'spot_id\\tslide_id'")
+        raise data_io.DataFormatError("expected header starting 'spot_id\\tslide_id'", line=1)
+    width = len(header)
     out = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
-        out.setdefault(fields[1], []).append([float(v) for v in fields[2:]])
+        if len(fields) != width:
+            raise data_io.DataFormatError(
+                f"expected {width} fields, got {len(fields)}", line=lineno
+            )
+        out.setdefault(fields[1], []).append(data_io._parse_floats(fields[2:], lineno))
     return {k: np.asarray(v) for k, v in out.items()}
 
 
@@ -227,7 +237,8 @@ def cmd_predict(args):
     model, _, _ = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
     h = trainer.embed_images(model, patch.features)
-    yp, yg = model.predict_heads(h)
+    with ad.no_grad():
+        yp, yg = model.predict_heads(h)
     path_names = [f"p{j}" for j in range(yp.values.shape[1])]
     gene_names = [f"g{j}" for j in range(yg.values.shape[1])]
     data_io.write_scores(
@@ -283,11 +294,10 @@ def _subject_arrays(table, embeddings):
 
 
 def cmd_survival_train(args):
-    cfg = load_config(args.config).get("survival", {})
+    scfg = _section(load_config(args.config), "survival", SurvivalTrainConfig, seed=args.seed)
     table = data_io.read_survival(args.survival)
     embeddings = _read_slide_embeddings(args.embeddings)
     mats, times, events = _subject_arrays(table, embeddings)
-    scfg = survival.SurvivalTrainConfig(seed=args.seed, **cfg)
     head, history = survival.train_cox(mats, times, events, scfg)
     survival.save_cox(head, _outpath(args, "cox"))
     with open(_outpath(args, "cox_loss.csv"), "w", encoding="utf-8") as fh:
@@ -366,7 +376,8 @@ def cmd_run_cv(args):
         model, _, normalizer = trainer.train_stage1(train_ds, model, tcfg)
         model, _ = trainer.train_stage2(train_ds, model, tcfg)
         h_test = trainer.embed_images(model, test_ds.features, tcfg.batch_size)
-        yp, yg = model.predict_heads(h_test)
+        with ad.no_grad():
+            yp, yg = model.predict_heads(h_test)
         path_rep = evaluate_expression(yp.values, test_ds.y_path)
         gene_rep = evaluate_expression(yg.values, test_ds.y_gene)
         top1 = trainer.retrieval_top1(model, test_ds, normalizer, tcfg.batch_size, seed=args.seed)

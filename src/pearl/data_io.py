@@ -28,7 +28,7 @@ from .errors import (
     DataFormatError,
 )
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 RAW_COUNTS = "raw_counts"
 NORMALIZED_LOG = "normalized_log"
@@ -504,6 +504,24 @@ def save_checkpoint(params, hyperparams, path, extra=None):
     )
     with open(path + ".params.bin", "wb") as fh:
         fh.write(blob)
+
+
+def assign_params(targets, params):
+    """Set each target tensor's values from the loaded `params`.
+
+    `targets` is [(name, Tensor)] as built from the checkpoint's
+    hyperparameters, `params` is load_checkpoint's [(name, f32 ndarray)];
+    names and shapes must match exactly.
+    """
+    loaded = dict(params)
+    if set(loaded) != {n for n, _ in targets}:
+        raise CheckpointShapeError("parameter names do not match the declared hyperparameters")
+    for n, t in targets:
+        if loaded[n].shape != t.values.shape:
+            raise CheckpointShapeError(
+                f"parameter {n!r}: manifest shape {loaded[n].shape}, expected {t.values.shape}"
+            )
+        t.values = loaded[n].astype(np.float32)
 
 
 def load_checkpoint(path):

@@ -2,8 +2,11 @@
 projection heads, learnable temperature, and the two prediction heads.
 
 The transformer treats the N spots of a batch as tokens with model dimension
-equal to the pathway count P; attention mixes spots within the batch.
-Inference uses the image branch only.
+equal to the pathway count P; attention mixes spots within the batch.  Each
+layer projects to queries, keys and values of all H heads with one fused
+(P, 3*H*d_k) matrix, columns [Q heads | K heads | V heads] with head i at
+block i of each, and attends on stacked (H, N, d_k) arrays.  Inference uses
+the image branch only.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io
 from .autodiff import Tensor
-from .errors import CheckpointShapeError, PearlError
+from .errors import PearlError
 
 TAU_MIN = 1e-3
 TAU_MAX = 100.0
@@ -101,12 +104,17 @@ class PearlModel:
         param("phi.b1", (config.phi_hidden,), "zeros")
         param("phi.w2", (config.phi_hidden, P))
         param("phi.b2", (P,), "zeros")
+        H, d_k = config.n_heads, config.d_k
         for l in range(config.n_layers):
-            for h in range(config.n_heads):
-                param(f"tf{l}.h{h}.wq", (P, config.d_k))
-                param(f"tf{l}.h{h}.wk", (P, config.d_k))
-                param(f"tf{l}.h{h}.wv", (P, config.d_k))
-            param(f"tf{l}.wo", (config.n_heads * config.d_k, P))
+            # head by head, q then k then v, each with its own (P, d_k) xavier
+            # limit: the draws of separate per-head matrices, laid out fused
+            wqkv = np.empty((P, 3 * H * d_k), dtype=dtype)
+            for h in range(H):
+                for j in range(3):
+                    col = (j * H + h) * d_k
+                    wqkv[:, col : col + d_k] = _xavier(rng, (P, d_k), dtype)
+            self.params[f"tf{l}.wqkv"] = Tensor(wqkv, requires_grad=True)
+            param(f"tf{l}.wo", (H * d_k, P))
             param(f"tf{l}.ln1.g", (P,), "ones")
             param(f"tf{l}.ln1.b", (P,), "zeros")
             param(f"tf{l}.ffn.w1", (P, config.ffn_mult * P))
@@ -195,15 +203,17 @@ class PearlModel:
         return self._mlp(h, "proj_path")
 
     def _transformer_layer(self, h, l):
-        scale = 1.0 / math.sqrt(self.config.d_k)
-        heads = []
-        for i in range(self.config.n_heads):
-            q = ad.matmul(h, self.params[f"tf{l}.h{i}.wq"])
-            k = ad.matmul(h, self.params[f"tf{l}.h{i}.wk"])
-            v = ad.matmul(h, self.params[f"tf{l}.h{i}.wv"])
-            attn = ad.softmax_rows(ad.mul_scalar(ad.matmul(q, ad.transpose(k)), scale))
-            heads.append(ad.matmul(attn, v))
-        mh = ad.matmul(ad.concat_cols(heads), self.params[f"tf{l}.wo"])
+        H, d_k = self.config.n_heads, self.config.d_k
+        n = h.shape[0]
+        # (N, 3*H*d_k) -> (3*H, N, d_k): rows [0, H) are queries, then keys, values
+        qkv = ad.transpose(
+            ad.reshape(ad.matmul(h, self.params[f"tf{l}.wqkv"]), (n, 3 * H, d_k)), (1, 0, 2)
+        )
+        q, k, v = (ad.slice_rows(qkv, j * H, (j + 1) * H) for j in range(3))
+        scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_k))
+        heads = ad.matmul(ad.softmax_rows(scores), v)  # (H, N, d_k)
+        concat = ad.reshape(ad.transpose(heads, (1, 0, 2)), (n, H * d_k))
+        mh = ad.matmul(concat, self.params[f"tf{l}.wo"])
         h = ad.layer_norm(ad.add(h, mh), self.params[f"tf{l}.ln1.g"], self.params[f"tf{l}.ln1.b"])
         ffn = ad.add(
             ad.matmul(
@@ -261,16 +271,7 @@ def load_model(path):
     params, hyper, extra = data_io.load_checkpoint(path)
     config = ModelConfig(**hyper)
     model = PearlModel(config)
-    expected = {n: p.values.shape for n, p in model.parameters()}
-    loaded = dict(params)
-    if set(loaded) != set(expected):
-        raise CheckpointShapeError("parameter names do not match the declared hyperparameters")
-    for n, shape in expected.items():
-        if loaded[n].shape != shape:
-            raise CheckpointShapeError(
-                f"parameter {n!r}: manifest shape {loaded[n].shape}, expected {shape}"
-            )
-        model.params[n].values = loaded[n].astype(np.float32)
+    data_io.assign_params(model.parameters(), params)
     normalizer = None
     if extra and "coord_normalizer" in extra:
         cn = extra["coord_normalizer"]

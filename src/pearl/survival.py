@@ -89,16 +89,12 @@ def cox_loss(risks, times, events):
         loss += d * lse - r[dead].sum()
         w = np.exp(rs - lse)  # softmax over the risk set
         grad[at_risk] += d * w
+    grad = grad.astype(risks.dtype).reshape(risks.values.shape)
 
     def bw(g):
-        return (g.reshape(()) * grad.reshape(risks.values.shape),)
+        return (g.reshape(()) * grad,)
 
-    out = Tensor(np.asarray(loss, dtype=risks.dtype))
-    if risks.requires_grad:
-        out.requires_grad = True
-        out._parents = (risks,)
-        out._backward = bw
-    return out
+    return ad._node(np.asarray(loss, dtype=risks.dtype), (risks,), bw)
 
 
 def c_index(risks, times, events):
@@ -165,7 +161,8 @@ def train_cox(slide_embeddings, times, events, config=None, head=None):
 
 
 def predict_risks(head, slide_embeddings):
-    return head.subject_risks(slide_embeddings).values.reshape(-1)
+    with ad.no_grad():
+        return head.subject_risks(slide_embeddings).values.reshape(-1)
 
 
 def save_cox(head, path):
@@ -177,7 +174,5 @@ def save_cox(head, path):
 def load_cox(path):
     params, hyper, _ = data_io.load_checkpoint(path)
     head = CoxHead(embed_dim=hyper["embed_dim"], attn_hidden=hyper["attn_hidden"])
-    loaded = dict(params)
-    for n, p in head.parameters():
-        p.values = loaded[n].astype(np.float32)
+    data_io.assign_params(head.parameters(), params)
     return head

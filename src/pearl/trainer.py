@@ -154,10 +154,11 @@ def train_stage1(dataset, model, config):
             opt.step()
             model.clamp_tau()
             losses.append(lv)
-        val_losses = [
-            _stage1_batch_loss(model, val, idx, normalizer).item()
-            for idx in _batches(val.n_spots, config.batch_size)
-        ]
+        with ad.no_grad():
+            val_losses = [
+                _stage1_batch_loss(model, val, idx, normalizer).item()
+                for idx in _batches(val.n_spots, config.batch_size)
+            ]
         history["train_loss"].append(float(np.mean(losses)))
         history["val_loss"].append(float(np.mean(val_losses)))
         if history["val_loss"][-1] < best_loss:
@@ -207,9 +208,10 @@ def train_stage2(dataset, model, config):
             ad.backward(loss)
             opt.step()
             losses.append(lv)
-        val_loss = supervised_loss(
-            model, h_all[val_idx], dataset.y_path[val_idx], dataset.y_gene[val_idx]
-        ).item()
+        with ad.no_grad():
+            val_loss = supervised_loss(
+                model, h_all[val_idx], dataset.y_path[val_idx], dataset.y_gene[val_idx]
+            ).item()
         history["train_loss"].append(float(np.mean(losses)))
         history["val_loss"].append(float(val_loss))
         if val_loss < best_loss:
@@ -227,24 +229,27 @@ def train_stage2(dataset, model, config):
 def embed_images(model, features, batch_size=256):
     """Frozen forward of the image branch over all rows."""
     out = []
-    for start in range(0, features.shape[0], batch_size):
-        out.append(model.encode_images(features[start : start + batch_size]).values)
+    with ad.no_grad():
+        for start in range(0, features.shape[0], batch_size):
+            out.append(model.encode_images(features[start : start + batch_size]).values)
     return np.concatenate(out, axis=0) if out else np.zeros((0, model.config.embed_dim))
 
 
 def retrieval_top1(model, dataset, normalizer, batch_size=256, seed=0):
     """Fraction of spots whose image embedding is closest to its own pathway
-    embedding within its batch (diagonal argmax of the similarity matrix)."""
+    embedding within its batch (diagonal argmax of the similarity matrix).
+    A spot whose image or pathway embedding has zero norm counts as a miss."""
     rng = np.random.default_rng(seed)
     hits, total = 0, 0
     for idx in _batches(dataset.n_spots, batch_size, rng):
-        hp = model.encode_pathways(
-            dataset.scores[idx], normalizer.transform(dataset.coords[idx])
-        ).values
-        hi = model.encode_images(dataset.features[idx]).values
-        hp = hp / np.linalg.norm(hp, axis=1, keepdims=True)
-        hi = hi / np.linalg.norm(hi, axis=1, keepdims=True)
-        sim = hi @ hp.T
-        hits += int((sim.argmax(axis=1) == np.arange(len(idx))).sum())
+        with ad.no_grad():
+            hp = model.encode_pathways(
+                dataset.scores[idx], normalizer.transform(dataset.coords[idx])
+            )
+            hp = ad.l2_normalize_rows(hp).values
+            hi = ad.l2_normalize_rows(model.encode_images(dataset.features[idx])).values
+        # zero-norm rows normalise to zero rows; any() drops them from the hits
+        hit = (hi @ hp.T).argmax(axis=1) == np.arange(len(idx))
+        hits += int((hit & hi.any(axis=1) & hp.any(axis=1)).sum())
         total += len(idx)
     return hits / total if total else 0.0

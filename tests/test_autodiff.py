@@ -4,6 +4,7 @@ import pytest
 from pearl import autodiff as ad
 from pearl.autodiff import AdamW, Tensor
 from pearl.errors import PearlError
+from pearl.survival import cox_loss
 
 
 def t64(values, grad=True):
@@ -32,6 +33,100 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a, b = t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4, 2)))
         ad.gradcheck(lambda a, b: ad.sum_all(ad.matmul(a, b)), [a, b])
+
+
+class TestStacked:
+    def test_matmul_matches_per_slice(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
+        out = ad.matmul(t64(a, grad=False), t64(b, grad=False)).values
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-12)
+
+    def test_matmul_leading_dims_must_match(self):
+        with pytest.raises(PearlError):
+            ad.matmul(t64(np.ones((2, 3, 4))), t64(np.ones((3, 4, 2))))
+        with pytest.raises(PearlError):
+            ad.matmul(t64(np.ones((2, 3, 4))), t64(np.ones((4, 2))))
+
+    def test_gradcheck_stacked_attention(self):
+        # the transformer's head batching: permute, slice, stacked matmuls, softmax
+        rng = np.random.default_rng(11)
+        x = t64(rng.normal(size=(4, 6, 2)))
+        w = Tensor(rng.normal(size=(2, 4, 2)))
+
+        def fn(x):
+            qkv = ad.transpose(x, (1, 0, 2))  # (6, 4, 2)
+            q, k, v = (ad.slice_rows(qkv, 2 * j, 2 * j + 2) for j in range(3))
+            attn = ad.softmax_rows(ad.matmul(q, ad.transpose(k)))
+            heads = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (4, 4))
+            return ad.sum_all(ad.mul(ad.reshape(heads, (2, 4, 2)), w))
+
+        ad.gradcheck(fn, [x])
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        a, b = t64(np.ones((2, 3))), t64(np.ones((3, 2)))
+        with ad.no_grad():
+            out = ad.matmul(a, b)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.values, 3.0)
+        assert ad.matmul(a, b).requires_grad
+
+    def test_restored_after_error(self):
+        with pytest.raises(PearlError):
+            with ad.no_grad():
+                ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+        assert ad.matmul(t64(np.ones((2, 3))), t64(np.ones((3, 2)))).requires_grad
+
+
+_COX_TIMES = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])
+_COX_EVENTS = np.array([True, True, False, True, True, False])
+
+# kernel -> (input shapes, op): the 15 kernels the benchmark tracer times, the
+# remaining shape ops, the Cox loss, and the stacked forms attention uses
+DTYPE_CASES = {
+    "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "matmul_stacked": ([(2, 3, 4), (2, 4, 5)], ad.matmul),
+    "gelu": ([(3, 4)], ad.gelu),
+    "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
+    "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
+    "add": ([(3, 4), (4,)], ad.add),
+    "mul": ([(3, 4), (3, 4)], ad.mul),
+    "mul_scalar": ([(3, 4)], lambda a: ad.mul_scalar(a, 0.5)),
+    "transpose": ([(3, 4)], ad.transpose),
+    "transpose_axes": ([(2, 3, 4)], lambda a: ad.transpose(a, (1, 0, 2))),
+    "concat_cols": ([(3, 2), (3, 4)], lambda a, b: ad.concat_cols([a, b])),
+    "concat_rows": ([(2, 4), (3, 4)], lambda a, b: ad.concat_rows([a, b])),
+    "l2_normalize_rows": ([(3, 4)], ad.l2_normalize_rows),
+    "cross_entropy_index": ([(4, 4)], ad.cross_entropy_index),
+    "mse": ([(3, 4), (3, 4)], ad.mse),
+    "tanh": ([(3, 4)], ad.tanh),
+    "exp": ([(3, 4)], ad.exp),
+    "neg": ([(3, 4)], ad.neg),
+    "sum_all": ([(3, 4)], ad.sum_all),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+    "slice_rows": ([(5, 4)], lambda a: ad.slice_rows(a, 1, 3)),
+    "cox_loss": ([(6, 1)], lambda r: cox_loss(r, _COX_TIMES, _COX_EVENTS)),
+}
+
+
+@pytest.mark.parametrize("name", list(DTYPE_CASES))
+def test_float32_in_float32_out(name):
+    shapes, op = DTYPE_CASES[name]
+    rng = np.random.default_rng(12)
+    inputs = [
+        Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes
+    ]
+    out = op(*inputs)
+    assert out.dtype == np.float32
+    # what the kernel's backward hands its inputs, before any accumulation
+    grads = out._backward(np.ones_like(out.values))
+    assert [g.dtype for g in grads] == [np.float32] * len(inputs)
+    ad.backward(out if out.values.size == 1 else ad.sum_all(out))
+    assert [t.grad.dtype for t in inputs] == [np.float32] * len(inputs)
 
 
 class TestSoftmax:

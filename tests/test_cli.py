@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pearl import data_io
-from pearl.cli import main
+from pearl.cli import _read_slide_embeddings, main
+from pearl.errors import DataFormatError
 
 
 def run(argv):
@@ -169,6 +170,24 @@ class TestPipeline:
         assert 0.0 <= rep["c_index"] <= 1.0
         assert rep["n_subjects"] == 12
 
+    def test_survival_eval_rejects_tampered_checkpoint(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        flags = [
+            "--out-dir", str(tmp_path),
+            "--survival", str(data / "survival.csv"),
+            "--embeddings", str(data / "survival_embeddings.tsv"),
+        ]
+        cfg = tmp_path / "surv.json"
+        cfg.write_text(json.dumps({"survival": {"max_epochs": 2, "patience": 1}}))
+        assert run(["survival-train", "--config", str(cfg), *flags]) == 0
+        manifest_path = tmp_path / "cox.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"][0]["name"] = "renamed"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["survival-eval", "--checkpoint", str(tmp_path / "cox"), *flags]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "checkpoint_shape"
+
     def test_run_cv_two_folds(self, pipeline, tmp_path):
         root, data, cfg_path = pipeline
         cfg = json.loads(cfg_path.read_text())
@@ -208,6 +227,36 @@ class TestErrors:
         err = json.loads(proc.stderr)
         assert err["error"] == "config"
         assert "train.learning_rate" in err["message"]
+
+    def test_unknown_survival_field_named(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"survival": {"foo": 1}}))
+        argv = [
+            "survival-train",
+            "--config", str(cfg),
+            "--survival", str(tmp_path / "survival.csv"),
+            "--embeddings", str(tmp_path / "embeddings.tsv"),
+            "--out-dir", str(tmp_path),
+        ]
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "survival.foo" in err["message"]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("spot_id\tslide_id\te0\te1\na_s0\ta\t0.5\t1.5\na_s1\ta\t0.5\n", 3),
+            ("spot_id\tslide_id\te0\na_s0\ta\tnan?\n", 2),
+        ],
+        ids=["empty", "short_row", "non_numeric"],
+    )
+    def test_slide_embeddings_format_errors(self, tmp_path, text, line):
+        path = tmp_path / "embeddings.tsv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"line {line}:"):
+            _read_slide_embeddings(str(path))
 
     def test_missing_paths_field(self, tmp_path):
         cfg = tmp_path / "c.json"

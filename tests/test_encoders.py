@@ -1,9 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from pearl import autodiff as ad
-from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel
-from pearl.errors import PearlError
+from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel, load_model, save_model
+from pearl.errors import CheckpointVersionError, PearlError
 
 
 def tiny_model(dtype=np.float64, seed=0, **kw):
@@ -42,10 +45,12 @@ def numpy_forward(model, X, C):
     cfg = model.config
     for l in range(cfg.n_layers):
         heads = []
+        w, H, d = P[f"tf{l}.wqkv"], cfg.n_heads, cfg.d_k
         for i in range(cfg.n_heads):
-            q = h @ P[f"tf{l}.h{i}.wq"]
-            k = h @ P[f"tf{l}.h{i}.wk"]
-            v = h @ P[f"tf{l}.h{i}.wv"]
+            # fused columns: [Q heads | K heads | V heads], head i at block i
+            q = h @ w[:, i * d : (i + 1) * d]
+            k = h @ w[:, (H + i) * d : (H + i + 1) * d]
+            v = h @ w[:, (2 * H + i) * d : (2 * H + i + 1) * d]
             s = q @ k.T / np.sqrt(cfg.d_k)
             e = np.exp(s - s.max(axis=1, keepdims=True))
             a = e / e.sum(axis=1, keepdims=True)
@@ -117,6 +122,75 @@ class TestEncodePathways:
         model = tiny_model()
         with pytest.raises(PearlError):
             model.encode_pathways(np.zeros((2, 7)), np.zeros((2, 2)))
+
+
+def per_head_init(cfg, dtype=np.float64):
+    """The initial weights of a model with separate per-head q/k/v matrices:
+    the same draws in the same order, one (P, d_k) matrix per head and role."""
+    rng = np.random.default_rng(cfg.seed)
+    P = cfg.n_pathways
+    out = {}
+
+    def xavier(name, shape):
+        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+        out[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+    xavier("phi.w1", (2, cfg.phi_hidden))
+    xavier("phi.w2", (cfg.phi_hidden, P))
+    for l in range(cfg.n_layers):
+        for h in range(cfg.n_heads):
+            for role in ("wq", "wk", "wv"):
+                xavier(f"tf{l}.h{h}.{role}", (P, cfg.d_k))
+        xavier(f"tf{l}.wo", (cfg.n_heads * cfg.d_k, P))
+        xavier(f"tf{l}.ffn.w1", (P, cfg.ffn_mult * P))
+        xavier(f"tf{l}.ffn.w2", (cfg.ffn_mult * P, P))
+    for prefix, d_in in (("proj_path", P), ("proj_img", cfg.d_img)):
+        xavier(f"{prefix}.w1", (d_in, cfg.proj_hidden))
+        xavier(f"{prefix}.w2", (cfg.proj_hidden, cfg.embed_dim))
+    for prefix, d_out in (("head_path", P), ("head_gene", cfg.n_genes)):
+        xavier(f"{prefix}.w1", (cfg.embed_dim, cfg.head_hidden))
+        xavier(f"{prefix}.w2", (cfg.head_hidden, d_out))
+    return out
+
+
+class TestFusedHeads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_initial_weights_match_per_head_draws(self, dtype):
+        model = tiny_model(dtype=dtype, n_heads=3, d_k=2, seed=11)
+        cfg = model.config
+        ref = per_head_init(cfg, dtype)
+        H, d = cfg.n_heads, cfg.d_k
+        for l in range(cfg.n_layers):
+            fused = model.params[f"tf{l}.wqkv"].values
+            assert fused.shape == (cfg.n_pathways, 3 * H * d)
+            for h in range(H):
+                for j, role in enumerate(("wq", "wk", "wv")):
+                    col = (j * H + h) * d
+                    np.testing.assert_array_equal(
+                        fused[:, col : col + d], ref.pop(f"tf{l}.h{h}.{role}")
+                    )
+        for name, values in ref.items():
+            np.testing.assert_array_equal(model.params[name].values, values)
+        for name, p in model.parameters():
+            if name.endswith((".b", ".b1", ".b2")):
+                np.testing.assert_array_equal(p.values, 0.0)
+
+    def test_multi_head_forward_matches_hand_trace(self):
+        model = tiny_model(n_heads=3, d_k=2, seed=12)
+        rng = np.random.default_rng(13)
+        X, C = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+        got = model.encode_pathways(X, C).values
+        np.testing.assert_allclose(got, numpy_forward(model, X, C), atol=1e-5)
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        path = str(tmp_path / "m")
+        save_model(tiny_model(dtype=np.float32), path)
+        manifest_path = tmp_path / "m.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointVersionError):
+            load_model(path)
 
 
 class TestEncodeImages:

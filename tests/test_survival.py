@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from pearl import autodiff as ad
 from pearl.autodiff import Tensor
-from pearl.errors import PearlError
+from pearl.errors import CheckpointShapeError, PearlError
 from pearl.survival import (
     CoxHead,
     SurvivalTrainConfig,
@@ -168,6 +169,21 @@ class TestCoxHead:
         for (n1, p1), (n2, p2) in zip(head.parameters(), head2.parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.values, p2.values)
+
+    @pytest.mark.parametrize("tamper", ["renamed", "reshaped"])
+    def test_checkpoint_tampered_manifest_rejected(self, tmp_path, tamper):
+        path = str(tmp_path / "cox")
+        save_cox(CoxHead(embed_dim=4, attn_hidden=3, seed=1), path)
+        manifest_path = tmp_path / "cox.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = next(p for p in manifest["params"] if p["name"] == "attn.w2")
+        if tamper == "renamed":
+            entry["name"] = "attn.w2_old"
+        else:
+            entry["shape"] = entry["shape"][::-1]  # (3, 1) -> (1, 3), same byte count
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointShapeError):
+            load_cox(path)
 
 
 class TestTrainCox:

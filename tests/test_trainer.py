@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
-from pearl.encoders import ModelConfig, PearlModel
+from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel
 from pearl.errors import PearlError
 from pearl.trainer import (
     SpotDataset,
@@ -54,7 +54,7 @@ def tiny_dataset(n=12, n_path=4, n_genes=3, d_img=5, n_slides=2, seed=0):
     )
 
 
-def tiny_model(seed=0):
+def tiny_model(seed=0, dtype=np.float32):
     return PearlModel(
         ModelConfig(
             n_pathways=4,
@@ -67,7 +67,8 @@ def tiny_model(seed=0):
             head_hidden=6,
             embed_dim=4,
             seed=seed,
-        )
+        ),
+        dtype=dtype,
     )
 
 
@@ -205,7 +206,7 @@ class TestStage2:
     def test_supervised_loss_composition_at_init(self):
         # with freshly zeroed heads both terms reduce to mean squared targets
         ds = tiny_dataset(n=8, seed=6)
-        model = tiny_model()
+        model = tiny_model(dtype=np.float64)
         for name in (
             "head_path.w1", "head_path.b1", "head_path.w2", "head_path.b2",
             "head_gene.w1", "head_gene.b1", "head_gene.w2", "head_gene.b2",
@@ -234,3 +235,11 @@ class TestEmbeddingUtilities:
         model, _, normalizer = train_stage1(ds, tiny_model(), cfg)
         acc = retrieval_top1(model, ds, normalizer, batch_size=4, seed=0)
         assert 0.0 <= acc <= 1.0
+
+    def test_retrieval_zero_norm_image_embeddings_miss(self):
+        ds = tiny_dataset(n=12, seed=9)
+        model = tiny_model()
+        model.params["proj_img.w2"].values[...] = 0.0
+        model.params["proj_img.b2"].values[...] = 0.0
+        normalizer = CoordNormalizer.fit(ds.coords)
+        assert retrieval_top1(model, ds, normalizer, batch_size=4, seed=0) == 0.0
