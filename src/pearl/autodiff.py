@@ -29,7 +29,7 @@ _grad_enabled = True
 class Tensor:
     """Dense array plus optional gradient and graph linkage."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, values, requires_grad=False, dtype=None):
         self.values = np.asarray(values, dtype=dtype)
@@ -50,12 +50,6 @@ class Tensor:
 
     def item(self):
         return float(self.values.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor(self.values.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -94,17 +88,21 @@ def backward(loss):
     """
     if loss.values.size != 1:
         raise PearlError(f"backward requires a scalar loss, got shape {loss.shape}")
-    topo, seen = [], set()
-
-    def visit(t):
-        if id(t) in seen or not t.requires_grad:
-            return
-        seen.add(id(t))
-        for p in t._parents:
-            visit(p)
-        topo.append(t)
-
-    visit(loss)
+    # depth-first post-order on an explicit stack: no recursion limit, and no
+    # self-referencing closure whose cycle would keep the graph alive after
+    # return until the cyclic garbage collector runs
+    topo, seen = [], {id(loss)}
+    stack = [(loss, iter(loss._parents))] if loss.requires_grad else []
+    while stack:
+        t, parents = stack[-1]
+        for p in parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            stack.pop()
+            topo.append(t)
     adjoint = {id(loss): np.ones_like(loss.values)}
     for t in reversed(topo):
         g = adjoint.pop(id(t), None)
@@ -206,17 +204,6 @@ def neg(a):
         return (-g,)
 
     return _node(-a.values, (a,), bw)
-
-
-def sub(a, b):
-    return add(a, neg(b))
-
-
-def add_scalar(a, c):
-    def bw(g):
-        return (g,)
-
-    return _node(a.values + c, (a,), bw)
 
 
 def mul_scalar(a, c):
@@ -362,10 +349,6 @@ def sum_all(a):
         return (np.broadcast_to(g.reshape(()), a.shape).astype(a.dtype),)
 
     return _node(out, (a,), bw)
-
-
-def mean_all(a):
-    return mul_scalar(sum_all(a), 1.0 / a.values.size)
 
 
 def concat_cols(tensors):

@@ -3,7 +3,9 @@
 Every subcommand reads declared inputs, writes declared outputs under
 --out-dir, and exits 0 on success; failures print a machine-readable JSON
 object to stderr and exit nonzero.  Hyperparameters come from a single JSON
-config file; paths come from flags (run-cv also accepts a "paths" section).
+config file, checked section by section before any subcommand runs; paths
+come from flags (run-cv also accepts a "paths" section).  Every table is read
+and written through data_io.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,9 +26,11 @@ from .metrics import evaluate_expression
 from .preprocess import PreprocessConfig
 from .ssgsea import SsgseaConfig
 from .survival import SurvivalTrainConfig
+from .synthgen import SynthConfig
 from .trainer import SpotDataset, TrainConfig
 
 _CONFIG_SECTIONS = {
+    "synth": SynthConfig,
     "preprocess": PreprocessConfig,
     "ssgsea": SsgseaConfig,
     "train": TrainConfig,
@@ -93,66 +98,37 @@ def _write_curve(path, history):
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args):
-    cfg = load_config(args.config).get("synth", {})
-    expr, geoms, sets, patch, _ = synthgen.gen_st_dataset(
-        seed=args.seed,
-        n_spots=cfg.get("n_spots", 600),
-        n_genes=cfg.get("n_genes", 120),
-        n_pathways=cfg.get("n_pathways", 10),
-        noise_sigma=cfg.get("noise_sigma", 0.05),
-        coupling=cfg.get("coupling", 0.95),
-        n_slides=cfg.get("n_slides", 2),
-        d_img=cfg.get("d_img", 64),
-    )
+def cmd_synth(args, cfg):
+    # the section's fields are the generators' keyword arguments
+    spatial = asdict(_section(cfg, "synth", SynthConfig))
+    cohort = {k: spatial.pop(k) for k in ("n_subjects", "censor_rate", "embed_dim")}
+    expr, geoms, sets, patch, _ = synthgen.gen_st_dataset(seed=args.seed, **spatial)
     data_io.write_expression(expr, _outpath(args, "expression.tsv"))
     data_io.write_coords(geoms, _outpath(args, "coords.csv"))
     data_io.write_gmt(sets, _outpath(args, "gene_sets.gmt"))
     data_io.write_features(patch, _outpath(args, "features.tsv"))
-    table, embeddings, _ = synthgen.gen_survival_cohort(
-        seed=args.seed,
-        n_subjects=cfg.get("n_subjects", 100),
-        censor_rate=cfg.get("censor_rate", 0.3),
-        embed_dim=cfg.get("embed_dim", 256),
-    )
+    table, embeddings, _ = synthgen.gen_survival_cohort(seed=args.seed, **cohort)
     data_io.write_survival(table, _outpath(args, "survival.csv"))
-    _write_slide_embeddings(embeddings, _outpath(args, "survival_embeddings.tsv"))
+    slides = sorted(embeddings)
+    data_io.write_embeddings(
+        [f"{s}_s{i}" for s in slides for i in range(len(embeddings[s]))],
+        [s for s in slides for _ in embeddings[s]],
+        np.concatenate([embeddings[s] for s in slides]),
+        _outpath(args, "survival_embeddings.tsv"),
+    )
     return 0
 
 
-def _write_slide_embeddings(embeddings, path):
-    d = next(iter(embeddings.values())).shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("spot_id\tslide_id\t" + "\t".join(f"e{j}" for j in range(d)) + "\n")
-        for slide in sorted(embeddings):
-            for i, row in enumerate(embeddings[slide]):
-                fh.write(
-                    f"{slide}_s{i}\t{slide}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
-                )
-
-
 def _read_slide_embeddings(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise data_io.DataFormatError("empty embedding file", line=1)
-    header = lines[0].split("\t")
-    if header[:2] != ["spot_id", "slide_id"]:
-        raise data_io.DataFormatError("expected header starting 'spot_id\\tslide_id'", line=1)
-    width = len(header)
-    out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != width:
-            raise data_io.DataFormatError(
-                f"expected {width} fields, got {len(fields)}", line=lineno
-            )
-        out.setdefault(fields[1], []).append(data_io._parse_floats(fields[2:], lineno))
-    return {k: np.asarray(v) for k, v in out.items()}
+    """{slide id: (spots, dim) embeddings}, slides and spots in file order."""
+    _, slide_ids, values = data_io.read_embeddings(path)
+    rows = {}
+    for i, slide in enumerate(slide_ids):
+        rows.setdefault(slide, []).append(i)
+    return {slide: values[idx] for slide, idx in rows.items()}
 
 
-def cmd_preprocess(args):
-    cfg = load_config(args.config)
+def cmd_preprocess(args, cfg):
     pcfg = _section(cfg, "preprocess", PreprocessConfig)
     m = data_io.parse_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
@@ -164,8 +140,7 @@ def cmd_preprocess(args):
     return 0
 
 
-def cmd_score_pathways(args):
-    cfg = load_config(args.config)
+def cmd_score_pathways(args, cfg):
     scfg = _section(cfg, "ssgsea", SsgseaConfig, rng_seed=args.seed)
     m = data_io.parse_expression(args.expression, value_kind=data_io.NORMALIZED_LOG)
     sets = data_io.read_gmt(args.gene_sets)
@@ -176,27 +151,13 @@ def cmd_score_pathways(args):
     return 0
 
 
-def _load_dataset(scores_path, coords_path, features_path, hvg_path):
-    sm = data_io.read_scores(scores_path)
-    geoms = {g.spot_id: g for g in data_io.read_coords(coords_path)}
-    patch = data_io.read_features(features_path)
-    hvg = data_io.parse_expression(hvg_path, value_kind=data_io.NORMALIZED_LOG)
-    feat_index = {s: i for i, s in enumerate(patch.spot_ids)}
-    hvg_index = {s: i for i, s in enumerate(hvg.spot_ids)}
-    missing = [s for s in sm.spot_ids if s not in geoms or s not in feat_index or s not in hvg_index]
-    if missing:
-        raise PearlError(f"spot {missing[0]!r} missing from coords/features/hvg inputs")
-    hvg_dense = hvg.dense()
-    coords = np.array([[geoms[s].x, geoms[s].y] for s in sm.spot_ids])
-    return SpotDataset(
-        spot_ids=list(sm.spot_ids),
-        slide_ids=[geoms[s].slide_id for s in sm.spot_ids],
-        scores=sm.scores,
-        coords=coords,
-        features=patch.features[[feat_index[s] for s in sm.spot_ids]],
-        y_path=sm.scores,
-        y_gene=hvg_dense[[hvg_index[s] for s in sm.spot_ids]],
-    ), sm, hvg
+def _load_dataset(args):
+    return SpotDataset.from_tables(
+        data_io.read_scores(args.scores),
+        data_io.read_coords(args.coords),
+        data_io.read_features(args.features),
+        data_io.parse_expression(args.hvg, value_kind=data_io.NORMALIZED_LOG),
+    )
 
 
 def _model_config(cfg, dataset, seed):
@@ -211,10 +172,9 @@ def _model_config(cfg, dataset, seed):
     )
 
 
-def cmd_train_contrastive(args):
-    cfg = load_config(args.config)
+def cmd_train_contrastive(args, cfg):
     tcfg = _section(cfg, "train", TrainConfig, seed=args.seed)
-    dataset, _, _ = _load_dataset(args.scores, args.coords, args.features, args.hvg)
+    dataset = _load_dataset(args)
     model = PearlModel(_model_config(cfg, dataset, args.seed))
     model, history, normalizer = trainer.train_stage1(dataset, model, tcfg)
     save_model(model, _outpath(args, "stage1"), normalizer=normalizer)
@@ -222,10 +182,9 @@ def cmd_train_contrastive(args):
     return 0
 
 
-def cmd_train_heads(args):
-    cfg = load_config(args.config)
+def cmd_train_heads(args, cfg):
     tcfg = _section(cfg, "train", TrainConfig, seed=args.seed)
-    dataset, _, _ = _load_dataset(args.scores, args.coords, args.features, args.hvg)
+    dataset = _load_dataset(args)
     model, normalizer, _ = load_model(args.checkpoint)
     model, history = trainer.train_stage2(dataset, model, tcfg)
     save_model(model, _outpath(args, "final"), normalizer=normalizer)
@@ -233,7 +192,7 @@ def cmd_train_heads(args):
     return 0
 
 
-def cmd_predict(args):
+def cmd_predict(args, cfg):
     model, _, _ = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
     h = trainer.embed_images(model, patch.features)
@@ -253,20 +212,16 @@ def cmd_predict(args):
         slide_of = {}
         if args.coords:
             slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
-        with open(_outpath(args, "embeddings.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(
-                "spot_id\tslide_id\t" + "\t".join(f"e{j}" for j in range(h.shape[1])) + "\n"
-            )
-            for sid, row in zip(patch.spot_ids, h):
-                fh.write(
-                    f"{sid}\t{slide_of.get(sid, '')}\t"
-                    + "\t".join(repr(float(v)) for v in row)
-                    + "\n"
-                )
+        data_io.write_embeddings(
+            patch.spot_ids,
+            [slide_of.get(sid, "") for sid in patch.spot_ids],
+            h,
+            _outpath(args, "embeddings.tsv"),
+        )
     return 0
 
 
-def cmd_evaluate(args):
+def cmd_evaluate(args, cfg):
     pred = data_io.read_scores(args.pred)
     truth = data_io.read_scores(args.truth)
     if pred.spot_ids != truth.spot_ids:
@@ -281,7 +236,9 @@ def cmd_evaluate(args):
     return 0
 
 
-def _subject_arrays(table, embeddings):
+def _load_cohort(args):
+    table = data_io.read_survival(args.survival)
+    embeddings = _read_slide_embeddings(args.embeddings)
     mats, times, events = [], [], []
     for r in table.rows:
         rows = [embeddings[s] for s in r.slide_ids if s in embeddings]
@@ -293,11 +250,9 @@ def _subject_arrays(table, embeddings):
     return mats, np.array(times), np.array(events)
 
 
-def cmd_survival_train(args):
-    scfg = _section(load_config(args.config), "survival", SurvivalTrainConfig, seed=args.seed)
-    table = data_io.read_survival(args.survival)
-    embeddings = _read_slide_embeddings(args.embeddings)
-    mats, times, events = _subject_arrays(table, embeddings)
+def cmd_survival_train(args, cfg):
+    scfg = _section(cfg, "survival", SurvivalTrainConfig, seed=args.seed)
+    mats, times, events = _load_cohort(args)
     head, history = survival.train_cox(mats, times, events, scfg)
     survival.save_cox(head, _outpath(args, "cox"))
     with open(_outpath(args, "cox_loss.csv"), "w", encoding="utf-8") as fh:
@@ -307,10 +262,8 @@ def cmd_survival_train(args):
     return 0
 
 
-def cmd_survival_eval(args):
-    table = data_io.read_survival(args.survival)
-    embeddings = _read_slide_embeddings(args.embeddings)
-    mats, times, events = _subject_arrays(table, embeddings)
+def cmd_survival_eval(args, cfg):
+    mats, times, events = _load_cohort(args)
     head = survival.load_cox(args.checkpoint)
     risks = survival.predict_risks(head, mats)
     ci = survival.c_index(risks, times, events)
@@ -318,7 +271,7 @@ def cmd_survival_eval(args):
     return 0
 
 
-def cmd_gradcheck(args):
+def cmd_gradcheck(args, cfg):
     from . import gradsuite
 
     results = gradsuite.run_all()
@@ -330,8 +283,7 @@ def cmd_gradcheck(args):
     return 0 if ok else 1
 
 
-def cmd_run_cv(args):
-    cfg = load_config(args.config)
+def cmd_run_cv(args, cfg):
     paths = {
         key: _require_path(cfg, f"paths.{key}")
         for key in ("expression", "coords", "gene_sets", "features")
@@ -346,20 +298,7 @@ def cmd_run_cv(args):
     patch = data_io.read_features(paths["features"])
     normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, pcfg)
     sm, _ = ssgsea.score_matrix(normed, sets, scfg, threads=args.threads)
-
-    geo_by_spot = {g.spot_id: g for g in geoms}
-    feat_index = {s: i for i, s in enumerate(patch.spot_ids)}
-    hvg_dense = hvg.dense()
-    hvg_index = {s: i for i, s in enumerate(hvg.spot_ids)}
-    dataset = SpotDataset(
-        spot_ids=list(sm.spot_ids),
-        slide_ids=[geo_by_spot[s].slide_id for s in sm.spot_ids],
-        scores=sm.scores,
-        coords=np.array([[geo_by_spot[s].x, geo_by_spot[s].y] for s in sm.spot_ids]),
-        features=patch.features[[feat_index[s] for s in sm.spot_ids]],
-        y_path=sm.scores,
-        y_gene=hvg_dense[[hvg_index[s] for s in sm.spot_ids]],
-    )
+    dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
 
     slides = sorted(set(dataset.slide_ids))
     if len(slides) < args.folds:
@@ -466,7 +405,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, load_config(args.config))
     except PearlError as exc:
         return _fail(exc.code, exc)
     except OSError as exc:  # e.g. a missing, unreadable or directory path

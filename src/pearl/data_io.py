@@ -4,19 +4,23 @@ Formats:
   - GMT gene sets (name TAB description TAB gene...)
   - expression matrices, dense TSV or sparse triplet TSV
   - spot coordinates CSV
-  - patch feature TSV
   - survival CSV
-  - pathway score TSV
+  - float tables, TSV of id columns then floats written with repr: patch
+    features (spot_id f0...), pathway scores (spot <pathway>...) and slide
+    embeddings (spot_id slide_id e0..., one row per spot)
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
 
-Parsed structures are immutable by convention and safe to share read-only.
+Text tables are read through `_rows`, so a malformed file raises
+DataFormatError naming its physical line.  Parsed structures are immutable
+by convention and safe to share read-only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,6 +217,38 @@ def read_gmt(path):
 
 
 # ---------------------------------------------------------------------------
+# Text tables
+# ---------------------------------------------------------------------------
+
+
+def _rows(path, sep, head, exact=False, empty_ok=False):
+    """Yield (physical line number, fields) for each non-blank line of a table.
+
+    The first is the header; it must start with the fields `head` (equal them
+    if `exact`), and every later line must be as wide.  An empty file is an
+    error on line 1, or yields nothing if `empty_ok`.
+    """
+    header = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, ln in enumerate(fh, start=1):
+            if ln.isspace():
+                continue
+            fields = ln.rstrip("\n").split(sep)
+            if header is None:
+                header = fields
+                if header[: len(head)] != list(head) or (exact and len(header) != len(head)):
+                    what = "header" if exact else "header starting"
+                    raise DataFormatError(f"expected {what} {sep.join(head)!r}", line=n)
+            elif len(fields) != len(header):
+                raise DataFormatError(
+                    f"expected {len(header)} fields, got {len(fields)}", line=n
+                )
+            yield n, fields
+    if header is None and not empty_ok:
+        raise DataFormatError("empty file", line=1)
+
+
+# ---------------------------------------------------------------------------
 # Expression matrices
 # ---------------------------------------------------------------------------
 
@@ -234,73 +270,45 @@ def parse_expression(path, fmt="sparse_triplet_tsv", value_kind=RAW_COUNTS):
 
 
 def _parse_dense(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        return ExpressionMatrix([], [], sp.csr_matrix((0, 0)), RAW_COUNTS)
-    header = lines[0].split("\t")
-    gene_ids = header[1:] if header and header[0] == "spot" else header
-    spot_ids, rows, cols, vals = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(gene_ids) + 1:
-            raise DataFormatError(
-                f"expected {len(gene_ids) + 1} fields, got {len(fields)}", line=lineno
-            )
+    rows = _rows(path, "\t", ("spot",), empty_ok=True)
+    _, header = next(rows, (1, ["spot"]))
+    spot_ids, row_idx, cols, vals = [], [], [], []
+    for lineno, fields in rows:
         spot_ids.append(fields[0].strip())
         for j, cell in enumerate(fields[1:]):
             v = _parse_value(cell, lineno)
             if v != 0.0:
-                rows.append(len(spot_ids) - 1)
+                row_idx.append(len(spot_ids) - 1)
                 cols.append(j)
                 vals.append(v)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(spot_ids), len(gene_ids)), dtype=np.float64
-    )
-    return ExpressionMatrix(spot_ids, [g.strip() for g in gene_ids], mat, RAW_COUNTS)
+    return _raw_counts(spot_ids, [g.strip() for g in header[1:]], row_idx, cols, vals)
 
 
 def _parse_triplets(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        return ExpressionMatrix([], [], sp.csr_matrix((0, 0)), RAW_COUNTS)
-    if lines[0].split("\t") != ["spot", "gene", "value"]:
-        raise DataFormatError("expected header 'spot\\tgene\\tvalue'", line=1)
-    spot_index, gene_index = {}, {}
-    spot_ids, gene_ids = [], []
-    rows, cols, vals = [], [], []
-    seen_pairs = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(f"expected 3 fields, got {len(fields)}", line=lineno)
+    rows = _rows(path, "\t", ("spot", "gene", "value"), exact=True, empty_ok=True)
+    next(rows, None)
+    spot_index, gene_index, seen_pairs = {}, {}, set()
+    row_idx, cols, vals = [], [], []
+    for lineno, fields in rows:
         spot, gene = fields[0].strip(), fields[1].strip()
         v = _parse_value(fields[2], lineno)
-        si = spot_index.setdefault(spot, len(spot_ids))
-        if si == len(spot_ids):
-            spot_ids.append(spot)
-        gi = gene_index.setdefault(gene, len(gene_ids))
-        if gi == len(gene_ids):
-            gene_ids.append(gene)
+        si = spot_index.setdefault(spot, len(spot_index))
+        gi = gene_index.setdefault(gene, len(gene_index))
         if (si, gi) in seen_pairs:
             raise DataFormatError(f"duplicate entry for ({spot}, {gene})", line=lineno)
         seen_pairs.add((si, gi))
         if v != 0.0:
-            rows.append(si)
+            row_idx.append(si)
             cols.append(gi)
             vals.append(v)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(spot_ids), len(gene_ids)), dtype=np.float64
-    )
+    return _raw_counts(list(spot_index), list(gene_index), row_idx, cols, vals)
+
+
+def _raw_counts(spot_ids, gene_ids, rows, cols, vals):
+    """ExpressionMatrix from the (row, column, value) of its nonzero entries."""
+    shape = (len(spot_ids), len(gene_ids))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.float64)
     return ExpressionMatrix(spot_ids, gene_ids, mat, RAW_COUNTS)
-
-
-def _parse_floats(cells, lineno):
-    try:
-        return [float(v) for v in cells]
-    except ValueError as exc:
-        raise DataFormatError(str(exc), line=lineno) from None
 
 
 def _parse_value(cell, lineno):
@@ -308,7 +316,7 @@ def _parse_value(cell, lineno):
         v = float(cell)
     except ValueError:
         raise DataFormatError(f"bad numeric value {cell!r}", line=lineno) from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise DataFormatError(f"non-finite value {cell!r}", line=lineno)
     if v < 0:
         raise DataFormatError(f"negative value {cell!r}", line=lineno)
@@ -345,21 +353,16 @@ def _fmt(v):
 
 
 # ---------------------------------------------------------------------------
-# Coordinates, features, survival, scores
+# Coordinates and survival
 # ---------------------------------------------------------------------------
 
 
 def read_coords(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != COORDS_HEADER:
-        raise DataFormatError(f"expected header {COORDS_HEADER!r}", line=1)
+    rows = _rows(path, ",", tuple(COORDS_HEADER.split(",")), exact=True)
+    next(rows)
     geoms = []
     seen_pos = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise DataFormatError(f"expected 6 fields, got {len(fields)}", line=lineno)
+    for lineno, fields in rows:
         try:
             g = SpotGeometry(
                 spot_id=fields[0],
@@ -388,42 +391,11 @@ def write_coords(geoms, path):
             )
 
 
-def read_features(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataFormatError("empty feature file")
-    header = lines[0].split("\t")
-    if header[0] != "spot_id":
-        raise DataFormatError("expected first header column 'spot_id'", line=1)
-    d = len(header) - 1
-    spot_ids, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != d + 1:
-            raise DataFormatError(f"expected {d + 1} fields, got {len(fields)}", line=lineno)
-        spot_ids.append(fields[0])
-        rows.append(_parse_floats(fields[1:], lineno))
-    return PatchFeatureMatrix(spot_ids, np.asarray(rows, dtype=np.float64))
-
-
-def write_features(fm, path, prefix="f"):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("spot_id\t" + "\t".join(f"{prefix}{j}" for j in range(fm.d_img)) + "\n")
-        for sid, row in zip(fm.spot_ids, fm.features):
-            fh.write(sid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_survival(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != SURVIVAL_HEADER:
-        raise DataFormatError(f"expected header {SURVIVAL_HEADER!r}", line=1)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise DataFormatError(f"expected 4 fields, got {len(fields)}", line=lineno)
+    rows = _rows(path, ",", tuple(SURVIVAL_HEADER.split(",")), exact=True)
+    next(rows)
+    records = []
+    for lineno, fields in rows:
         ev = fields[2].strip().lower()
         if ev not in {"0", "1", "true", "false"}:
             raise DataFormatError(f"bad event flag {fields[2]!r}", line=lineno)
@@ -431,7 +403,7 @@ def read_survival(path):
             t = float(fields[1])
         except ValueError:
             raise DataFormatError(f"bad time {fields[1]!r}", line=lineno) from None
-        rows.append(
+        records.append(
             SurvivalRecord(
                 subject_id=fields[0],
                 time=t,
@@ -439,7 +411,7 @@ def read_survival(path):
                 slide_ids=tuple(s for s in fields[3].split(";") if s),
             )
         )
-    return SurvivalTable(rows)
+    return SurvivalTable(records)
 
 
 def write_survival(table, path):
@@ -451,32 +423,76 @@ def write_survival(table, path):
             )
 
 
+# ---------------------------------------------------------------------------
+# Float tables: features, scores, slide embeddings
+# ---------------------------------------------------------------------------
+
+
+def _read_float_table(path, id_names):
+    """(one list per id column, float column names, float64 values) of a TSV.
+
+    numpy parses a row per call, rounding as float() does.  An empty table, a
+    cell that is not a finite number or a repeated first id is an error.
+    """
+    rows = _rows(path, "\t", id_names)
+    header_line, header = next(rows)
+    k = len(id_names)
+    ids = [[] for _ in id_names]
+    values, seen = [], set()
+    for lineno, fields in rows:
+        if fields[0] in seen:
+            raise DataFormatError(f"duplicate {id_names[0]} {fields[0]!r}", line=lineno)
+        seen.add(fields[0])
+        try:
+            row = np.array(fields[k:], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(str(exc), line=lineno) from None
+        if not np.isfinite(row).all():
+            raise DataFormatError("non-finite value", line=lineno)
+        for column, v in zip(ids, fields):
+            column.append(v)
+        values.append(row)
+    if not values:
+        raise DataFormatError("no rows after the header", line=header_line)
+    return ids, header[k:], np.array(values)
+
+
+def _write_float_table(path, header, ids, values):
+    """Write `header`, then per row its id fields and each value's repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row_ids, row in zip(ids, values):
+            fh.write("\t".join([*row_ids, *map(repr, row.tolist())]) + "\n")
+
+
+def read_features(path):
+    (spot_ids,), _, features = _read_float_table(path, ("spot_id",))
+    return PatchFeatureMatrix(spot_ids, features)
+
+
+def write_features(fm, path, prefix="f"):
+    header = ["spot_id", *(f"{prefix}{j}" for j in range(fm.d_img))]
+    _write_float_table(path, header, zip(fm.spot_ids), fm.features)
+
+
 def read_scores(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataFormatError("empty score file")
-    header = lines[0].split("\t")
-    if header[0] != "spot":
-        raise DataFormatError("expected first header column 'spot'", line=1)
-    names = header[1:]
-    spot_ids, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(names) + 1:
-            raise DataFormatError(
-                f"expected {len(names) + 1} fields, got {len(fields)}", line=lineno
-            )
-        spot_ids.append(fields[0])
-        rows.append(_parse_floats(fields[1:], lineno))
-    return PathwayScoreMatrix(spot_ids, names, np.asarray(rows, dtype=np.float64))
+    (spot_ids,), names, scores = _read_float_table(path, ("spot",))
+    return PathwayScoreMatrix(spot_ids, names, scores)
 
 
 def write_scores(sm, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("spot\t" + "\t".join(sm.pathway_names) + "\n")
-        for sid, row in zip(sm.spot_ids, sm.scores):
-            fh.write(sid + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+    _write_float_table(path, ["spot", *sm.pathway_names], zip(sm.spot_ids), sm.scores)
+
+
+def read_embeddings(path):
+    """(spot ids, slide ids, float64 (spots, dim) embeddings) of an embedding TSV."""
+    (spot_ids, slide_ids), _, values = _read_float_table(path, ("spot_id", "slide_id"))
+    return spot_ids, slide_ids, values
+
+
+def write_embeddings(spot_ids, slide_ids, values, path):
+    header = ["spot_id", "slide_id", *(f"e{j}" for j in range(values.shape[1]))]
+    _write_float_table(path, header, zip(spot_ids, slide_ids), values)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +520,14 @@ def save_checkpoint(params, hyperparams, path, extra=None):
     )
     with open(path + ".params.bin", "wb") as fh:
         fh.write(blob)
+
+
+def check_hyperparams(hyper, expected):
+    """Require a manifest's hyperparameter keys to be exactly `expected`."""
+    bad = sorted(set(hyper) ^ set(expected))
+    if bad:
+        kind = "unknown" if bad[0] in hyper else "missing"
+        raise CheckpointShapeError(f"{kind} hyperparameter {bad[0]!r}")
 
 
 def assign_params(targets, params):

@@ -269,6 +269,7 @@ def save_model(model, path, normalizer=None, extra=None):
 def load_model(path):
     """Returns (model, normalizer_or_None, extra)."""
     params, hyper, extra = data_io.load_checkpoint(path)
+    data_io.check_hyperparams(hyper, ModelConfig.__dataclass_fields__)
     config = ModelConfig(**hyper)
     model = PearlModel(config)
     data_io.assign_params(model.parameters(), params)

@@ -147,6 +147,8 @@ def select_hvg(m, g):
 
 def run_pipeline(m, geoms, config):
     """Full chain; returns (normalized pre-HVG matrix, HVG matrix, HVG ids)."""
+    if m.n_spots == 0:
+        raise PearlError("expression matrix has no spots")
     filtered = filter_genes(m, config.min_spots_per_gene)
     normed = normalize_and_log(filtered, config.target_sum)
     if config.smoothing_enabled:

@@ -173,6 +173,7 @@ def save_cox(head, path):
 
 def load_cox(path):
     params, hyper, _ = data_io.load_checkpoint(path)
+    data_io.check_hyperparams(hyper, ("embed_dim", "attn_hidden", "kind"))
     head = CoxHead(embed_dim=hyper["embed_dim"], attn_hidden=hyper["attn_hidden"])
     data_io.assign_params(head.parameters(), params)
     return head

@@ -9,6 +9,7 @@ linear map of the activities mixed with noise by the coupling parameter.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +25,22 @@ from .data_io import (
     SurvivalTable,
 )
 from .errors import PearlError
+
+
+@dataclass
+class SynthConfig:
+    """The `synth` config section: sizes of the dataset and survival cohort."""
+
+    n_spots: int = 600
+    n_genes: int = 120
+    n_pathways: int = 10
+    noise_sigma: float = 0.05
+    coupling: float = 0.95
+    n_slides: int = 2
+    d_img: int = 64
+    n_subjects: int = 100
+    censor_rate: float = 0.3
+    embed_dim: int = 256
 
 
 def _grid_layout(n_spots, n_slides):

@@ -54,6 +54,30 @@ class SpotDataset:
             if arr.shape[0] != n:
                 raise PearlError(f"{name} has {arr.shape[0]} rows, expected {n}")
 
+    @classmethod
+    def from_tables(cls, scores, geoms, patch, hvg):
+        """Dataset on the score table's spots, looked up in the other three tables.
+
+        `geoms` is a SpotGeometry list; the scores serve as both the pathway
+        tokens and the pathway target.
+        """
+        geo = {g.spot_id: g for g in geoms}
+        feat_index = {s: i for i, s in enumerate(patch.spot_ids)}
+        hvg_index = {s: i for i, s in enumerate(hvg.spot_ids)}
+        ids = list(scores.spot_ids)
+        missing = [s for s in ids if s not in geo or s not in feat_index or s not in hvg_index]
+        if missing:
+            raise PearlError(f"spot {missing[0]!r} missing from coords/features/hvg inputs")
+        return cls(
+            spot_ids=ids,
+            slide_ids=[geo[s].slide_id for s in ids],
+            scores=scores.scores,
+            coords=np.array([[geo[s].x, geo[s].y] for s in ids]),
+            features=patch.features[[feat_index[s] for s in ids]],
+            y_path=scores.scores,
+            y_gene=hvg.dense()[[hvg_index[s] for s in ids]],
+        )
+
     @property
     def n_spots(self):
         return len(self.spot_ids)

@@ -220,19 +220,7 @@ class TestAcceptance:
             sm, _ = ssgsea.score_matrix(
                 normed, sets, SsgseaConfig(null_sets=50, rng_seed=seed), threads=4
             )
-            geo = {g.spot_id: g for g in geoms}
-            fi = {s: i for i, s in enumerate(patch.spot_ids)}
-            hd = hvg.dense()
-            hi = {s: i for i, s in enumerate(hvg.spot_ids)}
-            ds = SpotDataset(
-                spot_ids=list(sm.spot_ids),
-                slide_ids=[geo[s].slide_id for s in sm.spot_ids],
-                scores=sm.scores,
-                coords=np.array([[geo[s].x, geo[s].y] for s in sm.spot_ids]),
-                features=patch.features[[fi[s] for s in sm.spot_ids]],
-                y_path=sm.scores,
-                y_gene=hd[[hi[s] for s in sm.spot_ids]],
-            )
+            ds = SpotDataset.from_tables(sm, geoms, patch, hvg)
             train_ds = ds.subset([i for i, s in enumerate(ds.slide_ids) if s == "slide0"])
             test_ds = ds.subset([i for i, s in enumerate(ds.slide_ids) if s == "slide1"])
             tcfg = TrainConfig(
@@ -240,7 +228,7 @@ class TestAcceptance:
                 weight_decay=1e-3, seed=seed,
             )
             model = PearlModel(
-                ModelConfig(n_pathways=20, n_genes=hd.shape[1], d_img=64, seed=seed)
+                ModelConfig(n_pathways=20, n_genes=ds.y_gene.shape[1], d_img=64, seed=seed)
             )
             model, _, normalizer = trainer.train_stage1(train_ds, model, tcfg)
             model, _ = trainer.train_stage2(train_ds, model, tcfg)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -256,6 +259,32 @@ class TestBackward:
             return ad.cross_entropy_index(ad.softmax_rows(ad.matmul(a, b)))
 
         ad.gradcheck(fn, [a, b])
+
+    def test_graph_freed_on_return_without_gc(self):
+        w = t64(np.ones((4, 3)))
+        x = t64(np.arange(12.0).reshape(3, 4), grad=False)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = ad.gelu(ad.matmul(x, w))
+            node = weakref.ref(hidden)
+            loss = ad.sum_all(hidden)
+            del hidden
+            ad.backward(loss)
+            del loss
+            assert node() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert w.grad.shape == (4, 3)
+
+    def test_deep_chain_no_recursion_limit(self):
+        w = t64([1.0, 2.0])
+        out = w
+        for _ in range(5000):
+            out = ad.add(out, w)
+        ad.backward(ad.sum_all(out))
+        np.testing.assert_array_equal(w.grad, [5001.0, 5001.0])
 
 
 class TestAdamW:

@@ -14,7 +14,7 @@ def run(argv):
     return main(argv)
 
 
-@pytest.fixture(scope="class")
+@pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One tiny synth -> preprocess -> score -> train -> predict chain."""
     root = tmp_path_factory.mktemp("cli")
@@ -214,6 +214,117 @@ class TestPipeline:
             assert rep["n_test_spots"] == 24
 
 
+@pytest.fixture(scope="module")
+def cox_checkpoint(pipeline, tmp_path_factory):
+    _, data, _ = pipeline
+    out = tmp_path_factory.mktemp("cox")
+    cfg = out / "surv.json"
+    cfg.write_text(json.dumps({"survival": {"max_epochs": 2, "patience": 1}}))
+    assert run(
+        [
+            "survival-train",
+            "--config", str(cfg),
+            "--out-dir", str(out),
+            "--survival", str(data / "survival.csv"),
+            "--embeddings", str(data / "survival_embeddings.tsv"),
+        ]
+    ) == 0
+    return out / "cox"
+
+
+_DATASET = {
+    "scores": "scores.tsv", "coords": "coords.csv", "features": "features.tsv", "hvg": "hvg.tsv"
+}
+_SURVIVAL = {"survival": "survival.csv", "embeddings": "survival_embeddings.tsv"}
+_CV_PATHS = {
+    "expression": "expression.tsv",
+    "coords": "coords.csv",
+    "gene_sets": "gene_sets.gmt",
+    "features": "features.tsv",
+}
+# every subcommand that reads files: its inputs (flag -> file in the pipeline's
+# data directory; run-cv takes them as config paths), the table input that the
+# failures are injected into, and the column of the cell made malformed
+FILE_COMMANDS = {
+    "preprocess": ({"expression": "expression.tsv", "coords": "coords.csv"}, "expression", 2),
+    "score-pathways": (
+        {"expression": "normalized.tsv", "gene_sets": "gene_sets.gmt"}, "expression", 2
+    ),
+    "train-contrastive": (_DATASET, "scores", 1),
+    "train-heads": ({"checkpoint": "stage1", **_DATASET}, "features", 1),
+    "predict": ({"checkpoint": "final", "features": "features.tsv"}, "features", 1),
+    "evaluate": ({"pred": "yhat_path.tsv", "truth": "scores.tsv"}, "pred", 1),
+    "survival-train": (_SURVIVAL, "embeddings", 2),
+    "survival-eval": ({"checkpoint": "cox", **_SURVIVAL}, "survival", 1),
+    "run-cv": (_CV_PATHS, "features", 1),
+}
+
+
+class TestFailureInjection:
+    @pytest.mark.parametrize("kind", ["missing", "malformed", "empty", "unknown_field"])
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS))
+    def test_exits_1_with_json_error(
+        self, pipeline, cox_checkpoint, tmp_path, capsys, command, kind
+    ):
+        _, data, _ = pipeline
+        inputs, target, column = FILE_COMMANDS[command]
+        paths = {
+            k: str(cox_checkpoint if name == "cox" else data / name) for k, name in inputs.items()
+        }
+        broken = tmp_path / inputs[target]
+        if kind == "missing":
+            broken = tmp_path / "absent" / inputs[target]
+        elif kind == "empty":
+            broken.write_text("")
+        elif kind == "malformed":
+            # a bad cell on the 4th non-blank line, pushed to physical line 6
+            sep = "," if broken.suffix == ".csv" else "\t"
+            lines = (data / inputs[target]).read_text().splitlines()
+            fields = lines[3].split(sep)
+            fields[column] = "abc"
+            lines[3] = sep.join(fields)
+            broken.write_text("\n".join([lines[0], "", "", *lines[1:]]) + "\n")
+        if kind != "unknown_field":
+            paths[target] = str(broken)
+        cfg = {"train": {"bogus": 1}} if kind == "unknown_field" else {}
+        argv = [command, "--out-dir", str(tmp_path / "out")]
+        if command == "run-cv":
+            cfg["paths"] = paths
+            argv += ["--folds", "2"]
+        else:
+            argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+        if cfg:
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / "c.json")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        if kind == "missing":
+            assert err["error"] == "io" and str(broken) in err["message"]
+        elif kind == "malformed":
+            assert err["error"] == "data_format" and "line 6:" in err["message"]
+        elif kind == "unknown_field":
+            assert err["error"] == "config" and "train.bogus" in err["message"]
+
+    def test_run_cv_spot_missing_from_features(self, pipeline, tmp_path, capsys):
+        _, data, cfg_path = pipeline
+        lines = (data / "features.tsv").read_text().splitlines()
+        dropped = lines[5].split("\t")[0]
+        features = tmp_path / "features.tsv"
+        features.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        paths = {k: str(data / name) for k, name in _CV_PATHS.items()}
+        paths["features"] = str(features)
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "paths": paths}))
+        capsys.readouterr()
+        argv = ["run-cv", "--config", str(cfg), "--out-dir", str(tmp_path), "--folds", "2"]
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "error"
+        assert repr(dropped) in err["message"]
+
+
 class TestErrors:
     def test_unknown_config_field_named(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -227,6 +338,14 @@ class TestErrors:
         err = json.loads(proc.stderr)
         assert err["error"] == "config"
         assert "train.learning_rate" in err["message"]
+
+    def test_unknown_synth_field_named(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"synth": {"n_spotz": 10}}))
+        assert run(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "synth.n_spotz" in err["message"]
 
     def test_unknown_survival_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -249,8 +368,10 @@ class TestErrors:
             ("", 1),
             ("spot_id\tslide_id\te0\te1\na_s0\ta\t0.5\t1.5\na_s1\ta\t0.5\n", 3),
             ("spot_id\tslide_id\te0\na_s0\ta\tnan?\n", 2),
+            ("spot_id\tslide_id\te0\na_s0\ta\tnan\n", 2),
+            ("spot_id\tslide_id\te0\na_s0\ta\t0.5\n\n\na_s1\ta\tabc\n", 5),
         ],
-        ids=["empty", "short_row", "non_numeric"],
+        ids=["empty", "short_row", "non_numeric", "nan", "blank_lines"],
     )
     def test_slide_embeddings_format_errors(self, tmp_path, text, line):
         path = tmp_path / "embeddings.tsv"

@@ -160,6 +160,85 @@ class TestCoordsSurvivalFeatures:
         assert info.value.line == 2
 
 
+class TestTextTables:
+    @pytest.mark.parametrize(
+        "reader, header, ids",
+        [
+            (data_io.read_features, "spot_id\tf0\tf1", "s{}"),
+            (data_io.read_scores, "spot\tA\tB", "s{}"),
+            (data_io.read_embeddings, "spot_id\tslide_id\te0\te1", "s{}\tsl"),
+        ],
+        ids=["features", "scores", "embeddings"],
+    )
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            (None, 1, "empty file"),
+            ([], 1, "no rows"),
+            ([(0, "0.5\tnan")], 2, "non-finite"),
+            ([(0, "0.5\t1"), (0, "2\t3")], 3, "duplicate"),
+            ([(0, "0.5\t1"), "", "", (1, "abc\t1")], 5, "could not convert"),
+        ],
+        ids=["empty", "header_only", "nan", "duplicate_id", "blank_lines"],
+    )
+    def test_float_table_errors_name_line(
+        self, tmp_path, reader, header, ids, body, line, message
+    ):
+        p = tmp_path / "t.tsv"
+        if body is None:
+            p.write_text("")
+        else:
+            rows = [r if r == "" else ids.format(r[0]) + "\t" + r[1] for r in body]
+            p.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataFormatError, match=message) as info:
+            reader(p)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (data_io.read_coords, data_io.COORDS_HEADER + "\ns1,sl,0,0,0,0\n\n\ns2,sl,x,0,0,1\n"),
+            (data_io.read_survival, data_io.SURVIVAL_HEADER + "\na,1.5,1,sl1\n\n\nb,abc,0,sl2\n"),
+            (data_io.parse_expression, "spot\tgene\tvalue\ns1\tg1\t1\n\n\ns1\tg2\tabc\n"),
+            (
+                lambda p: data_io.parse_expression(p, "dense_tsv"),
+                "spot\tg1\ns1\t1\n\n\ns2\tabc\n",
+            ),
+        ],
+        ids=["coords", "survival", "triplets", "dense"],
+    )
+    def test_blank_lines_keep_physical_line_numbers(self, tmp_path, reader, text):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match="line 5:") as info:
+            reader(p)
+        assert info.value.line == 5
+
+    def test_float_cells_parse_as_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(20, 8)) * 10.0 ** rng.integers(-300, 300, size=(20, 8))
+        cells = [
+            [repr(v) if j % 2 else f"{v:.7g}" for j, v in enumerate(row)]
+            for row in values.tolist()
+        ]
+        p = tmp_path / "sc.tsv"
+        p.write_text(
+            "spot\t" + "\t".join(f"p{j}" for j in range(8)) + "\n"
+            + "".join(f"s{i}\t" + "\t".join(row) + "\n" for i, row in enumerate(cells))
+        )
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert data_io.read_scores(p).scores.tobytes() == expected.tobytes()
+
+    def test_embeddings_roundtrip(self, tmp_path):
+        values = np.array([[0.1, -2.5], [3.0, 1e-300], [7.25, 0.0]])
+        p = tmp_path / "e.tsv"
+        data_io.write_embeddings(["a_s0", "a_s1", "b_s0"], ["a", "a", "b"], values, p)
+        spot_ids, slide_ids, values2 = data_io.read_embeddings(p)
+        assert spot_ids == ["a_s0", "a_s1", "b_s0"]
+        assert slide_ids == ["a", "a", "b"]
+        np.testing.assert_array_equal(values2, values)
+
+
 class TestCheckpoint:
     def _model(self):
         return PearlModel(
@@ -212,6 +291,22 @@ class TestCheckpoint:
         manifest["hyperparams"]["d_k"] = 64
         (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointShapeError):
+            load_model(path)
+
+    @pytest.mark.parametrize("tamper", ["unknown", "missing"])
+    def test_bad_hyperparam_key_named(self, tmp_path, tamper):
+        import json
+
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        manifest = json.loads((tmp_path / "ckpt.manifest.json").read_text())
+        if tamper == "unknown":
+            manifest["hyperparams"]["foo"] = 1
+        else:
+            del manifest["hyperparams"]["n_heads"]
+        (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
+        key = "foo" if tamper == "unknown" else "n_heads"
+        with pytest.raises(CheckpointShapeError, match=f"{tamper} hyperparameter '{key}'"):
             load_model(path)
 
 

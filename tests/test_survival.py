@@ -185,6 +185,21 @@ class TestCoxHead:
         with pytest.raises(CheckpointShapeError):
             load_cox(path)
 
+    @pytest.mark.parametrize("tamper", ["unknown", "missing"])
+    def test_checkpoint_bad_hyperparams_rejected(self, tmp_path, tamper):
+        path = str(tmp_path / "cox")
+        save_cox(CoxHead(embed_dim=4, attn_hidden=3, seed=1), path)
+        manifest_path = tmp_path / "cox.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if tamper == "unknown":
+            manifest["hyperparams"]["foo"] = 1
+        else:
+            del manifest["hyperparams"]["attn_hidden"]
+        manifest_path.write_text(json.dumps(manifest))
+        key = "foo" if tamper == "unknown" else "attn_hidden"
+        with pytest.raises(CheckpointShapeError, match=f"{tamper} hyperparameter '{key}'"):
+            load_cox(path)
+
 
 class TestTrainCox:
     def test_planted_risk_high_c_index(self):
