@@ -86,11 +86,12 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_curve(path, history):
+def _write_curve(path, columns):
+    """CSV of per-epoch values: the epoch, then one column per key of `columns`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for e, (tr, va) in enumerate(zip(history["train_loss"], history["val_loss"])):
-            fh.write(f"{e},{tr!r},{va!r}\n")
+        fh.write(",".join(["epoch", *columns]) + "\n")
+        for e, row in enumerate(zip(*columns.values())):
+            fh.write(",".join([str(e), *map(repr, row)]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +256,7 @@ def cmd_survival_train(args, cfg):
     mats, times, events = _load_cohort(args)
     head, history = survival.train_cox(mats, times, events, scfg)
     survival.save_cox(head, _outpath(args, "cox"))
-    with open(_outpath(args, "cox_loss.csv"), "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for e, v in enumerate(history):
-            fh.write(f"{e},{v!r}\n")
+    _write_curve(_outpath(args, "cox_loss.csv"), {"loss": history})
     return 0
 
 

@@ -11,12 +11,14 @@ Formats:
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
 
 Text tables are read through `_rows`, so a malformed file raises
-DataFormatError naming its physical line.  Parsed structures are immutable
-by convention and safe to share read-only.
+DataFormatError naming its physical line; the text readers are wrapped in
+`_names_file`, so the error names the file too.  Parsed structures are
+immutable by convention and safe to share read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -161,6 +163,19 @@ class PathwayScoreMatrix:
             raise DataFormatError("non-finite pathway score")
 
 
+def _names_file(reader):
+    """Make a DataFormatError raised by `reader(path, ...)` name the path."""
+
+    @functools.wraps(reader)
+    def read(path, *args, **kwargs):
+        try:
+            return reader(path, *args, **kwargs)
+        except DataFormatError as exc:
+            raise DataFormatError(exc.detail, exc.line, path) from None
+
+    return read
+
+
 # ---------------------------------------------------------------------------
 # GMT
 # ---------------------------------------------------------------------------
@@ -211,6 +226,7 @@ def write_gmt(collection, path):
             fh.write("\t".join([s.name, s.description] + sorted(s.genes)) + "\n")
 
 
+@_names_file
 def read_gmt(path):
     with open(path, "rb") as fh:
         return parse_gmt(fh.read())
@@ -253,6 +269,7 @@ def _rows(path, sep, head, exact=False, empty_ok=False):
 # ---------------------------------------------------------------------------
 
 
+@_names_file
 def parse_expression(path, fmt="sparse_triplet_tsv", value_kind=RAW_COUNTS):
     """Parse a dense or sparse-triplet expression TSV.
 
@@ -357,11 +374,12 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 
 
+@_names_file
 def read_coords(path):
     rows = _rows(path, ",", tuple(COORDS_HEADER.split(",")), exact=True)
     next(rows)
     geoms = []
-    seen_pos = set()
+    seen_ids, seen_pos = set(), set()
     for lineno, fields in rows:
         try:
             g = SpotGeometry(
@@ -374,6 +392,9 @@ def read_coords(path):
             )
         except ValueError as exc:
             raise DataFormatError(str(exc), line=lineno) from None
+        if g.spot_id in seen_ids:
+            raise DataFormatError(f"duplicate spot_id {g.spot_id!r}", line=lineno)
+        seen_ids.add(g.spot_id)
         key = (g.slide_id, g.array_row, g.array_col)
         if key in seen_pos:
             raise DataFormatError(f"duplicate grid position {key}", line=lineno)
@@ -391,6 +412,7 @@ def write_coords(geoms, path):
             )
 
 
+@_names_file
 def read_survival(path):
     rows = _rows(path, ",", tuple(SURVIVAL_HEADER.split(",")), exact=True)
     next(rows)
@@ -465,6 +487,7 @@ def _write_float_table(path, header, ids, values):
             fh.write("\t".join([*row_ids, *map(repr, row.tolist())]) + "\n")
 
 
+@_names_file
 def read_features(path):
     (spot_ids,), _, features = _read_float_table(path, ("spot_id",))
     return PatchFeatureMatrix(spot_ids, features)
@@ -475,6 +498,7 @@ def write_features(fm, path, prefix="f"):
     _write_float_table(path, header, zip(fm.spot_ids), fm.features)
 
 
+@_names_file
 def read_scores(path):
     (spot_ids,), names, scores = _read_float_table(path, ("spot",))
     return PathwayScoreMatrix(spot_ids, names, scores)
@@ -484,6 +508,7 @@ def write_scores(sm, path):
     _write_float_table(path, ["spot", *sm.pathway_names], zip(sm.spot_ids), sm.scores)
 
 
+@_names_file
 def read_embeddings(path):
     """(spot ids, slide ids, float64 (spots, dim) embeddings) of an embedding TSV."""
     (spot_ids, slide_ids), _, values = _read_float_table(path, ("spot_id", "slide_id"))

@@ -45,6 +45,8 @@ class ModelConfig:
         for name in ("n_pathways", "n_genes", "d_img", "n_heads", "d_k", "n_layers"):
             if getattr(self, name) < 1:
                 raise PearlError(f"model config: {name} must be >= 1")
+        if not TAU_MIN <= self.tau_init <= TAU_MAX:
+            raise PearlError(f"model config: tau_init must be in [{TAU_MIN}, {TAU_MAX}]")
 
 
 @dataclass
@@ -169,13 +171,6 @@ class PearlModel:
 
     def inv_tau(self):
         return ad.exp(ad.neg(self.params["log_tau"]))
-
-    def snapshot(self):
-        return {n: p.values.copy() for n, p in self.params.items()}
-
-    def restore(self, snap):
-        for n, p in self.params.items():
-            p.values = snap[n].copy()
 
     # -- forward passes -----------------------------------------------------
 

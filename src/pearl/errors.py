@@ -12,11 +12,10 @@ class DataFormatError(PearlError):
 
     code = "data_format"
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    def __init__(self, message, line=None, path=None):
+        where = ("" if path is None else f"{path}: ") + ("" if line is None else f"line {line}: ")
+        super().__init__(where + message)
+        self.detail, self.line, self.path = message, line, path
 
 
 class CheckpointVersionError(PearlError):

@@ -138,6 +138,8 @@ def score_matrix(m, sets, config, threads=1):
     """
     if m.value_kind != NORMALIZED_LOG:
         raise PearlError(f"expected normalized_log input, got {m.value_kind!r}")
+    if m.n_spots == 0:
+        raise PearlError("expression matrix has no spots")
     canon = sorted(range(m.n_genes), key=lambda j: m.gene_ids[j])
     ids = [m.gene_ids[j] for j in canon]
     id_index = {g: i for i, g in enumerate(ids)}

@@ -3,15 +3,16 @@ likelihood with Breslow tie handling, and the concordance index."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data_io
-from .autodiff import AdamW, Tensor
-from .errors import PearlError, TrainingDiverged
+from .autodiff import Tensor
+from .encoders import _xavier
+from .errors import PearlError
+from .trainer import fit
 
 
 class CoxHead:
@@ -21,17 +22,12 @@ class CoxHead:
         rng = np.random.default_rng(seed)
         self.embed_dim = embed_dim
         self.attn_hidden = attn_hidden
-
-        def xavier(shape):
-            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-            return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
         self.params = {
-            "attn.w1": Tensor(xavier((embed_dim, attn_hidden)), requires_grad=True),
+            "attn.w1": Tensor(_xavier(rng, (embed_dim, attn_hidden), dtype), requires_grad=True),
             "attn.b1": Tensor(np.zeros(attn_hidden, dtype=dtype), requires_grad=True),
-            "attn.w2": Tensor(xavier((attn_hidden, 1)), requires_grad=True),
+            "attn.w2": Tensor(_xavier(rng, (attn_hidden, 1), dtype), requires_grad=True),
             "attn.b2": Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
-            "risk.w": Tensor(xavier((embed_dim, 1)), requires_grad=True),
+            "risk.w": Tensor(_xavier(rng, (embed_dim, 1), dtype), requires_grad=True),
             "risk.b": Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
         }
 
@@ -122,6 +118,12 @@ class SurvivalTrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self):
+        if not 1 <= self.patience <= self.max_epochs:
+            raise PearlError("survival: need 1 <= patience <= max_epochs")
+        if not (self.lr > 0 and self.weight_decay >= 0):
+            raise PearlError("survival: need lr > 0 and weight_decay >= 0")
+
 
 def train_cox(slide_embeddings, times, events, config=None, head=None):
     """Full-batch Cox training; returns (head, loss_history).
@@ -132,32 +134,13 @@ def train_cox(slide_embeddings, times, events, config=None, head=None):
     config = config or SurvivalTrainConfig()
     if head is None:
         head = CoxHead(embed_dim=slide_embeddings[0].shape[1], seed=config.seed)
-    opt = AdamW(
-        [p for _, p in head.parameters()], lr=config.lr, weight_decay=config.weight_decay
+    history = fit(
+        head.parameters(),
+        config,
+        lambda: [None],
+        lambda _: cox_loss(head.subject_risks(slide_embeddings), times, events),
     )
-    history = []
-    best_loss, best_snap, bad = math.inf, None, 0
-    for epoch in range(config.max_epochs):
-        opt.zero_grad()
-        loss = cox_loss(head.subject_risks(slide_embeddings), times, events)
-        lv = loss.item()
-        if not math.isfinite(lv):
-            raise TrainingDiverged(epoch, 0)
-        ad.backward(loss)
-        opt.step()
-        history.append(lv)
-        if lv < best_loss - 1e-10:
-            best_loss = lv
-            best_snap = {n: p.values.copy() for n, p in head.parameters()}
-            bad = 0
-        else:
-            bad += 1
-            if bad >= config.patience:
-                break
-    if best_snap is not None:
-        for n, p in head.parameters():
-            p.values = best_snap[n].copy()
-    return head, history
+    return head, history["train_loss"]
 
 
 def predict_risks(head, slide_embeddings):

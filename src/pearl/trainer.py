@@ -143,7 +143,47 @@ def _batches(n, batch_size, rng=None):
     return out
 
 
+def fit(params, config, batches, batch_loss, val_loss=None):
+    """The one epoch loop: AdamW on the [(name, Tensor)] `params`, one step per
+    batch of `batches()` on the loss Tensor `batch_loss(batch)`.
+
+    An epoch scores `val_loss()` (run without a graph) or, with no validation
+    set, its mean training loss; after `config.patience` epochs with no lower
+    score, training stops and `params` get the best epoch's values back.
+    Returns the per-epoch {"train_loss", "val_loss"} (no val_loss: empty).
+    """
+    tensors = [p for _, p in params]
+    opt = AdamW(tensors, lr=config.lr, weight_decay=config.weight_decay)
+    history = {"train_loss": [], "val_loss": []}
+    best_score, best_epoch, best = math.inf, -1, [p.values.copy() for p in tensors]
+    for epoch in range(config.max_epochs):
+        losses = []
+        for bi, batch in enumerate(batches()):
+            opt.zero_grad()
+            loss = batch_loss(batch)
+            lv = loss.item()
+            if not math.isfinite(lv):
+                raise TrainingDiverged(epoch, bi)
+            ad.backward(loss)
+            opt.step()
+            losses.append(lv)
+        score = float(np.mean(losses))
+        history["train_loss"].append(score)
+        if val_loss is not None:
+            with ad.no_grad():
+                score = float(val_loss())
+            history["val_loss"].append(score)
+        if score < best_score:
+            best_score, best_epoch, best = score, epoch, [p.values.copy() for p in tensors]
+        elif epoch - best_epoch >= config.patience:
+            break
+    for p, values in zip(tensors, best):
+        p.values = values
+    return history
+
+
 def _stage1_batch_loss(model, ds, idx, normalizer):
+    model.clamp_tau()
     hp = model.encode_pathways(ds.scores[idx], normalizer.transform(ds.coords[idx]))
     hi = model.encode_images(ds.features[idx])
     return contrastive_loss(hi, hp, model.inv_tau())
@@ -152,8 +192,8 @@ def _stage1_batch_loss(model, ds, idx, normalizer):
 def train_stage1(dataset, model, config):
     """Contrastive pretraining of the backbone.
 
-    Returns (model, history) where history holds per-epoch train/val loss;
-    the model carries the best-validation parameters.
+    Returns (model, history, normalizer) where history holds per-epoch
+    train/val loss; the model carries the best-validation parameters.
     """
     train_idx, val_idx = slide_stratified_split(
         dataset.slide_ids, config.val_fraction, config.seed
@@ -161,39 +201,15 @@ def train_stage1(dataset, model, config):
     train = dataset.subset(train_idx)
     val = dataset.subset(val_idx)
     normalizer = CoordNormalizer.fit(train.coords)
-    params = model.stage1_parameters()
-    opt = AdamW([p for _, p in params], lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
-    history = {"train_loss": [], "val_loss": []}
-    best_loss, best_snap, bad_epochs = math.inf, model.snapshot(), 0
-    for epoch in range(config.max_epochs):
-        losses = []
-        for bi, idx in enumerate(_batches(train.n_spots, config.batch_size, rng)):
-            opt.zero_grad()
-            loss = _stage1_batch_loss(model, train, idx, normalizer)
-            lv = loss.item()
-            if not math.isfinite(lv):
-                raise TrainingDiverged(epoch, bi)
-            ad.backward(loss)
-            opt.step()
-            model.clamp_tau()
-            losses.append(lv)
-        with ad.no_grad():
-            val_losses = [
-                _stage1_batch_loss(model, val, idx, normalizer).item()
-                for idx in _batches(val.n_spots, config.batch_size)
-            ]
-        history["train_loss"].append(float(np.mean(losses)))
-        history["val_loss"].append(float(np.mean(val_losses)))
-        if history["val_loss"][-1] < best_loss:
-            best_loss = history["val_loss"][-1]
-            best_snap = model.snapshot()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
-    model.restore(best_snap)
+    history = fit(
+        model.stage1_parameters(),
+        config,
+        lambda: _batches(train.n_spots, config.batch_size, rng),
+        lambda idx: _stage1_batch_loss(model, train, idx, normalizer),
+        lambda: np.mean([_stage1_batch_loss(model, val, idx, normalizer).item()
+                         for idx in _batches(val.n_spots, config.batch_size)]),
+    )
     return model, history, normalizer
 
 
@@ -209,44 +225,24 @@ def train_stage2(dataset, model, config):
     """Head training on frozen image embeddings.
 
     Only the two prediction heads receive gradients; the backbone embedding
-    of every spot is computed once up front.
+    of every spot is computed once up front.  Returns (model, history).
     """
     train_idx, val_idx = slide_stratified_split(
         dataset.slide_ids, config.val_fraction, config.seed
     )
     h_all = embed_images(model, dataset.features, config.batch_size)
-    params = model.stage2_parameters()
-    opt = AdamW([p for _, p in params], lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed + 1)
-    history = {"train_loss": [], "val_loss": []}
-    best_loss, best_snap, bad_epochs = math.inf, model.snapshot(), 0
-    for epoch in range(config.max_epochs):
-        losses = []
-        for bi, pos in enumerate(_batches(len(train_idx), config.batch_size, rng)):
-            idx = train_idx[pos]
-            opt.zero_grad()
-            loss = supervised_loss(model, h_all[idx], dataset.y_path[idx], dataset.y_gene[idx])
-            lv = loss.item()
-            if not math.isfinite(lv):
-                raise TrainingDiverged(epoch, bi)
-            ad.backward(loss)
-            opt.step()
-            losses.append(lv)
-        with ad.no_grad():
-            val_loss = supervised_loss(
-                model, h_all[val_idx], dataset.y_path[val_idx], dataset.y_gene[val_idx]
-            ).item()
-        history["train_loss"].append(float(np.mean(losses)))
-        history["val_loss"].append(float(val_loss))
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_snap = model.snapshot()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
-    model.restore(best_snap)
+
+    def loss(idx):
+        return supervised_loss(model, h_all[idx], dataset.y_path[idx], dataset.y_gene[idx])
+
+    history = fit(
+        model.stage2_parameters(),
+        config,
+        lambda: [train_idx[pos] for pos in _batches(len(train_idx), config.batch_size, rng)],
+        loss,
+        lambda: loss(val_idx).item(),
+    )
     return model, history
 
 

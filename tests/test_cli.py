@@ -303,7 +303,7 @@ class TestFailureInjection:
         if kind == "missing":
             assert err["error"] == "io" and str(broken) in err["message"]
         elif kind == "malformed":
-            assert err["error"] == "data_format" and "line 6:" in err["message"]
+            assert err["error"] == "data_format" and f"{broken}: line 6:" in err["message"]
         elif kind == "unknown_field":
             assert err["error"] == "config" and "train.bogus" in err["message"]
 
@@ -361,6 +361,21 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert "survival.foo" in err["message"]
+
+    def test_bad_survival_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"survival": {"patience": 0}}))
+        argv = [
+            "survival-train",
+            "--config", str(cfg),
+            "--survival", str(tmp_path / "survival.csv"),
+            "--embeddings", str(tmp_path / "embeddings.tsv"),
+            "--out-dir", str(tmp_path),
+        ]
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert "patience" in err["message"]
 
     @pytest.mark.parametrize(
         "text, line",

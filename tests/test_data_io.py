@@ -121,6 +121,13 @@ class TestCoordsSurvivalFeatures:
         with pytest.raises(DataFormatError, match="duplicate"):
             data_io.read_coords(p)
 
+    def test_duplicate_spot_id(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text(data_io.COORDS_HEADER + "\ns1,sl,0,0,0,0\n\ns1,sl,0,1,0,1\n")
+        with pytest.raises(DataFormatError, match="duplicate spot_id 's1'") as info:
+            data_io.read_coords(p)
+        assert info.value.line == 4
+
     def test_survival_roundtrip(self, tmp_path):
         t = data_io.SurvivalTable(
             [
@@ -213,6 +220,27 @@ class TestTextTables:
         with pytest.raises(DataFormatError, match="line 5:") as info:
             reader(p)
         assert info.value.line == 5
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (data_io.read_gmt, "only_a_name\n"),
+            (data_io.parse_expression, "spot\tgene\tvalue\ns1\tg1\t-1\n"),
+            (data_io.read_coords, "spot_id,x\n"),
+            (data_io.read_survival, data_io.SURVIVAL_HEADER + "\na,1.5,maybe,sl1\n"),
+            (data_io.read_features, "spot_id\tf0\ns1\tabc\n"),
+            (data_io.read_scores, ""),
+            (data_io.read_embeddings, "spot_id\tslide_id\te0\ns1\tsl\tinf\n"),
+        ],
+        ids=["gmt", "expression", "coords", "survival", "features", "scores", "embeddings"],
+    )
+    def test_errors_name_the_file(self, tmp_path, reader, text):
+        p = tmp_path / "input.txt"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            reader(p)
+        assert info.value.path == p
+        assert str(info.value).startswith(f"{p}: line {info.value.line}: ")
 
     def test_float_cells_parse_as_float(self, tmp_path):
         rng = np.random.default_rng(3)

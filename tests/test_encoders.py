@@ -269,3 +269,14 @@ class TestTemperature:
 
     def test_initial_value(self):
         assert tiny_model().tau == pytest.approx(0.07, rel=1e-6)
+
+    @pytest.mark.parametrize("tau_init", [100.0, 1e-3])
+    def test_initial_value_at_a_bound_accepted(self, tau_init):
+        assert tiny_model(tau_init=tau_init).tau == pytest.approx(tau_init, rel=1e-6)
+
+    @pytest.mark.parametrize("tau_init", [150.0, 1e-4])
+    def test_initial_value_outside_clamp_rejected(self, tau_init):
+        # training clamps tau before reading it, so an initial value outside
+        # the bounds would never be used
+        with pytest.raises(PearlError, match="tau_init"):
+            tiny_model(tau_init=tau_init)

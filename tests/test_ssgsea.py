@@ -8,7 +8,7 @@ from pearl.data_io import (
     GeneSet,
     GeneSetCollection,
 )
-from pearl.errors import DegeneratePathway, MissingPathwayGenes
+from pearl.errors import DegeneratePathway, MissingPathwayGenes, PearlError
 from pearl.ssgsea import (
     SsgseaConfig,
     _null_masks,
@@ -139,6 +139,11 @@ class TestScoreMatrix:
         return GeneSetCollection(
             [GeneSet(name, "", frozenset(genes)) for name, genes in pairs]
         )
+
+    def test_no_spots_rejected(self):
+        m = make_matrix(np.zeros((0, 3)), ["g0", "g1", "g2"])
+        with pytest.raises(PearlError, match="no spots"):
+            score_matrix(m, self._sets(("A", ["g0"])), SsgseaConfig(null_sets=1))
 
     def test_single_spot_composition(self):
         cfg = SsgseaConfig(null_sets=1, rng_seed=5)

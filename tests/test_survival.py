@@ -6,7 +6,7 @@ import pytest
 
 from pearl import autodiff as ad
 from pearl.autodiff import Tensor
-from pearl.errors import CheckpointShapeError, PearlError
+from pearl.errors import CheckpointShapeError, PearlError, TrainingDiverged
 from pearl.survival import (
     CoxHead,
     SurvivalTrainConfig,
@@ -202,6 +202,60 @@ class TestCoxHead:
 
 
 class TestTrainCox:
+    def _cohort(self, seed=1, n_subjects=12):
+        table, embeddings, _ = gen_survival_cohort(seed=seed, n_subjects=n_subjects)
+        times = np.array([r.time for r in table.rows])
+        events = np.array([r.event for r in table.rows])
+        return [embeddings[r.slide_ids[0]] for r in table.rows], times, events
+
+    def test_initial_weights_match_xavier_draws(self):
+        head = CoxHead(embed_dim=6, attn_hidden=4, seed=3)
+        rng = np.random.default_rng(3)
+        for name, shape in (("attn.w1", (6, 4)), ("attn.w2", (4, 1)), ("risk.w", (6, 1))):
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            expected = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+            assert head.params[name].values.tobytes() == expected.tobytes()
+
+    def test_non_finite_embedding_diverges(self):
+        embs, times, events = self._cohort()
+        embs[4] = embs[4].copy()
+        embs[4][0, 0] = np.nan
+        with pytest.raises(TrainingDiverged) as info:
+            train_cox(embs, times, events, SurvivalTrainConfig(max_epochs=3, patience=1))
+        assert (info.value.epoch, info.value.batch) == (0, 0)
+
+    def test_early_stop_restores_best_epoch(self):
+        embs, times, events = self._cohort(n_subjects=40)
+        cfg = SurvivalTrainConfig(max_epochs=300, patience=4, lr=0.3)
+        head, history = train_cox(embs, times, events, cfg)
+        best = int(np.argmin(history))
+        assert len(history) == best + 1 + cfg.patience < cfg.max_epochs
+        # the loss of an epoch is taken before its step, the snapshot after it
+        replay, _ = train_cox(embs, times, events, SurvivalTrainConfig(
+            max_epochs=best + 1, patience=best + 1, lr=0.3))
+        for (_, p), (_, q) in zip(head.parameters(), replay.parameters()):
+            np.testing.assert_array_equal(p.values, q.values)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_epochs": 0},
+            {"patience": 0},
+            {"max_epochs": 5, "patience": 6},
+            {"lr": 0.0},
+            {"lr": float("nan")},
+            {"weight_decay": -1e-4},
+        ],
+        ids=["no_epochs", "no_patience", "patience_above_epochs", "zero_lr", "nan_lr",
+             "negative_decay"],
+    )
+    def test_config_rejects(self, fields):
+        with pytest.raises(PearlError):
+            SurvivalTrainConfig(**fields)
+
+    def test_config_patience_may_equal_epochs(self):
+        assert SurvivalTrainConfig(max_epochs=5, patience=5).patience == 5
+
     def test_planted_risk_high_c_index(self):
         table, embeddings, risks = gen_survival_cohort(
             seed=0, n_subjects=200, embed_dim=16, risk_strength=5.0

@@ -3,14 +3,18 @@ import pytest
 
 from pearl import autodiff as ad
 from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel
-from pearl.errors import PearlError
+from pearl.errors import PearlError, TrainingDiverged
 from pearl.trainer import (
     SpotDataset,
     TrainConfig,
+    _batches,
+    _stage1_batch_loss,
     contrastive_loss,
     embed_images,
+    fit,
     retrieval_top1,
     slide_stratified_split,
+    supervised_loss,
     train_stage1,
     train_stage2,
 )
@@ -143,6 +147,59 @@ class TestSplit:
         assert "a" in va_slides and "b" in va_slides
 
 
+def assert_stopped_at_best(history, patience, max_epochs):
+    """An early stop: `patience` epochs ran after the best validation epoch."""
+    best = int(np.argmin(history["val_loss"]))
+    assert len(history["val_loss"]) < max_epochs
+    assert len(history["val_loss"]) == len(history["train_loss"]) == best + 1 + patience
+    return min(history["val_loss"])
+
+
+class TestFit:
+    def _quadratic(self):
+        w = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        return w, lambda _: ad.sum_all(ad.mul(w, w))
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        w, loss = self._quadratic()
+        calls = []
+
+        def batch_loss(batch):
+            calls.append(batch)
+            out = loss(batch)
+            return ad.mul_scalar(out, np.nan) if len(calls) == 6 else out
+
+        cfg = TrainConfig(max_epochs=5, patience=2, lr=1e-2)
+        with pytest.raises(TrainingDiverged) as info:
+            fit([("w", w)], cfg, lambda: [0, 1, 2], batch_loss)
+        assert (info.value.epoch, info.value.batch) == (1, 2)
+        assert "epoch 1, batch 2" in str(info.value)
+
+    def test_restores_best_epoch_and_stops_after_patience(self):
+        w, loss = self._quadratic()
+        scores = iter([3.0, 1.0, 2.0, 1.0, 5.0, 0.0])
+        seen = []
+
+        def val_loss():
+            seen.append(w.values.copy())
+            return next(scores)
+
+        cfg = TrainConfig(max_epochs=6, patience=3, lr=1e-1)
+        history = fit([("w", w)], cfg, lambda: [0, 1], loss, val_loss)
+        # epoch 1 is best; ties (epoch 3) do not count as improvement
+        assert history["val_loss"] == [3.0, 1.0, 2.0, 1.0, 5.0]
+        assert len(history["train_loss"]) == 5
+        np.testing.assert_array_equal(w.values, seen[1])
+
+    def test_without_validation_scores_mean_training_loss(self):
+        w, loss = self._quadratic()
+        cfg = TrainConfig(max_epochs=4, patience=1, lr=1e-1)
+        history = fit([("w", w)], cfg, lambda: [0, 1], loss)
+        assert history["val_loss"] == []
+        assert len(history["train_loss"]) == 4
+        assert history["train_loss"] == sorted(history["train_loss"], reverse=True)
+
+
 class TestStage1:
     def test_loss_decreases_and_best_restored(self):
         ds = tiny_dataset(n=24, seed=1)
@@ -159,6 +216,20 @@ class TestStage1:
         cfg = TrainConfig(batch_size=4, max_epochs=50, patience=2, lr=1e-2, seed=0)
         _, history, _ = train_stage1(ds, tiny_model(), cfg)
         assert len(history["val_loss"]) <= 50
+
+    def test_early_stop_restores_best_validation_epoch(self):
+        ds = tiny_dataset(n=24, seed=1)
+        cfg = TrainConfig(batch_size=4, max_epochs=60, patience=2, lr=3e-2, seed=0)
+        model, history, normalizer = train_stage1(ds, tiny_model(), cfg)
+        best = assert_stopped_at_best(history, cfg.patience, cfg.max_epochs)
+        _, val_idx = slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)
+        val = ds.subset(val_idx)
+        with ad.no_grad():
+            losses = [
+                _stage1_batch_loss(model, val, idx, normalizer).item()
+                for idx in _batches(val.n_spots, cfg.batch_size)
+            ]
+        assert float(np.mean(losses)) == best
 
     def test_determinism(self):
         ds = tiny_dataset(n=16, seed=3)
@@ -202,6 +273,17 @@ class TestStage2:
         before = model.params["head_path.w1"].values.copy()
         model, _ = train_stage2(ds, model, cfg)
         assert not np.array_equal(model.params["head_path.w1"].values, before)
+
+    def test_early_stop_restores_best_validation_epoch(self):
+        ds = tiny_dataset(n=24, seed=10)
+        cfg = TrainConfig(batch_size=4, max_epochs=200, patience=2, lr=1e-1, seed=0)
+        model, history = train_stage2(ds, tiny_model(), cfg)
+        best = assert_stopped_at_best(history, cfg.patience, cfg.max_epochs)
+        _, val_idx = slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)
+        h = embed_images(model, ds.features, cfg.batch_size)[val_idx]
+        with ad.no_grad():
+            loss = supervised_loss(model, h, ds.y_path[val_idx], ds.y_gene[val_idx])
+        assert loss.item() == best
 
     def test_supervised_loss_composition_at_init(self):
         # with freshly zeroed heads both terms reduce to mean squared targets
