@@ -142,8 +142,14 @@ def matmul(a, b):
     ):
         raise PearlError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
+    # an operand that needs no gradient gets None, not a product nobody reads
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def bw(g):
-        return g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g
+        return (
+            g @ np.swapaxes(bv, -1, -2) if need_a else None,
+            np.swapaxes(av, -1, -2) @ g if need_b else None,
+        )
 
     return _node(av @ bv, (a, b), bw)
 

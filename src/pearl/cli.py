@@ -49,9 +49,13 @@ def load_config(path):
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    for section, cls in _CONFIG_SECTIONS.items():
-        if section in cfg:
-            _section(cfg, section, cls)  # validate field names eagerly
+    for section, values in cfg.items():
+        if section not in _CONFIG_SECTIONS and section != "paths":
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+        if section in _CONFIG_SECTIONS:
+            _section(cfg, section, _CONFIG_SECTIONS[section])  # validate field names eagerly
     return cfg
 
 

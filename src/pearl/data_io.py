@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CheckpointShapeError,
@@ -45,11 +44,15 @@ SURVIVAL_HEADER = "subject_id,time,event,slide_ids"
 
 @dataclass
 class ExpressionMatrix:
-    """Sparse spots x genes matrix with identifier lists."""
+    """Spots x genes matrix with identifier lists.
+
+    `matrix` is kept as given: a dense array, or anything with `toarray()`
+    (e.g. a scipy sparse matrix).  Read it only through `dense()` and `.shape`.
+    """
 
     spot_ids: list
     gene_ids: list
-    matrix: sp.csr_matrix
+    matrix: np.ndarray
     value_kind: str = RAW_COUNTS
 
     def __post_init__(self):
@@ -62,7 +65,7 @@ class ExpressionMatrix:
                 f"matrix shape {self.matrix.shape} does not match id lists "
                 f"({len(self.spot_ids)} spots, {len(self.gene_ids)} genes)"
             )
-        if self.value_kind == RAW_COUNTS and self.matrix.nnz and self.matrix.data.min() < 0:
+        if self.value_kind == RAW_COUNTS and (self.dense() < 0).any():
             raise DataFormatError("raw counts must be non-negative")
 
     @property
@@ -74,7 +77,9 @@ class ExpressionMatrix:
         return len(self.gene_ids)
 
     def dense(self):
-        return np.asarray(self.matrix.todense(), dtype=np.float64)
+        """The matrix as a float64 array; a float64 array is returned uncopied."""
+        m = self.matrix
+        return np.asarray(m.toarray() if hasattr(m, "toarray") else m, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -323,8 +328,8 @@ def _parse_triplets(path):
 
 def _raw_counts(spot_ids, gene_ids, rows, cols, vals):
     """ExpressionMatrix from the (row, column, value) of its nonzero entries."""
-    shape = (len(spot_ids), len(gene_ids))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.float64)
+    mat = np.zeros((len(spot_ids), len(gene_ids)))
+    mat[np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)] = vals
     return ExpressionMatrix(spot_ids, gene_ids, mat, RAW_COUNTS)
 
 
@@ -348,17 +353,17 @@ def write_expression(m, path, fmt="sparse_triplet_tsv"):
             for i, sid in enumerate(m.spot_ids):
                 fh.write(sid + "\t" + "\t".join(_fmt(v) for v in dense[i]) + "\n")
     elif fmt == "sparse_triplet_tsv":
-        coo = m.matrix.tocoo()
+        dense = m.dense()
+        row, col = np.nonzero(dense)
         # canonical order: by row, then gene id, so serialization does not
         # depend on internal column numbering
         gene_rank = np.argsort(np.argsort(m.gene_ids, kind="stable"), kind="stable")
-        order = np.lexsort((gene_rank[coo.col], coo.row))
+        order = np.lexsort((gene_rank[col], row))
+        row, col = row[order], col[order]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("spot\tgene\tvalue\n")
-            for k in order:
-                fh.write(
-                    f"{m.spot_ids[coo.row[k]]}\t{m.gene_ids[coo.col[k]]}\t{_fmt(coo.data[k])}\n"
-                )
+            for i, j, v in zip(row.tolist(), col.tolist(), dense[row, col].tolist()):
+                fh.write(f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{_fmt(v)}\n")
     else:
         raise DataFormatError(f"unknown expression format {fmt!r}")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_io import NORMALIZED_LOG, RAW_COUNTS, ExpressionMatrix
 from .errors import DataFormatError, PearlError
@@ -40,12 +39,12 @@ def _require_kind(m, kind):
 def filter_genes(m, min_spots):
     """Keep genes with nonzero entries in at least `min_spots` spots."""
     _require_kind(m, RAW_COUNTS)
-    counts = np.asarray((m.matrix != 0).sum(axis=0)).ravel()
-    keep = np.flatnonzero(counts >= min_spots)
+    X = m.dense()
+    keep = np.flatnonzero(np.count_nonzero(X, axis=0) >= min_spots)
     return ExpressionMatrix(
         spot_ids=list(m.spot_ids),
         gene_ids=[m.gene_ids[j] for j in keep],
-        matrix=sp.csr_matrix(m.matrix[:, keep]),
+        matrix=X[:, keep],
         value_kind=RAW_COUNTS,
     )
 
@@ -57,61 +56,71 @@ def normalize_and_log(m, target_sum):
     spot set synchronized with geometry and feature files.
     """
     _require_kind(m, RAW_COUNTS)
-    mat = m.matrix.tocsr().astype(np.float64)
-    totals = np.asarray(mat.sum(axis=1)).ravel()
+    X = m.dense()
+    totals = X.sum(axis=1)
     scale = np.where(totals > 0, target_sum / np.where(totals > 0, totals, 1.0), 0.0)
-    mat = sp.diags(scale) @ mat
-    mat.data = np.log1p(mat.data)
     return ExpressionMatrix(
         spot_ids=list(m.spot_ids),
         gene_ids=list(m.gene_ids),
-        matrix=sp.csr_matrix(mat),
+        matrix=np.log1p(X * scale[:, None]),
         value_kind=NORMALIZED_LOG,
     )
+
+
+_OFFSETS = [(0, dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
 
 
 def smooth_8neighbor(m, geoms):
     """Replace each spot vector by the mean of itself and its grid neighbors.
 
     Neighbors are spots at Chebyshev distance 1 in (array_row, array_col) on
-    the same slide; absent neighbors are excluded from the mean.
+    the same slide; absent neighbors are excluded from the mean.  Spot i gets
+    the sum of w_i * x_j over its members j in ascending order, w_i = 1 / their
+    count: the order a CSR averaging-matrix product would add them in.
     """
     _require_kind(m, NORMALIZED_LOG)
     by_spot = {g.spot_id: g for g in geoms}
     missing = [s for s in m.spot_ids if s not in by_spot]
     if missing:
         raise DataFormatError(f"no geometry for spot {missing[0]!r}")
-    grid = {}
-    for sid in m.spot_ids:
-        g = by_spot[sid]
-        key = (g.slide_id, g.array_row, g.array_col)
-        if key in grid:
-            raise DataFormatError(f"duplicate grid position {key}")
-        grid[key] = sid
-    spot_index = {s: i for i, s in enumerate(m.spot_ids)}
+    n = m.n_spots
+    spot_geoms = [by_spot[s] for s in m.spot_ids]
+    slide_code = {s: k for k, s in enumerate(dict.fromkeys(g.slide_id for g in spot_geoms))}
+    pos = np.array(
+        [(slide_code[g.slide_id], g.array_row, g.array_col) for g in spot_geoms], dtype=np.int64
+    ).reshape(n, 3)
+    # one int64 key per (slide, row, col) cell of a grid padded by one cell on
+    # every side, so each neighbour offset has a key too
+    lo = pos.min(axis=0, initial=0) - 1
+    span = pos.max(axis=0, initial=0) - lo + 2
 
-    # averaging operator: rows sum to 1 over self + existing neighbors
-    rows, cols, vals = [], [], []
-    for i, sid in enumerate(m.spot_ids):
-        g = by_spot[sid]
-        members = [i]
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                nb = grid.get((g.slide_id, g.array_row + dr, g.array_col + dc))
-                if nb is not None:
-                    members.append(spot_index[nb])
-        w = 1.0 / len(members)
-        for j in members:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(m.n_spots, m.n_spots))
+    def keys(offset):
+        p = pos + offset - lo
+        return (p[:, 0] * span[1] + p[:, 1]) * span[2] + p[:, 2]
+
+    order = np.argsort(keys(0), kind="stable")
+    sorted_keys = keys(0)[order]
+    dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if dup.size:
+        g = spot_geoms[order[dup[0] + 1]]
+        raise DataFormatError(f"duplicate grid position {(g.slide_id, g.array_row, g.array_col)}")
+
+    # each spot's members in ascending order, padded with n: a zero row of X
+    members = [np.arange(n)]
+    for offset in _OFFSETS:
+        q = keys(offset)
+        at = np.minimum(np.searchsorted(sorted_keys, q), n - 1)
+        members.append(np.where(sorted_keys[at] == q, order[at], n))
+    members = np.sort(np.stack(members, axis=1), axis=1)
+    w = 1.0 / np.count_nonzero(members < n, axis=1)[:, None]
+    X = np.vstack([m.dense(), np.zeros((1, m.n_genes))])
+    out = np.zeros((n, m.n_genes))
+    for col in members.T:
+        out += w * X[col]
     return ExpressionMatrix(
         spot_ids=list(m.spot_ids),
         gene_ids=list(m.gene_ids),
-        matrix=sp.csr_matrix(A @ m.matrix),
+        matrix=out,
         value_kind=NORMALIZED_LOG,
     )
 
@@ -139,7 +148,7 @@ def select_hvg(m, g):
     sub = ExpressionMatrix(
         spot_ids=list(m.spot_ids),
         gene_ids=[m.gene_ids[j] for j in keep],
-        matrix=sp.csr_matrix(m.matrix[:, keep]),
+        matrix=m.dense()[:, keep],
         value_kind=NORMALIZED_LOG,
     )
     return sub, [m.gene_ids[j] for j in keep]

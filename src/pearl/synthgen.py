@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_io import (
     RAW_COUNTS,
@@ -138,6 +137,10 @@ def gen_st_dataset(
     if noise_sigma > 0:
         log_rate += noise_sigma * rng.normal(size=log_rate.shape)
     counts = rng.poisson(np.exp(log_rate)).astype(np.float64)
+    # kept as CSR because perfbench/workloads.py reads `expr.matrix.toarray()`;
+    # the package's one scipy import, made only here
+    import scipy.sparse as sp
+
     expr = ExpressionMatrix(
         spot_ids=spot_ids,
         gene_ids=gene_ids,

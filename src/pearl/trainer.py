@@ -111,6 +111,20 @@ def slide_stratified_split(slide_ids, val_fraction, seed):
     return np.sort(np.array(train, dtype=int)), np.sort(np.array(val, dtype=int))
 
 
+def _split(dataset, config, min_val):
+    """slide_stratified_split, refusing a validation set under `min_val` spots
+    (it would score every epoch NaN and keep the initial weights)."""
+    train_idx, val_idx = slide_stratified_split(
+        dataset.slide_ids, config.val_fraction, config.seed
+    )
+    if len(val_idx) < min_val:
+        raise PearlError(
+            f"validation split has {len(val_idx)} spots, needs at least {min_val}: raise "
+            f"val_fraction (now {config.val_fraction}); a one-spot slide gives none"
+        )
+    return train_idx, val_idx
+
+
 def contrastive_loss(h_image, h_path, inv_tau):
     """Symmetric InfoNCE with identity targets.
 
@@ -195,9 +209,7 @@ def train_stage1(dataset, model, config):
     Returns (model, history, normalizer) where history holds per-epoch
     train/val loss; the model carries the best-validation parameters.
     """
-    train_idx, val_idx = slide_stratified_split(
-        dataset.slide_ids, config.val_fraction, config.seed
-    )
+    train_idx, val_idx = _split(dataset, config, min_val=2)
     train = dataset.subset(train_idx)
     val = dataset.subset(val_idx)
     normalizer = CoordNormalizer.fit(train.coords)
@@ -227,9 +239,7 @@ def train_stage2(dataset, model, config):
     Only the two prediction heads receive gradients; the backbone embedding
     of every spot is computed once up front.  Returns (model, history).
     """
-    train_idx, val_idx = slide_stratified_split(
-        dataset.slide_ids, config.val_fraction, config.seed
-    )
+    train_idx, val_idx = _split(dataset, config, min_val=1)
     h_all = embed_images(model, dataset.features, config.batch_size)
     rng = np.random.default_rng(config.seed + 1)
 

@@ -37,6 +37,24 @@ class TestMatmul:
         a, b = t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4, 2)))
         ad.gradcheck(lambda a, b: ad.sum_all(ad.matmul(a, b)), [a, b])
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+    @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)])
+    def test_backward_skips_constant_operand(self, stacked, needs):
+        # an operand without requires_grad gets None; the other gets exactly
+        # the full formula's product
+        rng = np.random.default_rng(1)
+        lead = (2,) if stacked else ()
+        av, bv = rng.normal(size=(*lead, 3, 4)), rng.normal(size=(*lead, 4, 5))
+        g = rng.normal(size=(*lead, 3, 5))
+        out = ad.matmul(Tensor(av, requires_grad=needs[0]), Tensor(bv, requires_grad=needs[1]))
+        ga, gb = out._backward(g)
+        full = (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g)
+        for need, got, want in zip(needs, (ga, gb), full):
+            if need:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got is None
+
 
 class TestStacked:
     def test_matmul_matches_per_slice(self):

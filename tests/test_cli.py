@@ -362,6 +362,55 @@ class TestErrors:
         assert err["error"] == "config"
         assert "survival.foo" in err["message"]
 
+    @pytest.mark.parametrize(
+        "cfg, needle",
+        [
+            ({"trian": {"max_epochs": 3}}, "unknown config section 'trian'"),
+            ({"train": 5}, "config section 'train' must be a JSON object"),
+            ({"paths": ["x"]}, "config section 'paths' must be a JSON object"),
+        ],
+        ids=["unknown_section", "section_not_object", "paths_not_object"],
+    )
+    def test_bad_config_section_rejected(self, tmp_path, capsys, cfg, needle):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "message": needle}
+
+    def test_one_spot_validation_split_rejected(self, tmp_path, capsys):
+        # one 12-spot slide at val_fraction 0.05: a single validation spot
+        rng = np.random.default_rng(0)
+        ids = [f"s{i}" for i in range(12)]
+        data_io.write_coords(
+            [data_io.SpotGeometry(s, "sl", float(i), 0.0, 0, i) for i, s in enumerate(ids)],
+            tmp_path / "coords.csv",
+        )
+        data_io.write_scores(
+            data_io.PathwayScoreMatrix(ids, ["A", "B"], rng.normal(size=(12, 2))),
+            tmp_path / "scores.tsv",
+        )
+        data_io.write_features(
+            data_io.PatchFeatureMatrix(ids, rng.normal(size=(12, 3))), tmp_path / "features.tsv"
+        )
+        data_io.write_expression(
+            data_io.ExpressionMatrix(
+                ids, ["g0", "g1"], rng.uniform(size=(12, 2)), data_io.NORMALIZED_LOG
+            ),
+            tmp_path / "hvg.tsv",
+        )
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"train": {"batch_size": 4, "max_epochs": 2, "patience": 1, "val_fraction": 0.05}}
+        ))
+        argv = ["train-contrastive", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        for name in ("scores.tsv", "coords.csv", "features.tsv", "hvg.tsv"):
+            argv += [f"--{name.split('.')[0]}", str(tmp_path / name)]
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "error"
+        assert "val_fraction" in err["message"]
+
     def test_bad_survival_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"survival": {"patience": 0}}))
@@ -452,3 +501,43 @@ class TestErrors:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+class TestNumpyOnly:
+    """No subcommand but synth needs scipy; synthgen imports it on call."""
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, pearl.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_expression_commands_run_with_scipy_blocked(self, pipeline, tmp_path):
+        # a None entry in sys.modules makes every `import scipy...` raise
+        _, data, cfg_path = pipeline
+        out = tmp_path / "out"
+        base = ["--config", str(cfg_path), "--seed", "0", "--out-dir", str(out)]
+        calls = [
+            ["preprocess", *base,
+             "--expression", str(data / "expression.tsv"), "--coords", str(data / "coords.csv")],
+            ["score-pathways", *base,
+             "--expression", str(out / "normalized.tsv"),
+             "--gene-sets", str(data / "gene_sets.gmt")],
+            ["train-contrastive", *base,
+             "--scores", str(out / "scores.tsv"), "--coords", str(data / "coords.csv"),
+             "--features", str(data / "features.tsv"), "--hvg", str(out / "hvg.tsv")],
+        ]
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from pearl.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("normalized.tsv", "hvg.tsv", "scores.tsv", "stage1.params.bin"):
+            assert (out / name).read_bytes() == (data / name).read_bytes(), name

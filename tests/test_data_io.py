@@ -60,7 +60,7 @@ class TestExpressionParsing:
         p = tmp_path / "m.tsv"
         p.write_text("spot\tg1\tg2\ns1\t0\t3\ns2\t1\t0\n")
         m = data_io.parse_expression(p, "dense_tsv")
-        assert m.matrix.nnz == 2
+        assert np.count_nonzero(m.dense()) == 2
         assert m.value_kind == RAW_COUNTS
         assert m.spot_ids == ["s1", "s2"]
 
@@ -101,6 +101,27 @@ class TestExpressionParsing:
         np.testing.assert_array_equal(m2.dense()[np.ix_(row, col)], dense)
         data_io.write_expression(m2, p2, fmt)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    @pytest.mark.parametrize("fmt", ["dense_tsv", "sparse_triplet_tsv"])
+    def test_array_and_csr_write_the_same_bytes(self, tmp_path, fmt):
+        rng = np.random.default_rng(1)
+        dense = rng.gamma(1.0, size=(5, 7)) * (rng.uniform(size=(5, 7)) < 0.5)
+        genes = ["b", "a", "e", "c", "g", "d", "f"]  # written in gene-id order
+        paths = []
+        for k, matrix in enumerate((dense, sp.csr_matrix(dense))):
+            paths.append(tmp_path / f"{k}.tsv")
+            m = ExpressionMatrix([f"s{i}" for i in range(5)], genes, matrix, NORMALIZED_LOG)
+            data_io.write_expression(m, paths[-1], fmt)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_parsed_matrix_is_an_uncopied_array(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("spot\tgene\tvalue\ns1\tg1\t2\ns2\tg2\t0.5\n")
+        m = data_io.parse_expression(p)
+        assert isinstance(m.matrix, np.ndarray) and m.matrix.dtype == np.float64
+        assert m.dense() is m.matrix
+        np.testing.assert_array_equal(m.dense(), [[2.0, 0.0], [0.0, 0.5]])
 
 
 class TestCoordsSurvivalFeatures:
@@ -346,6 +367,17 @@ class TestInvariants:
     def test_negative_raw_counts_rejected(self):
         with pytest.raises(DataFormatError):
             ExpressionMatrix(["s"], ["g"], sp.csr_matrix(np.array([[-1.0]])), RAW_COUNTS)
+
+    def test_array_invariants(self):
+        with pytest.raises(DataFormatError, match="negative"):
+            ExpressionMatrix(["s"], ["g"], np.array([[-1.0]]), RAW_COUNTS)
+        with pytest.raises(DataFormatError, match="shape"):
+            ExpressionMatrix(["s"], ["g"], np.zeros((1, 2)), RAW_COUNTS)
+        # normalized values are not held to the raw-count sign rule
+        ExpressionMatrix(["s"], ["g"], np.array([[-1.0]]), NORMALIZED_LOG)
+        # an integer array reads back as float64
+        m = ExpressionMatrix(["s"], ["g"], np.array([[3]]), RAW_COUNTS)
+        assert m.dense().dtype == np.float64
 
     def test_empty_gene_set_rejected(self):
         with pytest.raises(DataFormatError):

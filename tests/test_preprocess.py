@@ -8,18 +8,19 @@ from pearl.preprocess import (
     PreprocessConfig,
     filter_genes,
     normalize_and_log,
+    run_pipeline,
     select_hvg,
     smooth_8neighbor,
 )
 
 
-def make_matrix(dense, kind=RAW_COUNTS, genes=None, spots=None):
+def make_matrix(dense, kind=RAW_COUNTS, genes=None, spots=None, store=sp.csr_matrix):
     dense = np.asarray(dense, dtype=float)
     n, g = dense.shape
     return ExpressionMatrix(
         spots or [f"s{i}" for i in range(n)],
         genes or [f"g{j}" for j in range(g)],
-        sp.csr_matrix(dense),
+        store(dense),
         kind,
     )
 
@@ -144,6 +145,94 @@ class TestSmooth:
             for j in range(3):
                 assert out[:, j].min() >= dense[:, j].min() - 1e-12
                 assert out[:, j].max() <= dense[:, j].max() + 1e-12
+
+
+def grid_members(geoms):
+    """Per spot, the indices of itself and the spots one grid step away."""
+    return [
+        [
+            j for j, h in enumerate(geoms)
+            if h.slide_id == g.slide_id
+            and max(abs(h.array_row - g.array_row), abs(h.array_col - g.array_col)) <= 1
+        ]
+        for g in geoms
+    ]
+
+
+def random_holey_grids(rng):
+    """Spots on two slides of random size, 30% of cells empty, in shuffled order."""
+    geoms = [
+        SpotGeometry(f"{slide}_{r}_{c}", slide, float(c), float(r), r - 2, c + 7)
+        for slide in ("A", "B")
+        for r in range(rng.integers(1, 7))
+        for c in range(rng.integers(1, 7))
+        if rng.uniform() < 0.7
+    ]
+    return [geoms[k] for k in rng.permutation(len(geoms))]
+
+
+class TestSmoothOracle:
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            geoms = random_holey_grids(rng)
+            if geoms:
+                n = len(geoms)
+                dense = rng.gamma(1.0, size=(n, 4)) * (rng.uniform(size=(n, 4)) < 0.6)
+                m = make_matrix(dense, kind=NORMALIZED_LOG, spots=[g.spot_id for g in geoms])
+                yield geoms, dense, smooth_8neighbor(m, geoms).dense()
+
+    def test_brute_force_mean(self):
+        for geoms, dense, out in self._cases(3):
+            expected = np.array([
+                [sum(dense[j, k] for j in members) / len(members) for k in range(4)]
+                for members in grid_members(geoms)
+            ])
+            np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0)
+
+    def test_bitwise_equal_to_csr_averaging_product(self):
+        # the sum order of a CSR product of the row-stochastic averaging matrix
+        for geoms, dense, out in self._cases(4):
+            rows, cols, vals = [], [], []
+            for i, members in enumerate(grid_members(geoms)):
+                rows += [i] * len(members)
+                cols += members
+                vals += [1.0 / len(members)] * len(members)
+            A = sp.csr_matrix((vals, (rows, cols)), shape=(len(geoms),) * 2)
+            assert out.tobytes() == (A @ sp.csr_matrix(dense)).toarray().tobytes()
+
+    def test_same_position_on_two_slides(self):
+        # equal (row, col) on two slides are separate spots, not duplicates
+        geoms = [SpotGeometry("a", "A", 0, 0, 0, 0), SpotGeometry("b", "B", 0, 0, 0, 0)]
+        m = make_matrix([[1.0], [3.0]], kind=NORMALIZED_LOG, spots=["a", "b"])
+        np.testing.assert_array_equal(smooth_8neighbor(m, geoms).dense(), [[1.0], [3.0]])
+
+
+class TestArrayInput:
+    """ExpressionMatrix holds a dense array in the pipeline; a CSR input (the
+    other tests) must give the same bytes."""
+
+    def test_pipeline_matches_csr_input(self):
+        counts = np.random.default_rng(4).poisson(2.0, size=(30, 12))
+        cfg = PreprocessConfig(min_spots_per_gene=20, top_hvg=5)
+        runs = [
+            run_pipeline(make_matrix(counts, store=store), grid_geoms(5, 6), cfg)
+            for store in (np.asarray, sp.csr_matrix)
+        ]
+        (normed_a, hvg_a, ids_a), (normed_b, hvg_b, ids_b) = runs
+        assert isinstance(normed_a.matrix, np.ndarray)
+        assert normed_a.dense().tobytes() == normed_b.dense().tobytes()
+        assert hvg_a.dense().tobytes() == hvg_b.dense().tobytes()
+        assert ids_a == ids_b
+
+    def test_steps_keep_arrays(self):
+        m = filter_genes(make_matrix([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0]], store=np.asarray), 2)
+        np.testing.assert_array_equal(m.dense(), [[3.0], [1.0]])
+        m = normalize_and_log(m, 4.0)
+        np.testing.assert_allclose(m.dense(), np.log1p([[4.0], [4.0]]), rtol=1e-15)
+        m = smooth_8neighbor(m, grid_geoms(1, 2))
+        sub, ids = select_hvg(m, 1)
+        assert ids == ["g2"] and isinstance(sub.matrix, np.ndarray)
 
 
 class TestSelectHvg:

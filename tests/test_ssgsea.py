@@ -154,6 +154,17 @@ class TestScoreMatrix:
         assert sm.scores[0, 0] == pytest.approx(expected, rel=1e-14)
         assert dropped == []
 
+    def test_array_input_matches_csr(self):
+        cfg = SsgseaConfig(null_sets=4, rng_seed=3)
+        rng = np.random.default_rng(2)
+        genes = [f"g{j}" for j in range(12)]
+        dense = rng.gamma(1.0, size=(6, 12)) * (rng.uniform(size=(6, 12)) < 0.7)
+        sets = self._sets(("A", ["g0", "g3", "g5"]), ("B", ["g1", "g11"]))
+        from_csr, _ = score_matrix(make_matrix(dense, genes), sets, cfg)
+        m = ExpressionMatrix([f"s{i}" for i in range(6)], genes, dense, NORMALIZED_LOG)
+        from_array, _ = score_matrix(m, sets, cfg)
+        assert from_array.scores.tobytes() == from_csr.scores.tobytes()
+
     def test_gene_permutation_invariance(self):
         cfg = SsgseaConfig(null_sets=3, rng_seed=9)
         rng = np.random.default_rng(0)

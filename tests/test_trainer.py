@@ -240,6 +240,15 @@ class TestStage1:
         for (n1, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1.values, p2.values)
 
+    def test_one_spot_validation_split_rejected(self):
+        # one 12-spot slide at val_fraction 0.05 leaves a single validation
+        # spot: no validation batch, so every epoch would score NaN
+        ds = tiny_dataset(n=12, n_slides=1, seed=11)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1, val_fraction=0.05)
+        assert len(slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)[1]) == 1
+        with pytest.raises(PearlError, match="val_fraction"):
+            train_stage1(ds, tiny_model(), cfg)
+
     def test_batch_too_small_rejected(self):
         with pytest.raises(PearlError):
             TrainConfig(batch_size=1)
@@ -284,6 +293,21 @@ class TestStage2:
         with ad.no_grad():
             loss = supervised_loss(model, h, ds.y_path[val_idx], ds.y_gene[val_idx])
         assert loss.item() == best
+
+    def test_one_spot_validation_split_accepted(self):
+        ds = tiny_dataset(n=12, n_slides=1, seed=11)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1, val_fraction=0.05)
+        _, history = train_stage2(ds, tiny_model(), cfg)
+        assert np.isfinite(history["val_loss"]).all()
+
+    def test_empty_validation_split_rejected(self):
+        # a slide with a single spot puts it in training, so one-spot slides
+        # leave the validation split empty
+        ds = tiny_dataset(n=6, n_slides=6, seed=12)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1)
+        assert len(slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)[1]) == 0
+        with pytest.raises(PearlError, match="val_fraction"):
+            train_stage2(ds, tiny_model(), cfg)
 
     def test_supervised_loss_composition_at_init(self):
         # with freshly zeroed heads both terms reduce to mean squared targets
