@@ -155,19 +155,16 @@ def matmul(a, b):
 
 
 def transpose(a, axes=None):
-    """Swap the last two axes, or permute them as np.transpose(a, axes) does."""
+    """Permute the axes as np.transpose(a, axes) does; by default swap the last two."""
     if axes is None:
-
-        def bw(g):
-            return (np.swapaxes(g, -1, -2),)
-
-        return _node(np.swapaxes(a.values, -1, -2), (a,), bw)
+        n = a.values.ndim
+        axes = (*range(n - 2), n - 1, n - 2)
     inverse = tuple(np.argsort(axes))
 
-    def bw_axes(g):
+    def bw(g):
         return (np.transpose(g, inverse),)
 
-    return _node(np.transpose(a.values, axes), (a,), bw_axes)
+    return _node(np.transpose(a.values, axes), (a,), bw)
 
 
 def add(a, b):
@@ -298,7 +295,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _node(out, (a, gain, bias), bw)
 
 
-def l2_normalize_rows(a, eps=0.0):
+def l2_normalize_rows(a):
     """Row-wise L2 normalization; zero rows map to zero."""
     x = a.values
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
@@ -448,7 +445,8 @@ def gradcheck(fn, tensors, step=1e-3, rel_tol=1e-4):
     """Central finite-difference check of d fn / d tensors.
 
     `fn` maps the tensors to a scalar Tensor.  Returns the worst relative
-    error; raises if it exceeds rel_tol.  Tensors should be float64.
+    error; raises if one exceeds rel_tol or is not finite (a NaN gradient
+    fails).  Tensors should be float64.
     """
     for t in tensors:
         t.grad = None
@@ -474,7 +472,7 @@ def gradcheck(fn, tensors, step=1e-3, rel_tol=1e-4):
             1e-8,
         )
         err = float(np.abs(analytic - numeric).max(initial=0.0)) / denom
+        if not err <= rel_tol:  # NaN compares false, so it fails too
+            raise PearlError(f"gradient check failed: rel err {err:.3e} > {rel_tol:.1e}")
         worst = max(worst, err)
-    if worst > rel_tol:
-        raise PearlError(f"gradient check failed: rel err {worst:.3e} > {rel_tol:.1e}")
     return worst

@@ -1,11 +1,13 @@
 """Command-line orchestration of the pipeline.
 
 Every subcommand reads declared inputs, writes declared outputs under
---out-dir, and exits 0 on success; failures print a machine-readable JSON
-object to stderr and exit nonzero.  Hyperparameters come from a single JSON
-config file, checked section by section before any subcommand runs; paths
-come from flags (run-cv also accepts a "paths" section).  Every table is read
-and written through data_io.
+--out-dir, and exits 0 on success; every failure, a usage error included,
+prints a machine-readable JSON object to stderr and exits 1.  Hyperparameters
+come from a single JSON config file, built into one dataclass per section
+before any subcommand runs; a field that a command fills in itself (from
+--seed or the input tables) is refused.  Paths come from flags (run-cv takes
+them from the "paths" section).  Every table is read and written through
+data_io.
 """
 
 from __future__ import annotations
@@ -14,20 +16,31 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data_io, preprocess, ssgsea, synthgen, survival, trainer
-from .encoders import CoordNormalizer, ModelConfig, PearlModel, load_model, save_model
-from .errors import ConfigError, PearlError
+from .encoders import ModelConfig, PearlModel, load_model, save_model
+from .errors import ConfigError, PearlError, UsageError
 from .metrics import evaluate_expression
 from .preprocess import PreprocessConfig
 from .ssgsea import SsgseaConfig
 from .survival import SurvivalTrainConfig
 from .synthgen import SynthConfig
 from .trainer import SpotDataset, TrainConfig
+
+
+@dataclass
+class CvPaths:
+    """The `paths` section: run-cv's input files, all required by run-cv."""
+
+    expression: str = ""
+    coords: str = ""
+    gene_sets: str = ""
+    features: str = ""
+
 
 _CONFIG_SECTIONS = {
     "synth": SynthConfig,
@@ -36,47 +49,52 @@ _CONFIG_SECTIONS = {
     "train": TrainConfig,
     "model": ModelConfig,
     "survival": SurvivalTrainConfig,
+    "paths": CvPaths,
+}
+# fields a command fills in from --seed or its input tables; a config may not set them
+COMMAND_SET = {
+    "ssgsea": ("rng_seed",),
+    "train": ("seed",),
+    "model": ("n_pathways", "n_genes", "d_img", "seed"),
+    "survival": ("seed",),
 }
 
 
 def load_config(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
+    """{section name: config dataclass} for every section, defaults where the
+    file (or a missing `path`) gives none.  A field must be known, not set by
+    a command, and of its default's type (an int may stand for a float)."""
+    raw = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    for section, values in cfg.items():
-        if section not in _CONFIG_SECTIONS and section != "paths":
+    for section, values in raw.items():
+        if section not in _CONFIG_SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
-        if section in _CONFIG_SECTIONS:
-            _section(cfg, section, _CONFIG_SECTIONS[section])  # validate field names eagerly
-    return cfg
-
-
-def _section(cfg, name, cls, **overrides):
-    """Build a config dataclass from a config section, naming bad fields."""
-    values = dict(cfg.get(name, {}))
-    allowed = set(cls.__dataclass_fields__)
-    for key in values:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {name}.{key}")
-    values.update(overrides)
-    return cls(**values)
-
-
-def _require_path(cfg, dotted):
-    cur = cfg
-    for part in dotted.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise ConfigError(f"missing config field: {dotted}")
-        cur = cur[part]
-    return cur
+    config = {}
+    for section, cls in _CONFIG_SECTIONS.items():
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = dict(raw.get(section, {}))
+        for key, value in values.items():
+            name = f"{section}.{key}"
+            if key in COMMAND_SET.get(section, ()):
+                raise ConfigError(f"{name} is set by the command from --seed or its inputs")
+            if key not in defaults:
+                raise ConfigError(f"unknown field {name}")
+            kind = type(defaults[key])
+            if kind is float and type(value) is int:
+                values[key] = float(value)
+            elif type(value) is not kind:
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        config[section] = cls(**values)
+    return config
 
 
 def _outpath(args, name):
@@ -105,7 +123,7 @@ def _write_curve(path, columns):
 
 def cmd_synth(args, cfg):
     # the section's fields are the generators' keyword arguments
-    spatial = asdict(_section(cfg, "synth", SynthConfig))
+    spatial = asdict(cfg["synth"])
     cohort = {k: spatial.pop(k) for k in ("n_subjects", "censor_rate", "embed_dim")}
     expr, geoms, sets, patch, _ = synthgen.gen_st_dataset(seed=args.seed, **spatial)
     data_io.write_expression(expr, _outpath(args, "expression.tsv"))
@@ -134,10 +152,9 @@ def _read_slide_embeddings(path):
 
 
 def cmd_preprocess(args, cfg):
-    pcfg = _section(cfg, "preprocess", PreprocessConfig)
     m = data_io.parse_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
-    normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, pcfg)
+    normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     data_io.write_expression(normed, _outpath(args, "normalized.tsv"))
     data_io.write_expression(hvg, _outpath(args, "hvg.tsv"))
     with open(_outpath(args, "hvg_genes.txt"), "w", encoding="utf-8") as fh:
@@ -146,7 +163,7 @@ def cmd_preprocess(args, cfg):
 
 
 def cmd_score_pathways(args, cfg):
-    scfg = _section(cfg, "ssgsea", SsgseaConfig, rng_seed=args.seed)
+    scfg = replace(cfg["ssgsea"], rng_seed=args.seed)
     m = data_io.parse_expression(args.expression, value_kind=data_io.NORMALIZED_LOG)
     sets = data_io.read_gmt(args.gene_sets)
     sm, dropped = ssgsea.score_matrix(m, sets, scfg, threads=args.threads)
@@ -166,10 +183,8 @@ def _load_dataset(args):
 
 
 def _model_config(cfg, dataset, seed):
-    return _section(
-        cfg,
-        "model",
-        ModelConfig,
+    return replace(
+        cfg["model"],
         n_pathways=dataset.scores.shape[1],
         n_genes=dataset.y_gene.shape[1],
         d_img=dataset.features.shape[1],
@@ -178,7 +193,7 @@ def _model_config(cfg, dataset, seed):
 
 
 def cmd_train_contrastive(args, cfg):
-    tcfg = _section(cfg, "train", TrainConfig, seed=args.seed)
+    tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
     model = PearlModel(_model_config(cfg, dataset, args.seed))
     model, history, normalizer = trainer.train_stage1(dataset, model, tcfg)
@@ -188,7 +203,7 @@ def cmd_train_contrastive(args, cfg):
 
 
 def cmd_train_heads(args, cfg):
-    tcfg = _section(cfg, "train", TrainConfig, seed=args.seed)
+    tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
     model, normalizer, _ = load_model(args.checkpoint)
     model, history = trainer.train_stage2(dataset, model, tcfg)
@@ -256,7 +271,7 @@ def _load_cohort(args):
 
 
 def cmd_survival_train(args, cfg):
-    scfg = _section(cfg, "survival", SurvivalTrainConfig, seed=args.seed)
+    scfg = replace(cfg["survival"], seed=args.seed)
     mats, times, events = _load_cohort(args)
     head, history = survival.train_cox(mats, times, events, scfg)
     survival.save_cox(head, _outpath(args, "cox"))
@@ -276,29 +291,25 @@ def cmd_survival_eval(args, cfg):
 def cmd_gradcheck(args, cfg):
     from . import gradsuite
 
-    results = gradsuite.run_all()
-    ok = True
-    for name, err in results:
-        status = "PASS" if err <= 1e-4 else "FAIL"
-        ok = ok and err <= 1e-4
-        print(f"{status} {name}: rel err {err:.3e}")
-    return 0 if ok else 1
+    # ad.gradcheck raises on a failing kernel, so every result printed passed
+    for name, err in gradsuite.run_all():
+        print(f"PASS {name}: rel err {err:.3e}")
+    return 0
 
 
 def cmd_run_cv(args, cfg):
-    paths = {
-        key: _require_path(cfg, f"paths.{key}")
-        for key in ("expression", "coords", "gene_sets", "features")
-    }
-    pcfg = _section(cfg, "preprocess", PreprocessConfig)
-    scfg = _section(cfg, "ssgsea", SsgseaConfig, rng_seed=args.seed)
-    tcfg = _section(cfg, "train", TrainConfig, seed=args.seed)
+    paths = cfg["paths"]
+    for key, value in asdict(paths).items():
+        if not value:
+            raise ConfigError(f"missing config field: paths.{key}")
+    scfg = replace(cfg["ssgsea"], rng_seed=args.seed)
+    tcfg = replace(cfg["train"], seed=args.seed)
 
-    m = data_io.parse_expression(paths["expression"])
-    geoms = data_io.read_coords(paths["coords"])
-    sets = data_io.read_gmt(paths["gene_sets"])
-    patch = data_io.read_features(paths["features"])
-    normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, pcfg)
+    m = data_io.parse_expression(paths.expression)
+    geoms = data_io.read_coords(paths.coords)
+    sets = data_io.read_gmt(paths.gene_sets)
+    patch = data_io.read_features(paths.features)
+    normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     sm, _ = ssgsea.score_matrix(normed, sets, scfg, threads=args.threads)
     dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
 
@@ -332,21 +343,17 @@ def cmd_run_cv(args, cfg):
         fold_reports.append(report)
         _write_json(_outpath(args, f"fold_{fold}.json"), report)
 
-    def agg(path_key, metric):
-        vals = np.array([r[path_key][metric] for r in fold_reports], dtype=np.float64)
-        return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0}
+    def agg(values):  # main refuses --folds < 2, so the sample std is defined
+        vals = np.array(values, dtype=np.float64)
+        return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
 
+    metrics = ("mean_pcc", "mse", "mae")
     aggregate = {
         "folds": args.folds,
         "seed": args.seed,
-        "pathway": {m: agg("pathway", m) for m in ("mean_pcc", "mse", "mae")},
-        "gene": {m: agg("gene", m) for m in ("mean_pcc", "mse", "mae")},
-        "retrieval_top1": {
-            "mean": float(np.mean([r["retrieval_top1"] for r in fold_reports])),
-            "std": float(np.std([r["retrieval_top1"] for r in fold_reports], ddof=1))
-            if len(fold_reports) > 1
-            else 0.0,
-        },
+        "pathway": {m: agg([r["pathway"][m] for r in fold_reports]) for m in metrics},
+        "gene": {m: agg([r["gene"][m] for r in fold_reports]) for m in metrics},
+        "retrieval_top1": agg([r["retrieval_top1"] for r in fold_reports]),
     }
     _write_json(_outpath(args, "aggregate.json"), aggregate)
     return 0
@@ -357,8 +364,16 @@ def cmd_run_cv(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting 2, so it
+    leaves through main's JSON error boundary like every other failure."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="pearl", description=__doc__)
+    parser = _Parser(prog="pearl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
@@ -405,8 +420,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error("argument --threads: must be >= 1")
+        if getattr(args, "folds", 2) < 2:  # one fold trains on no slide, zero runs none
+            parser.error("argument --folds: must be >= 2")
         return args.fn(args, load_config(args.config))
     except PearlError as exc:
         return _fail(exc.code, exc)

@@ -498,8 +498,8 @@ def read_features(path):
     return PatchFeatureMatrix(spot_ids, features)
 
 
-def write_features(fm, path, prefix="f"):
-    header = ["spot_id", *(f"{prefix}{j}" for j in range(fm.d_img))]
+def write_features(fm, path):
+    header = ["spot_id", *(f"f{j}" for j in range(fm.d_img))]
     _write_float_table(path, header, zip(fm.spot_ids), fm.features)
 
 

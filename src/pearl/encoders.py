@@ -12,7 +12,7 @@ the image branch only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -89,23 +89,14 @@ class PearlModel:
         P = config.n_pathways
         self.params = {}
 
-        def param(name, shape, init="xavier"):
-            if init == "xavier":
-                v = _xavier(rng, shape, dtype)
-            elif init == "zeros":
-                v = np.zeros(shape, dtype=dtype)
-            elif init == "ones":
-                v = np.ones(shape, dtype=dtype)
-            else:
-                raise ValueError(init)
-            t = Tensor(v, requires_grad=True)
-            self.params[name] = t
-            return t
+        def param(name, shape, fill=None):  # xavier draws, or the constant `fill`
+            v = _xavier(rng, shape, dtype) if fill is None else np.full(shape, fill, dtype)
+            self.params[name] = Tensor(v, requires_grad=True)
 
         param("phi.w1", (2, config.phi_hidden))
-        param("phi.b1", (config.phi_hidden,), "zeros")
+        param("phi.b1", (config.phi_hidden,), 0.0)
         param("phi.w2", (config.phi_hidden, P))
-        param("phi.b2", (P,), "zeros")
+        param("phi.b2", (P,), 0.0)
         H, d_k = config.n_heads, config.d_k
         for l in range(config.n_layers):
             # head by head, q then k then v, each with its own (P, d_k) xavier
@@ -117,31 +108,28 @@ class PearlModel:
                     wqkv[:, col : col + d_k] = _xavier(rng, (P, d_k), dtype)
             self.params[f"tf{l}.wqkv"] = Tensor(wqkv, requires_grad=True)
             param(f"tf{l}.wo", (H * d_k, P))
-            param(f"tf{l}.ln1.g", (P,), "ones")
-            param(f"tf{l}.ln1.b", (P,), "zeros")
+            param(f"tf{l}.ln1.g", (P,), 1.0)
+            param(f"tf{l}.ln1.b", (P,), 0.0)
             param(f"tf{l}.ffn.w1", (P, config.ffn_mult * P))
-            param(f"tf{l}.ffn.b1", (config.ffn_mult * P,), "zeros")
+            param(f"tf{l}.ffn.b1", (config.ffn_mult * P,), 0.0)
             param(f"tf{l}.ffn.w2", (config.ffn_mult * P, P))
-            param(f"tf{l}.ffn.b2", (P,), "zeros")
-            param(f"tf{l}.ln2.g", (P,), "ones")
-            param(f"tf{l}.ln2.b", (P,), "zeros")
+            param(f"tf{l}.ffn.b2", (P,), 0.0)
+            param(f"tf{l}.ln2.g", (P,), 1.0)
+            param(f"tf{l}.ln2.b", (P,), 0.0)
         for prefix, d_in, d_out in (
             ("proj_path", P, config.embed_dim),
             ("proj_img", config.d_img, config.embed_dim),
         ):
             param(f"{prefix}.w1", (d_in, config.proj_hidden))
-            param(f"{prefix}.b1", (config.proj_hidden,), "zeros")
+            param(f"{prefix}.b1", (config.proj_hidden,), 0.0)
             param(f"{prefix}.w2", (config.proj_hidden, config.embed_dim))
-            param(f"{prefix}.b2", (config.embed_dim,), "zeros")
-        t = Tensor(
-            np.asarray(math.log(config.tau_init), dtype=dtype), requires_grad=True
-        )
-        self.params["log_tau"] = t
+            param(f"{prefix}.b2", (config.embed_dim,), 0.0)
+        self.params["log_tau"] = Tensor(math.log(config.tau_init), requires_grad=True, dtype=dtype)
         for prefix, d_out in (("head_path", P), ("head_gene", config.n_genes)):
             param(f"{prefix}.w1", (config.embed_dim, config.head_hidden))
-            param(f"{prefix}.b1", (config.head_hidden,), "zeros")
+            param(f"{prefix}.b1", (config.head_hidden,), 0.0)
             param(f"{prefix}.w2", (config.head_hidden, d_out))
-            param(f"{prefix}.b2", (d_out,), "zeros")
+            param(f"{prefix}.b2", (d_out,), 0.0)
 
     # -- parameter access ---------------------------------------------------
 
@@ -180,12 +168,8 @@ class PearlModel:
 
     def encode_pathways(self, scores, coords_norm):
         """scores: (N, P) NES matrix; coords_norm: (N, 2) normalized coords."""
-        X = scores if isinstance(scores, Tensor) else Tensor(np.asarray(scores, dtype=self.dtype))
-        C = (
-            coords_norm
-            if isinstance(coords_norm, Tensor)
-            else Tensor(np.asarray(coords_norm, dtype=self.dtype))
-        )
+        X = Tensor(scores, dtype=self.dtype)
+        C = Tensor(coords_norm, dtype=self.dtype)
         if X.shape[1] != self.config.n_pathways:
             raise PearlError(
                 f"score matrix has {X.shape[1]} pathways, model expects {self.config.n_pathways}"
@@ -223,11 +207,7 @@ class PearlModel:
 
     def encode_images(self, features):
         """Row-wise projection of patch features to the shared embedding."""
-        F = (
-            features
-            if isinstance(features, Tensor)
-            else Tensor(np.asarray(features, dtype=self.dtype))
-        )
+        F = Tensor(features, dtype=self.dtype)
         if F.values.ndim != 2 or F.shape[1] != self.config.d_img:
             raise PearlError(
                 f"feature dim {F.shape} does not match model d_img={self.config.d_img}"
@@ -236,11 +216,7 @@ class PearlModel:
 
     def predict_heads(self, h_image):
         """(y_path, y_gene) from image embeddings; never touches the pathway encoder."""
-        H = (
-            h_image
-            if isinstance(h_image, Tensor)
-            else Tensor(np.asarray(h_image, dtype=self.dtype))
-        )
+        H = Tensor(h_image, dtype=self.dtype)
         return self._mlp(H, "head_path"), self._mlp(H, "head_gene")
 
 
@@ -249,16 +225,15 @@ class PearlModel:
 # ---------------------------------------------------------------------------
 
 
-def save_model(model, path, normalizer=None, extra=None):
-    hyper = asdict(model.config)
-    more = dict(extra or {})
+def save_model(model, path, normalizer=None):
+    extra = {}
     if normalizer is not None:
-        more["coord_normalizer"] = {
+        extra["coord_normalizer"] = {
             "mu": [float(v) for v in normalizer.mu],
             "sigma": [float(v) for v in normalizer.sigma],
         }
     params = [(n, np.asarray(p.values, dtype=np.float32)) for n, p in model.parameters()]
-    data_io.save_checkpoint(params, hyper, path, extra=more)
+    data_io.save_checkpoint(params, asdict(model.config), path, extra=extra)
 
 
 def load_model(path):

@@ -54,6 +54,12 @@ class ConfigError(PearlError):
     code = "config"
 
 
+class UsageError(PearlError):
+    """Bad command line: unknown flag, missing or malformed argument."""
+
+    code = "usage"
+
+
 class TrainingDiverged(PearlError):
     code = "training_diverged"
 

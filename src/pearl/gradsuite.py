@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import trainer
 from .autodiff import Tensor
 from .encoders import ModelConfig, PearlModel
-from .survival import CoxHead, cox_loss
+from .survival import cox_loss
 
 
 def _t(rng, shape):

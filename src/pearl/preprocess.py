@@ -20,7 +20,6 @@ class PreprocessConfig:
     min_spots_per_gene: int = 1000
     target_sum: float = 10000.0
     top_hvg: int = 1000
-    smoothing_enabled: bool = True
 
     def __post_init__(self):
         if self.min_spots_per_gene < 0:
@@ -159,9 +158,7 @@ def run_pipeline(m, geoms, config):
     if m.n_spots == 0:
         raise PearlError("expression matrix has no spots")
     filtered = filter_genes(m, config.min_spots_per_gene)
-    normed = normalize_and_log(filtered, config.target_sum)
-    if config.smoothing_enabled:
-        normed = smooth_8neighbor(normed, geoms)
+    normed = smooth_8neighbor(normalize_and_log(filtered, config.target_sum), geoms)
     top = min(config.top_hvg, normed.n_genes)
     hvg, hvg_ids = select_hvg(normed, top)
     return normed, hvg, hvg_ids

@@ -16,8 +16,8 @@ with S(b) = sum of w**b over the m hits,
 `score_matrix` evaluates it for every spot, pathway and null set at once:
 W holds each spot's rank weights, A stacks the pathway and null membership
 masks, and S(b) is the matmul W**b @ A.  Spots go through in chunks of a
-fixed size (_SPOT_CHUNK), which bounds memory; `threads` only spreads the
-chunks over a thread pool, so scores do not depend on it.  `enrichment_score`
+fixed size (_SPOT_CHUNK), which bounds memory; `threads` only sizes the pool
+the chunks are mapped over, so scores do not depend on it.  `enrichment_score`
 and `nes` keep the explicit running sum as the scalar reference.
 """
 
@@ -32,6 +32,7 @@ from .data_io import NORMALIZED_LOG, PathwayScoreMatrix
 from .errors import DegeneratePathway, MissingPathwayGenes, PearlError
 
 _SPOT_CHUNK = 256  # spots scored per matmul block
+NES_EPSILON = 1e-12  # floor on a null set's mean |ES|, the NES denominator
 
 
 @dataclass
@@ -39,7 +40,6 @@ class SsgseaConfig:
     weight_exponent: float = 0.75
     null_sets: int = 100
     rng_seed: int = 0
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.null_sets < 1:
@@ -125,7 +125,7 @@ def nes(values, gene_ids, member_genes, config):
     m = int(member_mask.sum())
     null = _null_masks(config.rng_seed, m, len(ids), config.null_sets)
     null_es = _running_sum_es(null[:, order], weights, config.weight_exponent)
-    denom = max(float(np.abs(null_es).mean()), config.epsilon)
+    denom = max(float(np.abs(null_es).mean()), NES_EPSILON)
     return es / denom
 
 
@@ -184,13 +184,8 @@ def score_matrix(m, sets, config, threads=1):
         miss_sum = (total_weight - w @ sets_mat) / (n_genes - set_sizes)
         es = (w ** (alpha + 1.0) @ sets_mat) / (w**alpha @ sets_mat) - miss_sum
         null_mean = np.abs(es[:, n_kept:]).reshape(len(x), -1, n_null).mean(axis=2)
-        scores[block] = es[:, :n_kept] / np.maximum(null_mean, config.epsilon)[:, size_index]
+        scores[block] = es[:, :n_kept] / np.maximum(null_mean, NES_EPSILON)[:, size_index]
 
-    starts = range(0, m.n_spots, _SPOT_CHUNK)
-    if threads <= 1:
-        for start in starts:
-            score_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(score_chunk, starts))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        list(ex.map(score_chunk, range(0, m.n_spots, _SPOT_CHUNK)))
     return PathwayScoreMatrix(list(m.spot_ids), kept, scores), dropped

@@ -18,8 +18,9 @@ from .trainer import fit
 class CoxHead:
     """tanh-attention pooling over a slide's spots plus a linear risk head."""
 
-    def __init__(self, embed_dim=256, attn_hidden=128, seed=0, dtype=np.float32):
+    def __init__(self, embed_dim=256, attn_hidden=128, seed=0):
         rng = np.random.default_rng(seed)
+        dtype = np.float32
         self.embed_dim = embed_dim
         self.attn_hidden = attn_hidden
         self.params = {
@@ -36,11 +37,7 @@ class CoxHead:
 
     def pool_slide(self, embeddings):
         """Attention-weighted mean of (M, embed_dim) spot embeddings -> (1, embed_dim)."""
-        E = (
-            embeddings
-            if isinstance(embeddings, Tensor)
-            else Tensor(np.asarray(embeddings, dtype=np.float32))
-        )
+        E = Tensor(embeddings, dtype=np.float32)
         if E.values.ndim != 2 or E.shape[0] < 1:
             raise PearlError(f"expected (M, d) embeddings, got {E.shape}")
         h = ad.tanh(ad.add(ad.matmul(E, self.params["attn.w1"]), self.params["attn.b1"]))
@@ -125,15 +122,14 @@ class SurvivalTrainConfig:
             raise PearlError("survival: need lr > 0 and weight_decay >= 0")
 
 
-def train_cox(slide_embeddings, times, events, config=None, head=None):
+def train_cox(slide_embeddings, times, events, config=None):
     """Full-batch Cox training; returns (head, loss_history).
 
     `slide_embeddings` is a list of (M_i, embed_dim) arrays, one per subject.
     Early stopping monitors the training loss (cohorts are small).
     """
     config = config or SurvivalTrainConfig()
-    if head is None:
-        head = CoxHead(embed_dim=slide_embeddings[0].shape[1], seed=config.seed)
+    head = CoxHead(embed_dim=slide_embeddings[0].shape[1], seed=config.seed)
     history = fit(
         head.parameters(),
         config,

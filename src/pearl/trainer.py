@@ -161,16 +161,24 @@ def fit(params, config, batches, batch_loss, val_loss=None):
     """The one epoch loop: AdamW on the [(name, Tensor)] `params`, one step per
     batch of `batches()` on the loss Tensor `batch_loss(batch)`.
 
-    An epoch scores `val_loss()` (run without a graph) or, with no validation
-    set, its mean training loss; after `config.patience` epochs with no lower
-    score, training stops and `params` get the best epoch's values back.
+    An epoch scores `val_loss()` (run without a graph) after its steps, and
+    the best epoch's values are those it ended with.  With no validation set
+    the score is the mean training loss, taken before each step, so the best
+    epoch's values are those it started from: for one full batch, exactly
+    the values that produced the score.  After `config.patience` epochs with
+    no lower score, training stops and `params` get the best values back.
     Returns the per-epoch {"train_loss", "val_loss"} (no val_loss: empty).
     """
     tensors = [p for _, p in params]
     opt = AdamW(tensors, lr=config.lr, weight_decay=config.weight_decay)
     history = {"train_loss": [], "val_loss": []}
-    best_score, best_epoch, best = math.inf, -1, [p.values.copy() for p in tensors]
+
+    def snapshot():
+        return [p.values.copy() for p in tensors]
+
+    best_score, best_epoch, best = math.inf, -1, snapshot()
     for epoch in range(config.max_epochs):
+        start = snapshot() if val_loss is None else None
         losses = []
         for bi, batch in enumerate(batches()):
             opt.zero_grad()
@@ -188,7 +196,8 @@ def fit(params, config, batches, batch_loss, val_loss=None):
                 score = float(val_loss())
             history["val_loss"].append(score)
         if score < best_score:
-            best_score, best_epoch, best = score, epoch, [p.values.copy() for p in tensors]
+            best_score, best_epoch = score, epoch
+            best = start if val_loss is None else snapshot()
         elif epoch - best_epoch >= config.patience:
             break
     for p, values in zip(tensors, best):

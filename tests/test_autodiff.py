@@ -332,3 +332,23 @@ class TestAdamW:
         mhat, vhat = m / 0.1, v / 0.001
         expected = w - lr * mhat / (np.sqrt(vhat) + 1e-8)
         np.testing.assert_allclose(p.values, [expected], atol=1e-10)
+
+
+class TestGradcheck:
+    @staticmethod
+    def _doubling(backward_value):
+        """sum(2x) through one hand-made node whose backward returns `backward_value`."""
+
+        def fn(x):
+            y = ad._node(x.values * 2.0, (x,), lambda g: (np.full_like(x.values, backward_value),))
+            return ad.sum_all(y)
+
+        return fn
+
+    def test_correct_backward_passes(self):
+        assert ad.gradcheck(self._doubling(2.0), [t64([1.0, -3.0, 0.5])]) < 1e-8
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 3.0], ids=["nan", "inf", "wrong"])
+    def test_bad_backward_fails(self, value):
+        with pytest.raises(PearlError, match="gradient check failed"):
+            ad.gradcheck(self._doubling(value), [t64([1.0, -3.0, 0.5])])

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pearl import data_io
+from pearl import cli, data_io
 from pearl.cli import _read_slide_embeddings, main
 from pearl.errors import DataFormatError
 
@@ -501,6 +502,132 @@ class TestErrors:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+
+# every field a config file may set, by section: adding a knob shows up here
+SETTABLE = {
+    "synth": [
+        "n_spots", "n_genes", "n_pathways", "noise_sigma", "coupling", "n_slides", "d_img",
+        "n_subjects", "censor_rate", "embed_dim",
+    ],
+    "preprocess": ["min_spots_per_gene", "target_sum", "top_hvg"],
+    "ssgsea": ["weight_exponent", "null_sets"],
+    "train": ["batch_size", "max_epochs", "patience", "lr", "weight_decay", "val_fraction"],
+    "model": [
+        "n_heads", "d_k", "n_layers", "embed_dim", "phi_hidden", "proj_hidden", "head_hidden",
+        "ffn_mult", "tau_init",
+    ],
+    "survival": ["max_epochs", "patience", "lr", "weight_decay"],
+    "paths": ["expression", "coords", "gene_sets", "features"],  # run-cv's inputs
+}
+# fields the commands fill in from --seed or the input tables
+COMMAND_SET = [
+    "ssgsea.rng_seed", "train.seed", "survival.seed",
+    "model.n_pathways", "model.n_genes", "model.d_img", "model.seed",
+]
+
+
+def _config_error(tmp_path, capsys, cfg, argv=("synth",)):
+    """Run `argv` with the config `cfg`; return its JSON error, asserting exit 1."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run([*argv, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    return json.loads(capsys.readouterr().err)
+
+
+class TestConfigSurface:
+    def test_settable_fields_pinned(self):
+        sections = cli._CONFIG_SECTIONS
+        settable = {
+            name: [f.name for f in fields(cls) if f.name not in cli.COMMAND_SET.get(name, ())]
+            for name, cls in sections.items()
+        }
+        assert settable == SETTABLE
+        assert sum(len(v) for k, v in settable.items() if k != "paths") == 34
+        refused = [f"{name}.{key}" for name, keys in cli.COMMAND_SET.items() for key in keys]
+        assert sorted(refused) == sorted(COMMAND_SET)
+
+    def test_every_settable_field_loads(self, tmp_path):
+        defaults = cli.load_config(None)
+        cfg = {name: {key: getattr(defaults[name], key) for key in keys}
+               for name, keys in SETTABLE.items()}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.load_config(str(path)) == defaults
+
+    @pytest.mark.parametrize("dotted", COMMAND_SET)
+    def test_command_set_field_refused(self, tmp_path, capsys, dotted):
+        section, key = dotted.split(".")
+        err = _config_error(tmp_path, capsys, {section: {key: 1}})
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"{dotted} is set by ")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("synth", "n_spots", "x"),
+            ("preprocess", "target_sum", "1e4"),
+            ("ssgsea", "null_sets", 2.5),
+            ("train", "batch_size", "x"),
+            ("model", "n_heads", "x"),
+            ("survival", "patience", True),
+            ("paths", "coords", 5),
+        ],
+    )
+    def test_wrong_type_named(self, tmp_path, capsys, section, key, value):
+        err = _config_error(tmp_path, capsys, {section: {key: value}})
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"{section}.{key} must be of type ")
+
+    def test_int_stands_for_float(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"lr": 1}, "ssgsea": {"weight_exponent": 0}}))
+        cfg = cli.load_config(str(path))
+        assert type(cfg["train"].lr) is float and cfg["train"].lr == 1.0
+        assert type(cfg["ssgsea"].weight_exponent) is float
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            ([], "command"),
+            (["preprocess", "--coords", "c.csv"], "--expression"),
+            (["synth", "--threads", "x"], "--threads"),
+            (["synth", "--threads", "0"], "--threads: must be >= 1"),
+            (["synth", "--bogus"], "--bogus"),
+            (["run-cv", "--folds", "1"], "--folds: must be >= 2"),
+            (["run-cv", "--folds", "0"], "--folds: must be >= 2"),
+        ],
+        ids=["no_command", "missing_flag", "threads_not_int", "zero_threads", "unknown_flag",
+             "one_fold", "zero_folds"],
+    )
+    def test_usage_error_is_json(self, tmp_path, capsys, argv, needle):
+        assert run([*argv, "--out-dir", str(tmp_path)] if argv else argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage" and needle in err["message"]
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())  # refused before anything ran
+
+    def test_usage_error_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pearl.cli", "synth", "--threads", "x"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "usage"
+
+    def test_help_unchanged(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pearl.cli", "run-cv", "--help"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: pearl run-cv") and "--folds" in proc.stdout
 
 
 class TestNumpyOnly:

@@ -10,6 +10,7 @@ from pearl.data_io import (
 )
 from pearl.errors import DegeneratePathway, MissingPathwayGenes, PearlError
 from pearl.ssgsea import (
+    NES_EPSILON,
     SsgseaConfig,
     _null_masks,
     enrichment_score,
@@ -50,7 +51,7 @@ def brute_force_nes(values, gene_ids, gene_sets, config):
         null_mean = np.mean(
             [abs(es_for(set(np.flatnonzero(masks[k])))) for k in range(config.null_sets)]
         )
-        out[name] = es / max(null_mean, config.epsilon)
+        out[name] = es / max(null_mean, NES_EPSILON)
     return out
 
 
@@ -123,12 +124,12 @@ class TestNes:
         es = enrichment_score(order, weights, member, 1.0)
         null_mask = _null_masks(cfg.rng_seed, 2, 8, 1)[0]
         es0 = enrichment_score(order, weights, null_mask, 1.0)
-        expected = es / max(abs(es0), cfg.epsilon)
+        expected = es / max(abs(es0), NES_EPSILON)
         got = nes(vals, genes, {"g0", "g3"}, cfg)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_epsilon_guard_finite(self):
-        cfg = SsgseaConfig(epsilon=1e-12, null_sets=2, rng_seed=0)
+        cfg = SsgseaConfig(null_sets=2, rng_seed=0)
         genes = [f"g{j}" for j in range(5)]
         out = nes([5.0, 4.0, 3.0, 2.0, 1.0], genes, {"g1"}, cfg)
         assert np.isfinite(out)

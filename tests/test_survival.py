@@ -202,8 +202,8 @@ class TestCoxHead:
 
 
 class TestTrainCox:
-    def _cohort(self, seed=1, n_subjects=12):
-        table, embeddings, _ = gen_survival_cohort(seed=seed, n_subjects=n_subjects)
+    def _cohort(self, seed=1, n_subjects=12, **kwargs):
+        table, embeddings, _ = gen_survival_cohort(seed=seed, n_subjects=n_subjects, **kwargs)
         times = np.array([r.time for r in table.rows])
         events = np.array([r.event for r in table.rows])
         return [embeddings[r.slide_ids[0]] for r in table.rows], times, events
@@ -225,16 +225,14 @@ class TestTrainCox:
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_early_stop_restores_best_epoch(self):
-        embs, times, events = self._cohort(n_subjects=40)
+        # an epoch's loss is taken before its step: the restored head is the
+        # one that produced the best recorded loss, not the one a step later
+        embs, times, events = self._cohort(seed=0, n_subjects=160, embed_dim=16)
         cfg = SurvivalTrainConfig(max_epochs=300, patience=4, lr=0.3)
         head, history = train_cox(embs, times, events, cfg)
         best = int(np.argmin(history))
         assert len(history) == best + 1 + cfg.patience < cfg.max_epochs
-        # the loss of an epoch is taken before its step, the snapshot after it
-        replay, _ = train_cox(embs, times, events, SurvivalTrainConfig(
-            max_epochs=best + 1, patience=best + 1, lr=0.3))
-        for (_, p), (_, q) in zip(head.parameters(), replay.parameters()):
-            np.testing.assert_array_equal(p.values, q.values)
+        assert cox_loss(head.subject_risks(embs), times, events).item() == min(history)
 
     @pytest.mark.parametrize(
         "fields",
