@@ -205,7 +205,7 @@ def cmd_train_contrastive(args, cfg):
 def cmd_train_heads(args, cfg):
     tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
-    model, normalizer, _ = load_model(args.checkpoint)
+    model, normalizer = load_model(args.checkpoint)
     model, history = trainer.train_stage2(dataset, model, tcfg)
     save_model(model, _outpath(args, "final"), normalizer=normalizer)
     _write_curve(_outpath(args, "stage2_loss.csv"), history)
@@ -213,7 +213,7 @@ def cmd_train_heads(args, cfg):
 
 
 def cmd_predict(args, cfg):
-    model, _, _ = load_model(args.checkpoint)
+    model, _ = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
     h = trainer.embed_images(model, patch.features)
     with ad.no_grad():
@@ -264,7 +264,7 @@ def _load_cohort(args):
         rows = [embeddings[s] for s in r.slide_ids if s in embeddings]
         if not rows:
             raise PearlError(f"subject {r.subject_id!r}: no embeddings for its slides")
-        mats.append(np.concatenate(rows, axis=0))
+        mats.append(np.concatenate(rows, axis=0, dtype=np.float32))  # the Cox head's dtype
         times.append(r.time)
         events.append(r.event)
     return mats, np.array(times), np.array(events)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CheckpointManifestError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -553,11 +554,19 @@ def save_checkpoint(params, hyperparams, path, extra=None):
 
 
 def check_hyperparams(hyper, expected):
-    """Require a manifest's hyperparameter keys to be exactly `expected`."""
+    """Require a manifest's hyperparameter keys to be exactly those of
+    `expected`, {name: type}, each value of its type (an int may stand for a
+    float)."""
     bad = sorted(set(hyper) ^ set(expected))
     if bad:
         kind = "unknown" if bad[0] in hyper else "missing"
         raise CheckpointShapeError(f"{kind} hyperparameter {bad[0]!r}")
+    for name, kind in expected.items():
+        value = hyper[name]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise CheckpointManifestError(
+                f"hyperparameter {name!r} must be of type {kind.__name__}, got {value!r}"
+            )
 
 
 def assign_params(targets, params):
@@ -578,20 +587,49 @@ def assign_params(targets, params):
         t.values = loaded[n].astype(np.float32)
 
 
+def _is_param_entry(p):
+    return (
+        isinstance(p, dict)
+        and isinstance(p.get("name"), str)
+        and isinstance(p.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in p["shape"])
+    )
+
+
 def load_checkpoint(path):
-    """Return (params, hyperparams, extra); params is [(name, f32 ndarray)]."""
+    """Return (params, hyperparams, extra); params is [(name, f32 ndarray)].
+
+    The manifest must be a JSON object with this format version, a
+    `hyperparams` object, a `params` list of {name, shape} entries and, if
+    present, an `extra` object; anything else is a CheckpointManifestError.
+    """
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
         raise DataFormatError(f"missing manifest {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            raise CheckpointManifestError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointManifestError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointVersionError(
             f"format version {manifest.get('format_version')} != {CHECKPOINT_FORMAT_VERSION}"
         )
+    hyper, entries = manifest.get("hyperparams"), manifest.get("params")
+    extra = manifest.get("extra", {})
+    if not isinstance(hyper, dict) or not isinstance(extra, dict):
+        raise CheckpointManifestError(
+            f"{manifest_path}: 'hyperparams' and 'extra' must be JSON objects"
+        )
+    if not isinstance(entries, list) or not all(map(_is_param_entry, entries)):
+        raise CheckpointManifestError(
+            f"{manifest_path}: 'params' must be a list of {{name, shape}} entries"
+        )
     with open(path + ".params.bin", "rb") as fh:
         blob = fh.read()
-    expected = sum(int(np.prod(p["shape"])) for p in manifest["params"]) * 4
+    expected = sum(math.prod(p["shape"]) for p in entries) * 4
     if len(blob) < expected:
         raise CheckpointTruncatedError(
             f"blob holds {len(blob)} bytes, manifest declares {expected}"
@@ -602,9 +640,9 @@ def load_checkpoint(path):
         )
     params = []
     offset = 0
-    for p in manifest["params"]:
-        n = int(np.prod(p["shape"]))
+    for p in entries:
+        n = math.prod(p["shape"])
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(p["shape"])
         params.append((p["name"], arr.copy()))
         offset += n * 4
-    return params, manifest["hyperparams"], manifest.get("extra")
+    return params, hyper, extra

@@ -12,14 +12,14 @@ the image branch only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data_io
 from .autodiff import Tensor
-from .errors import PearlError
+from .errors import CheckpointManifestError, PearlError
 
 TAU_MIN = 1e-3
 TAU_MAX = 100.0
@@ -41,12 +41,20 @@ class ModelConfig:
     tau_init: float = 0.07
     seed: int = 0
 
-    def validate(self):
-        for name in ("n_pathways", "n_genes", "d_img", "n_heads", "d_k", "n_layers"):
+    def __post_init__(self):
+        # the sizes a config file may set; validate() checks those a command sets
+        for name in ("n_heads", "d_k", "n_layers", "embed_dim", "phi_hidden", "proj_hidden",
+                     "head_hidden", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise PearlError(f"model config: {name} must be >= 1")
         if not TAU_MIN <= self.tau_init <= TAU_MAX:
             raise PearlError(f"model config: tau_init must be in [{TAU_MIN}, {TAU_MAX}]")
+
+    def validate(self):
+        """Check the sizes a command fills in from its input tables."""
+        for name in ("n_pathways", "n_genes", "d_img"):
+            if getattr(self, name) < 1:
+                raise PearlError(f"model config: {name} must be >= 1")
 
 
 @dataclass
@@ -237,17 +245,27 @@ def save_model(model, path, normalizer=None):
 
 
 def load_model(path):
-    """Returns (model, normalizer_or_None, extra)."""
+    """Returns (model, normalizer_or_None)."""
     params, hyper, extra = data_io.load_checkpoint(path)
-    data_io.check_hyperparams(hyper, ModelConfig.__dataclass_fields__)
-    config = ModelConfig(**hyper)
-    model = PearlModel(config)
+    data_io.check_hyperparams(hyper, {f.name: type(f.default) for f in fields(ModelConfig)})
+    try:
+        model = PearlModel(ModelConfig(**hyper))
+    except PearlError as exc:
+        raise CheckpointManifestError(f"{path}: {exc}") from None
     data_io.assign_params(model.parameters(), params)
-    normalizer = None
-    if extra and "coord_normalizer" in extra:
-        cn = extra["coord_normalizer"]
-        normalizer = CoordNormalizer(
-            mu=np.asarray(cn["mu"], dtype=np.float64),
-            sigma=np.asarray(cn["sigma"], dtype=np.float64),
+    if "coord_normalizer" not in extra:
+        return model, None
+    cn = extra["coord_normalizer"]
+    if not (isinstance(cn, dict) and all(_is_pair(cn.get(k)) for k in ("mu", "sigma"))):
+        raise CheckpointManifestError(
+            f"{path}: extra.coord_normalizer must hold 'mu' and 'sigma', two numbers each"
         )
-    return model, normalizer, extra or {}
+    normalizer = CoordNormalizer(
+        mu=np.asarray(cn["mu"], dtype=np.float64),
+        sigma=np.asarray(cn["sigma"], dtype=np.float64),
+    )
+    return model, normalizer
+
+
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v)

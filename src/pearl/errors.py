@@ -18,6 +18,12 @@ class DataFormatError(PearlError):
         self.detail, self.line, self.path = message, line, path
 
 
+class CheckpointManifestError(PearlError):
+    """Manifest is not valid JSON, or a field is missing or of the wrong type."""
+
+    code = "checkpoint_manifest"
+
+
 class CheckpointVersionError(PearlError):
     code = "checkpoint_version"
 

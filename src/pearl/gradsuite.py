@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import trainer
 from .autodiff import Tensor
 from .encoders import ModelConfig, PearlModel
-from .survival import cox_loss
+from .survival import _segment_pool, cox_loss
 
 
 def _t(rng, shape):
@@ -81,6 +81,14 @@ def run_all(seed=0):
     results.append(
         ("cox_loss", ad.gradcheck(lambda r: cox_loss(r, times, events), [risks]))
     )
+
+    logits, spots = _t(rng, (6, 1)), rng.normal(size=(6, 3))
+    w = Tensor(rng.normal(size=(3, 3)))
+
+    def pooled(logits):  # the Cox head's attention pooling over bags of 1, 3 and 2 spots
+        return ad.sum_all(ad.mul(_segment_pool(logits, spots, np.array([1, 3, 2])), w))
+
+    results.append(("segment_pool", ad.gradcheck(pooled, [logits])))
 
     results.append(("stage1_graph", stage1_graph_check(seed)))
     return results

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import data_io
 from .autodiff import Tensor
 from .encoders import _xavier
-from .errors import PearlError
+from .errors import CheckpointManifestError, PearlError
 from .trainer import fit
 
 
@@ -35,22 +35,45 @@ class CoxHead:
     def parameters(self):
         return list(self.params.items())
 
-    def pool_slide(self, embeddings):
-        """Attention-weighted mean of (M, embed_dim) spot embeddings -> (1, embed_dim)."""
-        E = Tensor(embeddings, dtype=np.float32)
-        if E.values.ndim != 2 or E.shape[0] < 1:
-            raise PearlError(f"expected (M, d) embeddings, got {E.shape}")
-        h = ad.tanh(ad.add(ad.matmul(E, self.params["attn.w1"]), self.params["attn.b1"]))
+    def pool(self, bags):
+        """Attention-weighted mean of each (M_i, embed_dim) bag -> (n_bags, embed_dim).
+
+        Every bag's spots go through one attention graph; a segment softmax
+        then normalises the logits within each bag.
+        """
+        if not bags or any(np.shape(e)[1:] != (self.embed_dim,) or len(e) == 0 for e in bags):
+            raise PearlError(f"pool needs one or more (M >= 1, {self.embed_dim}) bags")
+        E = np.concatenate(bags, axis=0, dtype=np.float32)
+        h = ad.tanh(ad.add(ad.matmul(Tensor(E), self.params["attn.w1"]), self.params["attn.b1"]))
         logits = ad.add(ad.matmul(h, self.params["attn.w2"]), self.params["attn.b2"])
-        weights = ad.softmax_rows(ad.transpose(logits))  # (1, M), sums to 1
-        return ad.matmul(weights, E)
+        return _segment_pool(logits, E, np.array([len(e) for e in bags]))
 
     def risk(self, pooled):
         return ad.add(ad.matmul(pooled, self.params["risk.w"]), self.params["risk.b"])
 
     def subject_risks(self, slide_embeddings):
         """Risk tensor (n, 1) for a list of per-subject embedding matrices."""
-        return ad.concat_rows([self.risk(self.pool_slide(e)) for e in slide_embeddings])
+        return self.risk(self.pool(slide_embeddings))
+
+
+def _segment_pool(logits, E, sizes):
+    """Softmax of (N, 1) `logits` within each run of `sizes` consecutive rows,
+    and the weighted sum of E's rows per run: (len(sizes), d).
+
+    E is data, not a parameter: the backward returns the logits gradient only.
+    """
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    z = logits.values.reshape(-1)
+    e = np.exp(z - np.repeat(np.maximum.reduceat(z, starts), sizes))
+    w = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    out = np.add.reduceat(w[:, None] * E, starts, axis=0)
+
+    def bw(g):
+        gw = (E * np.repeat(g, sizes, axis=0)).sum(axis=1)
+        dot = np.add.reduceat(w * gw, starts)
+        return ((w * (gw - np.repeat(dot, sizes))).reshape(logits.shape),)
+
+    return ad._node(out, (logits,), bw)
 
 
 def cox_loss(risks, times, events):
@@ -95,16 +118,14 @@ def c_index(risks, times, events):
     risks = np.asarray(risks, dtype=np.float64).reshape(-1)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
-    num, den = 0.0, 0
-    for i in range(len(times)):
-        if not events[i]:
-            continue
-        later = times > times[i]
-        den += int(later.sum())
-        num += (risks[i] > risks[later]).sum() + 0.5 * (risks[i] == risks[later]).sum()
+    # pair (i, j) is comparable when i has the event and j outlives it
+    comparable = events[:, None] & (times[:, None] < times[None, :])
+    den = int(comparable.sum())
     if den == 0:
         raise PearlError("no comparable pairs")
-    return float(num / den)
+    concordant = (comparable & (risks[:, None] > risks[None, :])).sum()
+    tied = (comparable & (risks[:, None] == risks[None, :])).sum()
+    return float((concordant + 0.5 * tied) / den)
 
 
 @dataclass
@@ -152,7 +173,9 @@ def save_cox(head, path):
 
 def load_cox(path):
     params, hyper, _ = data_io.load_checkpoint(path)
-    data_io.check_hyperparams(hyper, ("embed_dim", "attn_hidden", "kind"))
+    data_io.check_hyperparams(hyper, {"embed_dim": int, "attn_hidden": int, "kind": str})
+    if min(hyper["embed_dim"], hyper["attn_hidden"]) < 1:
+        raise CheckpointManifestError(f"{path}: embed_dim and attn_hidden must be >= 1")
     head = CoxHead(embed_dim=hyper["embed_dim"], attn_hidden=hyper["attn_hidden"])
     data_io.assign_params(head.parameters(), params)
     return head

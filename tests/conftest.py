@@ -1,11 +1,31 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and helpers.
 
 The acceptance tests register one verdict line per criterion; printing them
 from the terminal-summary hook keeps the lines visible even though pytest
 captures test stdout at the file-descriptor level.
 """
 
+import json
+
 acceptance_lines = []
+
+# manifest corruptions that every checkpoint loader refuses with a
+# CheckpointManifestError (both model and Cox checkpoints have an embed_dim)
+MANIFEST_TAMPERS = ("invalid_json", "embed_dim_not_int", "no_params")
+
+
+def tamper_manifest(path, kind):
+    """Corrupt the checkpoint manifest file `path` in the way `kind` names."""
+    text = path.read_text()
+    if kind == "invalid_json":
+        path.write_text(text[: len(text) // 2])
+        return
+    manifest = json.loads(text)
+    if kind == "embed_dim_not_int":
+        manifest["hyperparams"]["embed_dim"] = "x"
+    else:
+        del manifest["params"]
+    path.write_text(json.dumps(manifest))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -7,7 +7,7 @@ import pytest
 from pearl import autodiff as ad
 from pearl.autodiff import AdamW, Tensor
 from pearl.errors import PearlError
-from pearl.survival import cox_loss
+from pearl.survival import _segment_pool, cox_loss
 
 
 def t64(values, grad=True):
@@ -105,9 +105,12 @@ class TestNoGrad:
 
 _COX_TIMES = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])
 _COX_EVENTS = np.array([True, True, False, True, True, False])
+_POOL_SPOTS = np.random.default_rng(13).normal(size=(6, 3)).astype(np.float32)
+_POOL_SIZES = np.array([1, 3, 2])
 
 # kernel -> (input shapes, op): the 15 kernels the benchmark tracer times, the
-# remaining shape ops, the Cox loss, and the stacked forms attention uses
+# remaining shape ops, the Cox loss and pooling nodes, and the stacked forms
+# attention uses
 DTYPE_CASES = {
     "matmul": ([(3, 4), (4, 2)], ad.matmul),
     "matmul_stacked": ([(2, 3, 4), (2, 4, 5)], ad.matmul),
@@ -131,6 +134,7 @@ DTYPE_CASES = {
     "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
     "slice_rows": ([(5, 4)], lambda a: ad.slice_rows(a, 1, 3)),
     "cox_loss": ([(6, 1)], lambda r: cox_loss(r, _COX_TIMES, _COX_EVENTS)),
+    "segment_pool": ([(6, 1)], lambda l: _segment_pool(l, _POOL_SPOTS, _POOL_SIZES)),
 }
 
 

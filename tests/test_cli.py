@@ -10,6 +10,8 @@ from pearl import cli, data_io
 from pearl.cli import _read_slide_embeddings, main
 from pearl.errors import DataFormatError
 
+from conftest import MANIFEST_TAMPERS, tamper_manifest
+
 
 def run(argv):
     return main(argv)
@@ -188,6 +190,26 @@ class TestPipeline:
         capsys.readouterr()
         assert run(["survival-eval", "--checkpoint", str(tmp_path / "cox"), *flags]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "checkpoint_shape"
+
+    @pytest.mark.parametrize("tamper", MANIFEST_TAMPERS)
+    @pytest.mark.parametrize("command", ["survival-eval", "predict"])
+    def test_malformed_manifest_is_json_error(
+        self, pipeline, cox_checkpoint, tmp_path, capsys, command, tamper
+    ):
+        _, data, _ = pipeline
+        source = cox_checkpoint if command == "survival-eval" else data / "final"
+        for suffix in (".manifest.json", ".params.bin"):
+            (tmp_path / f"ckpt{suffix}").write_bytes(
+                source.with_name(source.name + suffix).read_bytes()
+            )
+        tamper_manifest(tmp_path / "ckpt.manifest.json", tamper)
+        inputs = _SURVIVAL if command == "survival-eval" else {"features": "features.tsv"}
+        argv = [command, "--checkpoint", str(tmp_path / "ckpt"), "--out-dir", str(tmp_path / "out")]
+        argv += [x for k, name in inputs.items() for x in (f"--{k}", str(data / name))]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "checkpoint_manifest"
+        assert not (tmp_path / "out").exists()
 
     def test_run_cv_two_folds(self, pipeline, tmp_path):
         root, data, cfg_path = pipeline
@@ -426,6 +448,15 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message"}
         assert "patience" in err["message"]
+
+    def test_zero_embed_dim_rejected(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        argv = ["train-contrastive"] + [
+            x for k, name in _DATASET.items() for x in (f"--{k}", str(data / name))
+        ]
+        err = _config_error(tmp_path, capsys, {"model": {"embed_dim": 0}}, argv)
+        assert err["message"] == "model config: embed_dim must be >= 1"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, line",

@@ -13,11 +13,14 @@ from pearl.data_io import (
 )
 from pearl.encoders import ModelConfig, PearlModel, load_model, save_model
 from pearl.errors import (
+    CheckpointManifestError,
     CheckpointShapeError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     DataFormatError,
 )
+
+from conftest import MANIFEST_TAMPERS, tamper_manifest
 
 
 class TestGmt:
@@ -298,7 +301,7 @@ class TestCheckpoint:
         m = self._model()
         path = str(tmp_path / "ckpt")
         save_model(m, path)
-        m2, _, _ = load_model(path)
+        m2, _ = load_model(path)
         for (n1, p1), (n2, p2) in zip(m.parameters(), m2.parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.values, p2.values)
@@ -356,6 +359,37 @@ class TestCheckpoint:
         (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
         key = "foo" if tamper == "unknown" else "n_heads"
         with pytest.raises(CheckpointShapeError, match=f"{tamper} hyperparameter '{key}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tamper", MANIFEST_TAMPERS)
+    def test_malformed_manifest_rejected(self, tmp_path, tamper):
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        tamper_manifest(tmp_path / "ckpt.manifest.json", tamper)
+        with pytest.raises(CheckpointManifestError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["hyperparams"].update(embed_dim=0),
+            lambda m: m["hyperparams"].update(tau_init=1e6),
+            lambda m: m.update(extra={"coord_normalizer": {"mu": [0.0, 0.0], "sigma": "x"}}),
+            lambda m: m["params"][0].update(shape=[-4, 2]),
+            lambda m: m.update(hyperparams=[]),
+        ],
+        ids=["zero_embed_dim", "tau_out_of_range", "bad_normalizer", "negative_shape",
+             "hyperparams_not_object"],
+    )
+    def test_invalid_manifest_field_rejected(self, tmp_path, edit):
+        import json
+
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        manifest = json.loads((tmp_path / "ckpt.manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointManifestError):
             load_model(path)
 
 

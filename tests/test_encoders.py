@@ -280,3 +280,27 @@ class TestTemperature:
         # the bounds would never be used
         with pytest.raises(PearlError, match="tau_init"):
             tiny_model(tau_init=tau_init)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize(
+        "name",
+        ["n_heads", "d_k", "n_layers", "embed_dim", "phi_hidden", "proj_hidden", "head_hidden",
+         "ffn_mult"],
+    )
+    def test_settable_size_checked_on_construction(self, name):
+        with pytest.raises(PearlError, match=f"{name} must be >= 1"):
+            ModelConfig(**{name: 0})
+
+    @pytest.mark.parametrize("tau_init", [150.0, 1e-4, float("nan")])
+    def test_tau_init_checked_on_construction(self, tau_init):
+        with pytest.raises(PearlError, match="tau_init"):
+            ModelConfig(tau_init=tau_init)
+
+    @pytest.mark.parametrize("name", ["n_pathways", "n_genes", "d_img"])
+    def test_data_sizes_checked_by_validate(self, name):
+        cfg = ModelConfig(n_pathways=4, n_genes=3, d_img=5)
+        cfg.validate()
+        setattr(cfg, name, 0)
+        with pytest.raises(PearlError, match=f"{name} must be >= 1"):
+            cfg.validate()

@@ -6,7 +6,12 @@ import pytest
 
 from pearl import autodiff as ad
 from pearl.autodiff import Tensor
-from pearl.errors import CheckpointShapeError, PearlError, TrainingDiverged
+from pearl.errors import (
+    CheckpointManifestError,
+    CheckpointShapeError,
+    PearlError,
+    TrainingDiverged,
+)
 from pearl.survival import (
     CoxHead,
     SurvivalTrainConfig,
@@ -18,6 +23,8 @@ from pearl.survival import (
     train_cox,
 )
 from pearl.synthgen import gen_survival_cohort
+
+from conftest import MANIFEST_TAMPERS, tamper_manifest
 
 
 def brute_force_cox(risks, times, events):
@@ -135,6 +142,18 @@ class TestCIndex:
                 brute_force_c_index(list(r), list(times), list(events)), abs=1e-12
             )
 
+    def test_equals_pair_loop_exactly_with_tied_risks(self):
+        # pair counts are integers, so the broadcast count is bit-identical
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(5, 60))
+            r = rng.choice([0.0, 0.5, 1.0], size=n)
+            times = rng.choice([1.0, 2.0, 3.0, 4.0], size=n)
+            events = rng.random(size=n) < 0.6
+            events[np.argmin(times)] = True
+            got = c_index(r, times, events)
+            assert got == brute_force_c_index(list(r), list(times), list(events))
+
     def test_no_comparable_pairs(self):
         with pytest.raises(PearlError):
             c_index([1.0, 2.0], [5.0, 5.0], [True, True])
@@ -145,7 +164,7 @@ class TestCoxHead:
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=0)
         rng = np.random.default_rng(4)
         E = rng.normal(size=(6, 4))
-        pooled = head.pool_slide(E).values
+        pooled = head.pool([E]).values
         assert pooled.shape == (1, 4)
         # convex combination stays inside the per-coordinate envelope
         assert np.all(pooled[0] <= E.max(axis=0) + 1e-6)
@@ -154,12 +173,53 @@ class TestCoxHead:
     def test_pool_single_spot_identity(self):
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=0)
         E = np.random.default_rng(5).normal(size=(1, 4)).astype(np.float32)
-        np.testing.assert_allclose(head.pool_slide(E).values, E, atol=1e-6)
+        np.testing.assert_allclose(head.pool([E]).values, E, atol=1e-6)
 
     def test_pool_constant_rows(self):
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=0)
         E = np.tile(np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32), (5, 1))
-        np.testing.assert_allclose(head.pool_slide(E).values[0], E[0], atol=1e-6)
+        np.testing.assert_allclose(head.pool([E]).values[0], E[0], atol=1e-6)
+
+    def test_subject_risks_match_per_bag_reference(self):
+        # the pooling formula applied bag by bag in float64, as one graph per
+        # subject computed it; ragged bags, two of them a single spot
+        head = CoxHead(embed_dim=5, attn_hidden=4, seed=2)
+        rng = np.random.default_rng(6)
+        bags = [rng.normal(size=(m, 5)) for m in (1, 7, 3, 1, 12, 2)]
+        p = {n: t.values.astype(np.float64) for n, t in head.parameters()}
+        expected = []
+        for E in bags:
+            E = E.astype(np.float32).astype(np.float64)  # what the head sees
+            logits = (np.tanh(E @ p["attn.w1"] + p["attn.b1"]) @ p["attn.w2"] + p["attn.b2"])[:, 0]
+            w = np.exp(logits - logits.max())
+            expected.append((w / w.sum()) @ E @ p["risk.w"] + p["risk.b"])
+        got = head.subject_risks(bags)
+        assert got.shape == (6, 1) and got.dtype == np.float32
+        np.testing.assert_allclose(got.values, np.array(expected), rtol=0, atol=1e-5)
+
+    def test_graph_size_independent_of_cohort_size(self):
+        def n_nodes(n_subjects):
+            rng = np.random.default_rng(n_subjects)
+            bags = [rng.normal(size=(m, 4)) for m in rng.integers(1, 9, size=n_subjects)]
+            risks = CoxHead(embed_dim=4, attn_hidden=3).subject_risks(bags)
+            loss = cox_loss(risks, np.arange(n_subjects, dtype=float), np.ones(n_subjects, bool))
+            seen, stack = set(), [loss]  # the nodes backward() visits
+            while stack:
+                t = stack.pop()
+                if t.requires_grad and id(t) not in seen:
+                    seen.add(id(t))
+                    stack.extend(t._parents)
+            return len(seen)
+
+        assert n_nodes(3) == n_nodes(30) == 15  # 9 ops and 6 parameters
+
+    @pytest.mark.parametrize(
+        "bags", [[], [np.zeros((0, 4))], [np.zeros(4)], [np.zeros((2, 3))]],
+        ids=["no_bags", "empty_bag", "one_dim", "wrong_width"],
+    )
+    def test_pool_rejects_bad_bags(self, bags):
+        with pytest.raises(PearlError):
+            CoxHead(embed_dim=4, attn_hidden=3).pool(bags)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=1)
@@ -198,6 +258,24 @@ class TestCoxHead:
         manifest_path.write_text(json.dumps(manifest))
         key = "foo" if tamper == "unknown" else "attn_hidden"
         with pytest.raises(CheckpointShapeError, match=f"{tamper} hyperparameter '{key}'"):
+            load_cox(path)
+
+    @pytest.mark.parametrize("tamper", MANIFEST_TAMPERS)
+    def test_checkpoint_malformed_manifest_rejected(self, tmp_path, tamper):
+        path = str(tmp_path / "cox")
+        save_cox(CoxHead(embed_dim=4, attn_hidden=3, seed=1), path)
+        tamper_manifest(tmp_path / "cox.manifest.json", tamper)
+        with pytest.raises(CheckpointManifestError):
+            load_cox(path)
+
+    def test_checkpoint_zero_size_rejected(self, tmp_path):
+        path = str(tmp_path / "cox")
+        save_cox(CoxHead(embed_dim=4, attn_hidden=3, seed=1), path)
+        manifest_path = tmp_path / "cox.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["hyperparams"]["attn_hidden"] = 0
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointManifestError, match="attn_hidden"):
             load_cox(path)
 
 
