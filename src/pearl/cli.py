@@ -143,12 +143,13 @@ def cmd_synth(args, cfg):
 
 
 def _read_slide_embeddings(path):
-    """{slide id: (spots, dim) embeddings}, slides and spots in file order."""
+    """({slide id: its row indices}, float64 (rows, dim) embeddings), slides
+    and rows in file order."""
     _, slide_ids, values = data_io.read_embeddings(path)
     rows = {}
     for i, slide in enumerate(slide_ids):
         rows.setdefault(slide, []).append(i)
-    return {slide: values[idx] for slide, idx in rows.items()}
+    return rows, values
 
 
 def cmd_preprocess(args, cfg):
@@ -257,32 +258,39 @@ def cmd_evaluate(args, cfg):
 
 
 def _load_cohort(args):
+    """(E, sizes, times, events): every subject's spot embeddings in one
+    float32 (N, dim) array, subjects in survival-table order, each subject's
+    slides in the order it lists them, and sizes[i] rows for subject i."""
     table = data_io.read_survival(args.survival)
-    embeddings = _read_slide_embeddings(args.embeddings)
-    mats, times, events = [], [], []
+    rows, values = _read_slide_embeddings(args.embeddings)
+    idx, sizes = [], []
     for r in table.rows:
-        rows = [embeddings[s] for s in r.slide_ids if s in embeddings]
-        if not rows:
+        start = len(idx)
+        for s in r.slide_ids:
+            idx += rows.get(s, ())
+        if len(idx) == start:
             raise PearlError(f"subject {r.subject_id!r}: no embeddings for its slides")
-        mats.append(np.concatenate(rows, axis=0, dtype=np.float32))  # the Cox head's dtype
-        times.append(r.time)
-        events.append(r.event)
-    return mats, np.array(times), np.array(events)
+        sizes.append(len(idx) - start)
+    E = values.astype(np.float32)  # the Cox head's dtype; cast before the gather
+    del values  # so the float64 table is gone before the gather copies
+    times = np.array([r.time for r in table.rows])
+    events = np.array([r.event for r in table.rows])
+    return E[idx], np.array(sizes), times, events
 
 
 def cmd_survival_train(args, cfg):
     scfg = replace(cfg["survival"], seed=args.seed)
-    mats, times, events = _load_cohort(args)
-    head, history = survival.train_cox(mats, times, events, scfg)
+    E, sizes, times, events = _load_cohort(args)
+    head, history = survival.train_cox(E, sizes, times, events, scfg)
     survival.save_cox(head, _outpath(args, "cox"))
     _write_curve(_outpath(args, "cox_loss.csv"), {"loss": history})
     return 0
 
 
 def cmd_survival_eval(args, cfg):
-    mats, times, events = _load_cohort(args)
+    E, sizes, times, events = _load_cohort(args)
     head = survival.load_cox(args.checkpoint)
-    risks = survival.predict_risks(head, mats)
+    risks = survival.predict_risks(head, E, sizes)
     ci = survival.c_index(risks, times, events)
     _write_json(_outpath(args, "survival_report.json"), {"c_index": ci, "n_subjects": len(times)})
     return 0

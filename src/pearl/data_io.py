@@ -151,8 +151,8 @@ class SurvivalTable:
 
     def __post_init__(self):
         for r in self.rows:
-            if r.time <= 0:
-                raise DataFormatError(f"subject {r.subject_id!r}: time must be > 0")
+            if not 0 < r.time < math.inf:
+                raise DataFormatError(f"subject {r.subject_id!r}: time must be finite and > 0")
 
 
 @dataclass
@@ -422,8 +422,11 @@ def write_coords(geoms, path):
 def read_survival(path):
     rows = _rows(path, ",", tuple(SURVIVAL_HEADER.split(",")), exact=True)
     next(rows)
-    records = []
+    records, seen = [], set()
     for lineno, fields in rows:
+        if fields[0] in seen:
+            raise DataFormatError(f"duplicate subject_id {fields[0]!r}", line=lineno)
+        seen.add(fields[0])
         ev = fields[2].strip().lower()
         if ev not in {"0", "1", "true", "false"}:
             raise DataFormatError(f"bad event flag {fields[2]!r}", line=lineno)
@@ -431,6 +434,8 @@ def read_survival(path):
             t = float(fields[1])
         except ValueError:
             raise DataFormatError(f"bad time {fields[1]!r}", line=lineno) from None
+        if not 0 < t < math.inf:
+            raise DataFormatError(f"time must be finite and > 0, got {fields[1]!r}", line=lineno)
         records.append(
             SurvivalRecord(
                 subject_id=fields[0],

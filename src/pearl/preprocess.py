@@ -7,6 +7,7 @@ sample variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.min_spots_per_gene < 0:
             raise PearlError("min_spots_per_gene must be >= 0")
-        if self.target_sum <= 0:
-            raise PearlError("target_sum must be > 0")
+        if not 0 < self.target_sum < math.inf:  # json reads NaN and Infinity
+            raise PearlError("target_sum must be finite and > 0")
         if self.top_hvg < 1:
             raise PearlError("top_hvg must be >= 1")
 

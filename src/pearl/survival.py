@@ -16,7 +16,12 @@ from .trainer import fit
 
 
 class CoxHead:
-    """tanh-attention pooling over a slide's spots plus a linear risk head."""
+    """tanh-attention pooling over each subject's spots plus a linear risk head.
+
+    Neither the attention logits nor the risk has a bias: the per-bag softmax
+    ignores a common shift of its logits and the Cox partial likelihood a
+    common shift of the risks, so such a bias would draw no gradient.
+    """
 
     def __init__(self, embed_dim=256, attn_hidden=128, seed=0):
         rng = np.random.default_rng(seed)
@@ -27,33 +32,34 @@ class CoxHead:
             "attn.w1": Tensor(_xavier(rng, (embed_dim, attn_hidden), dtype), requires_grad=True),
             "attn.b1": Tensor(np.zeros(attn_hidden, dtype=dtype), requires_grad=True),
             "attn.w2": Tensor(_xavier(rng, (attn_hidden, 1), dtype), requires_grad=True),
-            "attn.b2": Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
             "risk.w": Tensor(_xavier(rng, (embed_dim, 1), dtype), requires_grad=True),
-            "risk.b": Tensor(np.zeros(1, dtype=dtype), requires_grad=True),
         }
 
     def parameters(self):
         return list(self.params.items())
 
-    def pool(self, bags):
-        """Attention-weighted mean of each (M_i, embed_dim) bag -> (n_bags, embed_dim).
+    def pool(self, E, sizes):
+        """Attention-weighted mean of each bag -> (len(sizes), embed_dim).
 
-        Every bag's spots go through one attention graph; a segment softmax
-        then normalises the logits within each bag.
+        `E` is (N, embed_dim): the bags' spots back to back, bag i being the
+        next sizes[i] rows.  Every spot goes through one attention graph; a
+        segment softmax then normalises the logits within each bag.
         """
-        if not bags or any(np.shape(e)[1:] != (self.embed_dim,) or len(e) == 0 for e in bags):
-            raise PearlError(f"pool needs one or more (M >= 1, {self.embed_dim}) bags")
-        E = np.concatenate(bags, axis=0, dtype=np.float32)
+        E = np.asarray(E, dtype=np.float32)  # no copy when E is float32 already
+        sizes = np.asarray(sizes)
+        if E.ndim != 2 or E.shape[1] != self.embed_dim:
+            raise PearlError(f"pool needs an (N, {self.embed_dim}) array, got shape {E.shape}")
+        if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(E):
+            raise PearlError(f"pool needs one or more bag sizes >= 1 that sum to N = {len(E)}")
         h = ad.tanh(ad.add(ad.matmul(Tensor(E), self.params["attn.w1"]), self.params["attn.b1"]))
-        logits = ad.add(ad.matmul(h, self.params["attn.w2"]), self.params["attn.b2"])
-        return _segment_pool(logits, E, np.array([len(e) for e in bags]))
+        return _segment_pool(ad.matmul(h, self.params["attn.w2"]), E, sizes)
 
     def risk(self, pooled):
-        return ad.add(ad.matmul(pooled, self.params["risk.w"]), self.params["risk.b"])
+        return ad.matmul(pooled, self.params["risk.w"])
 
-    def subject_risks(self, slide_embeddings):
-        """Risk tensor (n, 1) for a list of per-subject embedding matrices."""
-        return self.risk(self.pool(slide_embeddings))
+    def subject_risks(self, E, sizes):
+        """Risk tensor (len(sizes), 1) of the bags that `sizes` cuts `E` into."""
+        return self.risk(self.pool(E, sizes))
 
 
 def _segment_pool(logits, E, sizes):
@@ -62,7 +68,7 @@ def _segment_pool(logits, E, sizes):
 
     E is data, not a parameter: the backward returns the logits gradient only.
     """
-    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    starts = np.cumsum(sizes) - sizes
     z = logits.values.reshape(-1)
     e = np.exp(z - np.repeat(np.maximum.reduceat(z, starts), sizes))
     w = e / np.repeat(np.add.reduceat(e, starts), sizes)
@@ -143,37 +149,39 @@ class SurvivalTrainConfig:
             raise PearlError("survival: need lr > 0 and weight_decay >= 0")
 
 
-def train_cox(slide_embeddings, times, events, config=None):
+def train_cox(E, sizes, times, events, config=None):
     """Full-batch Cox training; returns (head, loss_history).
 
-    `slide_embeddings` is a list of (M_i, embed_dim) arrays, one per subject.
-    Early stopping monitors the training loss (cohorts are small).
+    `E` stacks every subject's spot embeddings, `sizes` gives each subject's
+    row count, in the order of `times` and `events`.  Early stopping monitors
+    the training loss (cohorts are small).
     """
     config = config or SurvivalTrainConfig()
-    head = CoxHead(embed_dim=slide_embeddings[0].shape[1], seed=config.seed)
+    E = np.asarray(E, dtype=np.float32)  # cast once, not on every step
+    head = CoxHead(embed_dim=E.shape[-1], seed=config.seed)
     history = fit(
         head.parameters(),
         config,
         lambda: [None],
-        lambda _: cox_loss(head.subject_risks(slide_embeddings), times, events),
+        lambda _: cox_loss(head.subject_risks(E, sizes), times, events),
     )
     return head, history["train_loss"]
 
 
-def predict_risks(head, slide_embeddings):
+def predict_risks(head, E, sizes):
     with ad.no_grad():
-        return head.subject_risks(slide_embeddings).values.reshape(-1)
+        return head.subject_risks(E, sizes).values.reshape(-1)
 
 
 def save_cox(head, path):
-    hyper = {"embed_dim": head.embed_dim, "attn_hidden": head.attn_hidden, "kind": "cox_head"}
+    hyper = {"embed_dim": head.embed_dim, "attn_hidden": head.attn_hidden}
     params = [(n, np.asarray(p.values, dtype=np.float32)) for n, p in head.parameters()]
     data_io.save_checkpoint(params, hyper, path)
 
 
 def load_cox(path):
     params, hyper, _ = data_io.load_checkpoint(path)
-    data_io.check_hyperparams(hyper, {"embed_dim": int, "attn_hidden": int, "kind": str})
+    data_io.check_hyperparams(hyper, {"embed_dim": int, "attn_hidden": int})
     if min(hyper["embed_dim"], hyper["attn_hidden"]) < 1:
         raise CheckpointManifestError(f"{path}: embed_dim and attn_hidden must be >= 1")
     head = CoxHead(embed_dim=hyper["embed_dim"], attn_hidden=hyper["attn_hidden"])

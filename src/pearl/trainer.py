@@ -31,8 +31,10 @@ class TrainConfig:
             raise PearlError("batch_size must be >= 2 (contrastive needs negatives)")
         if not 0 < self.val_fraction < 1:
             raise PearlError("val_fraction must be in (0, 1)")
-        if self.patience >= self.max_epochs:
-            raise PearlError("patience must be < max_epochs")
+        if not 1 <= self.patience < self.max_epochs:
+            raise PearlError("need 1 <= patience < max_epochs")
+        if not (self.lr > 0 and self.weight_decay >= 0):
+            raise PearlError("need lr > 0 and weight_decay >= 0")
 
 
 @dataclass

@@ -340,12 +340,15 @@ class TestAcceptance:
         )
         times = np.array([r.time for r in table.rows])
         events = np.array([r.event for r in table.rows])
-        embs = [embeddings[r.slide_ids[0]] for r in table.rows]
+        # one 16-spot slide per subject, stacked in subject order
+        E = np.concatenate([embeddings[r.slide_ids[0]] for r in table.rows])
+        sizes = [len(embeddings[r.slide_ids[0]]) for r in table.rows]
+        cut = sum(sizes[:100])
         cfg = SurvivalTrainConfig(
             max_epochs=200, patience=40, lr=1e-2, weight_decay=1e-2, seed=0
         )
-        head, _ = train_cox(embs[:100], times[:100], events[:100], cfg)
-        ci = c_index(predict_risks(head, embs[100:]), times[100:], events[100:])
+        head, _ = train_cox(E[:cut], sizes[:100], times[:100], events[:100], cfg)
+        ci = c_index(predict_risks(head, E[cut:], sizes[100:]), times[100:], events[100:])
         elapsed = time.time() - t0
         ok = ln2_ok and breslow_ok and ci >= 0.85 and elapsed < 120
         report(

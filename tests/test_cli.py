@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pearl import cli, data_io
+from pearl import cli, data_io, survival
 from pearl.cli import _read_slide_embeddings, main
 from pearl.errors import DataFormatError
 
@@ -281,6 +282,68 @@ FILE_COMMANDS = {
     "survival-eval": ({"checkpoint": "cox", **_SURVIVAL}, "survival", 1),
     "run-cv": (_CV_PATHS, "features", 1),
 }
+
+
+class TestCohort:
+    def test_interleaved_slide_rows_match_per_bag_reference(self, tmp_path):
+        # subject a lists slides a2;a1 whose rows interleave with b's and c's,
+        # as `predict --emit-embeddings` writes rows in feature-file order
+        spots = ["a2_0", "b_0", "a1_0", "a2_1", "c_0", "a1_1", "b_1", "a2_2"]
+        slides = [s.split("_")[0] for s in spots]
+        values = np.random.default_rng(0).normal(size=(8, 4))
+        data_io.write_embeddings(spots, slides, values, tmp_path / "emb.tsv")
+        data_io.write_survival(
+            data_io.SurvivalTable([
+                data_io.SurvivalRecord("a", 1.0, True, ("a2", "a1")),
+                data_io.SurvivalRecord("b", 2.0, True, ("b",)),
+                data_io.SurvivalRecord("c", 3.0, False, ("c", "unseen")),
+            ]),
+            tmp_path / "surv.csv",
+        )
+        inputs = [
+            "--survival", str(tmp_path / "surv.csv"), "--embeddings", str(tmp_path / "emb.tsv")
+        ]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"survival": {"max_epochs": 3, "patience": 1}}))
+        argv = ["survival-train", "--config", str(cfg), "--out-dir", str(tmp_path), *inputs]
+        assert run(argv) == 0
+
+        E, sizes, times, events = cli._load_cohort(
+            argparse.Namespace(survival=inputs[1], embeddings=inputs[3])
+        )
+        bags = [values[[0, 3, 7, 2, 5]], values[[1, 6]], values[[4]]]  # slides as listed
+        assert E.dtype == np.float32 and list(sizes) == [5, 2, 1]
+        assert E.tobytes() == np.concatenate(bags).astype(np.float32).tobytes()
+        assert times.tolist() == [1.0, 2.0, 3.0] and events.tolist() == [True, True, False]
+        head = survival.load_cox(str(tmp_path / "cox"))
+        expected = [survival.predict_risks(head, bag, [len(bag)])[0] for bag in bags]
+        np.testing.assert_allclose(survival.predict_risks(head, E, sizes), expected, atol=1e-6)
+
+    @pytest.mark.parametrize("old", ["kind", "biases"])
+    def test_old_cox_checkpoint_refused(self, pipeline, cox_checkpoint, tmp_path, capsys, old):
+        # Cox checkpoints used to carry a `kind` hyperparameter and the two
+        # output biases attn.b2 and risk.b
+        _, data, _ = pipeline
+        manifest = json.loads(cox_checkpoint.with_name("cox.manifest.json").read_text())
+        blob = cox_checkpoint.with_name("cox.params.bin").read_bytes()
+        if old == "kind":
+            manifest["hyperparams"]["kind"] = "cox_head"
+        else:
+            manifest["params"] += [
+                {"name": "attn.b2", "shape": [1]}, {"name": "risk.b", "shape": [1]}
+            ]
+            blob += bytes(8)
+        (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "ckpt.params.bin").write_bytes(blob)
+        argv = ["survival-eval", "--checkpoint", str(tmp_path / "ckpt")]
+        argv += [x for k, name in _SURVIVAL.items() for x in (f"--{k}", str(data / name))]
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "checkpoint_shape"
+        if old == "kind":
+            assert err["message"] == "unknown hyperparameter 'kind'"
+        assert not (tmp_path / "out").exists()
 
 
 class TestFailureInjection:
@@ -565,6 +628,99 @@ def _config_error(tmp_path, capsys, cfg, argv=("synth",)):
     capsys.readouterr()
     assert run([*argv, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     return json.loads(capsys.readouterr().err)
+
+
+class TestConfigValues:
+    """Values of the right type that would train nothing, generate nothing or
+    fail deep in a command are refused when the config is built."""
+
+    @pytest.mark.parametrize(
+        "fields, needle",
+        [
+            ({"n_spots": -3}, "n_spots must be >= 1"),
+            ({"n_spots": 1, "n_slides": 1}, "n_spots must be >= 2"),
+            ({"n_genes": 0}, "n_genes must be >= 1"),
+            ({"n_pathways": 0}, "n_pathways must be >= 1"),
+            ({"n_slides": 0}, "n_slides must be >= 1"),
+            ({"d_img": 0}, "d_img must be >= 1"),
+            ({"n_subjects": 0}, "n_subjects must be >= 1"),
+            ({"embed_dim": 0}, "embed_dim must be >= 1"),
+            ({"n_slides": 700}, "n_slides must be <= n_spots"),
+            ({"noise_sigma": -1.0}, "noise_sigma must be finite and >= 0"),
+            ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0"),
+            ({"censor_rate": 1.5}, "censor_rate must be in [0, 1]"),
+        ],
+        ids=["negative_spots", "one_spot", "no_genes", "no_pathways", "no_slides", "no_d_img",
+             "no_subjects", "no_embed_dim", "slides_above_spots", "negative_noise", "nan_noise",
+             "censor_above_1"],
+    )
+    def test_synth_refuses(self, tmp_path, capsys, fields, needle):
+        err = _config_error(tmp_path, capsys, {"synth": fields})
+        assert err["error"] == "error" and err["message"] == f"synth config: {needle}"
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_rate_overflow_refused(self, tmp_path, capsys):
+        err = _config_error(tmp_path, capsys, {"synth": {"noise_sigma": 10.0}})
+        assert err == {
+            "error": "error", "message": "noise_sigma 10.0 makes a Poisson rate too large"
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, fields, needle",
+        [
+            ("train", {"lr": -1.0}, "lr > 0"),
+            ("train", {"lr": 0}, "lr > 0"),
+            ("train", {"lr": float("nan")}, "lr > 0"),
+            ("train", {"weight_decay": -1e-3}, "weight_decay >= 0"),
+            ("train", {"patience": 0}, "1 <= patience"),
+            ("preprocess", {"target_sum": float("nan")}, "target_sum must be finite"),
+            ("preprocess", {"target_sum": float("inf")}, "target_sum must be finite"),
+        ],
+        ids=["negative_lr", "zero_lr", "nan_lr", "negative_decay", "no_patience",
+             "nan_target_sum", "inf_target_sum"],
+    )
+    def test_training_sections_refuse(self, pipeline, tmp_path, capsys, section, fields, needle):
+        _, data, _ = pipeline
+        if section == "train":
+            inputs = _DATASET
+            argv = ["train-contrastive"]
+        else:
+            inputs = {"expression": "expression.tsv", "coords": "coords.csv"}
+            argv = ["preprocess"]
+        argv += [x for k, name in inputs.items() for x in (f"--{k}", str(data / name))]
+        err = _config_error(tmp_path, capsys, {section: fields}, argv)
+        assert err["error"] == "error" and needle in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "row, needle",
+        [
+            ("subj0001,nan,1,subj0001_slide0", "time must be finite and > 0, got 'nan'"),
+            ("subj0001,inf,0,subj0001_slide0", "time must be finite and > 0, got 'inf'"),
+            ("subj0000,2.5,1,subj0000_slide0", "duplicate subject_id 'subj0000'"),
+        ],
+        ids=["nan_time", "inf_time", "repeated_subject"],
+    )
+    @pytest.mark.parametrize("command", ["survival-train", "survival-eval"])
+    def test_survival_table_refuses(
+        self, pipeline, cox_checkpoint, tmp_path, capsys, command, row, needle
+    ):
+        _, data, _ = pipeline
+        lines = (data / "survival.csv").read_text().splitlines()
+        lines[2] = row  # the second subject, physical line 3
+        table = tmp_path / "survival.csv"
+        table.write_text("\n".join(lines) + "\n")
+        argv = [command, "--survival", str(table)]
+        argv += ["--embeddings", str(data / _SURVIVAL["embeddings"])]
+        if command == "survival-eval":
+            argv += ["--checkpoint", str(cox_checkpoint)]
+        argv += ["--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "data_format", "message": f"{table}: line 3: {needle}"}
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigSurface:

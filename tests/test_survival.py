@@ -55,6 +55,11 @@ def brute_force_c_index(risks, times, events):
     return num / den
 
 
+def cohort_array(bags):
+    """The (E, sizes) form of a list of per-subject (M_i, d) bags."""
+    return np.concatenate(bags, axis=0), [len(b) for b in bags]
+
+
 class TestCoxLoss:
     def test_two_equal_risks_ln2(self):
         loss = cox_loss(Tensor(np.zeros((2, 1))), [1.0, 2.0], [True, False])
@@ -164,7 +169,7 @@ class TestCoxHead:
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=0)
         rng = np.random.default_rng(4)
         E = rng.normal(size=(6, 4))
-        pooled = head.pool([E]).values
+        pooled = head.pool(E, [6]).values
         assert pooled.shape == (1, 4)
         # convex combination stays inside the per-coordinate envelope
         assert np.all(pooled[0] <= E.max(axis=0) + 1e-6)
@@ -173,12 +178,12 @@ class TestCoxHead:
     def test_pool_single_spot_identity(self):
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=0)
         E = np.random.default_rng(5).normal(size=(1, 4)).astype(np.float32)
-        np.testing.assert_allclose(head.pool([E]).values, E, atol=1e-6)
+        np.testing.assert_allclose(head.pool(E, [1]).values, E, atol=1e-6)
 
     def test_pool_constant_rows(self):
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=0)
         E = np.tile(np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32), (5, 1))
-        np.testing.assert_allclose(head.pool([E]).values[0], E[0], atol=1e-6)
+        np.testing.assert_allclose(head.pool(E, [5]).values[0], E[0], atol=1e-6)
 
     def test_subject_risks_match_per_bag_reference(self):
         # the pooling formula applied bag by bag in float64, as one graph per
@@ -190,10 +195,10 @@ class TestCoxHead:
         expected = []
         for E in bags:
             E = E.astype(np.float32).astype(np.float64)  # what the head sees
-            logits = (np.tanh(E @ p["attn.w1"] + p["attn.b1"]) @ p["attn.w2"] + p["attn.b2"])[:, 0]
+            logits = (np.tanh(E @ p["attn.w1"] + p["attn.b1"]) @ p["attn.w2"])[:, 0]
             w = np.exp(logits - logits.max())
-            expected.append((w / w.sum()) @ E @ p["risk.w"] + p["risk.b"])
-        got = head.subject_risks(bags)
+            expected.append((w / w.sum()) @ E @ p["risk.w"])
+        got = head.subject_risks(*cohort_array(bags))
         assert got.shape == (6, 1) and got.dtype == np.float32
         np.testing.assert_allclose(got.values, np.array(expected), rtol=0, atol=1e-5)
 
@@ -201,7 +206,7 @@ class TestCoxHead:
         def n_nodes(n_subjects):
             rng = np.random.default_rng(n_subjects)
             bags = [rng.normal(size=(m, 4)) for m in rng.integers(1, 9, size=n_subjects)]
-            risks = CoxHead(embed_dim=4, attn_hidden=3).subject_risks(bags)
+            risks = CoxHead(embed_dim=4, attn_hidden=3).subject_risks(*cohort_array(bags))
             loss = cox_loss(risks, np.arange(n_subjects, dtype=float), np.ones(n_subjects, bool))
             seen, stack = set(), [loss]  # the nodes backward() visits
             while stack:
@@ -211,15 +216,23 @@ class TestCoxHead:
                     stack.extend(t._parents)
             return len(seen)
 
-        assert n_nodes(3) == n_nodes(30) == 15  # 9 ops and 6 parameters
+        assert n_nodes(3) == n_nodes(30) == 11  # 7 ops and 4 parameters
 
     @pytest.mark.parametrize(
-        "bags", [[], [np.zeros((0, 4))], [np.zeros(4)], [np.zeros((2, 3))]],
-        ids=["no_bags", "empty_bag", "one_dim", "wrong_width"],
+        "E, sizes",
+        [
+            (np.zeros((3, 4)), []),
+            (np.zeros((3, 4)), [3, 0]),
+            (np.zeros((3, 4)), [2]),
+            (np.zeros((3, 4)), [1, 1, 2]),
+            (np.zeros(4), [1]),
+            (np.zeros((2, 3)), [2]),
+        ],
+        ids=["no_bags", "empty_bag", "sum_below_n", "sum_above_n", "one_dim", "wrong_width"],
     )
-    def test_pool_rejects_bad_bags(self, bags):
+    def test_pool_rejects_bad_bags(self, E, sizes):
         with pytest.raises(PearlError):
-            CoxHead(embed_dim=4, attn_hidden=3).pool(bags)
+            CoxHead(embed_dim=4, attn_hidden=3).pool(E, sizes)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         head = CoxHead(embed_dim=4, attn_hidden=3, seed=1)
@@ -284,7 +297,7 @@ class TestTrainCox:
         table, embeddings, _ = gen_survival_cohort(seed=seed, n_subjects=n_subjects, **kwargs)
         times = np.array([r.time for r in table.rows])
         events = np.array([r.event for r in table.rows])
-        return [embeddings[r.slide_ids[0]] for r in table.rows], times, events
+        return (*cohort_array([embeddings[r.slide_ids[0]] for r in table.rows]), times, events)
 
     def test_initial_weights_match_xavier_draws(self):
         head = CoxHead(embed_dim=6, attn_hidden=4, seed=3)
@@ -295,22 +308,21 @@ class TestTrainCox:
             assert head.params[name].values.tobytes() == expected.tobytes()
 
     def test_non_finite_embedding_diverges(self):
-        embs, times, events = self._cohort()
-        embs[4] = embs[4].copy()
-        embs[4][0, 0] = np.nan
+        E, sizes, times, events = self._cohort()
+        E[sum(sizes[:4]), 0] = np.nan  # the first spot of subject 4
         with pytest.raises(TrainingDiverged) as info:
-            train_cox(embs, times, events, SurvivalTrainConfig(max_epochs=3, patience=1))
+            train_cox(E, sizes, times, events, SurvivalTrainConfig(max_epochs=3, patience=1))
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_early_stop_restores_best_epoch(self):
         # an epoch's loss is taken before its step: the restored head is the
         # one that produced the best recorded loss, not the one a step later
-        embs, times, events = self._cohort(seed=0, n_subjects=160, embed_dim=16)
+        E, sizes, times, events = self._cohort(seed=0, n_subjects=160, embed_dim=16)
         cfg = SurvivalTrainConfig(max_epochs=300, patience=4, lr=0.3)
-        head, history = train_cox(embs, times, events, cfg)
+        head, history = train_cox(E, sizes, times, events, cfg)
         best = int(np.argmin(history))
         assert len(history) == best + 1 + cfg.patience < cfg.max_epochs
-        assert cox_loss(head.subject_risks(embs), times, events).item() == min(history)
+        assert cox_loss(head.subject_risks(E, sizes), times, events).item() == min(history)
 
     @pytest.mark.parametrize(
         "fields",
@@ -344,8 +356,8 @@ class TestTrainCox:
         cfg = SurvivalTrainConfig(
             max_epochs=200, patience=40, lr=1e-2, weight_decay=1e-2, seed=0
         )
-        head, history = train_cox(embs[:half], times[:half], events[:half], cfg)
-        held_r = predict_risks(head, embs[half:])
+        head, history = train_cox(*cohort_array(embs[:half]), times[:half], events[:half], cfg)
+        held_r = predict_risks(head, *cohort_array(embs[half:]))
         ci = c_index(held_r, times[half:], events[half:])
         assert ci >= 0.85
         assert history[-1] <= history[0]
@@ -354,10 +366,10 @@ class TestTrainCox:
         table, embeddings, _ = gen_survival_cohort(seed=1, n_subjects=12)
         times = np.array([r.time for r in table.rows])
         events = np.array([r.event for r in table.rows])
-        embs = [embeddings[r.slide_ids[0]] for r in table.rows]
+        E, sizes = cohort_array([embeddings[r.slide_ids[0]] for r in table.rows])
         cfg = SurvivalTrainConfig(max_epochs=10, patience=5, seed=3)
-        h1, hist1 = train_cox(embs, times, events, cfg)
-        h2, hist2 = train_cox(embs, times, events, cfg)
+        h1, hist1 = train_cox(E, sizes, times, events, cfg)
+        h2, hist2 = train_cox(E, sizes, times, events, cfg)
         assert hist1 == hist2
         for (_, p1), (_, p2) in zip(h1.parameters(), h2.parameters()):
             np.testing.assert_array_equal(p1.values, p2.values)
