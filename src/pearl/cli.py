@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -103,9 +104,21 @@ def _outpath(args, name):
 
 
 def _write_json(path, obj):
+    """Write `obj` as JSON, a float with no finite value (an undefined metric,
+    e.g. the PCC of a constant column) as null: RFC 8259 has no NaN."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_curve(path, columns):
@@ -222,11 +235,11 @@ def cmd_predict(args, cfg):
     path_names = [f"p{j}" for j in range(yp.values.shape[1])]
     gene_names = [f"g{j}" for j in range(yg.values.shape[1])]
     data_io.write_scores(
-        data_io.PathwayScoreMatrix(patch.spot_ids, path_names, yp.values.astype(np.float64)),
+        data_io.PathwayScoreMatrix(patch.spot_ids, path_names, yp.values),
         _outpath(args, "yhat_path.tsv"),
     )
     data_io.write_scores(
-        data_io.PathwayScoreMatrix(patch.spot_ids, gene_names, yg.values.astype(np.float64)),
+        data_io.PathwayScoreMatrix(patch.spot_ids, gene_names, yg.values),
         _outpath(args, "yhat_gene.tsv"),
     )
     if args.emit_embeddings:

@@ -5,9 +5,11 @@ Formats:
   - expression matrices, dense TSV or sparse triplet TSV
   - spot coordinates CSV
   - survival CSV
-  - float tables, TSV of id columns then floats written with repr: patch
-    features (spot_id f0...), pathway scores (spot <pathway>...) and slide
-    embeddings (spot_id slide_id e0..., one row per spot)
+  - float tables, TSV of id columns then floats: patch features
+    (spot_id f0...), pathway scores (spot <pathway>...) and slide embeddings
+    (spot_id slide_id e0..., one row per spot).  A float32 table is written
+    at 9 significant digits and any other at 17, as float64: the fewest that
+    round-trip every value of the dtype (IEEE 754 binary32 and binary64)
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
 
 Text tables are read through `_rows`, so a malformed file raises
@@ -162,7 +164,9 @@ class PathwayScoreMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+        # float32 (model predictions) stays float32, so it is written at 9 digits
+        if np.asarray(self.scores).dtype != np.float32:
+            self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.shape != (len(self.spot_ids), len(self.pathway_names)):
             raise DataFormatError("score matrix shape does not match id lists")
         if not np.all(np.isfinite(self.scores)):
@@ -465,11 +469,18 @@ def _read_float_table(path, id_names):
     """(one list per id column, float column names, float64 values) of a TSV.
 
     numpy parses a row per call, rounding as float() does.  An empty table, a
-    cell that is not a finite number or a repeated first id is an error.
+    header with no value column or a repeated value-column name, a cell that
+    is not a finite number or a repeated first id is an error.
     """
     rows = _rows(path, "\t", id_names)
     header_line, header = next(rows)
     k = len(id_names)
+    names = header[k:]
+    if not names:
+        raise DataFormatError("no value column after the id columns", line=header_line)
+    if len(set(names)) != len(names):
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
     ids = [[] for _ in id_names]
     values, seen = [], set()
     for lineno, fields in rows:
@@ -487,15 +498,23 @@ def _read_float_table(path, id_names):
         values.append(row)
     if not values:
         raise DataFormatError("no rows after the header", line=header_line)
-    return ids, header[k:], np.array(values)
+    return ids, names, np.array(values)
 
 
 def _write_float_table(path, header, ids, values):
-    """Write `header`, then per row its id fields and each value's repr."""
+    """Write `header`, then per row its id fields and its values.
+
+    A float32 array is written at 9 significant digits, anything else as
+    float64 at 17, so every value reads back exactly in its dtype.  Each row
+    is one `%` call; rows are converted one at a time, so no Python float
+    list of the whole table is held.
+    """
+    digits = 9 if values.dtype == np.float32 else 17
+    fmt = f"\t%.{digits}g" * values.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for row_ids, row in zip(ids, values):
-            fh.write("\t".join([*row_ids, *map(repr, row.tolist())]) + "\n")
+            fh.write("\t".join(row_ids) + fmt % tuple(row.tolist()))
 
 
 @_names_file

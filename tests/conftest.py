@@ -28,6 +28,11 @@ def tamper_manifest(path, kind):
     path.write_text(json.dumps(manifest))
 
 
+def significant_digits(cell):
+    """Significant digits of a number written as text, e.g. 3 for '-1.25e-07'."""
+    return len(cell.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0"))
+
+
 def pytest_terminal_summary(terminalreporter):
     if acceptance_lines:
         terminalreporter.section("acceptance criteria")

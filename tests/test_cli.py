@@ -7,11 +7,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pearl import cli, data_io, survival
+from pearl import autodiff as ad
+from pearl import cli, data_io, survival, trainer
 from pearl.cli import _read_slide_embeddings, main
+from pearl.encoders import load_model
 from pearl.errors import DataFormatError
 
-from conftest import MANIFEST_TAMPERS, tamper_manifest
+from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
 
 
 def run(argv):
@@ -133,6 +135,19 @@ class TestPipeline:
         assert emb_lines[0].startswith("spot_id\tslide_id\te0")
         assert len(emb_lines) == 49
 
+    def test_predictions_are_the_models_float32_outputs(self, pipeline):
+        _, data, _ = pipeline
+        model, _ = load_model(str(data / "final"))
+        h = trainer.embed_images(model, data_io.read_features(data / "features.tsv").features)
+        with ad.no_grad():
+            yp, _ = model.predict_heads(h)
+        for name, k, expected in (("yhat_path.tsv", 1, yp.values), ("embeddings.tsv", 2, h)):
+            assert expected.dtype == np.float32
+            rows = [ln.split("\t")[k:] for ln in (data / name).read_text().splitlines()[1:]]
+            assert max(significant_digits(c) for row in rows for c in row) <= 9, name
+            written = np.array(rows, dtype=np.float64).astype(np.float32)
+            assert written.tobytes() == expected.tobytes(), name
+
     def test_evaluate_report(self, pipeline, tmp_path):
         _, data, _ = pipeline
         assert run(
@@ -236,6 +251,58 @@ class TestPipeline:
         for fold in range(2):
             rep = json.loads((tmp_path / f"fold_{fold}.json").read_text())
             assert rep["n_test_spots"] == 24
+
+
+def _strict_json(path):
+    """Parse `path` as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name}: non-standard constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestUndefinedMetrics:
+    """An undefined metric (the PCC of a constant column) is a result: the
+    command exits 0 and the JSON report holds null."""
+
+    def test_evaluate_constant_truth(self, tmp_path):
+        ids, names = [f"s{i}" for i in range(4)], ["A", "B"]
+        pred = np.arange(8.0).reshape(4, 2)
+        data_io.write_scores(data_io.PathwayScoreMatrix(ids, names, pred), tmp_path / "p.tsv")
+        truth = np.ones((4, 2))
+        data_io.write_scores(data_io.PathwayScoreMatrix(ids, names, truth), tmp_path / "t.tsv")
+        argv = ["evaluate", "--out-dir", str(tmp_path),
+                "--pred", str(tmp_path / "p.tsv"), "--truth", str(tmp_path / "t.tsv")]
+        assert run(argv) == 0
+        rep = _strict_json(tmp_path / "report.json")
+        assert rep["mean_pcc"] is None
+        assert rep["n_undefined_pcc"] == 2
+        assert rep["mse"] == float(((pred - truth) ** 2).mean())
+
+    def test_run_cv_constant_predictions(self, pipeline, tmp_path, monkeypatch):
+        _, data, cfg_path = pipeline
+        cfg = json.loads(cfg_path.read_text())
+        cfg["paths"] = {
+            "expression": str(data / "expression.tsv"),
+            "coords": str(data / "coords.csv"),
+            "gene_sets": str(data / "gene_sets.gmt"),
+            "features": str(data / "features.tsv"),
+        }
+        (tmp_path / "cv.json").write_text(json.dumps(cfg))
+        evaluate = cli.evaluate_expression
+        monkeypatch.setattr(
+            cli, "evaluate_expression", lambda pred, truth: evaluate(np.zeros_like(pred), truth)
+        )
+        argv = ["run-cv", "--config", str(tmp_path / "cv.json"),
+                "--out-dir", str(tmp_path), "--folds", "2"]
+        assert run(argv) == 0
+        for fold in range(2):
+            rep = _strict_json(tmp_path / f"fold_{fold}.json")
+            assert rep["pathway"]["mean_pcc"] is None and rep["gene"]["mean_pcc"] is None
+        agg = _strict_json(tmp_path / "aggregate.json")
+        assert agg["pathway"]["mean_pcc"] == {"mean": None, "std": None}
+        assert agg["pathway"]["mse"]["mean"] > 0
 
 
 @pytest.fixture(scope="module")

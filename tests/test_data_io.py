@@ -20,7 +20,7 @@ from pearl.errors import (
     DataFormatError,
 )
 
-from conftest import MANIFEST_TAMPERS, tamper_manifest
+from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
 
 
 class TestGmt:
@@ -280,6 +280,88 @@ class TestTextTables:
         )
         expected = np.array([[float(c) for c in row] for row in cells])
         assert data_io.read_scores(p).scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (data_io.read_features, "spot_id\ns1\n", "no value column"),
+            (data_io.read_scores, "spot\ns1\n", "no value column"),
+            (data_io.read_embeddings, "spot_id\tslide_id\ns1\tsl\n", "no value column"),
+            (data_io.read_scores, "spot\tA\tB\tA\ns1\t1\t2\t3\n", "repeated column 'A'"),
+            (data_io.read_features, "spot_id\tf0\tf0\ns1\t1\t2\n", "repeated column 'f0'"),
+        ],
+        ids=["features_ids_only", "scores_ids_only", "embeddings_ids_only",
+             "scores_repeated", "features_repeated"],
+    )
+    def test_header_needs_distinct_value_columns(self, tmp_path, reader, text, message):
+        p = tmp_path / "t.tsv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=message) as info:
+            reader(p)
+        assert info.value.line == 1
+
+    F64_EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1 / 3,
+        1e15 + 1, 2.0**53 + 2, -(2.0**63), 123456789012345678.0,
+        3.4028234663852886e38, 1.1754943508222875e-38, 1.401298464324817e-45,
+    ]
+    F32_EDGES = [
+        0.0, -0.0, 1.401298464324817e-45, -1.401298464324817e-45, 1.1754942106924411e-38,
+        1.1754943508222875e-38, 3.4028234663852886e38, -3.4028234663852886e38,
+        1e15 + 2**20, 2.0**60, 16777217.0, 0.1, 1 / 3,
+    ]
+
+    def _table(self, dtype, rows=30, cols=8):
+        """Edge values first, then random ones over most of the dtype's exponent range."""
+        rng = np.random.default_rng(11)
+        if dtype == np.float64:
+            edges, exponents = self.F64_EDGES, (-300, 300)
+        else:
+            edges, exponents = self.F32_EDGES, (-44, 37)
+        values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(*exponents, size=(rows, cols))
+        values.flat[: len(edges)] = edges
+        return values.astype(dtype)
+
+    @pytest.mark.parametrize(
+        "table, dtype",
+        [
+            ("scores", np.float64),
+            ("scores", np.float32),
+            ("embeddings", np.float64),
+            ("embeddings", np.float32),
+            ("features", np.float64),
+        ],
+        ids=["scores64", "scores32", "embeddings64", "embeddings32", "features64"],
+    )
+    def test_float_table_round_trips_bit_exact(self, tmp_path, table, dtype):
+        values = self._table(dtype)
+        assert np.isfinite(values).all()
+        ids = [f"s{i}" for i in range(len(values))]
+        p = tmp_path / "t.tsv"
+        if table == "scores":
+            names = [f"p{j}" for j in range(values.shape[1])]
+            data_io.write_scores(data_io.PathwayScoreMatrix(ids, names, values), p)
+            back = data_io.read_scores(p).scores
+        elif table == "embeddings":
+            data_io.write_embeddings(ids, ["sl"] * len(ids), values, p)
+            back = data_io.read_embeddings(p)[2]
+        else:
+            data_io.write_features(data_io.PatchFeatureMatrix(ids, values), p)
+            back = data_io.read_features(p).features
+        assert back.dtype == np.float64
+        assert back.astype(dtype).tobytes() == values.tobytes()
+        k = 2 if table == "embeddings" else 1
+        cells = [c for ln in p.read_text().splitlines()[1:] for c in ln.split("\t")[k:]]
+        assert len(cells) == values.size
+        digits = 9 if dtype == np.float32 else 17
+        assert max(map(significant_digits, cells)) == digits
+
+    def test_float32_scores_stay_float32(self):
+        sm = data_io.PathwayScoreMatrix(["s"], ["p"], np.ones((1, 1), np.float32))
+        assert sm.scores.dtype == np.float32
+        sm = data_io.PathwayScoreMatrix(["s"], ["p"], np.ones((1, 1), np.int64))
+        assert sm.scores.dtype == np.float64
 
     def test_embeddings_roundtrip(self, tmp_path):
         values = np.array([[0.1, -2.5], [3.0, 1e-300], [7.25, 0.0]])
