@@ -23,6 +23,8 @@ from .errors import PearlError
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+_LAYER_NORM_EPS = 1e-5
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _grad_enabled = True
 
 
@@ -270,13 +272,13 @@ def softmax_rows(a):
     return _node(out, (a,), bw)
 
 
-def layer_norm(a, gain, bias, eps=1e-5):
+def layer_norm(a, gain, bias):
     """Per-row standardization followed by an affine transform."""
     x = a.values
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.values + bias.values
     n = x.shape[-1]
@@ -404,13 +406,10 @@ def reshape(a, shape):
 class AdamW:
     """AdamW with decoupled weight decay (decay applied directly to params)."""
 
-    def __init__(self, params, lr=1e-4, weight_decay=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, weight_decay):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -418,19 +417,19 @@ class AdamW:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - _ADAM_BETA1**t
+        bc2 = 1.0 - _ADAM_BETA2**t
         for i, p in enumerate(self.params):
             p.values *= 1.0 - self.lr * self.weight_decay
             g = p.grad
             if g is None:
                 continue
             g = g.astype(p.values.dtype, copy=False)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = _ADAM_BETA1 * self.m[i] + (1.0 - _ADAM_BETA1) * g
+            self.v[i] = _ADAM_BETA2 * self.v[i] + (1.0 - _ADAM_BETA2) * (g * g)
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.values -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.values -= self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
     def zero_grad(self):
         zero_grads(self.params)

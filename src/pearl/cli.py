@@ -1,13 +1,14 @@
 """Command-line orchestration of the pipeline.
 
 Every subcommand reads declared inputs, writes declared outputs under
---out-dir, and exits 0 on success; every failure, a usage error included,
-prints a machine-readable JSON object to stderr and exits 1.  Hyperparameters
-come from a single JSON config file, built into one dataclass per section
-before any subcommand runs; a field that a command fills in itself (from
---seed or the input tables) is refused.  Paths come from flags (run-cv takes
-them from the "paths" section).  Every table is read and written through
-data_io.
+--out-dir (gradcheck prints its report), and exits 0 on success; every
+failure, a usage error included, prints a machine-readable JSON object to
+stderr and exits 1.  A subcommand declares only the flags it reads, so any
+other flag is a usage error.  Hyperparameters come from a single JSON config
+file, built into one dataclass per section before any subcommand runs; a
+field that a command fills in itself (from --seed or the input tables) is
+refused.  Paths come from flags (run-cv takes them from the "paths"
+section).  Every table is read and written through data_io.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io, preprocess, ssgsea, synthgen, survival, trainer
 from .encoders import ModelConfig, PearlModel, load_model, save_model
-from .errors import ConfigError, PearlError, UsageError
+from .errors import ConfigError, DataFormatError, PearlError, UsageError
 from .metrics import evaluate_expression
 from .preprocess import PreprocessConfig
 from .ssgsea import SsgseaConfig
@@ -70,7 +71,7 @@ def load_config(path):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -227,8 +228,15 @@ def cmd_train_heads(args, cfg):
 
 
 def cmd_predict(args, cfg):
+    if args.emit_embeddings != (args.coords is not None):
+        raise UsageError("pearl predict: --emit-embeddings and --coords go together")
     model, _ = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
+    if args.emit_embeddings:
+        slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
+        absent = next((sid for sid in patch.spot_ids if sid not in slide_of), None)
+        if absent is not None:
+            raise DataFormatError(f"no coordinates for feature spot {absent!r}", path=args.coords)
     h = trainer.embed_images(model, patch.features)
     with ad.no_grad():
         yp, yg = model.predict_heads(h)
@@ -243,12 +251,9 @@ def cmd_predict(args, cfg):
         _outpath(args, "yhat_gene.tsv"),
     )
     if args.emit_embeddings:
-        slide_of = {}
-        if args.coords:
-            slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
         data_io.write_embeddings(
             patch.spot_ids,
-            [slide_of.get(sid, "") for sid in patch.spot_ids],
+            [slide_of[sid] for sid in patch.spot_ids],
             h,
             _outpath(args, "embeddings.tsv"),
         )
@@ -393,48 +398,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# the flags several subcommands share; each command declares only those it reads
+_COMMON = {
+    "config": {"default": None},
+    "seed": {"type": int, "default": 0},
+    "threads": {"type": int, "default": 1},
+    "out_dir": {"default": "."},
+}
+_SEEDED = ("config", "seed", "out_dir")
+_THREADED = ("config", "seed", "threads", "out_dir")
+
+
 def build_parser():
     parser = _Parser(prog="pearl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **flags):
+    def add(name, fn, common, **flags):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out-dir", default=".")
+        for flag in common:
+            p.add_argument(f"--{flag.replace('_', '-')}", **_COMMON[flag])
         for flag, required in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", required=required, default=None)
         return p
 
-    add("synth", cmd_synth)
-    add("preprocess", cmd_preprocess, expression=True, coords=True)
-    add("score-pathways", cmd_score_pathways, expression=True, gene_sets=True)
-    add(
-        "train-contrastive",
-        cmd_train_contrastive,
-        scores=True,
-        coords=True,
-        features=True,
-        hvg=True,
-    )
-    add(
-        "train-heads",
-        cmd_train_heads,
-        checkpoint=True,
-        scores=True,
-        coords=True,
-        features=True,
-        hvg=True,
-    )
-    p = add("predict", cmd_predict, checkpoint=True, features=True, coords=False)
+    dataset = {"scores": True, "coords": True, "features": True, "hvg": True}
+    cohort = {"embeddings": True, "survival": True}
+    add("synth", cmd_synth, _SEEDED)
+    add("preprocess", cmd_preprocess, ("config", "out_dir"), expression=True, coords=True)
+    add("score-pathways", cmd_score_pathways, _THREADED, expression=True, gene_sets=True)
+    add("train-contrastive", cmd_train_contrastive, _SEEDED, **dataset)
+    add("train-heads", cmd_train_heads, _SEEDED, checkpoint=True, **dataset)
+    p = add("predict", cmd_predict, ("out_dir",), checkpoint=True, features=True, coords=False)
     p.add_argument("--emit-embeddings", action="store_true")
-    add("evaluate", cmd_evaluate, pred=True, truth=True)
-    add("survival-train", cmd_survival_train, embeddings=True, survival=True)
-    add("survival-eval", cmd_survival_eval, checkpoint=True, embeddings=True, survival=True)
-    add("gradcheck", cmd_gradcheck)
-    p = add("run-cv", cmd_run_cv)
+    add("evaluate", cmd_evaluate, ("out_dir",), pred=True, truth=True)
+    add("survival-train", cmd_survival_train, _SEEDED, **cohort)
+    add("survival-eval", cmd_survival_eval, ("out_dir",), checkpoint=True, **cohort)
+    add("gradcheck", cmd_gradcheck, ())
+    p = add("run-cv", cmd_run_cv, _THREADED)
     p.add_argument("--folds", type=int, default=5)
     return parser
 
@@ -443,11 +444,11 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             parser.error("argument --threads: must be >= 1")
         if getattr(args, "folds", 2) < 2:  # one fold trains on no slide, zero runs none
             parser.error("argument --folds: must be >= 2")
-        return args.fn(args, load_config(args.config))
+        return args.fn(args, load_config(getattr(args, "config", None)))
     except PearlError as exc:
         return _fail(exc.code, exc)
     except OSError as exc:  # e.g. a missing, unreadable or directory path

@@ -2,7 +2,7 @@
 
 Formats:
   - GMT gene sets (name TAB description TAB gene...)
-  - expression matrices, dense TSV or sparse triplet TSV
+  - expression matrices, sparse triplet TSV (spot TAB gene TAB value)
   - spot coordinates CSV
   - survival CSV
   - float tables, TSV of id columns then floats: patch features
@@ -174,7 +174,8 @@ class PathwayScoreMatrix:
 
 
 def _names_file(reader):
-    """Make a DataFormatError raised by `reader(path, ...)` name the path."""
+    """Make a DataFormatError raised by `reader(path, ...)`, or bytes that are
+    not UTF-8, a DataFormatError naming the path."""
 
     @functools.wraps(reader)
     def read(path, *args, **kwargs):
@@ -182,6 +183,8 @@ def _names_file(reader):
             return reader(path, *args, **kwargs)
         except DataFormatError as exc:
             raise DataFormatError(exc.detail, exc.line, path) from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from None
 
     return read
 
@@ -280,38 +283,13 @@ def _rows(path, sep, head, exact=False, empty_ok=False):
 
 
 @_names_file
-def parse_expression(path, fmt="sparse_triplet_tsv", value_kind=RAW_COUNTS):
-    """Parse a dense or sparse-triplet expression TSV.
+def parse_expression(path, value_kind=RAW_COUNTS):
+    """Parse a sparse-triplet expression TSV: a `spot gene value` header, then
+    one line per cell, spots and genes numbered in order of first appearance.
 
     `value_kind` tags the result; files written mid-pipeline (after
     normalization) are re-read with value_kind=normalized_log.
     """
-    if fmt == "dense_tsv":
-        m = _parse_dense(path)
-    elif fmt == "sparse_triplet_tsv":
-        m = _parse_triplets(path)
-    else:
-        raise DataFormatError(f"unknown expression format {fmt!r}")
-    m.value_kind = value_kind
-    return m
-
-
-def _parse_dense(path):
-    rows = _rows(path, "\t", ("spot",), empty_ok=True)
-    _, header = next(rows, (1, ["spot"]))
-    spot_ids, row_idx, cols, vals = [], [], [], []
-    for lineno, fields in rows:
-        spot_ids.append(fields[0].strip())
-        for j, cell in enumerate(fields[1:]):
-            v = _parse_value(cell, lineno)
-            if v != 0.0:
-                row_idx.append(len(spot_ids) - 1)
-                cols.append(j)
-                vals.append(v)
-    return _raw_counts(spot_ids, [g.strip() for g in header[1:]], row_idx, cols, vals)
-
-
-def _parse_triplets(path):
     rows = _rows(path, "\t", ("spot", "gene", "value"), exact=True, empty_ok=True)
     next(rows, None)
     spot_index, gene_index, seen_pairs = {}, {}, set()
@@ -328,14 +306,9 @@ def _parse_triplets(path):
             row_idx.append(si)
             cols.append(gi)
             vals.append(v)
-    return _raw_counts(list(spot_index), list(gene_index), row_idx, cols, vals)
-
-
-def _raw_counts(spot_ids, gene_ids, rows, cols, vals):
-    """ExpressionMatrix from the (row, column, value) of its nonzero entries."""
-    mat = np.zeros((len(spot_ids), len(gene_ids)))
-    mat[np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)] = vals
-    return ExpressionMatrix(spot_ids, gene_ids, mat, RAW_COUNTS)
+    mat = np.zeros((len(spot_index), len(gene_index)))
+    mat[np.asarray(row_idx, dtype=np.intp), np.asarray(cols, dtype=np.intp)] = vals
+    return ExpressionMatrix(list(spot_index), list(gene_index), mat, value_kind)
 
 
 def _parse_value(cell, lineno):
@@ -350,27 +323,18 @@ def _parse_value(cell, lineno):
     return v
 
 
-def write_expression(m, path, fmt="sparse_triplet_tsv"):
-    if fmt == "dense_tsv":
-        dense = m.dense()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("spot\t" + "\t".join(m.gene_ids) + "\n")
-            for i, sid in enumerate(m.spot_ids):
-                fh.write(sid + "\t" + "\t".join(_fmt(v) for v in dense[i]) + "\n")
-    elif fmt == "sparse_triplet_tsv":
-        dense = m.dense()
-        row, col = np.nonzero(dense)
-        # canonical order: by row, then gene id, so serialization does not
-        # depend on internal column numbering
-        gene_rank = np.argsort(np.argsort(m.gene_ids, kind="stable"), kind="stable")
-        order = np.lexsort((gene_rank[col], row))
-        row, col = row[order], col[order]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("spot\tgene\tvalue\n")
-            for i, j, v in zip(row.tolist(), col.tolist(), dense[row, col].tolist()):
-                fh.write(f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{_fmt(v)}\n")
-    else:
-        raise DataFormatError(f"unknown expression format {fmt!r}")
+def write_expression(m, path):
+    """Write `m` as a sparse-triplet TSV: one line per nonzero cell, by spot,
+    then by gene id, so the bytes do not depend on the column numbering."""
+    dense = m.dense()
+    row, col = np.nonzero(dense)
+    gene_rank = np.argsort(np.argsort(m.gene_ids, kind="stable"), kind="stable")
+    order = np.lexsort((gene_rank[col], row))
+    row, col = row[order], col[order]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("spot\tgene\tvalue\n")
+        for i, j, v in zip(row.tolist(), col.tolist(), dense[row, col].tolist()):
+            fh.write(f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{_fmt(v)}\n")
 
 
 def _fmt(v):

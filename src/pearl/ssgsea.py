@@ -48,20 +48,16 @@ class SsgseaConfig:
             raise PearlError("weight_exponent must be finite and >= 0")
 
 
-def rank_genes(values, gene_ids=None):
-    """Sort genes by expression descending; ties by ascending canonical id.
+def rank_genes(values):
+    """Sort genes by expression descending; ties by ascending index (canonical
+    gene-id order, as every caller passes them).
 
     Returns (order, weights): `order` holds input indices in rank order and
     weights[j] = n_genes - j for 0-based position j.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    if gene_ids is None:
-        tie_key = np.arange(n)
-    else:
-        tie_key = np.empty(n, dtype=np.int64)
-        tie_key[np.argsort(gene_ids, kind="stable")] = np.arange(n)
-    order = np.lexsort((tie_key, -values))
+    order = np.argsort(-values, kind="stable")
     weights = np.arange(n, 0, -1, dtype=np.float64)
     return order, weights
 
@@ -82,7 +78,7 @@ def _running_sum_es(hit_mask, weights, alpha):
     return (p_in - p_out).sum(axis=-1)
 
 
-def enrichment_score(order, weights, member_mask, alpha, pathway="<set>"):
+def enrichment_score(order, weights, member_mask, alpha):
     """ES of one gene set for one spot.
 
     `member_mask` is boolean over input gene indices; `order`/`weights` come
@@ -92,9 +88,9 @@ def enrichment_score(order, weights, member_mask, alpha, pathway="<set>"):
     m = int(member_mask.sum())
     n = weights.shape[0]
     if m == 0:
-        raise MissingPathwayGenes(pathway)
+        raise MissingPathwayGenes("<set>")
     if m == n:
-        raise DegeneratePathway(pathway)
+        raise DegeneratePathway("<set>")
     return float(_running_sum_es(member_mask[order], weights, alpha))
 
 

@@ -149,14 +149,13 @@ class SurvivalTrainConfig:
             raise PearlError("survival: need lr > 0 and weight_decay >= 0")
 
 
-def train_cox(E, sizes, times, events, config=None):
+def train_cox(E, sizes, times, events, config):
     """Full-batch Cox training; returns (head, loss_history).
 
     `E` stacks every subject's spot embeddings, `sizes` gives each subject's
     row count, in the order of `times` and `events`.  Early stopping monitors
     the training loss (cohorts are small).
     """
-    config = config or SurvivalTrainConfig()
     E = np.asarray(E, dtype=np.float32)  # cast once, not on every step
     head = CoxHead(embed_dim=E.shape[-1], seed=config.seed)
     history = fit(

@@ -49,11 +49,12 @@ def pipeline(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     data = root / "data"
-    base = ["--config", str(cfg_path), "--seed", "0", "--out-dir", str(data)]
+    out = ["--out-dir", str(data)]
+    base = ["--config", str(cfg_path), "--seed", "0", *out]
     assert run(["synth", *base]) == 0
     assert run(
         [
-            "preprocess", *base,
+            "preprocess", "--config", str(cfg_path), *out,
             "--expression", str(data / "expression.tsv"),
             "--coords", str(data / "coords.csv"),
         ]
@@ -86,7 +87,7 @@ def pipeline(tmp_path_factory):
     ) == 0
     assert run(
         [
-            "predict", *base,
+            "predict", *out,
             "--checkpoint", str(data / "final"),
             "--features", str(data / "features.tsv"),
             "--coords", str(data / "coords.csv"),
@@ -134,6 +135,40 @@ class TestPipeline:
         emb_lines = (data / "embeddings.tsv").read_text().strip().split("\n")
         assert emb_lines[0].startswith("spot_id\tslide_id\te0")
         assert len(emb_lines) == 49
+        slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(data / "coords.csv")}
+        spots, slides, _ = data_io.read_embeddings(data / "embeddings.tsv")
+        assert slides == [slide_of[s] for s in spots]
+
+    @pytest.mark.parametrize("given", ["--emit-embeddings", "--coords"])
+    def test_predict_embeddings_and_coords_go_together(self, pipeline, tmp_path, capsys, given):
+        _, data, _ = pipeline
+        argv = ["predict", "--out-dir", str(tmp_path / "out"),
+                "--checkpoint", str(data / "final"), "--features", str(data / "features.tsv")]
+        argv += [given] if given == "--emit-embeddings" else [given, str(data / "coords.csv")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "usage", "message": "pearl predict: --emit-embeddings and --coords go together"
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_spot_without_coordinates(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        lines = (data / "coords.csv").read_text().splitlines()
+        coords = tmp_path / "coords.csv"
+        coords.write_text("\n".join(lines[:3]) + "\n")  # 2 of the 48 spots
+        listed = {ln.split(",")[0] for ln in lines[1:3]}
+        spots = data_io.read_features(data / "features.tsv").spot_ids
+        absent = next(s for s in spots if s not in listed)
+        argv = ["predict", "--out-dir", str(tmp_path / "out"), "--emit-embeddings",
+                "--checkpoint", str(data / "final"), "--features", str(data / "features.tsv"),
+                "--coords", str(coords)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "data_format", "message": f"{coords}: no coordinates for feature spot {absent!r}"
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_predictions_are_the_models_float32_outputs(self, pipeline):
         _, data, _ = pipeline
@@ -439,6 +474,8 @@ class TestFailureInjection:
             broken.write_text("\n".join([lines[0], "", "", *lines[1:]]) + "\n")
         if kind != "unknown_field":
             paths[target] = str(broken)
+        # a command that reads no config does not declare --config
+        reads_config = "--config" in FLAGS[command]
         cfg = {"train": {"bogus": 1}} if kind == "unknown_field" else {}
         argv = [command, "--out-dir", str(tmp_path / "out")]
         if command == "run-cv":
@@ -457,8 +494,11 @@ class TestFailureInjection:
             assert err["error"] == "io" and str(broken) in err["message"]
         elif kind == "malformed":
             assert err["error"] == "data_format" and f"{broken}: line 6:" in err["message"]
-        elif kind == "unknown_field":
+        elif kind == "unknown_field" and reads_config:
             assert err["error"] == "config" and "train.bogus" in err["message"]
+        elif kind == "unknown_field":
+            assert err["error"] == "usage" and "unrecognized arguments: --config" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_run_cv_spot_missing_from_features(self, pipeline, tmp_path, capsys):
         _, data, cfg_path = pipeline
@@ -530,6 +570,30 @@ class TestErrors:
         assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "config", "message": needle}
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "can't decode byte 0xff" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_expression_table(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        lines = (data / "expression.tsv").read_bytes().split(b"\n")
+        spot, gene, value = lines[2].split(b"\t")
+        lines[2] = b"\t".join([spot, gene + b"\xff", value])
+        table = tmp_path / "expression.tsv"
+        table.write_bytes(b"\n".join(lines))
+        argv = ["preprocess", "--expression", str(table), "--coords", str(data / "coords.csv"),
+                "--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data_format"
+        assert err["message"].startswith(f"{table}: not UTF-8 text: ")
+        assert not (tmp_path / "out").exists()
 
     def test_one_spot_validation_split_rejected(self, tmp_path, capsys):
         # one 12-spot slide at val_fraction 0.05: a single validation spot
@@ -848,8 +912,9 @@ class TestUsage:
         [
             ([], "command"),
             (["preprocess", "--coords", "c.csv"], "--expression"),
-            (["synth", "--threads", "x"], "--threads"),
-            (["synth", "--threads", "0"], "--threads: must be >= 1"),
+            (["score-pathways", "--threads", "x"], "--threads: invalid int value"),
+            (["score-pathways", "--threads", "0", "--expression", "e.tsv", "--gene-sets", "g.gmt"],
+             "--threads: must be >= 1"),
             (["synth", "--bogus"], "--bogus"),
             (["run-cv", "--folds", "1"], "--folds: must be >= 2"),
             (["run-cv", "--folds", "0"], "--folds: must be >= 2"),
@@ -867,7 +932,7 @@ class TestUsage:
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "pearl.cli", "synth", "--threads", "x"],
+            [sys.executable, "-m", "pearl.cli", "score-pathways", "--threads", "x"],
             capture_output=True,
             text=True,
         )
@@ -882,6 +947,70 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: pearl run-cv") and "--folds" in proc.stdout
+
+
+# every flag each subcommand declares; each declares only the flags it reads
+FLAGS = {
+    "synth": {"--config", "--seed", "--out-dir"},
+    "preprocess": {"--config", "--out-dir", "--expression", "--coords"},
+    "score-pathways": {
+        "--config", "--seed", "--threads", "--out-dir", "--expression", "--gene-sets"
+    },
+    "train-contrastive": {
+        "--config", "--seed", "--out-dir", "--scores", "--coords", "--features", "--hvg"
+    },
+    "train-heads": {
+        "--config", "--seed", "--out-dir",
+        "--checkpoint", "--scores", "--coords", "--features", "--hvg",
+    },
+    "predict": {"--out-dir", "--checkpoint", "--features", "--coords", "--emit-embeddings"},
+    "evaluate": {"--out-dir", "--pred", "--truth"},
+    "survival-train": {"--config", "--seed", "--out-dir", "--embeddings", "--survival"},
+    "survival-eval": {"--out-dir", "--checkpoint", "--embeddings", "--survival"},
+    "gradcheck": set(),
+    "run-cv": {"--config", "--seed", "--threads", "--out-dir", "--folds"},
+}
+SHARED = ("--config", "--seed", "--threads", "--out-dir")
+# (command, shared flag) pairs a command does not read, so does not accept
+DROPPED = [(c, f) for c, flags in FLAGS.items() for f in SHARED if f not in flags]
+
+
+def _subparsers():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestFlagSurface:
+    def test_flags_pinned(self):
+        declared = {
+            name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+            for name, p in _subparsers().items()
+        }
+        assert declared == FLAGS
+        assert sum(map(len, declared.values())) == 50
+        assert len(DROPPED) == 19
+
+    @pytest.mark.parametrize("command, flag", DROPPED, ids=[f"{c}{f}" for c, f in DROPPED])
+    def test_dropped_flag_refused(self, tmp_path, capsys, command, flag):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        out = str(tmp_path / "out")
+        value = {"--config": str(cfg), "--seed": "4", "--threads": "3", "--out-dir": out}
+        # the command's required flags, so that only the dropped flag is wrong
+        argv = [command] + [
+            x for a in _subparsers()[command]._actions if a.required
+            for x in (a.option_strings[0], str(tmp_path / "absent"))
+        ]
+        if "--out-dir" in FLAGS[command]:
+            argv += ["--out-dir", out]
+        capsys.readouterr()
+        assert run([*argv, flag, value[flag]]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert err["message"].endswith(f"unrecognized arguments: {flag} {value[flag]}")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 class TestNumpyOnly:
@@ -899,7 +1028,7 @@ class TestNumpyOnly:
         out = tmp_path / "out"
         base = ["--config", str(cfg_path), "--seed", "0", "--out-dir", str(out)]
         calls = [
-            ["preprocess", *base,
+            ["preprocess", "--config", str(cfg_path), "--out-dir", str(out),
              "--expression", str(data / "expression.tsv"), "--coords", str(data / "coords.csv")],
             ["score-pathways", *base,
              "--expression", str(out / "normalized.tsv"),

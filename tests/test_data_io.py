@@ -59,14 +59,6 @@ class TestGmt:
 
 
 class TestExpressionParsing:
-    def test_dense_sparsity(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("spot\tg1\tg2\ns1\t0\t3\ns2\t1\t0\n")
-        m = data_io.parse_expression(p, "dense_tsv")
-        assert np.count_nonzero(m.dense()) == 2
-        assert m.value_kind == RAW_COUNTS
-        assert m.spot_ids == ["s1", "s2"]
-
     def test_triplet_negative_value(self, tmp_path):
         p = tmp_path / "m.tsv"
         p.write_text("spot\tgene\tvalue\ns1\tg1\t-2\n")
@@ -85,8 +77,9 @@ class TestExpressionParsing:
         with pytest.raises(DataFormatError, match="duplicate"):
             data_io.parse_expression(p)
 
-    @pytest.mark.parametrize("fmt", ["dense_tsv", "sparse_triplet_tsv"])
-    def test_roundtrip_fixed_point(self, tmp_path, fmt):
+    # the one expression format: a header, then one line per nonzero cell
+    @pytest.mark.parametrize("header", ["spot\tgene\tvalue\n"], ids=["sparse_triplet_tsv"])
+    def test_roundtrip_fixed_point(self, tmp_path, header):
         rng = np.random.default_rng(0)
         dense = rng.poisson(1.0, size=(4, 6)).astype(float)
         m = ExpressionMatrix(
@@ -96,18 +89,21 @@ class TestExpressionParsing:
             RAW_COUNTS,
         )
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        data_io.write_expression(m, p1, fmt)
-        m2 = data_io.parse_expression(p1, fmt)
+        data_io.write_expression(m, p1)
+        assert p1.read_text().startswith(header)
+        assert len(p1.read_text().splitlines()) == 1 + np.count_nonzero(dense)
+        m2 = data_io.parse_expression(p1)
+        assert m2.value_kind == RAW_COUNTS
         # triplet parsing orders ids by first appearance; align before comparing
         col = [m2.gene_ids.index(g) for g in m.gene_ids]
         row = [m2.spot_ids.index(s) for s in m.spot_ids]
         np.testing.assert_array_equal(m2.dense()[np.ix_(row, col)], dense)
-        data_io.write_expression(m2, p2, fmt)
+        data_io.write_expression(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
-    @pytest.mark.parametrize("fmt", ["dense_tsv", "sparse_triplet_tsv"])
-    def test_array_and_csr_write_the_same_bytes(self, tmp_path, fmt):
+    @pytest.mark.parametrize("header", ["spot\tgene\tvalue\n"], ids=["sparse_triplet_tsv"])
+    def test_array_and_csr_write_the_same_bytes(self, tmp_path, header):
         rng = np.random.default_rng(1)
         dense = rng.gamma(1.0, size=(5, 7)) * (rng.uniform(size=(5, 7)) < 0.5)
         genes = ["b", "a", "e", "c", "g", "d", "f"]  # written in gene-id order
@@ -115,7 +111,8 @@ class TestExpressionParsing:
         for k, matrix in enumerate((dense, sp.csr_matrix(dense))):
             paths.append(tmp_path / f"{k}.tsv")
             m = ExpressionMatrix([f"s{i}" for i in range(5)], genes, matrix, NORMALIZED_LOG)
-            data_io.write_expression(m, paths[-1], fmt)
+            data_io.write_expression(m, paths[-1])
+        assert paths[0].read_text().startswith(header)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_parsed_matrix_is_an_uncopied_array(self, tmp_path):
@@ -231,12 +228,8 @@ class TestTextTables:
             (data_io.read_coords, data_io.COORDS_HEADER + "\ns1,sl,0,0,0,0\n\n\ns2,sl,x,0,0,1\n"),
             (data_io.read_survival, data_io.SURVIVAL_HEADER + "\na,1.5,1,sl1\n\n\nb,abc,0,sl2\n"),
             (data_io.parse_expression, "spot\tgene\tvalue\ns1\tg1\t1\n\n\ns1\tg2\tabc\n"),
-            (
-                lambda p: data_io.parse_expression(p, "dense_tsv"),
-                "spot\tg1\ns1\t1\n\n\ns2\tabc\n",
-            ),
         ],
-        ids=["coords", "survival", "triplets", "dense"],
+        ids=["coords", "survival", "triplets"],
     )
     def test_blank_lines_keep_physical_line_numbers(self, tmp_path, reader, text):
         p = tmp_path / "t.txt"
@@ -265,6 +258,26 @@ class TestTextTables:
             reader(p)
         assert info.value.path == p
         assert str(info.value).startswith(f"{p}: line {info.value.line}: ")
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (data_io.read_gmt, b"SET\tdesc\tG\xff\n"),
+            (data_io.parse_expression, b"spot\tgene\tvalue\ns1\tg\xff\t1\n"),
+            (data_io.read_coords, data_io.COORDS_HEADER.encode() + b"\ns\xff,sl,0,0,0,0\n"),
+            (data_io.read_survival, data_io.SURVIVAL_HEADER.encode() + b"\na\xff,1.5,1,sl\n"),
+            (data_io.read_features, b"spot_id\tf0\ns\xff\t1\n"),
+            (data_io.read_scores, b"spot\tA\ns\xff\t1\n"),
+            (data_io.read_embeddings, b"spot_id\tslide_id\te0\ns\xff\tsl\t1\n"),
+        ],
+        ids=["gmt", "expression", "coords", "survival", "features", "scores", "embeddings"],
+    )
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, reader, text):
+        p = tmp_path / "input.txt"
+        p.write_bytes(text)
+        with pytest.raises(DataFormatError, match="not UTF-8 text") as info:
+            reader(p)
+        assert info.value.path == p
 
     def test_float_cells_parse_as_float(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -75,11 +75,6 @@ class TestRankGenes:
         order, _ = rank_genes([5.0, 5.0, 5.0])
         np.testing.assert_array_equal(order, [0, 1, 2])
 
-    def test_tie_by_gene_id(self):
-        # columns listed as (g2, g1): tie resolves to g1 first
-        order, _ = rank_genes([5.0, 5.0], gene_ids=["g2", "g1"])
-        np.testing.assert_array_equal(order, [1, 0])
-
 
 class TestEnrichmentScore:
     def test_two_gene_forced_sum(self):
