@@ -204,13 +204,6 @@ def mul(a, b):
     return _node(av * bv, (a, b), bw)
 
 
-def neg(a):
-    def bw(g):
-        return (-g,)
-
-    return _node(-a.values, (a,), bw)
-
-
 def mul_scalar(a, c):
     def bw(g):
         return (g * c,)

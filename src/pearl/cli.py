@@ -7,8 +7,9 @@ stderr and exits 1.  A subcommand declares only the flags it reads, so any
 other flag is a usage error.  Hyperparameters come from a single JSON config
 file, built into one dataclass per section before any subcommand runs; a
 field that a command fills in itself (from --seed or the input tables) is
-refused.  Paths come from flags (run-cv takes them from the "paths"
-section).  Every table is read and written through data_io.
+refused.  Paths come from flags.  Input tables are read, and expression,
+coordinate and float tables written, through data_io; the command writes its
+own JSON reports, loss curves and id lists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -34,16 +35,6 @@ from .synthgen import SynthConfig
 from .trainer import SpotDataset, TrainConfig
 
 
-@dataclass
-class CvPaths:
-    """The `paths` section: run-cv's input files, all required by run-cv."""
-
-    expression: str = ""
-    coords: str = ""
-    gene_sets: str = ""
-    features: str = ""
-
-
 _CONFIG_SECTIONS = {
     "synth": SynthConfig,
     "preprocess": PreprocessConfig,
@@ -51,7 +42,6 @@ _CONFIG_SECTIONS = {
     "train": TrainConfig,
     "model": ModelConfig,
     "survival": SurvivalTrainConfig,
-    "paths": CvPaths,
 }
 # fields a command fills in from --seed or its input tables; a config may not set them
 COMMAND_SET = {
@@ -169,11 +159,11 @@ def _read_slide_embeddings(path):
 def cmd_preprocess(args, cfg):
     m = data_io.parse_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
-    normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
+    normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     data_io.write_expression(normed, _outpath(args, "normalized.tsv"))
     data_io.write_expression(hvg, _outpath(args, "hvg.tsv"))
     with open(_outpath(args, "hvg_genes.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(hvg_ids) + "\n")
+        fh.write("\n".join(hvg.gene_ids) + "\n")
     return 0
 
 
@@ -324,18 +314,14 @@ def cmd_gradcheck(args, cfg):
 
 
 def cmd_run_cv(args, cfg):
-    paths = cfg["paths"]
-    for key, value in asdict(paths).items():
-        if not value:
-            raise ConfigError(f"missing config field: paths.{key}")
     scfg = replace(cfg["ssgsea"], rng_seed=args.seed)
     tcfg = replace(cfg["train"], seed=args.seed)
 
-    m = data_io.parse_expression(paths.expression)
-    geoms = data_io.read_coords(paths.coords)
-    sets = data_io.read_gmt(paths.gene_sets)
-    patch = data_io.read_features(paths.features)
-    normed, hvg, hvg_ids = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
+    m = data_io.parse_expression(args.expression)
+    geoms = data_io.read_coords(args.coords)
+    sets = data_io.read_gmt(args.gene_sets)
+    patch = data_io.read_features(args.features)
+    normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     sm, _ = ssgsea.score_matrix(normed, sets, scfg, threads=args.threads)
     dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
 
@@ -356,7 +342,7 @@ def cmd_run_cv(args, cfg):
         h_test = trainer.embed_images(model, test_ds.features, tcfg.batch_size)
         with ad.no_grad():
             yp, yg = model.predict_heads(h_test)
-        path_rep = evaluate_expression(yp.values, test_ds.y_path)
+        path_rep = evaluate_expression(yp.values, test_ds.scores)
         gene_rep = evaluate_expression(yg.values, test_ds.y_gene)
         top1 = trainer.retrieval_top1(model, test_ds, normalizer, tcfg.batch_size, seed=args.seed)
         report = {
@@ -369,7 +355,7 @@ def cmd_run_cv(args, cfg):
         fold_reports.append(report)
         _write_json(_outpath(args, f"fold_{fold}.json"), report)
 
-    def agg(values):  # main refuses --folds < 2, so the sample std is defined
+    def agg(values):  # the parser refuses --folds < 2, so the sample std is defined
         vals = np.array(values, dtype=np.float64)
         return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
 
@@ -398,11 +384,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _bounded_int(lo, hi=math.inf):
+    """argparse type: an int in [lo, hi), else a usage error naming the flag."""
+
+    def parse(text):
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}" if hi == math.inf else f"must be in [{lo}, {hi})"
+            )
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 # the flags several subcommands share; each command declares only those it reads
 _COMMON = {
     "config": {"default": None},
-    "seed": {"type": int, "default": 0},
-    "threads": {"type": int, "default": 1},
+    "seed": {"type": _bounded_int(0, 2**64), "default": 0},  # numpy seeds and Philox keys
+    "threads": {"type": _bounded_int(1), "default": 1},
     "out_dir": {"default": "."},
 }
 _SEEDED = ("config", "seed", "out_dir")
@@ -435,8 +436,9 @@ def build_parser():
     add("survival-train", cmd_survival_train, _SEEDED, **cohort)
     add("survival-eval", cmd_survival_eval, ("out_dir",), checkpoint=True, **cohort)
     add("gradcheck", cmd_gradcheck, ())
-    p = add("run-cv", cmd_run_cv, _THREADED)
-    p.add_argument("--folds", type=int, default=5)
+    p = add("run-cv", cmd_run_cv, _THREADED, expression=True, coords=True, gene_sets=True,
+            features=True)
+    p.add_argument("--folds", type=_bounded_int(2), default=5)  # 1 fold trains on no slide
     return parser
 
 
@@ -444,10 +446,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            parser.error("argument --threads: must be >= 1")
-        if getattr(args, "folds", 2) < 2:  # one fold trains on no slide, zero runs none
-            parser.error("argument --folds: must be >= 2")
         return args.fn(args, load_config(getattr(args, "config", None)))
     except PearlError as exc:
         return _fail(exc.code, exc)

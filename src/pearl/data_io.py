@@ -250,12 +250,12 @@ def read_gmt(path):
 # ---------------------------------------------------------------------------
 
 
-def _rows(path, sep, head, exact=False, empty_ok=False):
+def _rows(path, sep, head, exact=False):
     """Yield (physical line number, fields) for each non-blank line of a table.
 
     The first is the header; it must start with the fields `head` (equal them
     if `exact`), and every later line must be as wide.  An empty file is an
-    error on line 1, or yields nothing if `empty_ok`.
+    error on line 1.
     """
     header = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -273,7 +273,7 @@ def _rows(path, sep, head, exact=False, empty_ok=False):
                     f"expected {len(header)} fields, got {len(fields)}", line=n
                 )
             yield n, fields
-    if header is None and not empty_ok:
+    if header is None:
         raise DataFormatError("empty file", line=1)
 
 
@@ -290,8 +290,8 @@ def parse_expression(path, value_kind=RAW_COUNTS):
     `value_kind` tags the result; files written mid-pipeline (after
     normalization) are re-read with value_kind=normalized_log.
     """
-    rows = _rows(path, "\t", ("spot", "gene", "value"), exact=True, empty_ok=True)
-    next(rows, None)
+    rows = _rows(path, "\t", ("spot", "gene", "value"), exact=True)
+    next(rows)
     spot_index, gene_index, seen_pairs = {}, {}, set()
     row_idx, cols, vals = [], [], []
     for lineno, fields in rows:
@@ -325,10 +325,16 @@ def _parse_value(cell, lineno):
 
 def write_expression(m, path):
     """Write `m` as a sparse-triplet TSV: one line per nonzero cell, by spot,
-    then by gene id, so the bytes do not depend on the column numbering."""
+    then by gene id, so the bytes do not depend on the column numbering.  A
+    spot or gene with no nonzero cell gets one explicit 0 (at the first gene
+    by id, or the first spot), so that reading the file back keeps it."""
     dense = m.dense()
-    row, col = np.nonzero(dense)
     gene_rank = np.argsort(np.argsort(m.gene_ids, kind="stable"), kind="stable")
+    mask = dense != 0
+    if mask.size:
+        mask[~mask.any(axis=1), np.argmin(gene_rank)] = True
+        mask[0, ~mask.any(axis=0)] = True
+    row, col = np.nonzero(mask)
     order = np.lexsort((gene_rank[col], row))
     row, col = row[order], col[order]
     with open(path, "w", encoding="utf-8") as fh:
@@ -366,6 +372,8 @@ def read_coords(path):
             )
         except ValueError as exc:
             raise DataFormatError(str(exc), line=lineno) from None
+        if not (math.isfinite(g.x) and math.isfinite(g.y)):
+            raise DataFormatError(f"non-finite coordinate ({fields[2]}, {fields[3]})", line=lineno)
         if g.spot_id in seen_ids:
             raise DataFormatError(f"duplicate spot_id {g.spot_id!r}", line=lineno)
         seen_ids.add(g.spot_id)

@@ -101,10 +101,13 @@ class PearlModel:
             v = _xavier(rng, shape, dtype) if fill is None else np.full(shape, fill, dtype)
             self.params[name] = Tensor(v, requires_grad=True)
 
-        param("phi.w1", (2, config.phi_hidden))
-        param("phi.b1", (config.phi_hidden,), 0.0)
-        param("phi.w2", (config.phi_hidden, P))
-        param("phi.b2", (P,), 0.0)
+        def mlp(prefix, d_in, d_hidden, d_out):  # the parameters `_mlp(x, prefix)` reads
+            param(f"{prefix}.w1", (d_in, d_hidden))
+            param(f"{prefix}.b1", (d_hidden,), 0.0)
+            param(f"{prefix}.w2", (d_hidden, d_out))
+            param(f"{prefix}.b2", (d_out,), 0.0)
+
+        mlp("phi", 2, config.phi_hidden, P)
         H, d_k = config.n_heads, config.d_k
         for l in range(config.n_layers):
             # head by head, q then k then v, each with its own (P, d_k) xavier
@@ -118,26 +121,14 @@ class PearlModel:
             param(f"tf{l}.wo", (H * d_k, P))
             param(f"tf{l}.ln1.g", (P,), 1.0)
             param(f"tf{l}.ln1.b", (P,), 0.0)
-            param(f"tf{l}.ffn.w1", (P, config.ffn_mult * P))
-            param(f"tf{l}.ffn.b1", (config.ffn_mult * P,), 0.0)
-            param(f"tf{l}.ffn.w2", (config.ffn_mult * P, P))
-            param(f"tf{l}.ffn.b2", (P,), 0.0)
+            mlp(f"tf{l}.ffn", P, config.ffn_mult * P, P)
             param(f"tf{l}.ln2.g", (P,), 1.0)
             param(f"tf{l}.ln2.b", (P,), 0.0)
-        for prefix, d_in, d_out in (
-            ("proj_path", P, config.embed_dim),
-            ("proj_img", config.d_img, config.embed_dim),
-        ):
-            param(f"{prefix}.w1", (d_in, config.proj_hidden))
-            param(f"{prefix}.b1", (config.proj_hidden,), 0.0)
-            param(f"{prefix}.w2", (config.proj_hidden, config.embed_dim))
-            param(f"{prefix}.b2", (config.embed_dim,), 0.0)
+        mlp("proj_path", P, config.proj_hidden, config.embed_dim)
+        mlp("proj_img", config.d_img, config.proj_hidden, config.embed_dim)
         self.params["log_tau"] = Tensor(math.log(config.tau_init), requires_grad=True, dtype=dtype)
-        for prefix, d_out in (("head_path", P), ("head_gene", config.n_genes)):
-            param(f"{prefix}.w1", (config.embed_dim, config.head_hidden))
-            param(f"{prefix}.b1", (config.head_hidden,), 0.0)
-            param(f"{prefix}.w2", (config.head_hidden, d_out))
-            param(f"{prefix}.b2", (d_out,), 0.0)
+        mlp("head_path", config.embed_dim, config.head_hidden, P)
+        mlp("head_gene", config.embed_dim, config.head_hidden, config.n_genes)
 
     # -- parameter access ---------------------------------------------------
 
@@ -166,7 +157,7 @@ class PearlModel:
         self.params["log_tau"].values = np.clip(v, lo, hi).astype(v.dtype)
 
     def inv_tau(self):
-        return ad.exp(ad.neg(self.params["log_tau"]))
+        return ad.exp(ad.mul_scalar(self.params["log_tau"], -1.0))
 
     # -- forward passes -----------------------------------------------------
 
@@ -202,13 +193,7 @@ class PearlModel:
         concat = ad.reshape(ad.transpose(heads, (1, 0, 2)), (n, H * d_k))
         mh = ad.matmul(concat, self.params[f"tf{l}.wo"])
         h = ad.layer_norm(ad.add(h, mh), self.params[f"tf{l}.ln1.g"], self.params[f"tf{l}.ln1.b"])
-        ffn = ad.add(
-            ad.matmul(
-                ad.gelu(ad.add(ad.matmul(h, self.params[f"tf{l}.ffn.w1"]), self.params[f"tf{l}.ffn.b1"])),
-                self.params[f"tf{l}.ffn.w2"],
-            ),
-            self.params[f"tf{l}.ffn.b2"],
-        )
+        ffn = self._mlp(h, f"tf{l}.ffn")
         return ad.layer_norm(
             ad.add(h, ffn), self.params[f"tf{l}.ln2.g"], self.params[f"tf{l}.ln2.b"]
         )
@@ -223,7 +208,7 @@ class PearlModel:
         return self._mlp(F, "proj_img")
 
     def predict_heads(self, h_image):
-        """(y_path, y_gene) from image embeddings; never touches the pathway encoder."""
+        """(pathway, gene) predictions from image embeddings; never touches the pathway encoder."""
         H = Tensor(h_image, dtype=self.dtype)
         return self._mlp(H, "head_path"), self._mlp(H, "head_gene")
 

@@ -65,15 +65,10 @@ def run_all(seed=0):
 
     hi, hp = _t(rng, (4, 6)), _t(rng, (4, 6))
     lt = Tensor(np.asarray(np.log(0.3)), requires_grad=True, dtype=np.float64)
-    results.append(
-        (
-            "contrastive_loss",
-            ad.gradcheck(
-                lambda hi, hp, lt: trainer.contrastive_loss(hi, hp, ad.exp(ad.neg(lt))),
-                [hi, hp, lt],
-            ),
-        )
-    )
+    def contrastive(hi, hp, lt):  # the model's inverse temperature exp(-log_tau)
+        return trainer.contrastive_loss(hi, hp, ad.exp(ad.mul_scalar(lt, -1.0)))
+
+    results.append(("contrastive_loss", ad.gradcheck(contrastive, [hi, hp, lt])))
 
     risks = _t(rng, (6, 1))
     times = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])

@@ -134,10 +134,10 @@ def gene_variances(m):
 
 
 def select_hvg(m, g):
-    """Return (matrix restricted to top-g variance genes, gene ids).
+    """The matrix restricted to its top-g variance genes.
 
-    Columns and the returned id list are ordered by descending variance, ties
-    broken by lexicographic gene id.
+    Columns (and gene_ids) are ordered by descending variance, ties broken by
+    lexicographic gene id.
     """
     _require_kind(m, NORMALIZED_LOG)
     if g > m.n_genes:
@@ -145,21 +145,19 @@ def select_hvg(m, g):
     var = gene_variances(m)
     order = sorted(range(m.n_genes), key=lambda j: (-var[j], m.gene_ids[j]))
     keep = order[:g]
-    sub = ExpressionMatrix(
+    return ExpressionMatrix(
         spot_ids=list(m.spot_ids),
         gene_ids=[m.gene_ids[j] for j in keep],
         matrix=m.dense()[:, keep],
         value_kind=NORMALIZED_LOG,
     )
-    return sub, [m.gene_ids[j] for j in keep]
 
 
 def run_pipeline(m, geoms, config):
-    """Full chain; returns (normalized pre-HVG matrix, HVG matrix, HVG ids)."""
+    """Full chain; returns (normalized pre-HVG matrix, HVG matrix)."""
     if m.n_spots == 0:
         raise PearlError("expression matrix has no spots")
     filtered = filter_genes(m, config.min_spots_per_gene)
     normed = smooth_8neighbor(normalize_and_log(filtered, config.target_sum), geoms)
     top = min(config.top_hvg, normed.n_genes)
-    hvg, hvg_ids = select_hvg(normed, top)
-    return normed, hvg, hvg_ids
+    return normed, select_hvg(normed, top)

@@ -93,12 +93,15 @@ def gen_st_dataset(
         )
     rng = np.random.default_rng(seed)
 
-    # geometry: near-square grid per slide, raw coords = 100 * grid indices
+    # geometry: near-square grid per slide, raw coords = 100 * grid indices,
+    # uv = the grid position scaled to the slide's unit square
     geoms = []
+    uv = np.zeros((n_spots, 2))
     for si, (n, rows, cols) in enumerate(_grid_layout(n_spots, n_slides)):
         slide = f"slide{si}"
         for k in range(n):
             r, c = divmod(k, cols)
+            uv[len(geoms)] = (c / max(cols - 1, 1), r / max(rows - 1, 1))
             geoms.append(
                 SpotGeometry(
                     spot_id=f"{slide}_r{r}_c{c}",
@@ -113,11 +116,6 @@ def gen_st_dataset(
 
     # latent activities: per-pathway cosine mixtures over unit-square coords,
     # plus a small white component so neighboring spots stay distinguishable
-    layouts = _grid_layout(n_spots, n_slides)
-    uv = np.zeros((n_spots, 2))
-    for i, g in enumerate(geoms):
-        _, rows, cols = layouts[int(g.slide_id[5:])]
-        uv[i] = (g.array_col / max(cols - 1, 1), g.array_row / max(rows - 1, 1))
     activities = np.zeros((n_spots, n_pathways))
     for k in range(n_pathways):
         field_val = np.zeros(n_spots)

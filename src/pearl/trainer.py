@@ -43,15 +43,14 @@ class SpotDataset:
 
     spot_ids: list
     slide_ids: list
-    scores: np.ndarray  # (N, P) pathway NES
+    scores: np.ndarray  # (N, P) pathway NES: the pathway tokens and the pathway target
     coords: np.ndarray  # (N, 2) raw coordinates
     features: np.ndarray  # (N, d_img)
-    y_path: np.ndarray  # (N, P)
     y_gene: np.ndarray  # (N, g)
 
     def __post_init__(self):
         n = len(self.spot_ids)
-        for name in ("scores", "coords", "features", "y_path", "y_gene"):
+        for name in ("scores", "coords", "features", "y_gene"):
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise PearlError(f"{name} has {arr.shape[0]} rows, expected {n}")
@@ -60,8 +59,7 @@ class SpotDataset:
     def from_tables(cls, scores, geoms, patch, hvg):
         """Dataset on the score table's spots, looked up in the other three tables.
 
-        `geoms` is a SpotGeometry list; the scores serve as both the pathway
-        tokens and the pathway target.
+        `geoms` is a SpotGeometry list.
         """
         geo = {g.spot_id: g for g in geoms}
         feat_index = {s: i for i, s in enumerate(patch.spot_ids)}
@@ -76,7 +74,6 @@ class SpotDataset:
             scores=scores.scores,
             coords=np.array([[geo[s].x, geo[s].y] for s in ids]),
             features=patch.features[[feat_index[s] for s in ids]],
-            y_path=scores.scores,
             y_gene=hvg.dense()[[hvg_index[s] for s in ids]],
         )
 
@@ -92,7 +89,6 @@ class SpotDataset:
             scores=self.scores[idx],
             coords=self.coords[idx],
             features=self.features[idx],
-            y_path=self.y_path[idx],
             y_gene=self.y_gene[idx],
         )
 
@@ -236,10 +232,10 @@ def train_stage1(dataset, model, config):
     return model, history, normalizer
 
 
-def supervised_loss(model, h_image, y_path, y_gene):
+def supervised_loss(model, h_image, scores, y_gene):
     yp, yg = model.predict_heads(h_image)
     return ad.add(
-        ad.mse(yp, Tensor(np.asarray(y_path, dtype=model.dtype))),
+        ad.mse(yp, Tensor(np.asarray(scores, dtype=model.dtype))),
         ad.mse(yg, Tensor(np.asarray(y_gene, dtype=model.dtype))),
     )
 
@@ -255,7 +251,7 @@ def train_stage2(dataset, model, config):
     rng = np.random.default_rng(config.seed + 1)
 
     def loss(idx):
-        return supervised_loss(model, h_all[idx], dataset.y_path[idx], dataset.y_gene[idx])
+        return supervised_loss(model, h_all[idx], dataset.scores[idx], dataset.y_gene[idx])
 
     history = fit(
         model.stage2_parameters(),

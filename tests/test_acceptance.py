@@ -182,7 +182,6 @@ class TestAcceptance:
             scores=rng.normal(size=(n, p)),
             coords=rng.uniform(0, 1000, size=(n, 2)),
             features=rng.normal(size=(n, 32)),
-            y_path=rng.normal(size=(n, p)),
             y_gene=rng.normal(size=(n, 5)),
         )
         cfg = TrainConfig(batch_size=256, max_epochs=2, patience=1, lr=1e-4, seed=0)
@@ -216,7 +215,7 @@ class TestAcceptance:
                 activity_noise=0.1,
             )
             pcfg = PreprocessConfig(min_spots_per_gene=50, top_hvg=100)
-            normed, hvg, _ = preprocess.run_pipeline(expr, geoms, pcfg)
+            normed, hvg = preprocess.run_pipeline(expr, geoms, pcfg)
             sm, _ = ssgsea.score_matrix(
                 normed, sets, SsgseaConfig(null_sets=50, rng_seed=seed), threads=4
             )
@@ -234,7 +233,7 @@ class TestAcceptance:
             model, _ = trainer.train_stage2(train_ds, model, tcfg)
             h = trainer.embed_images(model, test_ds.features, 256)
             yp, yg = model.predict_heads(h)
-            path_pcc = evaluate_expression(yp.values, test_ds.y_path).mean_pcc
+            path_pcc = evaluate_expression(yp.values, test_ds.scores).mean_pcc
             gene_pcc = evaluate_expression(yg.values, test_ds.y_gene).mean_pcc
             top1 = trainer.retrieval_top1(model, test_ds, normalizer, 256, seed=seed)
             return path_pcc, gene_pcc, top1
@@ -288,8 +287,7 @@ class TestAcceptance:
             ["s0", "s1"], ["zz", "aa"],
             sp.csr_matrix(np.array([[0.0, 0.0], [2.0, 2.0]])), NORMALIZED_LOG,
         )
-        _, ids = preprocess.select_hvg(m4, 1)
-        hvg_ok = ids == ["aa"]
+        hvg_ok = preprocess.select_hvg(m4, 1).gene_ids == ["aa"]
 
         rng = np.random.default_rng(1)
         convex_ok = True
@@ -415,13 +413,6 @@ class TestAcceptance:
         assert cli_main(
             ["synth", "--config", str(cfg_path), "--seed", "3", "--out-dir", str(data)]
         ) == 0
-        cfg["paths"] = {
-            "expression": str(data / "expression.tsv"),
-            "coords": str(data / "coords.csv"),
-            "gene_sets": str(data / "gene_sets.gmt"),
-            "features": str(data / "features.tsv"),
-        }
-        cfg_path.write_text(json.dumps(cfg))
         for run_dir in ("run_a", "run_b"):
             assert cli_main(
                 [
@@ -431,6 +422,10 @@ class TestAcceptance:
                     "--threads", "2",
                     "--folds", "2",
                     "--out-dir", str(tmp_path / run_dir),
+                    "--expression", str(data / "expression.tsv"),
+                    "--coords", str(data / "coords.csv"),
+                    "--gene-sets", str(data / "gene_sets.gmt"),
+                    "--features", str(data / "features.tsv"),
                 ]
             ) == 0
         agg_a = (tmp_path / "run_a" / "aggregate.json").read_bytes()

@@ -129,7 +129,6 @@ DTYPE_CASES = {
     "mse": ([(3, 4), (3, 4)], ad.mse),
     "tanh": ([(3, 4)], ad.tanh),
     "exp": ([(3, 4)], ad.exp),
-    "neg": ([(3, 4)], ad.neg),
     "sum_all": ([(3, 4)], ad.sum_all),
     "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
     "slice_rows": ([(5, 4)], lambda a: ad.slice_rows(a, 1, 3)),

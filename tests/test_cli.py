@@ -1,8 +1,10 @@
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,21 +266,13 @@ class TestPipeline:
 
     def test_run_cv_two_folds(self, pipeline, tmp_path):
         root, data, cfg_path = pipeline
-        cfg = json.loads(cfg_path.read_text())
-        cfg["paths"] = {
-            "expression": str(data / "expression.tsv"),
-            "coords": str(data / "coords.csv"),
-            "gene_sets": str(data / "gene_sets.gmt"),
-            "features": str(data / "features.tsv"),
-        }
-        cv_cfg = tmp_path / "cv.json"
-        cv_cfg.write_text(json.dumps(cfg))
         assert run(
             [
                 "run-cv",
-                "--config", str(cv_cfg),
+                "--config", str(cfg_path),
                 "--out-dir", str(tmp_path),
                 "--folds", "2",
+                *_cv_inputs(data),
             ]
         ) == 0
         agg = json.loads((tmp_path / "aggregate.json").read_text())
@@ -286,6 +280,24 @@ class TestPipeline:
         for fold in range(2):
             rep = json.loads((tmp_path / f"fold_{fold}.json").read_text())
             assert rep["n_test_spots"] == 24
+
+
+def test_preprocess_keeps_zero_count_spot(tmp_path):
+    # a spot with no counts and no neighbour stays a zero row, so it is written
+    coords = [data_io.SpotGeometry(f"s{i}", "a", 100.0 * (i % 4), 100.0 * (i // 4), i // 4, i % 4)
+              for i in range(16)] + [data_io.SpotGeometry("z", "b", 0.0, 0.0, 0, 0)]
+    counts = np.vstack([np.random.default_rng(0).poisson(3, size=(16, 5)) + 1, np.zeros((1, 5))])
+    ids = [g.spot_id for g in coords]
+    expr = data_io.ExpressionMatrix(ids, [f"g{j}" for j in range(5)], counts)
+    data_io.write_expression(expr, tmp_path / "expression.tsv")
+    data_io.write_coords(coords, tmp_path / "coords.csv")
+    (tmp_path / "c.json").write_text(json.dumps({"preprocess": {"min_spots_per_gene": 1}}))
+    assert run(["preprocess", "--config", str(tmp_path / "c.json"), "--out-dir", str(tmp_path),
+                "--expression", str(tmp_path / "expression.tsv"),
+                "--coords", str(tmp_path / "coords.csv")]) == 0
+    for name in ("normalized.tsv", "hvg.tsv"):
+        m = data_io.parse_expression(tmp_path / name, value_kind=data_io.NORMALIZED_LOG)
+        assert m.spot_ids == ids and not m.dense()[-1].any(), name
 
 
 def _strict_json(path):
@@ -317,20 +329,12 @@ class TestUndefinedMetrics:
 
     def test_run_cv_constant_predictions(self, pipeline, tmp_path, monkeypatch):
         _, data, cfg_path = pipeline
-        cfg = json.loads(cfg_path.read_text())
-        cfg["paths"] = {
-            "expression": str(data / "expression.tsv"),
-            "coords": str(data / "coords.csv"),
-            "gene_sets": str(data / "gene_sets.gmt"),
-            "features": str(data / "features.tsv"),
-        }
-        (tmp_path / "cv.json").write_text(json.dumps(cfg))
         evaluate = cli.evaluate_expression
         monkeypatch.setattr(
             cli, "evaluate_expression", lambda pred, truth: evaluate(np.zeros_like(pred), truth)
         )
-        argv = ["run-cv", "--config", str(tmp_path / "cv.json"),
-                "--out-dir", str(tmp_path), "--folds", "2"]
+        argv = ["run-cv", "--config", str(cfg_path),
+                "--out-dir", str(tmp_path), "--folds", "2", *_cv_inputs(data)]
         assert run(argv) == 0
         for fold in range(2):
             rep = _strict_json(tmp_path / f"fold_{fold}.json")
@@ -368,9 +372,17 @@ _CV_PATHS = {
     "gene_sets": "gene_sets.gmt",
     "features": "features.tsv",
 }
+
+
+def _cv_inputs(data, **paths):
+    """run-cv's input flags on the pipeline's files, or on the given `paths`."""
+    paths = {k: str(data / name) for k, name in _CV_PATHS.items()} | paths
+    return [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+
+
 # every subcommand that reads files: its inputs (flag -> file in the pipeline's
-# data directory; run-cv takes them as config paths), the table input that the
-# failures are injected into, and the column of the cell made malformed
+# data directory), the table input that the failures are injected into, and
+# the column of the cell made malformed
 FILE_COMMANDS = {
     "preprocess": ({"expression": "expression.tsv", "coords": "coords.csv"}, "expression", 2),
     "score-pathways": (
@@ -478,11 +490,9 @@ class TestFailureInjection:
         reads_config = "--config" in FLAGS[command]
         cfg = {"train": {"bogus": 1}} if kind == "unknown_field" else {}
         argv = [command, "--out-dir", str(tmp_path / "out")]
+        argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
         if command == "run-cv":
-            cfg["paths"] = paths
             argv += ["--folds", "2"]
-        else:
-            argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
         if cfg:
             (tmp_path / "c.json").write_text(json.dumps(cfg))
             argv += ["--config", str(tmp_path / "c.json")]
@@ -500,18 +510,37 @@ class TestFailureInjection:
             assert err["error"] == "usage" and "unrecognized arguments: --config" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_coordinate_refused(self, pipeline, tmp_path):
+        _, data, cfg_path = pipeline
+        lines = (data / "coords.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2] = "nan"
+        lines[2] = ",".join(fields)
+        coords = tmp_path / "coords.csv"
+        coords.write_text("\n".join(lines) + "\n")
+        inputs = {k: str(data / name) for k, name in _DATASET.items()} | {"coords": str(coords)}
+        argv = [sys.executable, "-m", "pearl.cli", "train-contrastive", "--config", str(cfg_path),
+                "--out-dir", str(tmp_path / "out")]
+        argv += [x for k, v in inputs.items() for x in (f"--{k}", v)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 1
+        # one JSON object and nothing else: no numpy warning from a NaN downstream
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {
+            "error": "data_format",
+            "message": f"{coords}: line 3: non-finite coordinate (nan, {fields[3]})",
+        }
+        assert not (tmp_path / "out").exists()
+
     def test_run_cv_spot_missing_from_features(self, pipeline, tmp_path, capsys):
         _, data, cfg_path = pipeline
         lines = (data / "features.tsv").read_text().splitlines()
         dropped = lines[5].split("\t")[0]
         features = tmp_path / "features.tsv"
         features.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
-        paths = {k: str(data / name) for k, name in _CV_PATHS.items()}
-        paths["features"] = str(features)
-        cfg = tmp_path / "cv.json"
-        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "paths": paths}))
         capsys.readouterr()
-        argv = ["run-cv", "--config", str(cfg), "--out-dir", str(tmp_path), "--folds", "2"]
+        argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--folds", "2",
+                *_cv_inputs(data, features=str(features))]
         assert run(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "error"
@@ -560,9 +589,10 @@ class TestErrors:
         [
             ({"trian": {"max_epochs": 3}}, "unknown config section 'trian'"),
             ({"train": 5}, "config section 'train' must be a JSON object"),
-            ({"paths": ["x"]}, "config section 'paths' must be a JSON object"),
+            # run-cv's inputs are flags; their old config section is unknown
+            ({"paths": {"coords": "x"}}, "unknown config section 'paths'"),
         ],
-        ids=["unknown_section", "section_not_object", "paths_not_object"],
+        ids=["unknown_section", "section_not_object", "paths_section_unknown"],
     )
     def test_bad_config_section_rejected(self, tmp_path, capsys, cfg, needle):
         path = tmp_path / "c.json"
@@ -669,20 +699,15 @@ class TestErrors:
         with pytest.raises(DataFormatError, match=f"line {line}:"):
             _read_slide_embeddings(str(path))
 
-    def test_missing_paths_field(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"paths": {"coords": "x"}}))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "pearl.cli",
-                "run-cv", "--config", str(cfg), "--out-dir", str(tmp_path),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1
-        err = json.loads(proc.stderr)
-        assert "paths.expression" in err["message"]
+    def test_run_cv_input_flags_required(self, tmp_path, capsys):
+        assert run(["run-cv", "--coords", "x", "--out-dir", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "usage",
+            "message": "pearl run-cv: the following arguments are required: "
+            "--expression, --gene-sets, --features",
+        }
+        assert not any(tmp_path.iterdir())
 
     def test_malformed_input_file(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -743,7 +768,6 @@ SETTABLE = {
         "ffn_mult", "tau_init",
     ],
     "survival": ["max_epochs", "patience", "lr", "weight_decay"],
-    "paths": ["expression", "coords", "gene_sets", "features"],  # run-cv's inputs
 }
 # fields the commands fill in from --seed or the input tables
 COMMAND_SET = [
@@ -862,7 +886,7 @@ class TestConfigSurface:
             for name, cls in sections.items()
         }
         assert settable == SETTABLE
-        assert sum(len(v) for k, v in settable.items() if k != "paths") == 34
+        assert sum(map(len, settable.values())) == 34
         refused = [f"{name}.{key}" for name, keys in cli.COMMAND_SET.items() for key in keys]
         assert sorted(refused) == sorted(COMMAND_SET)
 
@@ -890,7 +914,6 @@ class TestConfigSurface:
             ("train", "batch_size", "x"),
             ("model", "n_heads", "x"),
             ("survival", "patience", True),
-            ("paths", "coords", 5),
         ],
     )
     def test_wrong_type_named(self, tmp_path, capsys, section, key, value):
@@ -918,9 +941,12 @@ class TestUsage:
             (["synth", "--bogus"], "--bogus"),
             (["run-cv", "--folds", "1"], "--folds: must be >= 2"),
             (["run-cv", "--folds", "0"], "--folds: must be >= 2"),
+            (["synth", "--seed", "-1"], "--seed: must be in [0, 18446744073709551616)"),
+            (["score-pathways", "--seed", str(2**96), "--expression", "e.tsv",
+              "--gene-sets", "g.gmt"], "--seed: must be in [0, 18446744073709551616)"),
         ],
         ids=["no_command", "missing_flag", "threads_not_int", "zero_threads", "unknown_flag",
-             "one_fold", "zero_folds"],
+             "one_fold", "zero_folds", "negative_seed", "seed_2_96"],
     )
     def test_usage_error_is_json(self, tmp_path, capsys, argv, needle):
         assert run([*argv, "--out-dir", str(tmp_path)] if argv else argv) == 1
@@ -929,6 +955,14 @@ class TestUsage:
         assert err["error"] == "usage" and needle in err["message"]
         assert captured.out == ""
         assert not any(tmp_path.iterdir())  # refused before anything ran
+
+    def test_largest_seed_accepted(self, pipeline, tmp_path):
+        _, data, cfg_path = pipeline
+        argv = ["score-pathways", "--config", str(cfg_path), "--seed", str(2**64 - 1),
+                "--expression", str(data / "normalized.tsv"),
+                "--gene-sets", str(data / "gene_sets.gmt"), "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        assert data_io.read_scores(tmp_path / "scores.tsv").scores.shape == (48, 3)
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
@@ -968,7 +1002,10 @@ FLAGS = {
     "survival-train": {"--config", "--seed", "--out-dir", "--embeddings", "--survival"},
     "survival-eval": {"--out-dir", "--checkpoint", "--embeddings", "--survival"},
     "gradcheck": set(),
-    "run-cv": {"--config", "--seed", "--threads", "--out-dir", "--folds"},
+    "run-cv": {
+        "--config", "--seed", "--threads", "--out-dir", "--folds",
+        "--expression", "--coords", "--gene-sets", "--features",
+    },
 }
 SHARED = ("--config", "--seed", "--threads", "--out-dir")
 # (command, shared flag) pairs a command does not read, so does not accept
@@ -987,7 +1024,7 @@ class TestFlagSurface:
             for name, p in _subparsers().items()
         }
         assert declared == FLAGS
-        assert sum(map(len, declared.values())) == 50
+        assert sum(map(len, declared.values())) == 54
         assert len(DROPPED) == 19
 
     @pytest.mark.parametrize("command, flag", DROPPED, ids=[f"{c}{f}" for c, f in DROPPED])
@@ -1051,3 +1088,21 @@ class TestNumpyOnly:
         assert proc.returncode == 0, proc.stderr
         for name in ("normalized.tsv", "hvg.tsv", "scores.tsv", "stage1.params.bin"):
             assert (out / name).read_bytes() == (data / name).read_bytes(), name
+
+
+def _readme_commands():
+    """The argv of each `pearl ...` line of README's command block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1].replace("\\\n", " ")
+    lines = [ln.split("#")[0] for ln in block.splitlines() if ln.startswith("pearl ")]
+    return [shlex.split(ln)[1:] for ln in lines]
+
+
+class TestReadme:
+    def test_command_block_covers_every_subcommand(self):
+        assert [argv[0] for argv in _readme_commands()] == list(_subparsers())
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_command_line_parses(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.fn.__name__ == "cmd_" + argv[0].replace("-", "_")

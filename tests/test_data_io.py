@@ -68,8 +68,14 @@ class TestExpressionParsing:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "m.tsv"
         p.write_text("")
-        m = data_io.parse_expression(p)
-        assert m.n_spots == 0
+        with pytest.raises(DataFormatError) as info:
+            data_io.parse_expression(p)
+        assert str(info.value) == f"{p}: line 1: empty file"
+
+    def test_header_only_file(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("spot\tgene\tvalue\n")
+        assert data_io.parse_expression(p).matrix.shape == (0, 0)
 
     def test_duplicate_pair(self, tmp_path):
         p = tmp_path / "m.tsv"
@@ -101,6 +107,38 @@ class TestExpressionParsing:
         data_io.write_expression(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]],
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[0.0, 5.0], [0.0, 0.0], [7.0, 0.0]],
+        ],
+        ids=["zero_row_and_column", "all_zero", "zero_rows_first_gene"],
+    )
+    def test_roundtrip_keeps_all_zero_spots_and_genes(self, tmp_path, dense):
+        dense = np.array(dense)
+        spots = [f"s{i}" for i in range(dense.shape[0])][::-1]
+        genes = ["b", "c", "a"][: dense.shape[1]]  # not in id order
+        m = ExpressionMatrix(spots, genes, dense, RAW_COUNTS)
+        p = tmp_path / "m.tsv"
+        data_io.write_expression(m, p)
+        m2 = data_io.parse_expression(p)
+        assert m2.spot_ids == spots and sorted(m2.gene_ids) == sorted(genes)
+        col = [m2.gene_ids.index(g) for g in genes]
+        np.testing.assert_array_equal(m2.dense()[:, col], dense)
+        data_io.write_expression(m2, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == p.read_bytes()
+
+    def test_explicit_zero_only_for_empty_spots_and_genes(self, tmp_path):
+        dense = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        m = ExpressionMatrix(["s0", "s1"], ["b", "a", "c"], dense)
+        data_io.write_expression(m, tmp_path / "m.tsv")
+        # s1 gets a 0 at the first gene by id, then b and c a 0 at the first spot
+        assert (tmp_path / "m.tsv").read_text().splitlines() == [
+            "spot\tgene\tvalue", "s0\ta\t2", "s0\tb\t0", "s0\tc\t0", "s1\ta\t0"
+        ]
 
     @pytest.mark.parametrize("header", ["spot\tgene\tvalue\n"], ids=["sparse_triplet_tsv"])
     def test_array_and_csr_write_the_same_bytes(self, tmp_path, header):
@@ -141,6 +179,14 @@ class TestCoordsSurvivalFeatures:
         )
         with pytest.raises(DataFormatError, match="duplicate"):
             data_io.read_coords(p)
+
+    @pytest.mark.parametrize("x, y", [("nan", "0"), ("1", "inf"), ("-inf", "2")])
+    def test_non_finite_coordinate(self, tmp_path, x, y):
+        p = tmp_path / "c.csv"
+        p.write_text(data_io.COORDS_HEADER + f"\ns1,sl,0,0,0,0\ns2,sl,{x},{y},0,1\n")
+        with pytest.raises(DataFormatError) as info:
+            data_io.read_coords(p)
+        assert str(info.value) == f"{p}: line 3: non-finite coordinate ({x}, {y})"
 
     def test_duplicate_spot_id(self, tmp_path):
         p = tmp_path / "c.csv"

@@ -219,11 +219,11 @@ class TestArrayInput:
             run_pipeline(make_matrix(counts, store=store), grid_geoms(5, 6), cfg)
             for store in (np.asarray, sp.csr_matrix)
         ]
-        (normed_a, hvg_a, ids_a), (normed_b, hvg_b, ids_b) = runs
+        (normed_a, hvg_a), (normed_b, hvg_b) = runs
         assert isinstance(normed_a.matrix, np.ndarray)
         assert normed_a.dense().tobytes() == normed_b.dense().tobytes()
         assert hvg_a.dense().tobytes() == hvg_b.dense().tobytes()
-        assert ids_a == ids_b
+        assert hvg_a.gene_ids == hvg_b.gene_ids
 
     def test_steps_keep_arrays(self):
         m = filter_genes(make_matrix([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0]], store=np.asarray), 2)
@@ -231,8 +231,8 @@ class TestArrayInput:
         m = normalize_and_log(m, 4.0)
         np.testing.assert_allclose(m.dense(), np.log1p([[4.0], [4.0]]), rtol=1e-15)
         m = smooth_8neighbor(m, grid_geoms(1, 2))
-        sub, ids = select_hvg(m, 1)
-        assert ids == ["g2"] and isinstance(sub.matrix, np.ndarray)
+        sub = select_hvg(m, 1)
+        assert sub.gene_ids == ["g2"] and isinstance(sub.matrix, np.ndarray)
 
 
 class TestSelectHvg:
@@ -242,22 +242,21 @@ class TestSelectHvg:
         return make_matrix(dense, kind=NORMALIZED_LOG, genes=["a", "b", "c"])
 
     def test_top2(self):
-        _, ids = select_hvg(self._mk(), 2)
-        assert ids == ["a", "b"]
+        assert select_hvg(self._mk(), 2).gene_ids == ["a", "b"]
 
     def test_full_selection_identity(self):
-        sub, ids = select_hvg(self._mk(), 3)
-        assert set(ids) == {"a", "b", "c"}
+        sub = select_hvg(self._mk(), 3)
+        assert set(sub.gene_ids) == {"a", "b", "c"}
 
     def test_tie_lexicographic(self):
         dense = np.array([[0.0, 0.0], [2.0, 2.0]])
-        _, ids = select_hvg(make_matrix(dense, kind=NORMALIZED_LOG, genes=["zz", "aa"]), 1)
-        assert ids == ["aa"]
+        sub = select_hvg(make_matrix(dense, kind=NORMALIZED_LOG, genes=["zz", "aa"]), 1)
+        assert sub.gene_ids == ["aa"]
 
     def test_variance_sequence_non_increasing(self):
         rng = np.random.default_rng(2)
         m = make_matrix(rng.normal(size=(10, 8)), kind=NORMALIZED_LOG)
-        sub, _ = select_hvg(m, 5)
+        sub = select_hvg(m, 5)
         var = sub.dense().var(axis=0, ddof=1)
         assert np.all(np.diff(var) <= 1e-12)
 
