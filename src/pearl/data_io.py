@@ -13,9 +13,11 @@ Formats:
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
 
 Text tables are read through `_rows`, so a malformed file raises
-DataFormatError naming its physical line; the text readers are wrapped in
-`_names_file`, so the error names the file too.  Parsed structures are
-immutable by convention and safe to share read-only.
+DataFormatError naming its physical line.  Expression files are parsed in
+blocks of lines instead, and one in which the block parse finds anything off
+is re-read through `_rows`, so its error is the same.  The text readers are
+wrapped in `_names_file`, so the error names the file too.  Parsed structures
+are immutable by convention and safe to share read-only.
 """
 
 from __future__ import annotations
@@ -282,14 +284,32 @@ def _rows(path, sep, head, exact=False):
 # ---------------------------------------------------------------------------
 
 
+# lines per block of the bulk triplet reader (a `readlines` hint) and cells per
+# `%` call of the triplet writer: big enough that per-block overhead is small,
+# small enough that a block's Python strings do not raise the peak RSS
+_BLOCK_BYTES = 1 << 17
+_WRITE_CELLS = 4096
+
+_TRIPLET_HEADER = "spot\tgene\tvalue\n"
+
+
 @_names_file
 def parse_expression(path, value_kind=RAW_COUNTS):
     """Parse a sparse-triplet expression TSV: a `spot gene value` header, then
     one line per cell, spots and genes numbered in order of first appearance.
 
     `value_kind` tags the result; files written mid-pipeline (after
-    normalization) are re-read with value_kind=normalized_log.
+    normalization) are re-read with value_kind=normalized_log.  A well-formed
+    file is parsed in blocks of lines; any other is re-read line by line,
+    which names the line at fault.
     """
+    spot_ids, gene_ids, mat = _triplets_in_blocks(path) or _triplets_by_line(path)
+    return ExpressionMatrix(spot_ids, gene_ids, mat, value_kind)
+
+
+def _triplets_by_line(path):
+    """(spot ids, gene ids, dense matrix) of a triplet file, one line at a
+    time: the reference reader, and the one that raises DataFormatError."""
     rows = _rows(path, "\t", ("spot", "gene", "value"), exact=True)
     next(rows)
     spot_index, gene_index, seen_pairs = {}, {}, set()
@@ -308,7 +328,59 @@ def parse_expression(path, value_kind=RAW_COUNTS):
             vals.append(v)
     mat = np.zeros((len(spot_index), len(gene_index)))
     mat[np.asarray(row_idx, dtype=np.intp), np.asarray(cols, dtype=np.intp)] = vals
-    return ExpressionMatrix(list(spot_index), list(gene_index), mat, value_kind)
+    return list(spot_index), list(gene_index), mat
+
+
+def _triplets_in_blocks(path):
+    """What `_triplets_by_line` returns, built from blocks of `_BLOCK_BYTES`
+    of whole lines, or None if the file is not a header followed by at least
+    one line of exactly three tab-separated fields, each value a finite
+    non-negative float, each (spot, gene) pair once."""
+    spot_codes, gene_codes = {}, {}  # stripped id -> code
+    raw_spots, raw_genes = {}, {}  # id as written -> code
+    rows, cols, vals = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            if fh.readline() != _TRIPLET_HEADER:
+                return None
+            while lines := fh.readlines(_BLOCK_BYTES):
+                block = "".join(lines)
+                if not block.endswith("\n"):
+                    block += "\n"
+                n = len(lines)
+                seps = np.frombuffer(block.encode(), dtype=np.uint8)
+                seps = seps[(seps == 9) | (seps == 10)]
+                if seps.size != 3 * n or not (seps.reshape(n, 3) == (9, 9, 10)).all():
+                    return None
+                cells = block[:-1].replace("\n", "\t").split("\t")
+                v = np.fromiter(map(float, cells[2::3]), dtype=np.float64, count=n)
+                if not (np.isfinite(v) & (v >= 0)).all():
+                    return None
+                rows.append(_codes(cells[0::3], raw_spots, spot_codes))
+                cols.append(_codes(cells[1::3], raw_genes, gene_codes))
+                vals.append(v)
+        except ValueError:  # a value float() refuses, or bytes that are not UTF-8
+            return None
+    if not rows:
+        return None
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    key = np.sort(rows * len(gene_codes) + cols)
+    if (key[1:] == key[:-1]).any():
+        return None
+    nonzero = vals != 0.0  # -0.0 is not stored, as in the line reader
+    mat = np.zeros((len(spot_codes), len(gene_codes)))
+    mat[rows[nonzero], cols[nonzero]] = vals[nonzero]
+    return list(spot_codes), list(gene_codes), mat
+
+
+def _codes(raw_ids, raw_codes, codes):
+    """int64 code of each id in `raw_ids`, each stripped id numbered in order
+    of first appearance in `codes`; `raw_codes` holds the code of each id as
+    written, so each distinct one is stripped once."""
+    for raw in dict.fromkeys(raw_ids):
+        if raw not in raw_codes:
+            raw_codes[raw] = codes.setdefault(raw.strip(), len(codes))
+    return np.fromiter(map(raw_codes.__getitem__, raw_ids), dtype=np.int64, count=len(raw_ids))
 
 
 def _parse_value(cell, lineno):
@@ -327,8 +399,19 @@ def write_expression(m, path):
     """Write `m` as a sparse-triplet TSV: one line per nonzero cell, by spot,
     then by gene id, so the bytes do not depend on the column numbering.  A
     spot or gene with no nonzero cell gets one explicit 0 (at the first gene
-    by id, or the first spot), so that reading the file back keeps it."""
+    by id, or the first spot), so that reading the file back keeps it.  A
+    matrix with spots but no genes, or genes but no spots, has no cell to
+    carry its ids and is refused; a 0 x 0 one is the bare header.
+
+    Values are written as `_fmt` writes them, `_WRITE_CELLS` lines per `%`
+    call.
+    """
     dense = m.dense()
+    if dense.size == 0 and dense.shape != (0, 0):
+        raise DataFormatError(
+            f"a matrix of {m.n_spots} spots and {m.n_genes} genes has no cell "
+            "to keep its ids in a triplet file"
+        )
     gene_rank = np.argsort(np.argsort(m.gene_ids, kind="stable"), kind="stable")
     mask = dense != 0
     if mask.size:
@@ -337,10 +420,28 @@ def write_expression(m, path):
     row, col = np.nonzero(mask)
     order = np.lexsort((gene_rank[col], row))
     row, col = row[order], col[order]
+    spot_ids, gene_ids = np.array(m.spot_ids, dtype=object), np.array(m.gene_ids, dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("spot\tgene\tvalue\n")
-        for i, j, v in zip(row.tolist(), col.tolist(), dense[row, col].tolist()):
-            fh.write(f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{_fmt(v)}\n")
+        fh.write(_TRIPLET_HEADER)
+        for start in range(0, row.size, _WRITE_CELLS):
+            r, c = row[start : start + _WRITE_CELLS], col[start : start + _WRITE_CELLS]
+            cells = np.empty((r.size, 3), dtype=object)
+            cells[:, 0], cells[:, 1] = spot_ids[r], gene_ids[c]
+            cells[:, 2] = _fmt_values(dense[r, c])
+            fh.write("%s\t%s\t%s\n" * r.size % tuple(cells.ravel().tolist()))
+
+
+def _fmt_values(v):
+    """Objects whose `%s` is `_fmt` of each value of float64 array `v`: an int
+    for a whole value under 1e15 in magnitude, else the float (whose str is
+    its repr)."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        _fmt(v[~finite][0])  # raises, as _fmt does on a value with no int
+    out = v.astype(object)
+    whole = (v == np.trunc(v)) & (np.abs(v) < 1e15)
+    out[whole] = v[whole].astype(np.int64)
+    return out
 
 
 def _fmt(v):

@@ -158,6 +158,13 @@ def run_pipeline(m, geoms, config):
     if m.n_spots == 0:
         raise PearlError("expression matrix has no spots")
     filtered = filter_genes(m, config.min_spots_per_gene)
+    if filtered.n_genes == 0:
+        most = int(np.count_nonzero(m.dense(), axis=0).max(initial=0))
+        raise PearlError(
+            f"no gene is nonzero in preprocess.min_spots_per_gene = "
+            f"{config.min_spots_per_gene} spots: the matrix has {m.n_spots} spots, "
+            f"and the most spots any gene is nonzero in is {most}"
+        )
     normed = smooth_8neighbor(normalize_and_log(filtered, config.target_sum), geoms)
     top = min(config.top_hvg, normed.n_genes)
     return normed, select_hvg(normed, top)

@@ -300,6 +300,24 @@ def test_preprocess_keeps_zero_count_spot(tmp_path):
         assert m.spot_ids == ids and not m.dense()[-1].any(), name
 
 
+def test_preprocess_refuses_a_filter_that_keeps_no_gene(pipeline, tmp_path, capsys):
+    _, data, _ = pipeline
+    (tmp_path / "c.json").write_text(json.dumps({"preprocess": {"min_spots_per_gene": 1000}}))
+    m = data_io.parse_expression(data / "expression.tsv")
+    most = np.count_nonzero(m.dense(), axis=0).max()
+    capsys.readouterr()
+    assert run(["preprocess", "--config", str(tmp_path / "c.json"),
+                "--out-dir", str(tmp_path / "out"),
+                "--expression", str(data / "expression.tsv"),
+                "--coords", str(data / "coords.csv")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "error",
+        "message": "no gene is nonzero in preprocess.min_spots_per_gene = 1000 spots: the "
+                   f"matrix has 48 spots, and the most spots any gene is nonzero in is {most}",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def _strict_json(path):
     """Parse `path` as RFC 8259 JSON, which has no NaN or Infinity."""
 
@@ -1101,6 +1119,18 @@ def _readme_commands():
 class TestReadme:
     def test_command_block_covers_every_subcommand(self):
         assert [argv[0] for argv in _readme_commands()] == list(_subparsers())
+
+    def test_quickstart_runs_as_written(self, tmp_path, monkeypatch):
+        # synth, preprocess and score-pathways, with the config README shows
+        synth, preprocess, score = _readme_commands()[:3]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        config = preprocess[preprocess.index("--config") + 1]
+        (tmp_path / config).write_text(readme.split("```json", 1)[1].split("```", 1)[0])
+        monkeypatch.chdir(tmp_path)
+        for argv in (synth, preprocess, score):
+            assert main(argv) == 0, argv
+        out = Path(score[score.index("--out-dir") + 1])
+        assert len(data_io.read_scores(out / "scores.tsv").spot_ids) == 600
 
     @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
     def test_command_line_parses(self, argv):

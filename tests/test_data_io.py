@@ -162,6 +162,148 @@ class TestExpressionParsing:
         np.testing.assert_array_equal(m.dense(), [[2.0, 0.0], [0.0, 0.5]])
 
 
+def _triplet_corpus(n_files):
+    """Seeded triplet files (bytes) with what a hand-made file holds: ids
+    padded by whitespace that strips to the same id, non-ASCII ids, values
+    float() reads in other spellings, CRLF endings, a missing final newline,
+    and in about half the files one blank line or fault."""
+    rng = np.random.default_rng(20261018)
+    spots = ["s1", "spot\u00e9", "\u7ec6\u80de", *(f"s{i}" for i in range(2, 9))]
+    genes = ["g1", "g\u00e8ne", *(f"g{i}" for i in range(2, 9))]
+    pads = ["", "", "", " ", "\u3000", "\u00a0"]
+    values = ["1", "0", "2.5", "1_0", "+3", " 4 ", "-0", "0.0", "1e-300", "7E2"]
+    odd = ["", "  ", "\t\t", "s1\tg1", "s1\tg1\t1\t2", "s1\tg1\t1e400", "s1\tg1\tnan",
+           "s1\tg1\t-1", "s1\tg1\tx"]
+    headers = ["spot\tgene\tvalue"] * 17 + ["", "spot\tgene", "spot gene value"]
+    for _ in range(n_files):
+        cells = rng.permutation(len(spots) * len(genes))[: rng.integers(0, 30)]
+        lines = [
+            f"{rng.choice(pads)}{spots[c // len(genes)]}\t{genes[c % len(genes)]}"
+            f"{rng.choice(pads)}\t{rng.choice(values)}"
+            for c in cells
+        ]
+        if rng.uniform() < 0.5:
+            lines.insert(rng.integers(0, len(lines) + 1), str(rng.choice(odd)))
+        if lines and rng.uniform() < 0.1:  # a (spot, gene) pair written twice
+            lines.append(lines[rng.integers(0, len(lines))])
+        eol = str(rng.choice(["\n", "\r\n"]))
+        text = eol.join([str(rng.choice(headers)), *lines]) + eol * (rng.uniform() < 0.8)
+        yield text.encode("utf-8")
+
+
+def _triplets(spot_ids, gene_ids, mat):
+    return spot_ids, gene_ids, mat.shape, mat.tobytes()
+
+
+def _outcome(read, path):
+    """`_triplets` of what `read(path)` gives, or its error."""
+    try:
+        return _triplets(*read(path))
+    except DataFormatError as exc:
+        return str(exc), exc.detail, exc.line, exc.path
+
+
+def _parsed(path):
+    m = data_io.parse_expression(path)
+    return m.spot_ids, m.gene_ids, m.matrix
+
+
+class TestBulkTriplets:
+    """The block reader gives what the line reader gives, or hands the file to it."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 16, 100, 1 << 17])
+    def test_matches_the_line_reader(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", block_bytes)
+        by_line = data_io._names_file(data_io._triplets_by_line)
+        taken = 0
+        for k, text in enumerate(_triplet_corpus(300)):
+            p = tmp_path / f"{k}.tsv"
+            p.write_bytes(text)
+            want = _outcome(by_line, p)
+            assert _outcome(_parsed, p) == want, text
+            bulk = data_io._triplets_in_blocks(p)
+            if bulk is not None:
+                taken += 1
+                assert _triplets(*bulk) == want, text
+        # the corpus reaches both readers
+        assert 100 < taken < 250
+
+    @pytest.mark.parametrize("block_bytes", [16, 100])
+    def test_duplicate_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "m.tsv"
+        p.write_text("spot\tgene\tvalue\n" + "".join(f"s{i}\tg{i}\t{i}\n" for i in range(40))
+                     + "s0\tg0\t5\n")
+        with pytest.raises(DataFormatError) as info:
+            data_io.parse_expression(p)
+        assert str(info.value) == f"{p}: line 42: duplicate entry for (s0, g0)"
+
+    @pytest.mark.parametrize(
+        "kind, shape, rate",
+        [(RAW_COUNTS, (4, 3), 1.0), (NORMALIZED_LOG, (5, 6), 0.5), (RAW_COUNTS, (60, 300), 3.0)],
+        ids=["raw_counts", "normalized_log", "longer_than_a_block"],
+    )
+    def test_well_formed_files_are_not_read_line_by_line(
+        self, tmp_path, monkeypatch, kind, shape, rate
+    ):
+        def refuse(path):
+            raise AssertionError(f"{path} was read line by line")
+
+        monkeypatch.setattr(data_io, "_triplets_by_line", refuse)
+        rng = np.random.default_rng(6)
+        dense = rng.poisson(rate, size=shape).astype(float)
+        if kind == NORMALIZED_LOG:
+            dense = np.log1p(dense * rng.gamma(2.0, size=shape))
+        m = ExpressionMatrix([f"s{i}" for i in range(shape[0])],
+                             [f"g{j}" for j in range(shape[1])], dense, kind)
+        p = tmp_path / "m.tsv"
+        data_io.write_expression(m, p)
+        if shape[0] > 10:
+            assert p.stat().st_size > data_io._BLOCK_BYTES
+        m2 = data_io.parse_expression(p, value_kind=kind)
+        col = [m2.gene_ids.index(g) for g in m.gene_ids]
+        assert m2.spot_ids == m.spot_ids
+        assert m2.dense()[:, col].tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 3, 4096])
+    def test_writer_formats_each_value_as_fmt(self, tmp_path, monkeypatch, cells):
+        monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
+        dense = np.array([
+            [0.1, 2.0, 1e15, 123456789012345.0],
+            [1e16, 2.5e-300, -7.0, 1 / 3],
+            [-2.5, 999999999999999.0, 4.0, 1e300],
+        ])
+        genes = ["a", "b", "c", "d"]
+        m = ExpressionMatrix(["s0", "s1", "s2"], genes, dense, NORMALIZED_LOG)
+        data_io.write_expression(m, tmp_path / "m.tsv")
+        want = "spot\tgene\tvalue\n" + "".join(
+            f"s{i}\t{g}\t{data_io._fmt(dense[i, j])}\n"
+            for i in range(3) for j, g in enumerate(genes)
+        )
+        assert (tmp_path / "m.tsv").read_text() == want
+
+    @pytest.mark.parametrize("value, error", [(np.inf, OverflowError), (np.nan, ValueError)])
+    def test_writer_refuses_non_finite_as_fmt_does(self, tmp_path, value, error):
+        m = ExpressionMatrix(["s0"], ["a", "b"], np.array([[1.0, value]]), NORMALIZED_LOG)
+        with pytest.raises(error):
+            data_io._fmt(value)
+        with pytest.raises(error):
+            data_io.write_expression(m, tmp_path / "m.tsv")
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+    def test_ids_with_no_cell_are_refused(self, tmp_path, shape):
+        m = ExpressionMatrix([f"s{i}" for i in range(shape[0])],
+                             [f"g{j}" for j in range(shape[1])], np.zeros(shape))
+        with pytest.raises(DataFormatError, match="no cell"):
+            data_io.write_expression(m, tmp_path / "m.tsv")
+        assert not (tmp_path / "m.tsv").exists()
+
+    def test_empty_matrix_is_the_header(self, tmp_path):
+        data_io.write_expression(ExpressionMatrix([], [], np.zeros((0, 0))), tmp_path / "m.tsv")
+        assert (tmp_path / "m.tsv").read_text() == "spot\tgene\tvalue\n"
+        assert data_io.parse_expression(tmp_path / "m.tsv").matrix.shape == (0, 0)
+
+
 class TestCoordsSurvivalFeatures:
     def test_coords_roundtrip(self, tmp_path):
         geoms = [
