@@ -189,8 +189,6 @@ def _unbroadcast(g, shape):
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    if g.shape != tuple(shape):
-        g = g.reshape(shape) if g.size == int(np.prod(shape)) else g.sum().reshape(shape)
     return g
 
 

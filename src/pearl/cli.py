@@ -201,8 +201,8 @@ def cmd_train_contrastive(args, cfg):
     tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
     model = PearlModel(_model_config(cfg, dataset, args.seed))
-    model, history, normalizer = trainer.train_stage1(dataset, model, tcfg)
-    save_model(model, _outpath(args, "stage1"), normalizer=normalizer)
+    model, history = trainer.train_stage1(dataset, model, tcfg)
+    save_model(model, _outpath(args, "stage1"))
     _write_curve(_outpath(args, "stage1_loss.csv"), history)
     return 0
 
@@ -210,9 +210,9 @@ def cmd_train_contrastive(args, cfg):
 def cmd_train_heads(args, cfg):
     tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
-    model, normalizer = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     model, history = trainer.train_stage2(dataset, model, tcfg)
-    save_model(model, _outpath(args, "final"), normalizer=normalizer)
+    save_model(model, _outpath(args, "final"))
     _write_curve(_outpath(args, "stage2_loss.csv"), history)
     return 0
 
@@ -220,7 +220,7 @@ def cmd_train_heads(args, cfg):
 def cmd_predict(args, cfg):
     if args.emit_embeddings != (args.coords is not None):
         raise UsageError("pearl predict: --emit-embeddings and --coords go together")
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
     if args.emit_embeddings:
         slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
@@ -259,8 +259,7 @@ def cmd_evaluate(args, cfg):
     _write_json(_outpath(args, "report.json"), report.to_dict())
     with open(_outpath(args, "per_target_pcc.csv"), "w", encoding="utf-8") as fh:
         fh.write("target,pcc\n")
-        names = report.target_names or [str(j) for j in range(report.n_targets)]
-        for name, v in zip(names, report.per_target_pcc):
+        for name, v in zip(report.target_names, report.per_target_pcc):
             fh.write(f"{name},{v!r}\n")
     return 0
 
@@ -268,16 +267,21 @@ def cmd_evaluate(args, cfg):
 def _load_cohort(args):
     """(E, sizes, times, events): every subject's spot embeddings in one
     float32 (N, dim) array, subjects in survival-table order, each subject's
-    slides in the order it lists them, and sizes[i] rows for subject i."""
+    slides in the order it lists them, and sizes[i] rows for subject i.
+    Every slide a subject lists must have embeddings."""
     table = data_io.read_survival(args.survival)
     rows, values = _read_slide_embeddings(args.embeddings)
     idx, sizes = [], []
     for r in table.rows:
         start = len(idx)
         for s in r.slide_ids:
-            idx += rows.get(s, ())
+            if s not in rows:
+                raise DataFormatError(
+                    f"subject {r.subject_id!r}: no embeddings for slide {s!r}", path=args.survival
+                )
+            idx += rows[s]
         if len(idx) == start:
-            raise PearlError(f"subject {r.subject_id!r}: no embeddings for its slides")
+            raise DataFormatError(f"subject {r.subject_id!r} lists no slide", path=args.survival)
         sizes.append(len(idx) - start)
     E = values.astype(np.float32)  # the Cox head's dtype; cast before the gather
     del values  # so the float64 table is gone before the gather copies
@@ -337,14 +341,14 @@ def cmd_run_cv(args, cfg):
         test_ds = dataset.subset(test_idx)
         mcfg = _model_config(cfg, dataset, args.seed + fold)
         model = PearlModel(mcfg)
-        model, _, normalizer = trainer.train_stage1(train_ds, model, tcfg)
+        model, _ = trainer.train_stage1(train_ds, model, tcfg)
         model, _ = trainer.train_stage2(train_ds, model, tcfg)
         h_test = trainer.embed_images(model, test_ds.features, tcfg.batch_size)
         with ad.no_grad():
             yp, yg = model.predict_heads(h_test)
         path_rep = evaluate_expression(yp.values, test_ds.scores)
         gene_rep = evaluate_expression(yg.values, test_ds.y_gene)
-        top1 = trainer.retrieval_top1(model, test_ds, normalizer, tcfg.batch_size, seed=args.seed)
+        top1 = trainer.retrieval_top1(model, test_ds, tcfg.batch_size, seed=args.seed)
         report = {
             "fold": fold,
             "pathway": path_rep.to_dict(),

@@ -23,6 +23,7 @@ are immutable by convention and safe to share read-only.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     DataFormatError,
+    PearlError,
 )
 
 CHECKPOINT_FORMAT_VERSION = 2
@@ -628,60 +630,25 @@ def write_embeddings(spot_ids, slide_ids, values, path):
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(params, hyperparams, path, extra=None):
+def save_checkpoint(obj, hyperparams, path, extra=None):
     """Write <path>.manifest.json and <path>.params.bin.
 
-    `params` is an ordered list of (name, float32 ndarray); the blob stores
-    them back to back as little-endian f32 in manifest order.
+    `obj.parameters()` is an ordered list of (name, Tensor); the blob stores
+    their values back to back as little-endian f32 in manifest order.
     """
+    params = obj.parameters()
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "hyperparams": hyperparams,
-        "params": [{"name": n, "shape": list(a.shape)} for n, a in params],
+        "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
     if extra:
         manifest["extra"] = extra
     with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in params
-    )
+    blob = b"".join(np.ascontiguousarray(p.values, dtype="<f4").tobytes() for _, p in params)
     with open(path + ".params.bin", "wb") as fh:
         fh.write(blob)
-
-
-def check_hyperparams(hyper, expected):
-    """Require a manifest's hyperparameter keys to be exactly those of
-    `expected`, {name: type}, each value of its type (an int may stand for a
-    float)."""
-    bad = sorted(set(hyper) ^ set(expected))
-    if bad:
-        kind = "unknown" if bad[0] in hyper else "missing"
-        raise CheckpointShapeError(f"{kind} hyperparameter {bad[0]!r}")
-    for name, kind in expected.items():
-        value = hyper[name]
-        if type(value) is not kind and not (kind is float and type(value) is int):
-            raise CheckpointManifestError(
-                f"hyperparameter {name!r} must be of type {kind.__name__}, got {value!r}"
-            )
-
-
-def assign_params(targets, params):
-    """Set each target tensor's values from the loaded `params`.
-
-    `targets` is [(name, Tensor)] as built from the checkpoint's
-    hyperparameters, `params` is load_checkpoint's [(name, f32 ndarray)];
-    names and shapes must match exactly.
-    """
-    loaded = dict(params)
-    if set(loaded) != {n for n, _ in targets}:
-        raise CheckpointShapeError("parameter names do not match the declared hyperparameters")
-    for n, t in targets:
-        if loaded[n].shape != t.values.shape:
-            raise CheckpointShapeError(
-                f"parameter {n!r}: manifest shape {loaded[n].shape}, expected {t.values.shape}"
-            )
-        t.values = loaded[n].astype(np.float32)
 
 
 def _is_param_entry(p):
@@ -693,12 +660,17 @@ def _is_param_entry(p):
     )
 
 
-def load_checkpoint(path):
-    """Return (params, hyperparams, extra); params is [(name, f32 ndarray)].
+def load_checkpoint(path, kinds, build):
+    """Return (object, extra): `build(**hyperparams)` with its `parameters()`
+    filled from the blob, and the manifest's `extra` object.
 
     The manifest must be a JSON object with this format version, a
     `hyperparams` object, a `params` list of {name, shape} entries and, if
     present, an `extra` object; anything else is a CheckpointManifestError.
+    The hyperparameter keys must be exactly those of `kinds`, {name: type},
+    each value of its type (an int may stand for a float), and a PearlError
+    from `build` is a CheckpointManifestError.  The built parameters' names
+    and shapes must be the manifest's.
     """
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
@@ -726,7 +698,10 @@ def load_checkpoint(path):
         )
     with open(path + ".params.bin", "rb") as fh:
         blob = fh.read()
-    expected = sum(math.prod(p["shape"]) for p in entries) * 4
+    # each entry's byte offset in the blob, entries back to back in manifest order
+    *offsets, expected = itertools.accumulate(
+        (math.prod(p["shape"]) * 4 for p in entries), initial=0
+    )
     if len(blob) < expected:
         raise CheckpointTruncatedError(
             f"blob holds {len(blob)} bytes, manifest declares {expected}"
@@ -735,11 +710,30 @@ def load_checkpoint(path):
         raise CheckpointShapeError(
             f"blob holds {len(blob)} bytes, manifest declares {expected}"
         )
-    params = []
-    offset = 0
-    for p in entries:
-        n = math.prod(p["shape"])
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(p["shape"])
-        params.append((p["name"], arr.copy()))
-        offset += n * 4
-    return params, hyper, extra
+    bad = sorted(set(hyper) ^ set(kinds))
+    if bad:
+        kind = "unknown" if bad[0] in hyper else "missing"
+        raise CheckpointShapeError(f"{kind} hyperparameter {bad[0]!r}")
+    for name, kind in kinds.items():
+        value = hyper[name]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise CheckpointManifestError(
+                f"hyperparameter {name!r} must be of type {kind.__name__}, got {value!r}"
+            )
+    try:
+        obj = build(**hyper)
+    except PearlError as exc:
+        raise CheckpointManifestError(f"{path}: {exc}") from None
+    stored = {p["name"]: (tuple(p["shape"]), o) for p, o in zip(entries, offsets)}
+    targets = obj.parameters()
+    if set(stored) != {n for n, _ in targets}:
+        raise CheckpointShapeError("parameter names do not match the declared hyperparameters")
+    for n, t in targets:
+        shape, offset = stored[n]
+        if shape != t.values.shape:
+            raise CheckpointShapeError(
+                f"parameter {n!r}: manifest shape {shape}, expected {t.values.shape}"
+            )
+        count = math.prod(shape)
+        t.values = np.frombuffer(blob, "<f4", count, offset).astype(np.float32).reshape(shape)
+    return obj, extra

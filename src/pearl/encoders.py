@@ -87,12 +87,14 @@ def _xavier(rng, shape, dtype):
 
 
 class PearlModel:
-    """All trainable parameters, addressable by name in a fixed order."""
+    """All trainable parameters, addressable by name in a fixed order, and the
+    coordinate normalizer the pathway encoder was trained with."""
 
     def __init__(self, config, dtype=np.float32):
         config.validate()
         self.config = config
         self.dtype = dtype
+        self.normalizer = None  # the CoordNormalizer stage-1 training fits
         rng = np.random.default_rng(config.seed)
         P = config.n_pathways
         self.params = {}
@@ -218,38 +220,34 @@ class PearlModel:
 # ---------------------------------------------------------------------------
 
 
-def save_model(model, path, normalizer=None):
+def save_model(model, path):
     extra = {}
-    if normalizer is not None:
+    if model.normalizer is not None:
         extra["coord_normalizer"] = {
-            "mu": [float(v) for v in normalizer.mu],
-            "sigma": [float(v) for v in normalizer.sigma],
+            "mu": [float(v) for v in model.normalizer.mu],
+            "sigma": [float(v) for v in model.normalizer.sigma],
         }
-    params = [(n, np.asarray(p.values, dtype=np.float32)) for n, p in model.parameters()]
-    data_io.save_checkpoint(params, asdict(model.config), path, extra=extra)
+    data_io.save_checkpoint(model, asdict(model.config), path, extra=extra)
 
 
 def load_model(path):
-    """Returns (model, normalizer_or_None)."""
-    params, hyper, extra = data_io.load_checkpoint(path)
-    data_io.check_hyperparams(hyper, {f.name: type(f.default) for f in fields(ModelConfig)})
-    try:
-        model = PearlModel(ModelConfig(**hyper))
-    except PearlError as exc:
-        raise CheckpointManifestError(f"{path}: {exc}") from None
-    data_io.assign_params(model.parameters(), params)
-    if "coord_normalizer" not in extra:
-        return model, None
-    cn = extra["coord_normalizer"]
-    if not (isinstance(cn, dict) and all(_is_pair(cn.get(k)) for k in ("mu", "sigma"))):
-        raise CheckpointManifestError(
-            f"{path}: extra.coord_normalizer must hold 'mu' and 'sigma', two numbers each"
-        )
-    normalizer = CoordNormalizer(
-        mu=np.asarray(cn["mu"], dtype=np.float64),
-        sigma=np.asarray(cn["sigma"], dtype=np.float64),
+    """The saved model, with its coordinate normalizer if one was saved."""
+    model, extra = data_io.load_checkpoint(
+        path,
+        {f.name: type(f.default) for f in fields(ModelConfig)},
+        lambda **hyper: PearlModel(ModelConfig(**hyper)),
     )
-    return model, normalizer
+    if "coord_normalizer" in extra:
+        cn = extra["coord_normalizer"]
+        if not (isinstance(cn, dict) and all(_is_pair(cn.get(k)) for k in ("mu", "sigma"))):
+            raise CheckpointManifestError(
+                f"{path}: extra.coord_normalizer must hold 'mu' and 'sigma', two numbers each"
+            )
+        model.normalizer = CoordNormalizer(
+            mu=np.asarray(cn["mu"], dtype=np.float64),
+            sigma=np.asarray(cn["sigma"], dtype=np.float64),
+        )
+    return model
 
 
 def _is_pair(v):

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import data_io
 from .autodiff import Tensor
 from .encoders import _xavier
-from .errors import CheckpointManifestError, PearlError
+from .errors import PearlError
 from .trainer import fit
 
 
@@ -23,7 +23,11 @@ class CoxHead:
     common shift of the risks, so such a bias would draw no gradient.
     """
 
+    HYPERPARAMS = {"embed_dim": int, "attn_hidden": int}  # what a checkpoint holds, by type
+
     def __init__(self, embed_dim=256, attn_hidden=128, seed=0):
+        if min(embed_dim, attn_hidden) < 1:
+            raise PearlError("embed_dim and attn_hidden must be >= 1")
         rng = np.random.default_rng(seed)
         dtype = np.float32
         self.embed_dim = embed_dim
@@ -173,16 +177,9 @@ def predict_risks(head, E, sizes):
 
 
 def save_cox(head, path):
-    hyper = {"embed_dim": head.embed_dim, "attn_hidden": head.attn_hidden}
-    params = [(n, np.asarray(p.values, dtype=np.float32)) for n, p in head.parameters()]
-    data_io.save_checkpoint(params, hyper, path)
+    hyper = {name: getattr(head, name) for name in head.HYPERPARAMS}
+    data_io.save_checkpoint(head, hyper, path)
 
 
 def load_cox(path):
-    params, hyper, _ = data_io.load_checkpoint(path)
-    data_io.check_hyperparams(hyper, {"embed_dim": int, "attn_hidden": int})
-    if min(hyper["embed_dim"], hyper["attn_hidden"]) < 1:
-        raise CheckpointManifestError(f"{path}: embed_dim and attn_hidden must be >= 1")
-    head = CoxHead(embed_dim=hyper["embed_dim"], attn_hidden=hyper["attn_hidden"])
-    data_io.assign_params(head.parameters(), params)
-    return head
+    return data_io.load_checkpoint(path, CoxHead.HYPERPARAMS, CoxHead)[0]

@@ -110,11 +110,17 @@ def slide_stratified_split(slide_ids, val_fraction, seed):
 
 
 def _split(dataset, config, min_val):
-    """slide_stratified_split, refusing a validation set under `min_val` spots
-    (it would score every epoch NaN and keep the initial weights)."""
+    """slide_stratified_split, refusing a training set under 2 spots (it makes
+    no batch) and a validation set under `min_val` spots (it would score every
+    epoch NaN and keep the initial weights)."""
     train_idx, val_idx = slide_stratified_split(
         dataset.slide_ids, config.val_fraction, config.seed
     )
+    if len(train_idx) < 2:
+        raise PearlError(
+            f"training split has {len(train_idx)} spots and validation split {len(val_idx)}, "
+            f"training needs at least 2: lower val_fraction (now {config.val_fraction})"
+        )
     if len(val_idx) < min_val:
         raise PearlError(
             f"validation split has {len(val_idx)} spots, needs at least {min_val}: raise "
@@ -203,9 +209,9 @@ def fit(params, config, batches, batch_loss, val_loss=None):
     return history
 
 
-def _stage1_batch_loss(model, ds, idx, normalizer):
+def _stage1_batch_loss(model, ds, idx):
     model.clamp_tau()
-    hp = model.encode_pathways(ds.scores[idx], normalizer.transform(ds.coords[idx]))
+    hp = model.encode_pathways(ds.scores[idx], model.normalizer.transform(ds.coords[idx]))
     hi = model.encode_images(ds.features[idx])
     return contrastive_loss(hi, hp, model.inv_tau())
 
@@ -213,23 +219,24 @@ def _stage1_batch_loss(model, ds, idx, normalizer):
 def train_stage1(dataset, model, config):
     """Contrastive pretraining of the backbone.
 
-    Returns (model, history, normalizer) where history holds per-epoch
-    train/val loss; the model carries the best-validation parameters.
+    Returns (model, history) where history holds per-epoch train/val loss;
+    the model carries the best-validation parameters and the coordinate
+    normalizer fitted on the training split.
     """
     train_idx, val_idx = _split(dataset, config, min_val=2)
     train = dataset.subset(train_idx)
     val = dataset.subset(val_idx)
-    normalizer = CoordNormalizer.fit(train.coords)
+    model.normalizer = CoordNormalizer.fit(train.coords)
     rng = np.random.default_rng(config.seed)
     history = fit(
         model.stage1_parameters(),
         config,
         lambda: _batches(train.n_spots, config.batch_size, rng),
-        lambda idx: _stage1_batch_loss(model, train, idx, normalizer),
-        lambda: np.mean([_stage1_batch_loss(model, val, idx, normalizer).item()
+        lambda idx: _stage1_batch_loss(model, train, idx),
+        lambda: np.mean([_stage1_batch_loss(model, val, idx).item()
                          for idx in _batches(val.n_spots, config.batch_size)]),
     )
-    return model, history, normalizer
+    return model, history
 
 
 def supervised_loss(model, h_image, scores, y_gene):
@@ -272,7 +279,7 @@ def embed_images(model, features, batch_size=256):
     return np.concatenate(out, axis=0) if out else np.zeros((0, model.config.embed_dim))
 
 
-def retrieval_top1(model, dataset, normalizer, batch_size=256, seed=0):
+def retrieval_top1(model, dataset, batch_size=256, seed=0):
     """Fraction of spots whose image embedding is closest to its own pathway
     embedding within its batch (diagonal argmax of the similarity matrix).
     A spot whose image or pathway embedding has zero norm counts as a miss."""
@@ -281,7 +288,7 @@ def retrieval_top1(model, dataset, normalizer, batch_size=256, seed=0):
     for idx in _batches(dataset.n_spots, batch_size, rng):
         with ad.no_grad():
             hp = model.encode_pathways(
-                dataset.scores[idx], normalizer.transform(dataset.coords[idx])
+                dataset.scores[idx], model.normalizer.transform(dataset.coords[idx])
             )
             hp = ad.l2_normalize_rows(hp).values
             hi = ad.l2_normalize_rows(model.encode_images(dataset.features[idx])).values

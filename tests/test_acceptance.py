@@ -186,7 +186,7 @@ class TestAcceptance:
         )
         cfg = TrainConfig(batch_size=256, max_epochs=2, patience=1, lr=1e-4, seed=0)
         model = PearlModel(ModelConfig(n_pathways=p, n_genes=5, d_img=32, seed=0))
-        _, history, _ = trainer.train_stage1(ds, model, cfg)
+        _, history = trainer.train_stage1(ds, model, cfg)
         first = history["train_loss"][0]
         target = math.log(256)
         init_ok = abs(first - target) <= 0.1 * target
@@ -229,13 +229,13 @@ class TestAcceptance:
             model = PearlModel(
                 ModelConfig(n_pathways=20, n_genes=ds.y_gene.shape[1], d_img=64, seed=seed)
             )
-            model, _, normalizer = trainer.train_stage1(train_ds, model, tcfg)
+            model, _ = trainer.train_stage1(train_ds, model, tcfg)
             model, _ = trainer.train_stage2(train_ds, model, tcfg)
             h = trainer.embed_images(model, test_ds.features, 256)
             yp, yg = model.predict_heads(h)
             path_pcc = evaluate_expression(yp.values, test_ds.scores).mean_pcc
             gene_pcc = evaluate_expression(yg.values, test_ds.y_gene).mean_pcc
-            top1 = trainer.retrieval_top1(model, test_ds, normalizer, 256, seed=seed)
+            top1 = trainer.retrieval_top1(model, test_ds, 256, seed=seed)
             return path_pcc, gene_pcc, top1
 
         path_pcc, gene_pcc, top1 = run(coupling=0.95)

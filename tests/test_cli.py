@@ -172,9 +172,18 @@ class TestPipeline:
         }
         assert not (tmp_path / "out").exists()
 
+    def test_train_heads_keeps_the_stage1_normalizer(self, pipeline):
+        _, data, _ = pipeline
+        stage1, final = (
+            json.loads((data / f"{name}.manifest.json").read_text())["extra"]
+            for name in ("stage1", "final")
+        )
+        assert "coord_normalizer" in stage1
+        assert final["coord_normalizer"] == stage1["coord_normalizer"]
+
     def test_predictions_are_the_models_float32_outputs(self, pipeline):
         _, data, _ = pipeline
-        model, _ = load_model(str(data / "final"))
+        model = load_model(str(data / "final"))
         h = trainer.embed_images(model, data_io.read_features(data / "features.tsv").features)
         with ad.no_grad():
             yp, _ = model.predict_heads(h)
@@ -428,7 +437,7 @@ class TestCohort:
             data_io.SurvivalTable([
                 data_io.SurvivalRecord("a", 1.0, True, ("a2", "a1")),
                 data_io.SurvivalRecord("b", 2.0, True, ("b",)),
-                data_io.SurvivalRecord("c", 3.0, False, ("c", "unseen")),
+                data_io.SurvivalRecord("c", 3.0, False, ("c",)),
             ]),
             tmp_path / "surv.csv",
         )
@@ -450,6 +459,40 @@ class TestCohort:
         head = survival.load_cox(str(tmp_path / "cox"))
         expected = [survival.predict_risks(head, bag, [len(bag)])[0] for bag in bags]
         np.testing.assert_allclose(survival.predict_risks(head, E, sizes), expected, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "listed, message",
+        [
+            (lambda i: (f"sl{i}", f"typo{i}"), "subject 'p0': no embeddings for slide 'typo0'"),
+            (lambda i: (), "subject 'p0' lists no slide"),
+        ],
+        ids=["slide_without_embeddings", "no_slide"],
+    )
+    def test_listed_slides_must_have_embeddings(self, tmp_path, capsys, listed, message):
+        # every subject lists a second slide that the embedding table lacks, or none
+        n = 6
+        emb, surv = tmp_path / "emb.tsv", tmp_path / "surv.csv"
+        data_io.write_embeddings(
+            [f"sl{i // 2}_{i % 2}" for i in range(2 * n)],
+            [f"sl{i // 2}" for i in range(2 * n)],
+            np.random.default_rng(0).normal(size=(2 * n, 4)),
+            emb,
+        )
+        data_io.write_survival(
+            data_io.SurvivalTable([
+                data_io.SurvivalRecord(f"p{i}", float(i + 1), i % 2 == 0, listed(i))
+                for i in range(n)
+            ]),
+            surv,
+        )
+        argv = ["survival-train", "--out-dir", str(tmp_path / "out"),
+                "--survival", str(surv), "--embeddings", str(emb)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "data_format", "message": f"{surv}: {message}"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old", ["kind", "biases"])
     def test_old_cox_checkpoint_refused(self, pipeline, cox_checkpoint, tmp_path, capsys, old):

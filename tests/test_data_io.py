@@ -11,7 +11,7 @@ from pearl.data_io import (
     GeneSetCollection,
     parse_gmt,
 )
-from pearl.encoders import ModelConfig, PearlModel, load_model, save_model
+from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel, load_model, save_model
 from pearl.errors import (
     CheckpointManifestError,
     CheckpointShapeError,
@@ -584,7 +584,7 @@ class TestCheckpoint:
         m = self._model()
         path = str(tmp_path / "ckpt")
         save_model(m, path)
-        m2, _ = load_model(path)
+        m2 = load_model(path)
         for (n1, p1), (n2, p2) in zip(m.parameters(), m2.parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.values, p2.values)
@@ -593,6 +593,19 @@ class TestCheckpoint:
         assert (tmp_path / "ckpt.params.bin").read_bytes() == (
             tmp_path / "ckpt2.params.bin"
         ).read_bytes()
+
+    def test_resave_with_normalizer_byte_identical(self, tmp_path):
+        m = self._model()
+        m.normalizer = CoordNormalizer.fit(np.random.default_rng(0).uniform(0, 100, (9, 2)))
+        save_model(m, str(tmp_path / "ckpt"))
+        m2 = load_model(str(tmp_path / "ckpt"))
+        np.testing.assert_array_equal(m2.normalizer.mu, m.normalizer.mu)
+        np.testing.assert_array_equal(m2.normalizer.sigma, m.normalizer.sigma)
+        save_model(m2, str(tmp_path / "ckpt2"))
+        for suffix in (".manifest.json", ".params.bin"):
+            assert (tmp_path / f"ckpt{suffix}").read_bytes() == (
+                tmp_path / f"ckpt2{suffix}"
+            ).read_bytes()
 
     def test_truncated_blob(self, tmp_path):
         m = self._model()

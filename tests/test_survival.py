@@ -243,6 +243,14 @@ class TestCoxHead:
             assert n1 == n2
             np.testing.assert_array_equal(p1.values, p2.values)
 
+    def test_checkpoint_resave_byte_identical(self, tmp_path):
+        save_cox(CoxHead(embed_dim=4, attn_hidden=3, seed=1), str(tmp_path / "cox"))
+        save_cox(load_cox(str(tmp_path / "cox")), str(tmp_path / "cox2"))
+        for suffix in (".manifest.json", ".params.bin"):
+            assert (tmp_path / f"cox{suffix}").read_bytes() == (
+                tmp_path / f"cox2{suffix}"
+            ).read_bytes()
+
     @pytest.mark.parametrize("tamper", ["renamed", "reshaped"])
     def test_checkpoint_tampered_manifest_rejected(self, tmp_path, tamper):
         path = str(tmp_path / "cox")

@@ -44,6 +44,10 @@ def brute_force_contrastive(h_img, h_path, inv_tau):
     return 0.5 * (ce_rows(s) + ce_rows(s.T))
 
 
+# what _split says of a 3-spot slide split at val_fraction 0.5
+TRAIN_SPLIT_REFUSED = r"training split has 1 spots and validation split 2, .*\(now 0\.5\)"
+
+
 def tiny_dataset(n=12, n_path=4, n_genes=3, d_img=5, n_slides=2, seed=0):
     rng = np.random.default_rng(seed)
     slide_ids = [f"sl{i % n_slides}" for i in range(n)]
@@ -203,7 +207,7 @@ class TestStage1:
     def test_loss_decreases_and_best_restored(self):
         ds = tiny_dataset(n=24, seed=1)
         cfg = TrainConfig(batch_size=4, max_epochs=8, patience=3, lr=1e-2, seed=0)
-        model, history, normalizer = train_stage1(ds, tiny_model(), cfg)
+        model, history = train_stage1(ds, tiny_model(), cfg)
         assert len(history["train_loss"]) == len(history["val_loss"])
         assert min(history["val_loss"][:1]) >= min(history["val_loss"])
         # restored parameters reproduce the best recorded validation loss shape
@@ -213,19 +217,19 @@ class TestStage1:
     def test_early_stopping_bound(self):
         ds = tiny_dataset(n=16, seed=2)
         cfg = TrainConfig(batch_size=4, max_epochs=50, patience=2, lr=1e-2, seed=0)
-        _, history, _ = train_stage1(ds, tiny_model(), cfg)
+        _, history = train_stage1(ds, tiny_model(), cfg)
         assert len(history["val_loss"]) <= 50
 
     def test_early_stop_restores_best_validation_epoch(self):
         ds = tiny_dataset(n=24, seed=1)
         cfg = TrainConfig(batch_size=4, max_epochs=60, patience=2, lr=3e-2, seed=0)
-        model, history, normalizer = train_stage1(ds, tiny_model(), cfg)
+        model, history = train_stage1(ds, tiny_model(), cfg)
         best = assert_stopped_at_best(history, cfg.patience, cfg.max_epochs)
         _, val_idx = slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)
         val = ds.subset(val_idx)
         with ad.no_grad():
             losses = [
-                _stage1_batch_loss(model, val, idx, normalizer).item()
+                _stage1_batch_loss(model, val, idx).item()
                 for idx in _batches(val.n_spots, cfg.batch_size)
             ]
         assert float(np.mean(losses)) == best
@@ -233,8 +237,8 @@ class TestStage1:
     def test_determinism(self):
         ds = tiny_dataset(n=16, seed=3)
         cfg = TrainConfig(batch_size=4, max_epochs=3, patience=2, lr=1e-3, seed=5)
-        m1, h1, _ = train_stage1(ds, tiny_model(), cfg)
-        m2, h2, _ = train_stage1(ds, tiny_model(), cfg)
+        m1, h1 = train_stage1(ds, tiny_model(), cfg)
+        m2, h2 = train_stage1(ds, tiny_model(), cfg)
         assert h1 == h2
         for (n1, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1.values, p2.values)
@@ -246,6 +250,13 @@ class TestStage1:
         cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1, val_fraction=0.05)
         assert len(slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)[1]) == 1
         with pytest.raises(PearlError, match="val_fraction"):
+            train_stage1(ds, tiny_model(), cfg)
+
+    def test_one_spot_training_split_rejected(self):
+        # three spots at val_fraction 0.5: one training spot, no training batch
+        ds = tiny_dataset(n=3, n_slides=1, seed=13)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1, val_fraction=0.5)
+        with pytest.raises(PearlError, match=TRAIN_SPLIT_REFUSED):
             train_stage1(ds, tiny_model(), cfg)
 
     def test_batch_too_small_rejected(self):
@@ -261,7 +272,7 @@ class TestStage2:
     def test_backbone_frozen(self):
         ds = tiny_dataset(n=16, seed=4)
         cfg = TrainConfig(batch_size=4, max_epochs=3, patience=2, lr=1e-2, seed=0)
-        model, _, normalizer = train_stage1(ds, tiny_model(), cfg)
+        model, _ = train_stage1(ds, tiny_model(), cfg)
         before = {
             n: p.values.copy()
             for n, p in model.parameters()
@@ -277,7 +288,7 @@ class TestStage2:
     def test_heads_move(self):
         ds = tiny_dataset(n=16, seed=5)
         cfg = TrainConfig(batch_size=4, max_epochs=3, patience=2, lr=1e-2, seed=0)
-        model, _, normalizer = train_stage1(ds, tiny_model(), cfg)
+        model, _ = train_stage1(ds, tiny_model(), cfg)
         before = model.params["head_path.w1"].values.copy()
         model, _ = train_stage2(ds, model, cfg)
         assert not np.array_equal(model.params["head_path.w1"].values, before)
@@ -306,6 +317,12 @@ class TestStage2:
         cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1)
         assert len(slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)[1]) == 0
         with pytest.raises(PearlError, match="val_fraction"):
+            train_stage2(ds, tiny_model(), cfg)
+
+    def test_one_spot_training_split_rejected(self):
+        ds = tiny_dataset(n=3, n_slides=1, seed=13)
+        cfg = TrainConfig(batch_size=4, max_epochs=3, patience=1, val_fraction=0.5)
+        with pytest.raises(PearlError, match=TRAIN_SPLIT_REFUSED):
             train_stage2(ds, tiny_model(), cfg)
 
     def test_supervised_loss_composition_at_init(self):
@@ -337,8 +354,8 @@ class TestEmbeddingUtilities:
     def test_retrieval_range(self):
         ds = tiny_dataset(n=12, seed=8)
         cfg = TrainConfig(batch_size=4, max_epochs=2, patience=1, lr=1e-3, seed=0)
-        model, _, normalizer = train_stage1(ds, tiny_model(), cfg)
-        acc = retrieval_top1(model, ds, normalizer, batch_size=4, seed=0)
+        model, _ = train_stage1(ds, tiny_model(), cfg)
+        acc = retrieval_top1(model, ds, batch_size=4, seed=0)
         assert 0.0 <= acc <= 1.0
 
     def test_retrieval_zero_norm_image_embeddings_miss(self):
@@ -346,5 +363,5 @@ class TestEmbeddingUtilities:
         model = tiny_model()
         model.params["proj_img.w2"].values[...] = 0.0
         model.params["proj_img.b2"].values[...] = 0.0
-        normalizer = CoordNormalizer.fit(ds.coords)
-        assert retrieval_top1(model, ds, normalizer, batch_size=4, seed=0) == 0.0
+        model.normalizer = CoordNormalizer.fit(ds.coords)
+        assert retrieval_top1(model, ds, batch_size=4, seed=0) == 0.0
