@@ -515,12 +515,18 @@ def read_survival(path):
             raise DataFormatError(f"bad time {fields[1]!r}", line=lineno) from None
         if not 0 < t < math.inf:
             raise DataFormatError(f"time must be finite and > 0, got {fields[1]!r}", line=lineno)
+        slides = tuple(s for s in fields[3].split(";") if s)
+        if len(set(slides)) != len(slides):
+            repeated = next(s for s in slides if slides.count(s) > 1)
+            raise DataFormatError(
+                f"subject {fields[0]!r} lists slide {repeated!r} twice", line=lineno
+            )
         records.append(
             SurvivalRecord(
                 subject_id=fields[0],
                 time=t,
                 event=ev in {"1", "true"},
-                slide_ids=tuple(s for s in fields[3].split(";") if s),
+                slide_ids=slides,
             )
         )
     return SurvivalTable(records)
@@ -665,8 +671,9 @@ def load_checkpoint(path, kinds, build):
     filled from the blob, and the manifest's `extra` object.
 
     The manifest must be a JSON object with this format version, a
-    `hyperparams` object, a `params` list of {name, shape} entries and, if
-    present, an `extra` object; anything else is a CheckpointManifestError.
+    `hyperparams` object, a `params` list of {name, shape} entries with no
+    name twice and, if present, an `extra` object; anything else is a
+    CheckpointManifestError.
     The hyperparameter keys must be exactly those of `kinds`, {name: type},
     each value of its type (an int may stand for a float), and a PearlError
     from `build` is a CheckpointManifestError.  The built parameters' names
@@ -696,6 +703,10 @@ def load_checkpoint(path, kinds, build):
         raise CheckpointManifestError(
             f"{manifest_path}: 'params' must be a list of {{name, shape}} entries"
         )
+    names = [p["name"] for p in entries]
+    if len(set(names)) != len(names):
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise CheckpointManifestError(f"{manifest_path}: parameter {repeated!r} listed twice")
     with open(path + ".params.bin", "rb") as fh:
         blob = fh.read()
     # each entry's byte offset in the blob, entries back to back in manifest order

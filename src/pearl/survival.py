@@ -70,16 +70,20 @@ def _segment_pool(logits, E, sizes):
     """Softmax of (N, 1) `logits` within each run of `sizes` consecutive rows,
     and the weighted sum of E's rows per run: (len(sizes), d).
 
-    E is data, not a parameter: the backward returns the logits gradient only.
+    Each bag's weighted sum is one BLAS product on its contiguous block of E;
+    the backward's per-spot dots are one einsum.  E is data, not a parameter:
+    the backward returns the logits gradient only.
     """
-    starts = np.cumsum(sizes) - sizes
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    bags = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
     z = logits.values.reshape(-1)
     e = np.exp(z - np.repeat(np.maximum.reduceat(z, starts), sizes))
     w = e / np.repeat(np.add.reduceat(e, starts), sizes)
-    out = np.add.reduceat(w[:, None] * E, starts, axis=0)
+    out = np.stack([w[b] @ E[b] for b in bags])
 
     def bw(g):
-        gw = (E * np.repeat(g, sizes, axis=0)).sum(axis=1)
+        gw = np.einsum("nd,nd->n", E, np.repeat(g, sizes, axis=0))  # E_n . g_bag(n)
         dot = np.add.reduceat(w * gw, starts)
         return ((w * (gw - np.repeat(dot, sizes))).reshape(logits.shape),)
 
@@ -91,6 +95,13 @@ def cox_loss(risks, times, events):
 
     `risks` is a Tensor of shape (n,) or (n, 1); times/events are arrays.
     Risk sets are {j : t_j >= t_i}, censored subjects included at ties.
+
+    Closed form over the subjects sorted latest first, with d_t events at
+    time t: t's risk set is every row up to the last of its tie group, so its
+    log-sum-exp lse_t is a running `logaddexp` there.  Subject j's gradient
+    is exp(r_j) * (sum over event times t <= t_j of d_t exp(-lse_t)) minus
+    event_j, the log of that sum a running `logaddexp` from the earliest
+    time.  r_j <= lse_t in every term, so risks of any size stay finite.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
@@ -103,18 +114,20 @@ def cox_loss(risks, times, events):
     if not events.any():
         raise PearlError("cox_loss needs at least one event")
 
-    loss = 0.0
-    grad = -events.astype(np.float64)
-    for t in np.unique(times[events]):
-        dead = events & (times == t)
-        d = int(dead.sum())
-        at_risk = times >= t
-        rs = r[at_risk]
-        m = rs.max()
-        lse = m + np.log(np.exp(rs - m).sum())
-        loss += d * lse - r[dead].sum()
-        w = np.exp(rs - lse)  # softmax over the risk set
-        grad[at_risk] += d * w
+    order = np.argsort(-times, kind="stable")
+    t, rs, ev = times[order], r[order], events[order]
+    last = np.flatnonzero(np.append(t[1:] != t[:-1], True))  # each tie group's last row
+    d = np.diff(np.cumsum(ev)[last], prepend=0)  # events per tie group
+    has = d > 0
+    # a NaN or infinite risk gives a non-finite loss, which `fit` reports as divergence
+    with np.errstate(invalid="ignore"):
+        lse = np.logaddexp.accumulate(rs)[last][has]
+        loss = d[has] @ lse - rs[ev].sum()
+        terms = np.full(n, -np.inf)  # log(d_t) - lse_t at the last row of t's tie group
+        terms[last[has]] = np.log(d[has]) - lse
+        tail = np.logaddexp.accumulate(terms[::-1])[::-1]
+        grad = np.empty(n)
+        grad[order] = np.exp(rs + tail) - ev
     grad = grad.astype(risks.dtype).reshape(risks.values.shape)
 
     def bw(g):

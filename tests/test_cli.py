@@ -915,8 +915,12 @@ class TestConfigValues:
             ("subj0001,nan,1,subj0001_slide0", "time must be finite and > 0, got 'nan'"),
             ("subj0001,inf,0,subj0001_slide0", "time must be finite and > 0, got 'inf'"),
             ("subj0000,2.5,1,subj0000_slide0", "duplicate subject_id 'subj0000'"),
+            (
+                "subj0001,2.5,1,subj0001_slide0;subj0001_slide0",
+                "subject 'subj0001' lists slide 'subj0001_slide0' twice",
+            ),
         ],
-        ids=["nan_time", "inf_time", "repeated_subject"],
+        ids=["nan_time", "inf_time", "repeated_subject", "repeated_slide"],
     )
     @pytest.mark.parametrize("command", ["survival-train", "survival-eval"])
     def test_survival_table_refuses(

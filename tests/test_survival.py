@@ -14,6 +14,7 @@ from pearl.errors import (
 )
 from pearl.survival import (
     CoxHead,
+    _segment_pool,
     SurvivalTrainConfig,
     c_index,
     cox_loss,
@@ -37,6 +38,20 @@ def brute_force_cox(risks, times, events):
         lse = math.log(sum(math.exp(risks[j]) for j in at_risk))
         loss += len(dead) * lse - sum(risks[i] for i in dead)
     return loss
+
+
+def brute_force_cox_grad(risks, times, events):
+    """Scalar-loop gradient of brute_force_cox with respect to each risk."""
+    n = len(risks)
+    grad = [-float(events[j]) for j in range(n)]
+    for t in sorted({times[i] for i in range(n) if events[i]}):
+        d = sum(1 for i in range(n) if events[i] and times[i] == t)
+        at_risk = [j for j in range(n) if times[j] >= t]
+        top = max(risks[j] for j in at_risk)
+        den = sum(math.exp(risks[j] - top) for j in at_risk)
+        for j in at_risk:
+            grad[j] += d * math.exp(risks[j] - top) / den
+    return grad
 
 
 def brute_force_c_index(risks, times, events):
@@ -101,6 +116,31 @@ class TestCoxLoss:
             got = cox_loss(Tensor(r.reshape(-1, 1)), times, events).values
             expect = brute_force_cox(list(r), list(times), list(events))
             assert got == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "times, events, scale",
+        [
+            ([2.0, 1.0, 1.0, 3.0, 1.0, 2.0, 4.0], [1, 1, 0, 0, 0, 0, 1], 1.0),
+            ([2.0] * 6, [1] * 6, 1.0),
+            ([3.0, 1.0, 4.0, 2.0, 5.0], [0, 1, 0, 0, 0], 1.0),
+            ([3.0, 1.0, 5.0, 2.0, 4.0], [0, 0, 1, 0, 0], 1.0),
+            ([3.0, 1.0, 3.0, 2.0, 1.0, 4.0, 2.0], [1, 1, 0, 1, 0, 1, 1], 700.0),
+        ],
+        ids=["censored_tied_with_event", "all_events_tied", "one_event_earliest",
+             "one_event_latest", "risks_700"],
+    )
+    def test_closed_form_matches_oracle(self, times, events, scale):
+        rng = np.random.default_rng(len(times))
+        r = rng.uniform(-scale, scale, size=len(times))
+        if scale == 700.0:
+            r[:2] = [700.0, -700.0]
+        events = np.array(events, dtype=bool)
+        loss = cox_loss(Tensor(r.reshape(-1, 1), requires_grad=True), times, events)
+        (grad,) = loss._backward(np.ones(()))
+        assert loss.item() == pytest.approx(brute_force_cox(r, times, events), abs=1e-10)
+        np.testing.assert_allclose(
+            grad.reshape(-1), brute_force_cox_grad(r, times, events), rtol=0, atol=1e-10
+        )
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
@@ -202,6 +242,39 @@ class TestCoxHead:
         assert got.shape == (6, 1) and got.dtype == np.float32
         np.testing.assert_allclose(got.values, np.array(expected), rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [[2000], [1] * 2000, [2] * 2000, np.random.default_rng(8).integers(4, 49, size=160)],
+        ids=["one_2000_spot_bag", "2000_one_spot_bags", "2000_two_spot_bags", "cohort"],
+    )
+    def test_segment_pool_matches_float64_reference(self, sizes):
+        # float32 pooling and its logits gradient against a per-bag float64
+        # softmax; spots scatter around a per-bag centre, as slide embeddings do
+        rng = np.random.default_rng(9)
+        sizes = np.asarray(sizes)
+        bag = np.repeat(np.arange(len(sizes)), sizes)
+        E = (rng.normal(size=(len(sizes), 16))[bag]
+             + 0.1 * rng.normal(size=(len(bag), 16))).astype(np.float32)
+        z = (2.0 * rng.normal(size=(len(bag), 1))).astype(np.float32)
+        g = rng.normal(size=(len(sizes), 16)).astype(np.float32)
+        out = _segment_pool(Tensor(z, requires_grad=True), E, sizes)
+        (grad,) = out._backward(g)
+        assert out.dtype == grad.dtype == np.float32
+        ref_out, ref_grad, grad_terms = [], [], []
+        for i, rows in enumerate(np.split(np.arange(len(bag)), np.cumsum(sizes)[:-1])):
+            Eb, zb = E[rows].astype(np.float64), z[rows, 0].astype(np.float64)
+            w = np.exp(zb - zb.max())
+            w /= w.sum()
+            gw = Eb @ g[i].astype(np.float64)
+            ref_out.append(w @ Eb)
+            ref_grad.append(w * (gw - w @ gw))
+            grad_terms.append(w * gw)
+        ref_out, ref_grad = np.array(ref_out), np.concatenate(ref_grad)
+        assert np.abs(out.values - ref_out).max() <= 1e-6 * np.abs(ref_out).max()
+        # the gradient is a difference of two terms this size, each rounded to float32
+        scale = np.abs(np.concatenate(grad_terms)).max()
+        assert np.abs(grad[:, 0] - ref_grad).max() <= 1e-6 * scale
+
     def test_graph_size_independent_of_cohort_size(self):
         def n_nodes(n_subjects):
             rng = np.random.default_rng(n_subjects)
@@ -287,6 +360,19 @@ class TestCoxHead:
         save_cox(CoxHead(embed_dim=4, attn_hidden=3, seed=1), path)
         tamper_manifest(tmp_path / "cox.manifest.json", tamper)
         with pytest.raises(CheckpointManifestError):
+            load_cox(path)
+
+    def test_checkpoint_duplicate_param_rejected(self, tmp_path):
+        # a second risk.w entry whose bytes are appended, so the blob size matches
+        path = str(tmp_path / "cox")
+        save_cox(CoxHead(embed_dim=2, attn_hidden=3, seed=1), path)
+        manifest_path = tmp_path / "cox.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"].append({"name": "risk.w", "shape": [2, 1]})
+        manifest_path.write_text(json.dumps(manifest))
+        with open(tmp_path / "cox.params.bin", "ab") as fh:
+            fh.write(np.full(2, 7.0, dtype="<f4").tobytes())
+        with pytest.raises(CheckpointManifestError, match="parameter 'risk.w' listed twice"):
             load_cox(path)
 
     def test_checkpoint_zero_size_rejected(self, tmp_path):
