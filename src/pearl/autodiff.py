@@ -3,7 +3,7 @@
 Tape-based: each op closes over what its backward needs; backward() walks a
 topological order of the graph and accumulates adjoints.  First-order only;
 the graph is discarded after use.  Kernels preserve the input dtype, forward
-and backward (tests/test_autodiff.py checks every kernel on float32), so a
+and backward (the tests run every case of gradsuite.CASES on float32), so a
 float64 graph can be built for finite-difference checks while models run in
 float32: constants are Python floats, which NumPy does not let promote.
 `matmul`, `transpose`, `softmax_rows`, `reshape` and `slice_rows` also take
@@ -121,11 +121,6 @@ def backward(loss):
                 adjoint[id(p)] = adjoint[id(p)] + pg
             else:
                 adjoint[id(p)] = pg
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +418,8 @@ class AdamW:
             p.values -= self.lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
     def zero_grad(self):
-        zero_grads(self.params)
+        for p in self.params:
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ def load_config(path):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            # invalid JSON, bytes that are not UTF-8, or nesting too deep to decode
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -685,7 +685,8 @@ def load_checkpoint(path, kinds, build):
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        # invalid JSON, bytes that are not UTF-8, or nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise CheckpointManifestError(f"{manifest_path}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise CheckpointManifestError(f"{manifest_path}: manifest must be a JSON object")

@@ -1,7 +1,10 @@
-"""Finite-difference gradient suite for every differentiable kernel.
+"""Finite-difference gradient suite: one table of every differentiable case.
 
-Shared by the `gradcheck` CLI subcommand and the acceptance tests.  All
-checks run on float64 tensors with central differences (step 1e-3).
+`CASES` is the single list of kernel cases.  `run_all` checks each of them,
+then the full stage-1 graph, for the `gradcheck` CLI subcommand and
+acceptance 1; tests/test_autodiff.py runs each case on its own and on
+float32 inputs, and fails when a public autodiff kernel has no case of its
+own name.  All checks run on float64 tensors with central differences.
 """
 
 from __future__ import annotations
@@ -14,77 +17,60 @@ from .autodiff import Tensor
 from .encoders import ModelConfig, PearlModel
 from .survival import _segment_pool, cox_loss
 
+_COX_TIMES = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])
+_COX_EVENTS = np.array([True, True, False, True, True, False])
+# the Cox head pools bags of 1, 3 and 2 float32 spot embeddings: data, not inputs
+_POOL_SPOTS = np.random.default_rng(13).normal(size=(6, 3)).astype(np.float32)
+_POOL_SIZES = np.array([1, 3, 2])
 
-def _t(rng, shape):
-    return Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+
+def _contrastive(hi, hp, log_tau):  # the model's inverse temperature exp(-log_tau)
+    return trainer.contrastive_loss(hi, hp, ad.exp(ad.mul_scalar(log_tau, -1.0)))
+
+
+# case -> (input shapes, op): every public autodiff kernel under its own name,
+# the stacked forms attention uses, the Cox loss and pooling nodes, and the
+# contrastive objective
+CASES = {
+    "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "matmul_stacked": ([(2, 3, 4), (2, 4, 5)], ad.matmul),
+    "gelu": ([(3, 4)], ad.gelu),
+    "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
+    "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
+    "add": ([(3, 4), (4,)], ad.add),
+    "mul": ([(3, 4), (3, 4)], ad.mul),
+    "mul_scalar": ([(3, 4)], lambda a: ad.mul_scalar(a, 0.5)),
+    "transpose": ([(3, 4)], ad.transpose),
+    "transpose_axes": ([(2, 3, 4)], lambda a: ad.transpose(a, (1, 0, 2))),
+    "concat_cols": ([(3, 2), (3, 4)], lambda a, b: ad.concat_cols([a, b])),
+    "concat_rows": ([(2, 4), (3, 4)], lambda a, b: ad.concat_rows([a, b])),
+    "l2_normalize_rows": ([(3, 4)], ad.l2_normalize_rows),
+    "cross_entropy_index": ([(4, 4)], ad.cross_entropy_index),
+    "mse": ([(3, 4), (3, 4)], ad.mse),
+    "tanh": ([(3, 4)], ad.tanh),
+    "exp": ([(3, 4)], ad.exp),
+    "sum_all": ([(3, 4)], ad.sum_all),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+    "slice_rows": ([(5, 4)], lambda a: ad.slice_rows(a, 1, 3)),
+    "cox_loss": ([(6, 1)], lambda r: cox_loss(r, _COX_TIMES, _COX_EVENTS)),
+    "segment_pool": ([(6, 1)], lambda l: _segment_pool(l, _POOL_SPOTS, _POOL_SIZES)),
+    "contrastive_loss": ([(4, 6), (4, 6), ()], _contrastive),
+}
+
+
+def check(name, rng):
+    """Worst relative error of case `name` on float64 inputs drawn from `rng`:
+    the gradient of sum(op(*inputs) * W), with W a fixed random projection."""
+    shapes, op = CASES[name]
+    inputs = [Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64) for s in shapes]
+    w = Tensor(rng.normal(size=op(*inputs).shape))
+    return ad.gradcheck(lambda *xs: ad.sum_all(ad.mul(op(*xs), w)), inputs)
 
 
 def run_all(seed=0):
-    """Returns [(name, worst relative error)] for every kernel."""
+    """Returns [(name, worst relative error)] for every case, then the stage-1 graph."""
     rng = np.random.default_rng(seed)
-    results = []
-
-    a, b = _t(rng, (3, 4)), _t(rng, (4, 2))
-    results.append(("matmul", ad.gradcheck(lambda a, b: ad.sum_all(ad.matmul(a, b)), [a, b])))
-
-    x = _t(rng, (2, 3))
-    w = Tensor(rng.normal(size=(2, 3)))
-    results.append(
-        ("softmax_rows", ad.gradcheck(lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), w)), [x]))
-    )
-
-    x, g, bias = _t(rng, (4, 8)), _t(rng, (8,)), _t(rng, (8,))
-    w = Tensor(rng.normal(size=(4, 8)))
-    results.append(
-        (
-            "layer_norm",
-            ad.gradcheck(
-                lambda x, g, bias: ad.sum_all(ad.mul(ad.layer_norm(x, g, bias), w)), [x, g, bias]
-            ),
-        )
-    )
-
-    x = _t(rng, (3, 5))
-    w = Tensor(rng.normal(size=(3, 5)))
-    results.append(("gelu", ad.gradcheck(lambda x: ad.sum_all(ad.mul(ad.gelu(x), w)), [x])))
-    results.append(("tanh", ad.gradcheck(lambda x: ad.sum_all(ad.mul(ad.tanh(x), w)), [x])))
-    results.append(
-        (
-            "l2_normalize_rows",
-            ad.gradcheck(lambda x: ad.sum_all(ad.mul(ad.l2_normalize_rows(x), w)), [x]),
-        )
-    )
-
-    logits = _t(rng, (4, 4))
-    results.append(
-        ("cross_entropy_index", ad.gradcheck(lambda l: ad.cross_entropy_index(l), [logits]))
-    )
-
-    p, q = _t(rng, (3, 4)), _t(rng, (3, 4))
-    results.append(("mse", ad.gradcheck(lambda p, q: ad.mse(p, q), [p, q])))
-
-    hi, hp = _t(rng, (4, 6)), _t(rng, (4, 6))
-    lt = Tensor(np.asarray(np.log(0.3)), requires_grad=True, dtype=np.float64)
-    def contrastive(hi, hp, lt):  # the model's inverse temperature exp(-log_tau)
-        return trainer.contrastive_loss(hi, hp, ad.exp(ad.mul_scalar(lt, -1.0)))
-
-    results.append(("contrastive_loss", ad.gradcheck(contrastive, [hi, hp, lt])))
-
-    risks = _t(rng, (6, 1))
-    times = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])
-    events = np.array([True, True, False, True, True, False])
-    results.append(
-        ("cox_loss", ad.gradcheck(lambda r: cox_loss(r, times, events), [risks]))
-    )
-
-    logits, spots = _t(rng, (6, 1)), rng.normal(size=(6, 3))
-    w = Tensor(rng.normal(size=(3, 3)))
-
-    def pooled(logits):  # the Cox head's attention pooling over bags of 1, 3 and 2 spots
-        return ad.sum_all(ad.mul(_segment_pool(logits, spots, np.array([1, 3, 2])), w))
-
-    results.append(("segment_pool", ad.gradcheck(pooled, [logits])))
-
+    results = [(name, check(name, rng)) for name in CASES]
     results.append(("stage1_graph", stage1_graph_check(seed)))
     return results
 

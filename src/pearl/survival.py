@@ -3,6 +3,7 @@ likelihood with Breslow tie handling, and the concordance index."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +163,8 @@ class SurvivalTrainConfig:
     def __post_init__(self):
         if not 1 <= self.patience <= self.max_epochs:
             raise PearlError("survival: need 1 <= patience <= max_epochs")
-        if not (self.lr > 0 and self.weight_decay >= 0):
-            raise PearlError("survival: need lr > 0 and weight_decay >= 0")
+        if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise PearlError("survival: need finite lr > 0 and weight_decay >= 0")
 
 
 def train_cox(E, sizes, times, events, config):

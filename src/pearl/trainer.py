@@ -33,8 +33,8 @@ class TrainConfig:
             raise PearlError("val_fraction must be in (0, 1)")
         if not 1 <= self.patience < self.max_epochs:
             raise PearlError("need 1 <= patience < max_epochs")
-        if not (self.lr > 0 and self.weight_decay >= 0):
-            raise PearlError("need lr > 0 and weight_decay >= 0")
+        if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise PearlError("need finite lr > 0 and weight_decay >= 0")
 
 
 @dataclass

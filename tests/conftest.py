@@ -11,7 +11,7 @@ acceptance_lines = []
 
 # manifest corruptions that every checkpoint loader refuses with a
 # CheckpointManifestError (both model and Cox checkpoints have an embed_dim)
-MANIFEST_TAMPERS = ("invalid_json", "embed_dim_not_int", "no_params")
+MANIFEST_TAMPERS = ("invalid_json", "too_deep_to_decode", "embed_dim_not_int", "no_params")
 
 
 def tamper_manifest(path, kind):
@@ -19,6 +19,9 @@ def tamper_manifest(path, kind):
     text = path.read_text()
     if kind == "invalid_json":
         path.write_text(text[: len(text) // 2])
+        return
+    if kind == "too_deep_to_decode":  # json.load raises RecursionError, not ValueError
+        path.write_text("[" * 200000)
         return
     manifest = json.loads(text)
     if kind == "embed_dim_not_int":

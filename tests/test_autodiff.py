@@ -1,13 +1,14 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
 from pearl import autodiff as ad
+from pearl import gradsuite
 from pearl.autodiff import AdamW, Tensor
 from pearl.errors import PearlError
-from pearl.survival import _segment_pool, cox_loss
 
 
 def t64(values, grad=True):
@@ -31,11 +32,6 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(PearlError):
             ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(0)
-        a, b = t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(4, 2)))
-        ad.gradcheck(lambda a, b: ad.sum_all(ad.matmul(a, b)), [a, b])
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
     @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)])
@@ -103,52 +99,36 @@ class TestNoGrad:
         assert ad.matmul(t64(np.ones((2, 3))), t64(np.ones((3, 2)))).requires_grad
 
 
-_COX_TIMES = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])
-_COX_EVENTS = np.array([True, True, False, True, True, False])
-_POOL_SPOTS = np.random.default_rng(13).normal(size=(6, 3)).astype(np.float32)
-_POOL_SIZES = np.array([1, 3, 2])
-
-# kernel -> (input shapes, op): the 15 kernels the benchmark tracer times, the
-# remaining shape ops, the Cox loss and pooling nodes, and the stacked forms
-# attention uses
-DTYPE_CASES = {
-    "matmul": ([(3, 4), (4, 2)], ad.matmul),
-    "matmul_stacked": ([(2, 3, 4), (2, 4, 5)], ad.matmul),
-    "gelu": ([(3, 4)], ad.gelu),
-    "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
-    "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
-    "add": ([(3, 4), (4,)], ad.add),
-    "mul": ([(3, 4), (3, 4)], ad.mul),
-    "mul_scalar": ([(3, 4)], lambda a: ad.mul_scalar(a, 0.5)),
-    "transpose": ([(3, 4)], ad.transpose),
-    "transpose_axes": ([(2, 3, 4)], lambda a: ad.transpose(a, (1, 0, 2))),
-    "concat_cols": ([(3, 2), (3, 4)], lambda a, b: ad.concat_cols([a, b])),
-    "concat_rows": ([(2, 4), (3, 4)], lambda a, b: ad.concat_rows([a, b])),
-    "l2_normalize_rows": ([(3, 4)], ad.l2_normalize_rows),
-    "cross_entropy_index": ([(4, 4)], ad.cross_entropy_index),
-    "mse": ([(3, 4), (3, 4)], ad.mse),
-    "tanh": ([(3, 4)], ad.tanh),
-    "exp": ([(3, 4)], ad.exp),
-    "sum_all": ([(3, 4)], ad.sum_all),
-    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
-    "slice_rows": ([(5, 4)], lambda a: ad.slice_rows(a, 1, 3)),
-    "cox_loss": ([(6, 1)], lambda r: cox_loss(r, _COX_TIMES, _COX_EVENTS)),
-    "segment_pool": ([(6, 1)], lambda l: _segment_pool(l, _POOL_SPOTS, _POOL_SIZES)),
-}
+def test_every_public_kernel_has_a_case():
+    # so a new kernel cannot miss its gradient and float32 checks
+    kernels = [
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+        and name not in ("backward", "no_grad", "gradcheck")
+    ]
+    assert kernels and [k for k in kernels if k not in gradsuite.CASES] == []
 
 
-@pytest.mark.parametrize("name", list(DTYPE_CASES))
+@pytest.mark.parametrize("name", list(gradsuite.CASES))
+def test_gradcheck(name):
+    assert gradsuite.check(name, np.random.default_rng(0)) < 1e-4
+
+
+@pytest.mark.parametrize("name", list(gradsuite.CASES))
 def test_float32_in_float32_out(name):
-    shapes, op = DTYPE_CASES[name]
+    shapes, op = gradsuite.CASES[name]
     rng = np.random.default_rng(12)
     inputs = [
         Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes
     ]
     out = op(*inputs)
     assert out.dtype == np.float32
-    # what the kernel's backward hands its inputs, before any accumulation
+    # what the output node's backward hands its parents, before any accumulation
     grads = out._backward(np.ones_like(out.values))
-    assert [g.dtype for g in grads] == [np.float32] * len(inputs)
+    assert [g.dtype for g in grads] == [np.float32] * len(out._parents)
     ad.backward(out if out.values.size == 1 else ad.sum_all(out))
     assert [t.grad.dtype for t in inputs] == [np.float32] * len(inputs)
 
@@ -168,12 +148,6 @@ class TestSoftmax:
         out = ad.softmax_rows(t64(rng.normal(size=(5, 7)), grad=False))
         np.testing.assert_allclose(out.values.sum(axis=1), 1.0, atol=1e-6)
 
-    def test_gradcheck(self):
-        rng = np.random.default_rng(2)
-        x = t64(rng.normal(size=(2, 3)))
-        w = rng.normal(size=(2, 3))
-        ad.gradcheck(lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), Tensor(w))), [x])
-
 
 class TestLayerNorm:
     def test_constant_row(self):
@@ -187,14 +161,6 @@ class TestLayerNorm:
         out = ad.layer_norm(t64([[1.0, -1.0]], grad=False), g, b)
         np.testing.assert_allclose(out.values, [[1.0, -1.0]], atol=1e-5)
 
-    def test_gradcheck(self):
-        rng = np.random.default_rng(3)
-        x, g, b = t64(rng.normal(size=(4, 8))), t64(rng.normal(size=8)), t64(rng.normal(size=8))
-        w = rng.normal(size=(4, 8))
-        ad.gradcheck(
-            lambda x, g, b: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), Tensor(w))), [x, g, b]
-        )
-
 
 class TestCrossEntropyIndex:
     def test_single_class(self):
@@ -207,10 +173,6 @@ class TestCrossEntropyIndex:
     def test_non_square_rejected(self):
         with pytest.raises(PearlError):
             ad.cross_entropy_index(t64(np.zeros((2, 3))))
-
-    def test_gradcheck(self):
-        x = t64(np.random.default_rng(4).normal(size=(4, 4)))
-        ad.gradcheck(ad.cross_entropy_index, [x])
 
 
 class TestMse:
@@ -240,12 +202,6 @@ class TestL2Normalize:
     def test_zero_row_maps_to_zero(self):
         out = ad.l2_normalize_rows(t64(np.zeros((1, 3)), grad=False))
         np.testing.assert_array_equal(out.values, 0.0)
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(7)
-        x = t64(rng.normal(size=(3, 4)))
-        w = rng.normal(size=(3, 4))
-        ad.gradcheck(lambda x: ad.sum_all(ad.mul(ad.l2_normalize_rows(x), Tensor(w))), [x])
 
 
 class TestBackward:

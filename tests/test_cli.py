@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
-from pearl import cli, data_io, survival, trainer
+from pearl import cli, data_io, gradsuite, survival, trainer
 from pearl.cli import _read_slide_embeddings, main
 from pearl.encoders import load_model
 from pearl.errors import DataFormatError
@@ -662,6 +662,14 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "config", "message": needle}
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 200000)
+        assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "maximum recursion depth" in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -810,9 +818,11 @@ class TestErrors:
 
     def test_gradcheck_command(self, capsys):
         assert run(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("PASS ") for line in lines)
+        # one line per case of the table, then the composed stage-1 graph
+        names = [line.split()[1].rstrip(":") for line in lines]
+        assert names == [*gradsuite.CASES, "stage1_graph"]
 
 
 # every field a config file may set, by section: adding a knob shows up here
@@ -889,18 +899,25 @@ class TestConfigValues:
             ("train", {"lr": 0}, "lr > 0"),
             ("train", {"lr": float("nan")}, "lr > 0"),
             ("train", {"weight_decay": -1e-3}, "weight_decay >= 0"),
+            ("train", {"lr": float("inf")}, "lr > 0"),
+            ("train", {"weight_decay": float("inf")}, "weight_decay >= 0"),
             ("train", {"patience": 0}, "1 <= patience"),
+            ("survival", {"lr": float("inf"), "weight_decay": float("inf")},
+             "lr > 0 and weight_decay >= 0"),
             ("preprocess", {"target_sum": float("nan")}, "target_sum must be finite"),
             ("preprocess", {"target_sum": float("inf")}, "target_sum must be finite"),
         ],
-        ids=["negative_lr", "zero_lr", "nan_lr", "negative_decay", "no_patience",
-             "nan_target_sum", "inf_target_sum"],
+        ids=["negative_lr", "zero_lr", "nan_lr", "negative_decay", "inf_lr", "inf_decay",
+             "no_patience", "inf_survival_lr_and_decay", "nan_target_sum", "inf_target_sum"],
     )
     def test_training_sections_refuse(self, pipeline, tmp_path, capsys, section, fields, needle):
         _, data, _ = pipeline
         if section == "train":
             inputs = _DATASET
             argv = ["train-contrastive"]
+        elif section == "survival":  # every command builds every section, synth too
+            inputs = {}
+            argv = ["synth"]
         else:
             inputs = {"expression": "expression.tsv", "coords": "coords.csv"}
             argv = ["preprocess"]

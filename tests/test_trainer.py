@@ -111,15 +111,6 @@ class TestContrastiveLoss:
             got = contrastive_loss(ad.Tensor(a), ad.Tensor(b), inv_tau).values
             assert got == pytest.approx(brute_force_contrastive(a, b, inv_tau), abs=1e-10)
 
-    def test_gradcheck_with_learnable_temperature(self):
-        rng = np.random.default_rng(5)
-        a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        lt = ad.Tensor(np.asarray(np.log(0.1)), requires_grad=True)
-        ad.gradcheck(
-            lambda x, y, t: contrastive_loss(x, y, ad.exp(ad.mul_scalar(t, -1.0))), [a, b, lt]
-        )
-
 
 class TestSplit:
     def test_partition(self):
