@@ -431,8 +431,8 @@ def gradcheck(fn, tensors, step=1e-3, rel_tol=1e-4):
     """Central finite-difference check of d fn / d tensors.
 
     `fn` maps the tensors to a scalar Tensor.  Returns the worst relative
-    error; raises if one exceeds rel_tol or is not finite (a NaN gradient
-    fails).  Tensors should be float64.
+    error, a NaN one counted as inf; raises if one exceeds rel_tol, so a NaN
+    or infinite gradient fails.  Tensors should be float64.
     """
     for t in tensors:
         t.grad = None
@@ -458,7 +458,8 @@ def gradcheck(fn, tensors, step=1e-3, rel_tol=1e-4):
             1e-8,
         )
         err = float(np.abs(analytic - numeric).max(initial=0.0)) / denom
-        if not err <= rel_tol:  # NaN compares false, so it fails too
+        err = math.inf if math.isnan(err) else err
+        if err > rel_tol:
             raise PearlError(f"gradient check failed: rel err {err:.3e} > {rel_tol:.1e}")
         worst = max(worst, err)
     return worst

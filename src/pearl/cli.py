@@ -312,9 +312,16 @@ def cmd_survival_eval(args, cfg):
 def cmd_gradcheck(args, cfg):
     from . import gradsuite
 
-    # ad.gradcheck raises on a failing kernel, so every result printed passed
+    failed = []
     for name, err in gradsuite.run_all():
-        print(f"PASS {name}: rel err {err:.3e}")
+        ok = err <= gradsuite.REL_TOL
+        if not ok:
+            failed.append(name)
+        print(f"{'PASS' if ok else 'FAIL'} {name}: rel err {err:.3e}")
+    if failed:
+        raise PearlError(
+            f"gradient check over {gradsuite.REL_TOL:.0e} relative error: {', '.join(failed)}"
+        )
     return 0
 
 

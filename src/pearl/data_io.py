@@ -109,7 +109,6 @@ class GeneSet:
 @dataclass
 class GeneSetCollection:
     sets: list
-    dedup_warnings: int = 0
 
     def __post_init__(self):
         names = [s.name for s in self.sets]
@@ -199,16 +198,12 @@ def _names_file(reader):
 
 
 def parse_gmt(text):
-    """Parse GMT text: one gene set per non-empty line.
-
-    Duplicate gene symbols within a line are removed; the total number of
-    removed duplicates is reported on the collection.
-    """
+    """Parse GMT text: one gene set per non-empty line, whose genes are the
+    distinct non-blank fields after the name and description."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     sets = []
     seen_names = set()
-    dedup = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -222,19 +217,11 @@ def parse_gmt(text):
         if name in seen_names:
             raise DataFormatError(f"duplicate gene set name {name!r}", line=lineno)
         seen_names.add(name)
-        genes = []
-        seen_genes = set()
-        for raw in fields[2:]:
-            g = raw.strip()
-            if not g:
-                continue
-            if g in seen_genes:
-                dedup += 1
-                continue
-            seen_genes.add(g)
-            genes.append(g)
-        sets.append(GeneSet(name=name, description=fields[1], genes=frozenset(genes)))
-    return GeneSetCollection(sets=sets, dedup_warnings=dedup)
+        genes = frozenset(field.strip() for field in fields[2:]) - {""}
+        if not genes:
+            raise DataFormatError(f"gene set {name!r} is empty", line=lineno)
+        sets.append(GeneSet(name=name, description=fields[1], genes=genes))
+    return GeneSetCollection(sets)
 
 
 def write_gmt(collection, path):

@@ -71,10 +71,11 @@ class CoordNormalizer:
             raise PearlError(f"expected (N, 2) coordinates, got {coords.shape}")
         if coords.shape[0] < 2:
             raise PearlError("need at least 2 spots to fit the coordinate normalizer")
-        mu = coords.mean(axis=0)
-        sigma = coords.std(axis=0, ddof=1)
-        if np.any(sigma <= 0):
-            raise PearlError("degenerate coordinate axis (zero variance)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = coords.mean(axis=0)
+            sigma = coords.std(axis=0, ddof=1)
+        if not np.all(np.isfinite(mu) & (0 < sigma) & (sigma < np.inf)):
+            raise PearlError("degenerate coordinate axis (zero or non-finite variance)")
         return cls(mu=mu, sigma=sigma)
 
     def transform(self, coords):

@@ -36,16 +36,6 @@ class CheckpointTruncatedError(PearlError):
     code = "checkpoint_truncated"
 
 
-class MissingPathwayGenes(PearlError):
-    """Gene set has no overlap with the measured genes."""
-
-    code = "missing_pathway_genes"
-
-    def __init__(self, pathway):
-        super().__init__(f"pathway {pathway!r} has no genes among the measured genes")
-        self.pathway = pathway
-
-
 class DegeneratePathway(PearlError):
     """Gene set covers every measured gene; the miss denominator is zero."""
 

@@ -1,13 +1,16 @@
 """Finite-difference gradient suite: one table of every differentiable case.
 
-`CASES` is the single list of kernel cases.  `run_all` checks each of them,
+`CASES` is the single list of kernel cases.  `run_all` measures each of them,
 then the full stage-1 graph, for the `gradcheck` CLI subcommand and
-acceptance 1; tests/test_autodiff.py runs each case on its own and on
-float32 inputs, and fails when a public autodiff kernel has no case of its
-own name.  All checks run on float64 tensors with central differences.
+acceptance 1, which hold every error to `REL_TOL`; tests/test_autodiff.py
+runs each case on its own and on float32 inputs, and fails when a public
+autodiff kernel has no case of its own name.  All checks run on float64
+tensors with central differences, and report a NaN error as inf.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,6 +19,8 @@ from . import trainer
 from .autodiff import Tensor
 from .encoders import ModelConfig, PearlModel
 from .survival import _segment_pool, cox_loss
+
+REL_TOL = 1e-4
 
 _COX_TIMES = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0])
 _COX_EVENTS = np.array([True, True, False, True, True, False])
@@ -64,7 +69,7 @@ def check(name, rng):
     shapes, op = CASES[name]
     inputs = [Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64) for s in shapes]
     w = Tensor(rng.normal(size=op(*inputs).shape))
-    return ad.gradcheck(lambda *xs: ad.sum_all(ad.mul(op(*xs), w)), inputs)
+    return ad.gradcheck(lambda *xs: ad.sum_all(ad.mul(op(*xs), w)), inputs, rel_tol=math.inf)
 
 
 def run_all(seed=0):
@@ -103,4 +108,4 @@ def stage1_graph_check(seed=0):
 
     # step 2e-4: the composed graph's curvature makes 1e-3 central
     # differences exceed the 1e-4 tolerance through truncation alone
-    return ad.gradcheck(loss_fn, params, step=2e-4)
+    return ad.gradcheck(loss_fn, params, step=2e-4, rel_tol=math.inf)

@@ -67,9 +67,6 @@ def normalize_and_log(m, target_sum):
     )
 
 
-_OFFSETS = [(0, dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
-
-
 def smooth_8neighbor(m, geoms):
     """Replace each spot vector by the mean of itself and its grid neighbors.
 
@@ -84,34 +81,17 @@ def smooth_8neighbor(m, geoms):
     if missing:
         raise DataFormatError(f"no geometry for spot {missing[0]!r}")
     n = m.n_spots
-    spot_geoms = [by_spot[s] for s in m.spot_ids]
-    slide_code = {s: k for k, s in enumerate(dict.fromkeys(g.slide_id for g in spot_geoms))}
-    pos = np.array(
-        [(slide_code[g.slide_id], g.array_row, g.array_col) for g in spot_geoms], dtype=np.int64
-    ).reshape(n, 3)
-    # one int64 key per (slide, row, col) cell of a grid padded by one cell on
-    # every side, so each neighbour offset has a key too
-    lo = pos.min(axis=0, initial=0) - 1
-    span = pos.max(axis=0, initial=0) - lo + 2
-
-    def keys(offset):
-        p = pos + offset - lo
-        return (p[:, 0] * span[1] + p[:, 1]) * span[2] + p[:, 2]
-
-    order = np.argsort(keys(0), kind="stable")
-    sorted_keys = keys(0)[order]
-    dup = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-    if dup.size:
-        g = spot_geoms[order[dup[0] + 1]]
-        raise DataFormatError(f"duplicate grid position {(g.slide_id, g.array_row, g.array_col)}")
-
+    cells = [(g.slide_id, g.array_row, g.array_col) for g in map(by_spot.get, m.spot_ids)]
+    index = {}
+    for i, cell in enumerate(cells):
+        if index.setdefault(cell, i) != i:
+            raise DataFormatError(f"duplicate grid position {cell}")
     # each spot's members in ascending order, padded with n: a zero row of X
-    members = [np.arange(n)]
-    for offset in _OFFSETS:
-        q = keys(offset)
-        at = np.minimum(np.searchsorted(sorted_keys, q), n - 1)
-        members.append(np.where(sorted_keys[at] == q, order[at], n))
-    members = np.sort(np.stack(members, axis=1), axis=1)
+    members = np.full((n, 9), n)
+    for i, (slide, r, c) in enumerate(cells):
+        near = [(slide, r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+        found = sorted(index[key] for key in near if key in index)
+        members[i, : len(found)] = found
     w = 1.0 / np.count_nonzero(members < n, axis=1)[:, None]
     X = np.vstack([m.dense(), np.zeros((1, m.n_genes))])
     out = np.zeros((n, m.n_genes))
@@ -125,14 +105,6 @@ def smooth_8neighbor(m, geoms):
     )
 
 
-def gene_variances(m):
-    """Per-gene sample variance (ddof=1) of the full column, zeros included."""
-    dense = m.dense()
-    if m.n_spots < 2:
-        return np.zeros(m.n_genes)
-    return dense.var(axis=0, ddof=1)
-
-
 def select_hvg(m, g):
     """The matrix restricted to its top-g variance genes.
 
@@ -142,7 +114,8 @@ def select_hvg(m, g):
     _require_kind(m, NORMALIZED_LOG)
     if g > m.n_genes:
         raise PearlError(f"requested {g} HVGs but only {m.n_genes} genes present")
-    var = gene_variances(m)
+    # per-gene sample variance (ddof=1) of the full column, zeros included
+    var = m.dense().var(axis=0, ddof=1) if m.n_spots > 1 else np.zeros(m.n_genes)
     order = sorted(range(m.n_genes), key=lambda j: (-var[j], m.gene_ids[j]))
     keep = order[:g]
     return ExpressionMatrix(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import NORMALIZED_LOG, PathwayScoreMatrix
-from .errors import DegeneratePathway, MissingPathwayGenes, PearlError
+from .errors import DegeneratePathway, PearlError
 
 _SPOT_CHUNK = 256  # spots scored per matmul block
 NES_EPSILON = 1e-12  # floor on a null set's mean |ES|, the NES denominator
@@ -88,7 +88,7 @@ def enrichment_score(order, weights, member_mask, alpha):
     m = int(member_mask.sum())
     n = weights.shape[0]
     if m == 0:
-        raise MissingPathwayGenes("<set>")
+        raise PearlError("gene set has no measured gene")
     if m == n:
         raise DegeneratePathway("<set>")
     return float(_running_sum_es(member_mask[order], weights, alpha))

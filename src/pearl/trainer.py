@@ -151,14 +151,13 @@ def contrastive_loss(h_image, h_path, inv_tau):
     return ad.mul_scalar(ad.add(row, col), 0.5)
 
 
-def _batches(n, batch_size, rng=None):
-    idx = np.arange(n) if rng is None else rng.permutation(n)
-    out = []
-    for start in range(0, n, batch_size):
-        b = idx[start : start + batch_size]
-        if len(b) >= 2:
-            out.append(b)
-    return out
+def _batches(idx, batch_size, rng=None):
+    """The index array `idx` in batches of `batch_size`, shuffled by `rng` when
+    one is given; a last batch under 2 spots is dropped."""
+    idx = np.asarray(idx)
+    if rng is not None:
+        idx = idx[rng.permutation(len(idx))]
+    return [b for b in np.split(idx, range(batch_size, len(idx), batch_size)) if len(b) >= 2]
 
 
 def fit(params, config, batches, batch_loss, val_loss=None):
@@ -224,17 +223,15 @@ def train_stage1(dataset, model, config):
     normalizer fitted on the training split.
     """
     train_idx, val_idx = _split(dataset, config, min_val=2)
-    train = dataset.subset(train_idx)
-    val = dataset.subset(val_idx)
-    model.normalizer = CoordNormalizer.fit(train.coords)
+    model.normalizer = CoordNormalizer.fit(dataset.coords[train_idx])
     rng = np.random.default_rng(config.seed)
     history = fit(
         model.stage1_parameters(),
         config,
-        lambda: _batches(train.n_spots, config.batch_size, rng),
-        lambda idx: _stage1_batch_loss(model, train, idx),
-        lambda: np.mean([_stage1_batch_loss(model, val, idx).item()
-                         for idx in _batches(val.n_spots, config.batch_size)]),
+        lambda: _batches(train_idx, config.batch_size, rng),
+        lambda idx: _stage1_batch_loss(model, dataset, idx),
+        lambda: np.mean([_stage1_batch_loss(model, dataset, idx).item()
+                         for idx in _batches(val_idx, config.batch_size)]),
     )
     return model, history
 
@@ -263,7 +260,7 @@ def train_stage2(dataset, model, config):
     history = fit(
         model.stage2_parameters(),
         config,
-        lambda: [train_idx[pos] for pos in _batches(len(train_idx), config.batch_size, rng)],
+        lambda: _batches(train_idx, config.batch_size, rng),
         loss,
         lambda: loss(val_idx).item(),
     )
@@ -285,7 +282,7 @@ def retrieval_top1(model, dataset, batch_size=256, seed=0):
     A spot whose image or pathway embedding has zero norm counts as a miss."""
     rng = np.random.default_rng(seed)
     hits, total = 0, 0
-    for idx in _batches(dataset.n_spots, batch_size, rng):
+    for idx in _batches(np.arange(dataset.n_spots), batch_size, rng):
         with ad.no_grad():
             hp = model.encode_pathways(
                 dataset.scores[idx], model.normalizer.transform(dataset.coords[idx])

@@ -309,6 +309,26 @@ def test_preprocess_keeps_zero_count_spot(tmp_path):
         assert m.spot_ids == ids and not m.dense()[-1].any(), name
 
 
+def test_preprocess_grid_rows_past_int64(tmp_path):
+    # a grid moved 10**20 rows away smooths as it does in place: no int64 key
+    counts = np.random.default_rng(1).poisson(3, size=(9, 4)) + 1
+    ids = [f"s{i}" for i in range(9)]
+    expr = data_io.ExpressionMatrix(ids, [f"g{j}" for j in range(4)], counts)
+    data_io.write_expression(expr, tmp_path / "expression.tsv")
+    (tmp_path / "c.json").write_text(json.dumps({"preprocess": {"min_spots_per_gene": 1}}))
+    for shift in (0, 10**20):
+        coords = tmp_path / f"coords_{shift}.csv"
+        data_io.write_coords([data_io.SpotGeometry(s, "a", float(i % 3), float(i // 3),
+                                                   shift + i // 3, i % 3)
+                              for i, s in enumerate(ids)], coords)
+        assert run(["preprocess", "--config", str(tmp_path / "c.json"),
+                    "--out-dir", str(tmp_path / str(shift)),
+                    "--expression", str(tmp_path / "expression.tsv"),
+                    "--coords", str(coords)]) == 0
+    for name in ("normalized.tsv", "hvg.tsv"):
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / str(10**20) / name).read_bytes()
+
+
 def test_preprocess_refuses_a_filter_that_keeps_no_gene(pipeline, tmp_path, capsys):
     _, data, _ = pipeline
     (tmp_path / "c.json").write_text(json.dumps({"preprocess": {"min_spots_per_gene": 1000}}))
@@ -571,25 +591,42 @@ class TestFailureInjection:
             assert err["error"] == "usage" and "unrecognized arguments: --config" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_coordinate_refused(self, pipeline, tmp_path):
+    @staticmethod
+    def _train_on_coords(pipeline, tmp_path, x_by_line):
+        """train-contrastive in a child process on the pipeline's coordinates
+        with the x of some lines replaced; returns (coords path, its lines
+        as fields, the finished process)."""
         _, data, cfg_path = pipeline
-        lines = (data / "coords.csv").read_text().splitlines()
-        fields = lines[2].split(",")
-        fields[2] = "nan"
-        lines[2] = ",".join(fields)
+        lines = [line.split(",") for line in (data / "coords.csv").read_text().splitlines()]
+        for k, x in x_by_line.items():
+            lines[k][2] = x
         coords = tmp_path / "coords.csv"
-        coords.write_text("\n".join(lines) + "\n")
+        coords.write_text("".join(",".join(fields) + "\n" for fields in lines))
         inputs = {k: str(data / name) for k, name in _DATASET.items()} | {"coords": str(coords)}
         argv = [sys.executable, "-m", "pearl.cli", "train-contrastive", "--config", str(cfg_path),
                 "--out-dir", str(tmp_path / "out")]
         argv += [x for k, v in inputs.items() for x in (f"--{k}", v)]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        return coords, lines, subprocess.run(argv, capture_output=True, text=True)
+
+    def test_non_finite_coordinate_refused(self, pipeline, tmp_path):
+        coords, lines, proc = self._train_on_coords(pipeline, tmp_path, {2: "nan"})
         assert proc.returncode == 1
         # one JSON object and nothing else: no numpy warning from a NaN downstream
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr) == {
             "error": "data_format",
-            "message": f"{coords}: line 3: non-finite coordinate (nan, {fields[3]})",
+            "message": f"{coords}: line 3: non-finite coordinate (nan, {lines[2][3]})",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_coordinate_spread_refused(self, pipeline, tmp_path):
+        # finite x = +-1e308 overflow the sample std, which would scale every x to 0
+        _, _, proc = self._train_on_coords(pipeline, tmp_path, {1: "1e308", 2: "-1e308"})
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1  # no numpy overflow warning
+        assert json.loads(proc.stderr) == {
+            "error": "error",
+            "message": "degenerate coordinate axis (zero or non-finite variance)",
         }
         assert not (tmp_path / "out").exists()
 
@@ -823,6 +860,28 @@ class TestErrors:
         # one line per case of the table, then the composed stage-1 graph
         names = [line.split()[1].rstrip(":") for line in lines]
         assert names == [*gradsuite.CASES, "stage1_graph"]
+
+    def test_gradcheck_reports_every_failure(self, capsys, monkeypatch):
+        # a 1%-scaled backward first and a NaN one last: every case is still
+        # checked, and the NaN shows as inf, so no max over the errors skips it
+        def doubling(scale):
+            return lambda x: ad._node(x.values * 2.0, (x,), lambda g: (g * 2.0 * scale,))
+
+        cases = {"scaled": ([(3,)], doubling(1.01)), **gradsuite.CASES,
+                 "nan": ([(3,)], doubling(np.nan))}
+        monkeypatch.setattr(gradsuite, "CASES", cases)
+        assert run(["gradcheck"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "FAIL scaled: rel err 9.901e-03"
+        assert lines[-2] == "FAIL nan: rel err inf"
+        passed = [line.split()[1].rstrip(":") for line in lines[1:-2] + lines[-1:]]
+        assert passed == [*cases][1:-1] + ["stage1_graph"]
+        assert all(line.startswith("PASS ") for line in lines[1:-2] + lines[-1:])
+        assert json.loads(err) == {
+            "error": "error",
+            "message": "gradient check over 1e-04 relative error: scaled, nan",
+        }
 
 
 # every field a config file may set, by section: adding a knob shows up here

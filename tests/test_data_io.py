@@ -28,12 +28,16 @@ class TestGmt:
         c = parse_gmt(b"PATH_A\tdesc\tTP53\tBRCA1\n")
         assert len(c) == 1
         assert c.sets[0].genes == frozenset({"TP53", "BRCA1"})
-        assert c.dedup_warnings == 0
 
-    def test_dedup_with_warning(self):
-        c = parse_gmt("PATH_A\tdesc\tTP53\tTP53\n")
+    def test_duplicate_and_blank_genes_dropped(self):
+        c = parse_gmt("PATH_A\tdesc\tTP53\t TP53 \t\t\n")
         assert c.sets[0].genes == frozenset({"TP53"})
-        assert c.dedup_warnings == 1
+
+    def test_empty_set_names_its_line(self, tmp_path):
+        p = tmp_path / "sets.gmt"
+        p.write_text("A\td\tG1\n\nB\td\t \t\n")
+        with pytest.raises(DataFormatError, match="sets.gmt: line 3: gene set 'B' is empty"):
+            data_io.read_gmt(p)
 
     def test_too_few_fields(self):
         with pytest.raises(DataFormatError, match="line 1"):

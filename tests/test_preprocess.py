@@ -201,6 +201,23 @@ class TestSmoothOracle:
             A = sp.csr_matrix((vals, (rows, cols)), shape=(len(geoms),) * 2)
             assert out.tobytes() == (A @ sp.csr_matrix(dense)).toarray().tobytes()
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0, 1), (2**62, 1)],
+            [(0, 0), (2**62, 1)],
+            [(10**20, 0), (10**20, 1), (10**20 + 1, 3), (0, 0)],
+        ],
+        ids=["2**62_pair", "2**62_apart", "10**20_row"],
+    )
+    def test_rows_past_int64(self, cells):
+        # grid keys are compared whole: no packed key to overflow or collide
+        geoms = [SpotGeometry(f"s{i}", "sl", 0.0, 0.0, r, c) for i, (r, c) in enumerate(cells)]
+        dense = np.arange(1.0, 1.0 + 2 * len(cells)).reshape(-1, 2) ** 2
+        out = smooth_8neighbor(make_matrix(dense, kind=NORMALIZED_LOG), geoms).dense()
+        expected = [dense[members].mean(axis=0) for members in grid_members(geoms)]
+        np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0)
+
     def test_same_position_on_two_slides(self):
         # equal (row, col) on two slides are separate spots, not duplicates
         geoms = [SpotGeometry("a", "A", 0, 0, 0, 0), SpotGeometry("b", "B", 0, 0, 0, 0)]

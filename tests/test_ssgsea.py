@@ -8,7 +8,7 @@ from pearl.data_io import (
     GeneSet,
     GeneSetCollection,
 )
-from pearl.errors import DegeneratePathway, MissingPathwayGenes, PearlError
+from pearl.errors import DegeneratePathway, PearlError
 from pearl.ssgsea import (
     NES_EPSILON,
     SsgseaConfig,
@@ -89,7 +89,7 @@ class TestEnrichmentScore:
 
     def test_empty_intersection(self):
         order, weights = rank_genes([1.0, 2.0])
-        with pytest.raises(MissingPathwayGenes):
+        with pytest.raises(PearlError, match="no measured gene"):
             enrichment_score(order, weights, [False, False], alpha=1.0)
 
     def test_full_coverage(self):
