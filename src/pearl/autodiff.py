@@ -171,14 +171,13 @@ def add(a, b):
     out = av + bv
 
     def bw(g):
-        ga = g if g.shape == av.shape else _unbroadcast(g, av.shape)
-        gb = g if g.shape == bv.shape else _unbroadcast(g, bv.shape)
-        return ga, gb
+        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
 
     return _node(out, (a, b), bw)
 
 
 def _unbroadcast(g, shape):
+    """`g` summed down to `shape`; `g` itself when it has that shape already."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -427,12 +426,12 @@ class AdamW:
 # ---------------------------------------------------------------------------
 
 
-def gradcheck(fn, tensors, step=1e-3, rel_tol=1e-4):
+def gradcheck(fn, tensors, step=1e-3):
     """Central finite-difference check of d fn / d tensors.
 
     `fn` maps the tensors to a scalar Tensor.  Returns the worst relative
-    error, a NaN one counted as inf; raises if one exceeds rel_tol, so a NaN
-    or infinite gradient fails.  Tensors should be float64.
+    error, a NaN one counted as inf, so a NaN or infinite gradient compares
+    above any tolerance.  Tensors should be float64.
     """
     for t in tensors:
         t.grad = None
@@ -458,8 +457,5 @@ def gradcheck(fn, tensors, step=1e-3, rel_tol=1e-4):
             1e-8,
         )
         err = float(np.abs(analytic - numeric).max(initial=0.0)) / denom
-        err = math.inf if math.isnan(err) else err
-        if err > rel_tol:
-            raise PearlError(f"gradient check failed: rel err {err:.3e} > {rel_tol:.1e}")
-        worst = max(worst, err)
+        worst = max(worst, math.inf if math.isnan(err) else err)
     return worst

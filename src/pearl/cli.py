@@ -149,8 +149,9 @@ def cmd_synth(args, cfg):
 
 def _read_slide_embeddings(path):
     """({slide id: its row indices}, float64 (rows, dim) embeddings), slides
-    and rows in file order."""
-    _, slide_ids, values = data_io.read_embeddings(path)
+    and rows in file order; values float32 cannot hold are refused."""
+    spot_ids, slide_ids, values = data_io.read_embeddings(path)
+    data_io.check_float32(path, spot_ids, values)
     rows = {}
     for i, slide in enumerate(slide_ids):
         rows.setdefault(slide, []).append(i)
@@ -180,12 +181,14 @@ def cmd_score_pathways(args, cfg):
 
 
 def _load_dataset(args):
-    return SpotDataset.from_tables(
-        data_io.read_scores(args.scores),
-        data_io.read_coords(args.coords),
-        data_io.read_features(args.features),
-        data_io.parse_expression(args.hvg, value_kind=data_io.NORMALIZED_LOG),
-    )
+    scores = data_io.read_scores(args.scores)
+    geoms = data_io.read_coords(args.coords)
+    patch = data_io.read_features(args.features)
+    hvg = data_io.parse_expression(args.hvg, value_kind=data_io.NORMALIZED_LOG)
+    data_io.check_float32(args.scores, scores.spot_ids, scores.scores)
+    data_io.check_float32(args.features, patch.spot_ids, patch.features)
+    data_io.check_float32(args.hvg, hvg.spot_ids, hvg.dense())
+    return SpotDataset.from_tables(scores, geoms, patch, hvg)
 
 
 def _model_config(cfg, dataset, seed):
@@ -223,6 +226,7 @@ def cmd_predict(args, cfg):
         raise UsageError("pearl predict: --emit-embeddings and --coords go together")
     model = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
+    data_io.check_float32(args.features, patch.spot_ids, patch.features)
     if args.emit_embeddings:
         slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
         absent = next((sid for sid in patch.spot_ids if sid not in slide_of), None)
@@ -333,6 +337,7 @@ def cmd_run_cv(args, cfg):
     geoms = data_io.read_coords(args.coords)
     sets = data_io.read_gmt(args.gene_sets)
     patch = data_io.read_features(args.features)
+    data_io.check_float32(args.features, patch.spot_ids, patch.features)
     normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     sm, _ = ssgsea.score_matrix(normed, sets, scfg, threads=args.threads)
     dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)

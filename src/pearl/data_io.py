@@ -401,14 +401,13 @@ def write_expression(m, path):
             f"a matrix of {m.n_spots} spots and {m.n_genes} genes has no cell "
             "to keep its ids in a triplet file"
         )
-    gene_rank = np.argsort(np.argsort(m.gene_ids, kind="stable"), kind="stable")
-    mask = dense != 0
+    by_id = np.argsort(m.gene_ids)  # the mask's columns in gene-id order
+    mask = (dense != 0)[:, by_id]
     if mask.size:
-        mask[~mask.any(axis=1), np.argmin(gene_rank)] = True
+        mask[~mask.any(axis=1), 0] = True
         mask[0, ~mask.any(axis=0)] = True
     row, col = np.nonzero(mask)
-    order = np.lexsort((gene_rank[col], row))
-    row, col = row[order], col[order]
+    col = by_id[col]
     spot_ids, gene_ids = np.array(m.spot_ids, dtype=object), np.array(m.gene_ids, dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRIPLET_HEADER)
@@ -583,6 +582,19 @@ def _write_float_table(path, header, ids, values):
         fh.write("\t".join(header) + "\n")
         for row_ids, row in zip(ids, values):
             fh.write("\t".join(row_ids) + fmt % tuple(row.tolist()))
+
+
+def check_float32(path, spot_ids, values):
+    """Refuse float64 `values`, one row per spot of `spot_ids`, that a float32
+    model cannot hold: a value whose float32 cast is infinite is an error
+    naming `path` and the spot.  Two reductions and no copy if all fit."""
+    with np.errstate(over="ignore"):
+        if values.size == 0 or np.isfinite(np.float32([values.max(), values.min()])).all():
+            return
+        i, j = np.argwhere(np.isinf(values.astype(np.float32)))[0]
+    raise DataFormatError(
+        f"spot {spot_ids[i]!r}: value {float(values[i, j])!r} is beyond float32's range", path=path
+    )
 
 
 @_names_file

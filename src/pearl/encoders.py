@@ -42,19 +42,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the sizes a config file may set; validate() checks those a command sets
+        # the sizes a config file may set; PearlModel checks those a command sets
         for name in ("n_heads", "d_k", "n_layers", "embed_dim", "phi_hidden", "proj_hidden",
                      "head_hidden", "ffn_mult"):
             if getattr(self, name) < 1:
                 raise PearlError(f"model config: {name} must be >= 1")
         if not TAU_MIN <= self.tau_init <= TAU_MAX:
             raise PearlError(f"model config: tau_init must be in [{TAU_MIN}, {TAU_MAX}]")
-
-    def validate(self):
-        """Check the sizes a command fills in from its input tables."""
-        for name in ("n_pathways", "n_genes", "d_img"):
-            if getattr(self, name) < 1:
-                raise PearlError(f"model config: {name} must be >= 1")
 
 
 @dataclass
@@ -92,7 +86,9 @@ class PearlModel:
     coordinate normalizer the pathway encoder was trained with."""
 
     def __init__(self, config, dtype=np.float32):
-        config.validate()
+        for name in ("n_pathways", "n_genes", "d_img"):  # the sizes a command fills in
+            if getattr(config, name) < 1:
+                raise PearlError(f"model config: {name} must be >= 1")
         self.config = config
         self.dtype = dtype
         self.normalizer = None  # the CoordNormalizer stage-1 training fits
@@ -112,14 +108,12 @@ class PearlModel:
 
         mlp("phi", 2, config.phi_hidden, P)
         H, d_k = config.n_heads, config.d_k
+        limit = math.sqrt(6.0 / (P + d_k))
         for l in range(config.n_layers):
-            # head by head, q then k then v, each with its own (P, d_k) xavier
-            # limit: the draws of separate per-head matrices, laid out fused
-            wqkv = np.empty((P, 3 * H * d_k), dtype=dtype)
-            for h in range(H):
-                for j in range(3):
-                    col = (j * H + h) * d_k
-                    wqkv[:, col : col + d_k] = _xavier(rng, (P, d_k), dtype)
+            # head by head, q then k then v, each a (P, d_k) xavier draw: the
+            # draws of separate per-head matrices, laid out fused
+            draws = rng.uniform(-limit, limit, size=(H, 3, P, d_k))
+            wqkv = draws.transpose(2, 1, 0, 3).reshape(P, 3 * H * d_k).astype(dtype)
             self.params[f"tf{l}.wqkv"] = Tensor(wqkv, requires_grad=True)
             param(f"tf{l}.wo", (H * d_k, P))
             param(f"tf{l}.ln1.g", (P,), 1.0)

@@ -3,7 +3,7 @@ index for externally supplied cluster labels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,10 @@ class EvalReport:
     target_names: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "mean_pcc": self.mean_pcc,
-            "mse": self.mse,
-            "mae": self.mae,
-            "n_spots": self.n_spots,
-            "n_targets": self.n_targets,
-            "n_undefined_pcc": self.n_undefined_pcc,
-        }
+        """The aggregate fields: every field but the per-target ones."""
+        d = asdict(self)
+        del d["per_target_pcc"], d["target_names"]
+        return d
 
 
 def evaluate_expression(pred, truth, target_names=None):

@@ -59,12 +59,9 @@ class CoxHead:
         h = ad.tanh(ad.add(ad.matmul(Tensor(E), self.params["attn.w1"]), self.params["attn.b1"]))
         return _segment_pool(ad.matmul(h, self.params["attn.w2"]), E, sizes)
 
-    def risk(self, pooled):
-        return ad.matmul(pooled, self.params["risk.w"])
-
     def subject_risks(self, E, sizes):
         """Risk tensor (len(sizes), 1) of the bags that `sizes` cuts `E` into."""
-        return self.risk(self.pool(E, sizes))
+        return ad.matmul(self.pool(E, sizes), self.params["risk.w"])
 
 
 def _segment_pool(logits, E, sizes):
@@ -170,11 +167,10 @@ class SurvivalTrainConfig:
 def train_cox(E, sizes, times, events, config):
     """Full-batch Cox training; returns (head, loss_history).
 
-    `E` stacks every subject's spot embeddings, `sizes` gives each subject's
-    row count, in the order of `times` and `events`.  Early stopping monitors
-    the training loss (cohorts are small).
+    `E` stacks every subject's spot embeddings (float32 is used uncopied),
+    `sizes` gives each subject's row count, in the order of `times` and
+    `events`.  Early stopping monitors the training loss (cohorts are small).
     """
-    E = np.asarray(E, dtype=np.float32)  # cast once, not on every step
     head = CoxHead(embed_dim=E.shape[-1], seed=config.seed)
     history = fit(
         head.parameters(),

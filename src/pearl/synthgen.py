@@ -30,7 +30,7 @@ from .errors import PearlError
 class SynthConfig:
     """The `synth` config section: sizes of the dataset and survival cohort."""
 
-    n_spots: int = 600
+    n_spots: int = 1200
     n_genes: int = 120
     n_pathways: int = 10
     noise_sigma: float = 0.05

@@ -208,11 +208,16 @@ def fit(params, config, batches, batch_loss, val_loss=None):
     return history
 
 
+def _embed_batch(model, ds, idx):
+    """(image, pathway) embeddings of the spots `idx` of `ds`: the pathway
+    tokens are their scores plus their normalised coordinates."""
+    hp = model.encode_pathways(ds.scores[idx], model.normalizer.transform(ds.coords[idx]))
+    return model.encode_images(ds.features[idx]), hp
+
+
 def _stage1_batch_loss(model, ds, idx):
     model.clamp_tau()
-    hp = model.encode_pathways(ds.scores[idx], model.normalizer.transform(ds.coords[idx]))
-    hi = model.encode_images(ds.features[idx])
-    return contrastive_loss(hi, hp, model.inv_tau())
+    return contrastive_loss(*_embed_batch(model, ds, idx), model.inv_tau())
 
 
 def train_stage1(dataset, model, config):
@@ -284,11 +289,7 @@ def retrieval_top1(model, dataset, batch_size=256, seed=0):
     hits, total = 0, 0
     for idx in _batches(np.arange(dataset.n_spots), batch_size, rng):
         with ad.no_grad():
-            hp = model.encode_pathways(
-                dataset.scores[idx], model.normalizer.transform(dataset.coords[idx])
-            )
-            hp = ad.l2_normalize_rows(hp).values
-            hi = ad.l2_normalize_rows(model.encode_images(dataset.features[idx])).values
+            hi, hp = (ad.l2_normalize_rows(h).values for h in _embed_batch(model, dataset, idx))
         # zero-norm rows normalise to zero rows; any() drops them from the hits
         hit = (hi @ hp.T).argmax(axis=1) == np.arange(len(idx))
         hits += int((hit & hi.any(axis=1) & hp.any(axis=1)).sum())

@@ -79,7 +79,7 @@ class TestStacked:
             heads = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (4, 4))
             return ad.sum_all(ad.mul(ad.reshape(heads, (2, 4, 2)), w))
 
-        ad.gradcheck(fn, [x])
+        assert ad.gradcheck(fn, [x]) < gradsuite.REL_TOL
 
 
 class TestNoGrad:
@@ -114,7 +114,7 @@ def test_every_public_kernel_has_a_case():
 
 @pytest.mark.parametrize("name", list(gradsuite.CASES))
 def test_gradcheck(name):
-    assert gradsuite.check(name, np.random.default_rng(0)) < 1e-4
+    assert gradsuite.check(name, np.random.default_rng(0)) < gradsuite.REL_TOL
 
 
 @pytest.mark.parametrize("name", list(gradsuite.CASES))
@@ -190,7 +190,7 @@ class TestMse:
         loss = ad.mse(p, q)
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0 * (p.values - q.values) / 6.0, rtol=1e-12)
-        ad.gradcheck(lambda p, q: ad.mse(p, q), [p, t64(q.values)])
+        assert ad.gradcheck(lambda p, q: ad.mse(p, q), [p, t64(q.values)]) < gradsuite.REL_TOL
 
 
 class TestL2Normalize:
@@ -235,7 +235,7 @@ class TestBackward:
         def fn(a, b):
             return ad.cross_entropy_index(ad.softmax_rows(ad.matmul(a, b)))
 
-        ad.gradcheck(fn, [a, b])
+        assert ad.gradcheck(fn, [a, b]) < gradsuite.REL_TOL
 
     def test_graph_freed_on_return_without_gc(self):
         w = t64(np.ones((4, 3)))
@@ -309,5 +309,4 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 3.0], ids=["nan", "inf", "wrong"])
     def test_bad_backward_fails(self, value):
-        with pytest.raises(PearlError, match="gradient check failed"):
-            ad.gradcheck(self._doubling(value), [t64([1.0, -3.0, 0.5])])
+        assert ad.gradcheck(self._doubling(value), [t64([1.0, -3.0, 0.5])]) > gradsuite.REL_TOL

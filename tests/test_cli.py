@@ -329,6 +329,14 @@ def test_preprocess_grid_rows_past_int64(tmp_path):
         assert (tmp_path / "0" / name).read_bytes() == (tmp_path / str(10**20) / name).read_bytes()
 
 
+def test_preprocess_keeps_genes_of_synth_at_defaults(tmp_path):
+    assert run(["synth", "--out-dir", str(tmp_path)]) == 0
+    assert run(["preprocess", "--out-dir", str(tmp_path / "work"),
+                "--expression", str(tmp_path / "expression.tsv"),
+                "--coords", str(tmp_path / "coords.csv")]) == 0
+    assert (tmp_path / "work" / "hvg_genes.txt").read_text().strip()
+
+
 def test_preprocess_refuses_a_filter_that_keeps_no_gene(pipeline, tmp_path, capsys):
     _, data, _ = pipeline
     (tmp_path / "c.json").write_text(json.dumps({"preprocess": {"min_spots_per_gene": 1000}}))
@@ -539,6 +547,46 @@ class TestCohort:
         if old == "kind":
             assert err["message"] == "unknown hyperparameter 'kind'"
         assert not (tmp_path / "out").exists()
+
+
+# each command that hands a table to a float32 model, that table, and the
+# column of its value cells
+FLOAT32_TABLES = [
+    ("train-contrastive", "scores", 1),
+    ("train-contrastive", "features", 1),
+    ("train-contrastive", "hvg", 2),
+    ("train-heads", "hvg", 2),
+    ("predict", "features", 1),
+    ("run-cv", "features", 1),
+    ("survival-train", "embeddings", 2),
+    ("survival-eval", "embeddings", 2),
+]
+
+
+@pytest.mark.parametrize("command, table, column", FLOAT32_TABLES,
+                         ids=[f"{c}-{t}" for c, t, _ in FLOAT32_TABLES])
+def test_value_beyond_float32_refused(pipeline, cox_checkpoint, tmp_path, command, table, column):
+    # 1e300 is a finite float64 that float32 rounds to inf
+    _, data, _ = pipeline
+    inputs = FILE_COMMANDS[command][0]
+    paths = {k: str(cox_checkpoint if name == "cox" else data / name) for k, name in inputs.items()}
+    lines = (data / inputs[table]).read_text().splitlines()
+    cells = lines[1].split("\t")
+    cells[column] = "1e300"
+    lines[1] = "\t".join(cells)
+    broken = tmp_path / inputs[table]
+    broken.write_text("\n".join(lines) + "\n")
+    paths[table] = str(broken)
+    argv = [sys.executable, "-m", "pearl.cli", command, "--out-dir", str(tmp_path / "out")]
+    argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1  # no numpy overflow warning
+    assert json.loads(proc.stderr) == {
+        "error": "data_format",
+        "message": f"{broken}: spot {cells[0]!r}: value 1e+300 is beyond float32's range",
+    }
+    assert not (tmp_path / "out").exists()
 
 
 class TestFailureInjection:
@@ -930,7 +978,7 @@ class TestConfigValues:
             ({"d_img": 0}, "d_img must be >= 1"),
             ({"n_subjects": 0}, "n_subjects must be >= 1"),
             ({"embed_dim": 0}, "embed_dim must be >= 1"),
-            ({"n_slides": 700}, "n_slides must be <= n_spots"),
+            ({"n_spots": 600, "n_slides": 700}, "n_slides must be <= n_spots"),
             ({"noise_sigma": -1.0}, "noise_sigma must be finite and >= 0"),
             ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0"),
             ({"censor_rate": 1.5}, "censor_rate must be in [0, 1]"),
@@ -1253,7 +1301,7 @@ class TestReadme:
         for argv in (synth, preprocess, score):
             assert main(argv) == 0, argv
         out = Path(score[score.index("--out-dir") + 1])
-        assert len(data_io.read_scores(out / "scores.tsv").spot_ids) == 600
+        assert len(data_io.read_scores(out / "scores.tsv").spot_ids) == 1200
 
     @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
     def test_command_line_parses(self, argv):

@@ -23,6 +23,46 @@ from pearl.errors import (
 from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
 
 
+def reference_triplets(m):
+    """The text write_expression should write, one cell at a time: every
+    nonzero cell; a 0 at the first gene by id for a spot with none, then a 0
+    at the first spot for a gene still with none; by spot, then gene id."""
+    dense = m.dense()
+    kept = set(zip(*np.nonzero(dense)))
+    for i in range(m.n_spots):
+        if not dense[i].any():
+            kept.add((i, m.gene_ids.index(min(m.gene_ids))))
+    for j in range(m.n_genes):
+        if not any((i, j) in kept for i in range(m.n_spots)):
+            kept.add((0, j))
+    cells = sorted(kept, key=lambda c: (c[0], m.gene_ids[c[1]]))
+    return "spot\tgene\tvalue\n" + "".join(
+        f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{data_io._fmt(dense[i, j])}\n" for i, j in cells
+    )
+
+
+def _writer_corpus():
+    """Seeded matrices with gene ids out of id order (g12 sorts before g3),
+    all-zero rows and columns, whole and fractional values, and the 1 x 1 and
+    0 x 0 edges."""
+    rng = np.random.default_rng(0)
+    out = [ExpressionMatrix([], [], np.zeros((0, 0))),
+           ExpressionMatrix(["s"], ["g"], np.zeros((1, 1))),
+           ExpressionMatrix(["s"], ["g"], np.full((1, 1), 2.5))]
+    for _ in range(24):
+        rows, cols = rng.integers(1, 13, size=2)
+        dense = rng.gamma(1.0, size=(rows, cols)) * (rng.uniform(size=(rows, cols)) < 0.4)
+        dense[rng.uniform(size=(rows, cols)) < 0.3] = rng.integers(1, 9)  # whole values
+        dense[rng.uniform(size=rows) < 0.25] = 0.0
+        dense[:, rng.uniform(size=cols) < 0.25] = 0.0
+        genes = [f"g{k}" for k in rng.permutation(cols) * 3]
+        out.append(ExpressionMatrix([f"s{i}" for i in range(rows)], genes, dense))
+    return out
+
+
+_WRITER_CORPUS = _writer_corpus()
+
+
 class TestGmt:
     def test_basic_line(self):
         c = parse_gmt(b"PATH_A\tdesc\tTP53\tBRCA1\n")
@@ -86,6 +126,12 @@ class TestExpressionParsing:
         p.write_text("spot\tgene\tvalue\ns1\tg1\t2\ns1\tg1\t3\n")
         with pytest.raises(DataFormatError, match="duplicate"):
             data_io.parse_expression(p)
+
+    @pytest.mark.parametrize("case", range(len(_WRITER_CORPUS)))
+    def test_bytes_match_reference_writer(self, tmp_path, case):
+        m = _WRITER_CORPUS[case]
+        data_io.write_expression(m, tmp_path / "m.tsv")
+        assert (tmp_path / "m.tsv").read_text() == reference_triplets(m)
 
     # the one expression format: a header, then one line per nonzero cell
     @pytest.mark.parametrize("header", ["spot\tgene\tvalue\n"], ids=["sparse_triplet_tsv"])

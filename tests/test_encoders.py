@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
+from pearl import gradsuite
 from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel, load_model, save_model
 from pearl.errors import CheckpointVersionError, PearlError
 
@@ -225,7 +226,8 @@ class TestEncodeImages:
         rng = np.random.default_rng(7)
         F = rng.normal(size=(2, 5))
         params = [model.params[n] for n in ("proj_img.w1", "proj_img.b1", "proj_img.w2", "proj_img.b2")]
-        ad.gradcheck(lambda *_: ad.sum_all(model.encode_images(F)), params)
+        err = ad.gradcheck(lambda *_: ad.sum_all(model.encode_images(F)), params)
+        assert err < gradsuite.REL_TOL
 
 
 class TestPredictHeads:
@@ -298,9 +300,9 @@ class TestModelConfig:
             ModelConfig(tau_init=tau_init)
 
     @pytest.mark.parametrize("name", ["n_pathways", "n_genes", "d_img"])
-    def test_data_sizes_checked_by_validate(self, name):
+    def test_data_sizes_checked_by_the_model(self, name):
         cfg = ModelConfig(n_pathways=4, n_genes=3, d_img=5)
-        cfg.validate()
+        PearlModel(cfg)
         setattr(cfg, name, 0)
         with pytest.raises(PearlError, match=f"{name} must be >= 1"):
-            cfg.validate()
+            PearlModel(cfg)
