@@ -5,9 +5,9 @@ Every subcommand reads declared inputs, writes declared outputs under
 failure, a usage error included, prints a machine-readable JSON object to
 stderr and exits 1.  A subcommand declares only the flags it reads, so any
 other flag is a usage error.  Hyperparameters come from a single JSON config
-file, built into one dataclass per section before any subcommand runs; a
-field that a command fills in itself (from --seed or the input tables) is
-refused.  Paths come from flags.  Input tables are read, and expression,
+file, built into one dataclass per section, with --seed in each seed field,
+before any subcommand runs; a field filled in from --seed or the input tables
+is refused.  Paths come from flags.  Input tables are read, and expression,
 coordinate and float tables written, through data_io; the command writes its
 own JSON reports, loss curves and id lists.
 """
@@ -23,7 +23,6 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data_io, preprocess, ssgsea, synthgen, survival, trainer
 from .encoders import ModelConfig, PearlModel, load_model, save_model
 from .errors import ConfigError, DataFormatError, PearlError, UsageError
@@ -43,19 +42,21 @@ _CONFIG_SECTIONS = {
     "model": ModelConfig,
     "survival": SurvivalTrainConfig,
 }
-# fields a command fills in from --seed or its input tables; a config may not set them
+# each section's field that --seed sets
+_SEEDS = {"ssgsea": "rng_seed", "train": "seed", "model": "seed", "survival": "seed"}
+# the model's sizes, each read off one input table: {field: that table's flag}
+_SIZES = {"n_pathways": "scores", "n_genes": "hvg", "d_img": "features"}
+# fields filled in from --seed or the input tables; a config may not set them
 COMMAND_SET = {
-    "ssgsea": ("rng_seed",),
-    "train": ("seed",),
-    "model": ("n_pathways", "n_genes", "d_img", "seed"),
-    "survival": ("seed",),
+    section: (*(_SIZES if section == "model" else ()), name) for section, name in _SEEDS.items()
 }
 
 
-def load_config(path):
+def load_config(path, seed=0):
     """{section name: config dataclass} for every section, defaults where the
-    file (or a missing `path`) gives none.  A field must be known, not set by
-    a command, and of its default's type (an int may stand for a float)."""
+    file (or a missing `path`) gives none, and `seed` in each `_SEEDS` field.
+    A field must be known, not set by a command, and of its default's type
+    (an int may stand for a float)."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,6 +87,8 @@ def load_config(path):
                 values[key] = float(value)
             elif type(value) is not kind:
                 raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        if section in _SEEDS:
+            values[_SEEDS[section]] = seed
         config[section] = cls(**values)
     return config
 
@@ -130,12 +133,12 @@ def cmd_synth(args, cfg):
     # the section's fields are the generators' keyword arguments
     spatial = asdict(cfg["synth"])
     cohort = {k: spatial.pop(k) for k in ("n_subjects", "censor_rate", "embed_dim")}
-    expr, geoms, sets, patch, _ = synthgen.gen_st_dataset(seed=args.seed, **spatial)
+    expr, geoms, sets, patch, _ = synthgen.gen_st_dataset(args.seed, **spatial)
     data_io.write_expression(expr, _outpath(args, "expression.tsv"))
     data_io.write_coords(geoms, _outpath(args, "coords.csv"))
     data_io.write_gmt(sets, _outpath(args, "gene_sets.gmt"))
     data_io.write_features(patch, _outpath(args, "features.tsv"))
-    table, embeddings, _ = synthgen.gen_survival_cohort(seed=args.seed, **cohort)
+    table, embeddings, _ = synthgen.gen_survival_cohort(args.seed, **cohort)
     data_io.write_survival(table, _outpath(args, "survival.csv"))
     slides = sorted(embeddings)
     data_io.write_embeddings(
@@ -170,10 +173,9 @@ def cmd_preprocess(args, cfg):
 
 
 def cmd_score_pathways(args, cfg):
-    scfg = replace(cfg["ssgsea"], rng_seed=args.seed)
     m = data_io.parse_expression(args.expression, value_kind=data_io.NORMALIZED_LOG)
     sets = data_io.read_gmt(args.gene_sets)
-    sm, dropped = ssgsea.score_matrix(m, sets, scfg, threads=args.threads)
+    sm, dropped = ssgsea.score_matrix(m, sets, cfg["ssgsea"], threads=args.threads)
     data_io.write_scores(sm, _outpath(args, "scores.tsv"))
     with open(_outpath(args, "dropped_pathways.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(dropped) + ("\n" if dropped else ""))
@@ -191,31 +193,39 @@ def _load_dataset(args):
     return SpotDataset.from_tables(scores, geoms, patch, hvg)
 
 
-def _model_config(cfg, dataset, seed):
-    return replace(
-        cfg["model"],
-        n_pathways=dataset.scores.shape[1],
-        n_genes=dataset.y_gene.shape[1],
-        d_img=dataset.features.shape[1],
-        seed=seed,
-    )
+def _table_sizes(dataset):
+    """The `_SIZES` fields as the dataset's tables give them."""
+    return {
+        "n_pathways": dataset.scores.shape[1],
+        "n_genes": dataset.y_gene.shape[1],
+        "d_img": dataset.features.shape[1],
+    }
+
+
+def _model_config(cfg, dataset, fold=0):
+    return replace(cfg["model"], **_table_sizes(dataset), seed=cfg["model"].seed + fold)
 
 
 def cmd_train_contrastive(args, cfg):
-    tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
-    model = PearlModel(_model_config(cfg, dataset, args.seed))
-    model, history = trainer.train_stage1(dataset, model, tcfg)
+    model = PearlModel(_model_config(cfg, dataset))
+    model, history = trainer.train_stage1(dataset, model, cfg["train"])
     save_model(model, _outpath(args, "stage1"))
     _write_curve(_outpath(args, "stage1_loss.csv"), history)
     return 0
 
 
 def cmd_train_heads(args, cfg):
-    tcfg = replace(cfg["train"], seed=args.seed)
     dataset = _load_dataset(args)
     model = load_model(args.checkpoint)
-    model, history = trainer.train_stage2(dataset, model, tcfg)
+    for name, size in _table_sizes(dataset).items():
+        if size != getattr(model.config, name):
+            raise DataFormatError(
+                f"{name} is {size} here but {getattr(model.config, name)} in checkpoint "
+                f"{args.checkpoint}",
+                path=getattr(args, _SIZES[name]),
+            )
+    model, history = trainer.train_stage2(dataset, model, cfg["train"])
     save_model(model, _outpath(args, "final"))
     _write_curve(_outpath(args, "stage2_loss.csv"), history)
     return 0
@@ -232,19 +242,12 @@ def cmd_predict(args, cfg):
         absent = next((sid for sid in patch.spot_ids if sid not in slide_of), None)
         if absent is not None:
             raise DataFormatError(f"no coordinates for feature spot {absent!r}", path=args.coords)
-    h = trainer.embed_images(model, patch.features)
-    with ad.no_grad():
-        yp, yg = model.predict_heads(h)
-    path_names = [f"p{j}" for j in range(yp.values.shape[1])]
-    gene_names = [f"g{j}" for j in range(yg.values.shape[1])]
-    data_io.write_scores(
-        data_io.PathwayScoreMatrix(patch.spot_ids, path_names, yp.values),
-        _outpath(args, "yhat_path.tsv"),
-    )
-    data_io.write_scores(
-        data_io.PathwayScoreMatrix(patch.spot_ids, gene_names, yg.values),
-        _outpath(args, "yhat_gene.tsv"),
-    )
+    h, yp, yg = trainer.predict(model, patch.features)
+    for name, prefix, values in (("yhat_path.tsv", "p", yp), ("yhat_gene.tsv", "g", yg)):
+        columns = [f"{prefix}{j}" for j in range(values.shape[1])]
+        data_io.write_scores(
+            data_io.PathwayScoreMatrix(patch.spot_ids, columns, values), _outpath(args, name)
+        )
     if args.emit_embeddings:
         data_io.write_embeddings(
             patch.spot_ids,
@@ -296,9 +299,8 @@ def _load_cohort(args):
 
 
 def cmd_survival_train(args, cfg):
-    scfg = replace(cfg["survival"], seed=args.seed)
     E, sizes, times, events = _load_cohort(args)
-    head, history = survival.train_cox(E, sizes, times, events, scfg)
+    head, history = survival.train_cox(E, sizes, times, events, cfg["survival"])
     survival.save_cox(head, _outpath(args, "cox"))
     _write_curve(_outpath(args, "cox_loss.csv"), {"loss": history})
     return 0
@@ -330,38 +332,32 @@ def cmd_gradcheck(args, cfg):
 
 
 def cmd_run_cv(args, cfg):
-    scfg = replace(cfg["ssgsea"], rng_seed=args.seed)
-    tcfg = replace(cfg["train"], seed=args.seed)
-
+    tcfg = cfg["train"]
     m = data_io.parse_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
     sets = data_io.read_gmt(args.gene_sets)
     patch = data_io.read_features(args.features)
     data_io.check_float32(args.features, patch.spot_ids, patch.features)
     normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
-    sm, _ = ssgsea.score_matrix(normed, sets, scfg, threads=args.threads)
+    sm, _ = ssgsea.score_matrix(normed, sets, cfg["ssgsea"], threads=args.threads)
     dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
 
     slides = sorted(set(dataset.slide_ids))
     if len(slides) < args.folds:
         raise PearlError(f"{len(slides)} slides cannot form {args.folds} slide-disjoint folds")
     fold_of = {s: i % args.folds for i, s in enumerate(slides)}
+    spot_fold = np.array([fold_of[s] for s in dataset.slide_ids])
     fold_reports = []
     for fold in range(args.folds):
-        test_idx = [i for i, s in enumerate(dataset.slide_ids) if fold_of[s] == fold]
-        train_idx = [i for i, s in enumerate(dataset.slide_ids) if fold_of[s] != fold]
-        train_ds = dataset.subset(train_idx)
-        test_ds = dataset.subset(test_idx)
-        mcfg = _model_config(cfg, dataset, args.seed + fold)
-        model = PearlModel(mcfg)
+        train_ds = dataset.subset(np.flatnonzero(spot_fold != fold))
+        test_ds = dataset.subset(np.flatnonzero(spot_fold == fold))
+        model = PearlModel(_model_config(cfg, dataset, fold))
         model, _ = trainer.train_stage1(train_ds, model, tcfg)
         model, _ = trainer.train_stage2(train_ds, model, tcfg)
-        h_test = trainer.embed_images(model, test_ds.features, tcfg.batch_size)
-        with ad.no_grad():
-            yp, yg = model.predict_heads(h_test)
-        path_rep = evaluate_expression(yp.values, test_ds.scores)
-        gene_rep = evaluate_expression(yg.values, test_ds.y_gene)
-        top1 = trainer.retrieval_top1(model, test_ds, tcfg.batch_size, seed=args.seed)
+        _, yp, yg = trainer.predict(model, test_ds.features, tcfg.batch_size)
+        path_rep = evaluate_expression(yp, test_ds.scores)
+        gene_rep = evaluate_expression(yg, test_ds.y_gene)
+        top1 = trainer.retrieval_top1(model, test_ds, tcfg.batch_size, seed=tcfg.seed)
         report = {
             "fold": fold,
             "pathway": path_rep.to_dict(),
@@ -463,7 +459,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, load_config(getattr(args, "config", None)))
+        return args.fn(args, load_config(getattr(args, "config", None), getattr(args, "seed", 0)))
     except PearlError as exc:
         return _fail(exc.code, exc)
     except OSError as exc:  # e.g. a missing, unreadable or directory path

@@ -8,11 +8,11 @@ sample variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import NORMALIZED_LOG, RAW_COUNTS, ExpressionMatrix
+from .data_io import NORMALIZED_LOG, RAW_COUNTS
 from .errors import DataFormatError, PearlError
 
 
@@ -41,12 +41,7 @@ def filter_genes(m, min_spots):
     _require_kind(m, RAW_COUNTS)
     X = m.dense()
     keep = np.flatnonzero(np.count_nonzero(X, axis=0) >= min_spots)
-    return ExpressionMatrix(
-        spot_ids=list(m.spot_ids),
-        gene_ids=[m.gene_ids[j] for j in keep],
-        matrix=X[:, keep],
-        value_kind=RAW_COUNTS,
-    )
+    return replace(m, gene_ids=[m.gene_ids[j] for j in keep], matrix=X[:, keep])
 
 
 def normalize_and_log(m, target_sum):
@@ -59,12 +54,7 @@ def normalize_and_log(m, target_sum):
     X = m.dense()
     totals = X.sum(axis=1)
     scale = np.where(totals > 0, target_sum / np.where(totals > 0, totals, 1.0), 0.0)
-    return ExpressionMatrix(
-        spot_ids=list(m.spot_ids),
-        gene_ids=list(m.gene_ids),
-        matrix=np.log1p(X * scale[:, None]),
-        value_kind=NORMALIZED_LOG,
-    )
+    return replace(m, matrix=np.log1p(X * scale[:, None]), value_kind=NORMALIZED_LOG)
 
 
 def smooth_8neighbor(m, geoms):
@@ -97,12 +87,7 @@ def smooth_8neighbor(m, geoms):
     out = np.zeros((n, m.n_genes))
     for col in members.T:
         out += w * X[col]
-    return ExpressionMatrix(
-        spot_ids=list(m.spot_ids),
-        gene_ids=list(m.gene_ids),
-        matrix=out,
-        value_kind=NORMALIZED_LOG,
-    )
+    return replace(m, matrix=out)
 
 
 def select_hvg(m, g):
@@ -118,12 +103,7 @@ def select_hvg(m, g):
     var = m.dense().var(axis=0, ddof=1) if m.n_spots > 1 else np.zeros(m.n_genes)
     order = sorted(range(m.n_genes), key=lambda j: (-var[j], m.gene_ids[j]))
     keep = order[:g]
-    return ExpressionMatrix(
-        spot_ids=list(m.spot_ids),
-        gene_ids=[m.gene_ids[j] for j in keep],
-        matrix=m.dense()[:, keep],
-        value_kind=NORMALIZED_LOG,
-    )
+    return replace(m, gene_ids=[m.gene_ids[j] for j in keep], matrix=m.dense()[:, keep])
 
 
 def run_pipeline(m, geoms, config):

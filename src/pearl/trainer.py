@@ -65,9 +65,10 @@ class SpotDataset:
         feat_index = {s: i for i, s in enumerate(patch.spot_ids)}
         hvg_index = {s: i for i, s in enumerate(hvg.spot_ids)}
         ids = list(scores.spot_ids)
-        missing = [s for s in ids if s not in geo or s not in feat_index or s not in hvg_index]
-        if missing:
-            raise PearlError(f"spot {missing[0]!r} missing from coords/features/hvg inputs")
+        for name, table in (("coords", geo), ("features", feat_index), ("hvg", hvg_index)):
+            absent = next((s for s in ids if s not in table), None)
+            if absent is not None:
+                raise PearlError(f"spot {absent!r} of the scores is missing from the {name} table")
         return cls(
             spot_ids=ids,
             slide_ids=[geo[s].slide_id for s in ids],
@@ -279,6 +280,15 @@ def embed_images(model, features, batch_size=256):
         for start in range(0, features.shape[0], batch_size):
             out.append(model.encode_images(features[start : start + batch_size]).values)
     return np.concatenate(out, axis=0) if out else np.zeros((0, model.config.embed_dim))
+
+
+def predict(model, features, batch_size=256):
+    """(h, yp, yg): the image embeddings of the rows of `features` and the
+    heads' pathway and gene predictions from them, all arrays."""
+    h = embed_images(model, features, batch_size)
+    with ad.no_grad():
+        yp, yg = model.predict_heads(h)
+    return h, yp.values, yg.values
 
 
 def retrieval_top1(model, dataset, batch_size=256, seed=0):

@@ -13,7 +13,7 @@ from pearl import autodiff as ad
 from pearl import cli, data_io, gradsuite, survival, trainer
 from pearl.cli import _read_slide_embeddings, main
 from pearl.encoders import load_model
-from pearl.errors import DataFormatError
+from pearl.errors import ConfigError, DataFormatError
 
 from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
 
@@ -692,6 +692,57 @@ class TestFailureInjection:
         assert err["error"] == "error"
         assert repr(dropped) in err["message"]
 
+    @pytest.mark.parametrize("table", ["coords", "features", "hvg"])
+    def test_spot_missing_from_a_training_table_named(self, pipeline, tmp_path, capsys, table):
+        _, data, cfg_path = pipeline
+        dropped = data_io.read_scores(data / "scores.tsv").spot_ids[3]
+        sep = "," if table == "coords" else "\t"
+        lines = (data / _DATASET[table]).read_text().splitlines()
+        broken = tmp_path / _DATASET[table]
+        broken.write_text("".join(ln + "\n" for ln in lines if ln.split(sep)[0] != dropped))
+        paths = {k: str(data / name) for k, name in _DATASET.items()} | {table: str(broken)}
+        argv = ["train-contrastive", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+        argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "error",
+            "message": f"spot {dropped!r} of the scores is missing from the {table} table",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table, size", [
+        ("scores", "n_pathways"), ("hvg", "n_genes"), ("features", "d_img"),
+    ])
+    def test_train_heads_refuses_a_table_the_checkpoint_does_not_fit(
+        self, pipeline, tmp_path, capsys, table, size
+    ):
+        _, data, cfg_path = pipeline
+        lines = (data / _DATASET[table]).read_text().splitlines()
+        if table == "hvg":  # every cell of the last gene goes
+            gene = lines[-1].split("\t")[1]
+            lines = [ln for ln in lines if ln.split("\t")[1] != gene]
+        else:  # the last column goes
+            lines = [ln.rsplit("\t", 1)[0] for ln in lines]
+        broken = tmp_path / _DATASET[table]
+        broken.write_text("\n".join(lines) + "\n")
+        checkpoint = data / "stage1"
+        fitted = getattr(load_model(str(checkpoint)).config, size)
+        paths = {k: str(data / name) for k, name in _DATASET.items()} | {table: str(broken)}
+        argv = ["train-heads", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                "--checkpoint", str(checkpoint)]
+        argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "data_format",
+            "message": f"{broken}: {size} is {fitted - 1} here but {fitted} in checkpoint "
+                       f"{checkpoint}",
+        }
+        assert not (tmp_path / "out").exists()
+
 
 class TestErrors:
     def test_unknown_config_field_named(self, tmp_path):
@@ -1109,6 +1160,19 @@ class TestConfigSurface:
         err = _config_error(tmp_path, capsys, {section: {key: value}})
         assert err["error"] == "config"
         assert err["message"].startswith(f"{section}.{key} must be of type ")
+
+    def test_seed_fills_each_seed_field(self):
+        defaults = cli.load_config(None)
+        for section, cfg in cli.load_config(None, seed=7).items():
+            for f in fields(cfg):
+                want = 7 if f.name == cli._SEEDS.get(section) else getattr(defaults[section], f.name)
+                assert getattr(cfg, f.name) == want, f"{section}.{f.name}"
+
+    def test_config_seed_refused_when_a_seed_is_passed(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"seed": 7}}))
+        with pytest.raises(ConfigError, match=r"^train\.seed is set by the command"):
+            cli.load_config(str(path), seed=7)
 
     def test_int_stands_for_float(self, tmp_path):
         path = tmp_path / "c.json"

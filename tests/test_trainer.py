@@ -12,6 +12,7 @@ from pearl.trainer import (
     contrastive_loss,
     embed_images,
     fit,
+    predict,
     retrieval_top1,
     slide_stratified_split,
     supervised_loss,
@@ -340,6 +341,16 @@ class TestEmbeddingUtilities:
         batched = embed_images(model, F, batch_size=3)
         direct = model.encode_images(F).values
         np.testing.assert_allclose(batched, direct, atol=1e-6)
+
+    def test_predict_is_the_heads_on_the_embeddings(self):
+        model = tiny_model()
+        F = np.random.default_rng(7).normal(size=(10, 5))
+        h, yp, yg = predict(model, F, batch_size=3)
+        assert h.tobytes() == embed_images(model, F, batch_size=3).tobytes()
+        with ad.no_grad():
+            heads = model.predict_heads(h)
+        for got, want in zip((yp, yg), heads):
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.values.tobytes()
 
     def test_retrieval_range(self):
         ds = tiny_dataset(n=12, seed=8)
