@@ -202,6 +202,17 @@ def _table_sizes(dataset):
     }
 
 
+def _refuse_misfit(args, held, widths):
+    """Refuse a table that does not fit the checkpoint: `widths` maps a size of
+    `held` (a model config or Cox head) to (the table's flag, its width)."""
+    for name, (flag, width) in widths.items():
+        if width != (fitted := getattr(held, name)):
+            raise DataFormatError(
+                f"{name} is {width} here but {fitted} in checkpoint {args.checkpoint}",
+                path=getattr(args, flag),
+            )
+
+
 def _model_config(cfg, dataset, fold=0):
     return replace(cfg["model"], **_table_sizes(dataset), seed=cfg["model"].seed + fold)
 
@@ -218,13 +229,8 @@ def cmd_train_contrastive(args, cfg):
 def cmd_train_heads(args, cfg):
     dataset = _load_dataset(args)
     model = load_model(args.checkpoint)
-    for name, size in _table_sizes(dataset).items():
-        if size != getattr(model.config, name):
-            raise DataFormatError(
-                f"{name} is {size} here but {getattr(model.config, name)} in checkpoint "
-                f"{args.checkpoint}",
-                path=getattr(args, _SIZES[name]),
-            )
+    sizes = _table_sizes(dataset)
+    _refuse_misfit(args, model.config, {n: (flag, sizes[n]) for n, flag in _SIZES.items()})
     model, history = trainer.train_stage2(dataset, model, cfg["train"])
     save_model(model, _outpath(args, "final"))
     _write_curve(_outpath(args, "stage2_loss.csv"), history)
@@ -237,6 +243,7 @@ def cmd_predict(args, cfg):
     model = load_model(args.checkpoint)
     patch = data_io.read_features(args.features)
     data_io.check_float32(args.features, patch.spot_ids, patch.features)
+    _refuse_misfit(args, model.config, {"d_img": ("features", patch.d_img)})
     if args.emit_embeddings:
         slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
         absent = next((sid for sid in patch.spot_ids if sid not in slide_of), None)
@@ -288,8 +295,6 @@ def _load_cohort(args):
                     f"subject {r.subject_id!r}: no embeddings for slide {s!r}", path=args.survival
                 )
             idx += rows[s]
-        if len(idx) == start:
-            raise DataFormatError(f"subject {r.subject_id!r} lists no slide", path=args.survival)
         sizes.append(len(idx) - start)
     E = values.astype(np.float32)  # the Cox head's dtype; cast before the gather
     del values  # so the float64 table is gone before the gather copies
@@ -309,6 +314,7 @@ def cmd_survival_train(args, cfg):
 def cmd_survival_eval(args, cfg):
     E, sizes, times, events = _load_cohort(args)
     head = survival.load_cox(args.checkpoint)
+    _refuse_misfit(args, head, {"embed_dim": ("embeddings", E.shape[1])})
     risks = survival.predict_risks(head, E, sizes)
     ci = survival.c_index(risks, times, events)
     _write_json(_outpath(args, "survival_report.json"), {"c_index": ci, "n_subjects": len(times)})

@@ -13,9 +13,10 @@ Formats:
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
 
 Text tables are read through `_rows`, so a malformed file raises
-DataFormatError naming its physical line.  Expression files are parsed in
-blocks of lines instead, and one in which the block parse finds anything off
-is re-read through `_rows`, so its error is the same.  The text readers are
+DataFormatError naming its physical line, a repeated key (first field) of a
+keyed table included.  Expression files are parsed in blocks of lines
+instead, and one in which the block parse finds anything off is re-read
+through `_rows`, so its error is the same.  The text readers are
 wrapped in `_names_file`, so the error names the file too.  Parsed structures
 are immutable by convention and safe to share read-only.
 """
@@ -63,10 +64,9 @@ class ExpressionMatrix:
     value_kind: str = RAW_COUNTS
 
     def __post_init__(self):
-        if len(set(self.spot_ids)) != len(self.spot_ids):
-            raise DataFormatError("duplicate spot ids")
-        if len(set(self.gene_ids)) != len(self.gene_ids):
-            raise DataFormatError("duplicate gene ids")
+        for kind, ids in (("spot", self.spot_ids), ("gene", self.gene_ids)):
+            if (repeated := _repeated(ids)) is not None:
+                raise DataFormatError(f"duplicate {kind} id {repeated!r}")
         if self.matrix.shape != (len(self.spot_ids), len(self.gene_ids)):
             raise DataFormatError(
                 f"matrix shape {self.matrix.shape} does not match id lists "
@@ -111,9 +111,8 @@ class GeneSetCollection:
     sets: list
 
     def __post_init__(self):
-        names = [s.name for s in self.sets]
-        if len(set(names)) != len(names):
-            raise DataFormatError("duplicate gene set names")
+        if (repeated := _repeated(s.name for s in self.sets)) is not None:
+            raise DataFormatError(f"duplicate gene set name {repeated!r}")
         for s in self.sets:
             if not s.genes:
                 raise DataFormatError(f"gene set {s.name!r} is empty")
@@ -174,6 +173,12 @@ class PathwayScoreMatrix:
             raise DataFormatError("score matrix shape does not match id lists")
         if not np.all(np.isfinite(self.scores)):
             raise DataFormatError("non-finite pathway score")
+
+
+def _repeated(items):
+    """The first of `items` that equals an earlier one, or None."""
+    first = {}
+    return next((x for i, x in enumerate(items) if first.setdefault(x, i) != i), None)
 
 
 def _names_file(reader):
@@ -241,14 +246,15 @@ def read_gmt(path):
 # ---------------------------------------------------------------------------
 
 
-def _rows(path, sep, head, exact=False):
+def _rows(path, sep, head, exact=False, keyed=False):
     """Yield (physical line number, fields) for each non-blank line of a table.
 
     The first is the header; it must start with the fields `head` (equal them
-    if `exact`), and every later line must be as wide.  An empty file is an
-    error on line 1.
+    if `exact`), and every later line must be as wide.  If `keyed`, a line
+    whose first field is an earlier line's is an error naming the header's
+    first field.  An empty file is an error on line 1.
     """
-    header = None
+    header, keys = None, set()
     with open(path, "r", encoding="utf-8") as fh:
         for n, ln in enumerate(fh, start=1):
             if ln.isspace():
@@ -263,6 +269,10 @@ def _rows(path, sep, head, exact=False):
                 raise DataFormatError(
                     f"expected {len(header)} fields, got {len(fields)}", line=n
                 )
+            elif keyed:
+                if fields[0] in keys:
+                    raise DataFormatError(f"duplicate {header[0]} {fields[0]!r}", line=n)
+                keys.add(fields[0])
             yield n, fields
     if header is None:
         raise DataFormatError("empty file", line=1)
@@ -292,32 +302,30 @@ def parse_expression(path, value_kind=RAW_COUNTS):
     file is parsed in blocks of lines; any other is re-read line by line,
     which names the line at fault.
     """
-    spot_ids, gene_ids, mat = _triplets_in_blocks(path) or _triplets_by_line(path)
+    spot_ids, gene_ids, rows, cols, vals = _triplets_in_blocks(path) or _triplets_by_line(path)
+    nonzero = vals != 0.0  # -0.0 is not stored
+    mat = np.zeros((len(spot_ids), len(gene_ids)))
+    mat[rows[nonzero], cols[nonzero]] = vals[nonzero]
     return ExpressionMatrix(spot_ids, gene_ids, mat, value_kind)
 
 
 def _triplets_by_line(path):
-    """(spot ids, gene ids, dense matrix) of a triplet file, one line at a
-    time: the reference reader, and the one that raises DataFormatError."""
-    rows = _rows(path, "\t", ("spot", "gene", "value"), exact=True)
-    next(rows)
-    spot_index, gene_index, seen_pairs = {}, {}, set()
-    row_idx, cols, vals = [], [], []
-    for lineno, fields in rows:
+    """(spot ids, gene ids, int64 spot codes, int64 gene codes, float64
+    values) of a triplet file, one entry per cell in file order, read one line
+    at a time: the reference reader, and the one that raises DataFormatError."""
+    lines = _rows(path, "\t", ("spot", "gene", "value"), exact=True)
+    next(lines)
+    spot_index, gene_index, cells = {}, {}, {}  # cells: (spot code, gene code) -> value
+    for lineno, fields in lines:
         spot, gene = fields[0].strip(), fields[1].strip()
         v = _parse_value(fields[2], lineno)
         si = spot_index.setdefault(spot, len(spot_index))
         gi = gene_index.setdefault(gene, len(gene_index))
-        if (si, gi) in seen_pairs:
+        if (si, gi) in cells:
             raise DataFormatError(f"duplicate entry for ({spot}, {gene})", line=lineno)
-        seen_pairs.add((si, gi))
-        if v != 0.0:
-            row_idx.append(si)
-            cols.append(gi)
-            vals.append(v)
-    mat = np.zeros((len(spot_index), len(gene_index)))
-    mat[np.asarray(row_idx, dtype=np.intp), np.asarray(cols, dtype=np.intp)] = vals
-    return list(spot_index), list(gene_index), mat
+        cells[si, gi] = v
+    rows, cols = np.array(list(cells), dtype=np.int64).reshape(-1, 2).T
+    return list(spot_index), list(gene_index), rows, cols, np.array(list(cells.values()))
 
 
 def _triplets_in_blocks(path):
@@ -356,10 +364,7 @@ def _triplets_in_blocks(path):
     key = np.sort(rows * len(gene_codes) + cols)
     if (key[1:] == key[:-1]).any():
         return None
-    nonzero = vals != 0.0  # -0.0 is not stored, as in the line reader
-    mat = np.zeros((len(spot_codes), len(gene_codes)))
-    mat[rows[nonzero], cols[nonzero]] = vals[nonzero]
-    return list(spot_codes), list(gene_codes), mat
+    return list(spot_codes), list(gene_codes), rows, cols, vals
 
 
 def _codes(raw_ids, raw_codes, codes):
@@ -445,10 +450,9 @@ def _fmt(v):
 
 @_names_file
 def read_coords(path):
-    rows = _rows(path, ",", tuple(COORDS_HEADER.split(",")), exact=True)
+    rows = _rows(path, ",", tuple(COORDS_HEADER.split(",")), exact=True, keyed=True)
     next(rows)
-    geoms = []
-    seen_ids, seen_pos = set(), set()
+    geoms, seen_pos = [], set()
     for lineno, fields in rows:
         try:
             g = SpotGeometry(
@@ -463,9 +467,6 @@ def read_coords(path):
             raise DataFormatError(str(exc), line=lineno) from None
         if not (math.isfinite(g.x) and math.isfinite(g.y)):
             raise DataFormatError(f"non-finite coordinate ({fields[2]}, {fields[3]})", line=lineno)
-        if g.spot_id in seen_ids:
-            raise DataFormatError(f"duplicate spot_id {g.spot_id!r}", line=lineno)
-        seen_ids.add(g.spot_id)
         key = (g.slide_id, g.array_row, g.array_col)
         if key in seen_pos:
             raise DataFormatError(f"duplicate grid position {key}", line=lineno)
@@ -485,13 +486,10 @@ def write_coords(geoms, path):
 
 @_names_file
 def read_survival(path):
-    rows = _rows(path, ",", tuple(SURVIVAL_HEADER.split(",")), exact=True)
+    rows = _rows(path, ",", tuple(SURVIVAL_HEADER.split(",")), exact=True, keyed=True)
     next(rows)
-    records, seen = [], set()
+    records = []
     for lineno, fields in rows:
-        if fields[0] in seen:
-            raise DataFormatError(f"duplicate subject_id {fields[0]!r}", line=lineno)
-        seen.add(fields[0])
         ev = fields[2].strip().lower()
         if ev not in {"0", "1", "true", "false"}:
             raise DataFormatError(f"bad event flag {fields[2]!r}", line=lineno)
@@ -502,8 +500,9 @@ def read_survival(path):
         if not 0 < t < math.inf:
             raise DataFormatError(f"time must be finite and > 0, got {fields[1]!r}", line=lineno)
         slides = tuple(s for s in fields[3].split(";") if s)
-        if len(set(slides)) != len(slides):
-            repeated = next(s for s in slides if slides.count(s) > 1)
+        if not slides:
+            raise DataFormatError(f"subject {fields[0]!r} lists no slide", line=lineno)
+        if (repeated := _repeated(slides)) is not None:
             raise DataFormatError(
                 f"subject {fields[0]!r} lists slide {repeated!r} twice", line=lineno
             )
@@ -539,21 +538,17 @@ def _read_float_table(path, id_names):
     header with no value column or a repeated value-column name, a cell that
     is not a finite number or a repeated first id is an error.
     """
-    rows = _rows(path, "\t", id_names)
+    rows = _rows(path, "\t", id_names, keyed=True)
     header_line, header = next(rows)
     k = len(id_names)
     names = header[k:]
     if not names:
         raise DataFormatError("no value column after the id columns", line=header_line)
-    if len(set(names)) != len(names):
-        repeated = next(n for n in names if names.count(n) > 1)
+    if (repeated := _repeated(names)) is not None:
         raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
     ids = [[] for _ in id_names]
-    values, seen = [], set()
+    values = []
     for lineno, fields in rows:
-        if fields[0] in seen:
-            raise DataFormatError(f"duplicate {id_names[0]} {fields[0]!r}", line=lineno)
-        seen.add(fields[0])
         try:
             row = np.array(fields[k:], dtype=np.float64)
         except ValueError as exc:
@@ -703,9 +698,7 @@ def load_checkpoint(path, kinds, build):
         raise CheckpointManifestError(
             f"{manifest_path}: 'params' must be a list of {{name, shape}} entries"
         )
-    names = [p["name"] for p in entries]
-    if len(set(names)) != len(names):
-        repeated = next(n for n in names if names.count(n) > 1)
+    if (repeated := _repeated(p["name"] for p in entries)) is not None:
         raise CheckpointManifestError(f"{manifest_path}: parameter {repeated!r} listed twice")
     with open(path + ".params.bin", "rb") as fh:
         blob = fh.read()

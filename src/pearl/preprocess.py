@@ -77,11 +77,9 @@ def smooth_8neighbor(m, geoms):
         if index.setdefault(cell, i) != i:
             raise DataFormatError(f"duplicate grid position {cell}")
     # each spot's members in ascending order, padded with n: a zero row of X
-    members = np.full((n, 9), n)
-    for i, (slide, r, c) in enumerate(cells):
-        near = [(slide, r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-        found = sorted(index[key] for key in near if key in index)
-        members[i, : len(found)] = found
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+    near = [index.get((slide, r + dr, c + dc), n) for slide, r, c in cells for dr, dc in steps]
+    members = np.sort(np.array(near, dtype=np.intp).reshape(n, 9), axis=1)
     w = 1.0 / np.count_nonzero(members < n, axis=1)[:, None]
     X = np.vstack([m.dense(), np.zeros((1, m.n_genes))])
     out = np.zeros((n, m.n_genes))

@@ -492,7 +492,7 @@ class TestCohort:
         "listed, message",
         [
             (lambda i: (f"sl{i}", f"typo{i}"), "subject 'p0': no embeddings for slide 'typo0'"),
-            (lambda i: (), "subject 'p0' lists no slide"),
+            (lambda i: (), "line 2: subject 'p0' lists no slide"),
         ],
         ids=["slide_without_embeddings", "no_slide"],
     )
@@ -731,6 +731,38 @@ class TestFailureInjection:
         paths = {k: str(data / name) for k, name in _DATASET.items()} | {table: str(broken)}
         argv = ["train-heads", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
                 "--checkpoint", str(checkpoint)]
+        argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "data_format",
+            "message": f"{broken}: {size} is {fitted - 1} here but {fitted} in checkpoint "
+                       f"{checkpoint}",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, table, size", [
+        ("predict", "features", "d_img"), ("survival-eval", "embeddings", "embed_dim"),
+    ])
+    def test_table_the_checkpoint_does_not_fit_is_named(
+        self, pipeline, cox_checkpoint, tmp_path, capsys, command, table, size
+    ):
+        _, data, _ = pipeline
+        paths = {"features": "features.tsv"} if command == "predict" else dict(_SURVIVAL)
+        broken = tmp_path / paths[table]
+        broken.write_text("".join(
+            ln.rsplit("\t", 1)[0] + "\n" for ln in (data / paths[table]).read_text().splitlines()
+        ))
+        if command == "predict":
+            checkpoint = data / "final"
+            fitted = getattr(load_model(str(checkpoint)).config, size)
+        else:
+            checkpoint = cox_checkpoint
+            fitted = getattr(survival.load_cox(str(checkpoint)), size)
+        paths = {k: str(data / name) for k, name in paths.items()} | {table: str(broken)}
+        argv = [command, "--out-dir", str(tmp_path / "out"), "--checkpoint", str(checkpoint)]
         argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
         capsys.readouterr()
         assert run(argv) == 1
@@ -1094,8 +1126,9 @@ class TestConfigValues:
                 "subj0001,2.5,1,subj0001_slide0;subj0001_slide0",
                 "subject 'subj0001' lists slide 'subj0001_slide0' twice",
             ),
+            ("subj0001,2.5,1,", "subject 'subj0001' lists no slide"),
         ],
-        ids=["nan_time", "inf_time", "repeated_subject", "repeated_slide"],
+        ids=["nan_time", "inf_time", "repeated_subject", "repeated_slide", "no_slide"],
     )
     @pytest.mark.parametrize("command", ["survival-train", "survival-eval"])
     def test_survival_table_refuses(

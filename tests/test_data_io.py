@@ -84,8 +84,11 @@ class TestGmt:
             parse_gmt("PATH_A\tdesc\n")
 
     def test_duplicate_name(self):
-        with pytest.raises(DataFormatError, match="duplicate"):
+        with pytest.raises(DataFormatError, match="^line 2: duplicate gene set name 'A'$"):
             parse_gmt("A\td\tG1\nA\td\tG2\n")
+        sets = [data_io.GeneSet("A", "d", frozenset({g})) for g in ("G1", "G2")]
+        with pytest.raises(DataFormatError, match="^duplicate gene set name 'A'$"):
+            data_io.GeneSetCollection(sets)
 
     def test_order_preserved_over_sets(self):
         c = parse_gmt("B\td\tG1\nA\td\tG2\n")
@@ -241,21 +244,31 @@ def _triplet_corpus(n_files):
         yield text.encode("utf-8")
 
 
-def _triplets(spot_ids, gene_ids, mat):
+def _triplets(spot_ids, gene_ids, rows, cols, vals):
+    return spot_ids, gene_ids, rows.tobytes(), cols.tobytes(), vals.tobytes()
+
+
+def _matrix(spot_ids, gene_ids, rows, cols, vals):
+    """The dense matrix of the triplets, set cell by cell; a zero (-0.0 too)
+    leaves its cell at +0.0."""
+    mat = np.zeros((len(spot_ids), len(gene_ids)))
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        if v != 0.0:
+            mat[r, c] = v
     return spot_ids, gene_ids, mat.shape, mat.tobytes()
 
 
 def _outcome(read, path):
-    """`_triplets` of what `read(path)` gives, or its error."""
+    """What `read(path)` gives, or its error."""
     try:
-        return _triplets(*read(path))
+        return read(path)
     except DataFormatError as exc:
         return str(exc), exc.detail, exc.line, exc.path
 
 
 def _parsed(path):
     m = data_io.parse_expression(path)
-    return m.spot_ids, m.gene_ids, m.matrix
+    return m.spot_ids, m.gene_ids, m.matrix.shape, m.matrix.tobytes()
 
 
 class TestBulkTriplets:
@@ -269,12 +282,11 @@ class TestBulkTriplets:
         for k, text in enumerate(_triplet_corpus(300)):
             p = tmp_path / f"{k}.tsv"
             p.write_bytes(text)
-            want = _outcome(by_line, p)
-            assert _outcome(_parsed, p) == want, text
+            assert _outcome(_parsed, p) == _outcome(lambda q: _matrix(*by_line(q)), p), text
             bulk = data_io._triplets_in_blocks(p)
             if bulk is not None:
                 taken += 1
-                assert _triplets(*bulk) == want, text
+                assert _triplets(*bulk) == _outcome(lambda q: _triplets(*by_line(q)), p), text
         # the corpus reaches both readers
         assert 100 < taken < 250
 
@@ -741,8 +753,12 @@ class TestCheckpoint:
 
 class TestInvariants:
     def test_duplicate_spot_ids_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="^duplicate spot id 's'$"):
             ExpressionMatrix(["s", "s"], ["g"], sp.csr_matrix((2, 1)), RAW_COUNTS)
+
+    def test_duplicate_gene_ids_rejected(self):
+        with pytest.raises(DataFormatError, match="^duplicate gene id 'b'$"):
+            ExpressionMatrix(["s"], ["a", "b", "c", "b"], np.zeros((1, 4)), RAW_COUNTS)
 
     def test_negative_raw_counts_rejected(self):
         with pytest.raises(DataFormatError):
