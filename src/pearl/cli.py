@@ -15,6 +15,7 @@ own JSON reports, loss curves and id lists.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -56,7 +57,8 @@ def load_config(path, seed=0):
     """{section name: config dataclass} for every section, defaults where the
     file (or a missing `path`) gives none, and `seed` in each `_SEEDS` field.
     A field must be known, not set by a command, and of its default's type
-    (an int may stand for a float)."""
+    (an int may stand for a float); a section that refuses its values is a
+    ConfigError naming the section."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -89,7 +91,10 @@ def load_config(path, seed=0):
                 raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if section in _SEEDS:
             values[_SEEDS[section]] = seed
-        config[section] = cls(**values)
+        try:
+            config[section] = cls(**values)
+        except PearlError as exc:  # a value out of the section's range
+            raise ConfigError(f"{section}: {exc}") from None
     return config
 
 
@@ -245,10 +250,8 @@ def cmd_predict(args, cfg):
     data_io.check_float32(args.features, patch.spot_ids, patch.features)
     _refuse_misfit(args, model.config, {"d_img": ("features", patch.d_img)})
     if args.emit_embeddings:
-        slide_of = {g.spot_id: g.slide_id for g in data_io.read_coords(args.coords)}
-        absent = next((sid for sid in patch.spot_ids if sid not in slide_of), None)
-        if absent is not None:
-            raise DataFormatError(f"no coordinates for feature spot {absent!r}", path=args.coords)
+        geoms = data_io.read_coords(args.coords)
+        rows = data_io.rows_of(patch.spot_ids, [g.spot_id for g in geoms], "coords", args.coords)
     h, yp, yg = trainer.predict(model, patch.features)
     for name, prefix, values in (("yhat_path.tsv", "p", yp), ("yhat_gene.tsv", "g", yg)):
         columns = [f"{prefix}{j}" for j in range(values.shape[1])]
@@ -258,7 +261,7 @@ def cmd_predict(args, cfg):
     if args.emit_embeddings:
         data_io.write_embeddings(
             patch.spot_ids,
-            [slide_of[sid] for sid in patch.spot_ids],
+            [geoms[i].slide_id for i in rows],
             h,
             _outpath(args, "embeddings.tsv"),
         )
@@ -268,8 +271,11 @@ def cmd_predict(args, cfg):
 def cmd_evaluate(args, cfg):
     pred = data_io.read_scores(args.pred)
     truth = data_io.read_scores(args.truth)
-    if pred.spot_ids != truth.spot_ids:
-        raise PearlError("prediction and truth spot ids differ")
+    if pred.spot_ids != truth.spot_ids:  # the same spots in the same order
+        ids = (truth.spot_ids, pred.spot_ids)
+        i = next(i for i, (t, p) in enumerate(itertools.zip_longest(*ids)) if t != p)
+        t, p = (repr(s[i]) if i < len(s) else "no spot" for s in ids)
+        raise DataFormatError(f"row {i + 1} holds {t} here but {p} in --pred", path=args.truth)
     report = evaluate_expression(pred.scores, truth.scores, truth.pathway_names)
     _write_json(_outpath(args, "report.json"), report.to_dict())
     with open(_outpath(args, "per_target_pcc.csv"), "w", encoding="utf-8") as fh:

@@ -181,6 +181,16 @@ def _repeated(items):
     return next((x for i, x in enumerate(items) if first.setdefault(x, i) != i), None)
 
 
+def rows_of(ids, table_ids, table, path=None):
+    """The row of `table_ids` that holds each of `ids`, in order: the one join
+    of per-spot tables by spot id.  The first id it lacks is an error naming
+    `table` (and the file `path`)."""
+    row = {s: i for i, s in enumerate(table_ids)}
+    if (absent := next((s for s in ids if s not in row), None)) is not None:
+        raise DataFormatError(f"spot {absent!r} is missing from the {table} table", path=path)
+    return [row[s] for s in ids]
+
+
 def _names_file(reader):
     """Make a DataFormatError raised by `reader(path, ...)`, or bytes that are
     not UTF-8, a DataFormatError naming the path."""

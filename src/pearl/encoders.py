@@ -46,17 +46,28 @@ class ModelConfig:
         for name in ("n_heads", "d_k", "n_layers", "embed_dim", "phi_hidden", "proj_hidden",
                      "head_hidden", "ffn_mult"):
             if getattr(self, name) < 1:
-                raise PearlError(f"model config: {name} must be >= 1")
+                raise PearlError(f"{name} must be >= 1")
         if not TAU_MIN <= self.tau_init <= TAU_MAX:
-            raise PearlError(f"model config: tau_init must be in [{TAU_MIN}, {TAU_MAX}]")
+            raise PearlError(f"tau_init must be in [{TAU_MIN}, {TAU_MAX}]")
 
 
 @dataclass
 class CoordNormalizer:
-    """Per-axis standardization of raw spot coordinates (sample std, n-1)."""
+    """Per-axis standardization of raw spot coordinates (sample std, n-1): a
+    finite `mu` and a `sigma` in (0, inf), two of each, however it was made."""
 
     mu: np.ndarray
     sigma: np.ndarray
+
+    def __post_init__(self):
+        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.sigma = np.asarray(self.sigma, dtype=np.float64)
+        if self.mu.shape != (2,) or self.sigma.shape != (2,):
+            raise PearlError(
+                f"need 2 values each of mu and sigma, got {self.mu.size} and {self.sigma.size}"
+            )
+        if not np.all(np.isfinite(self.mu) & (0 < self.sigma) & (self.sigma < np.inf)):
+            raise PearlError("degenerate coordinate axis (zero or non-finite variance)")
 
     @classmethod
     def fit(cls, coords):
@@ -66,11 +77,7 @@ class CoordNormalizer:
         if coords.shape[0] < 2:
             raise PearlError("need at least 2 spots to fit the coordinate normalizer")
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = coords.mean(axis=0)
-            sigma = coords.std(axis=0, ddof=1)
-        if not np.all(np.isfinite(mu) & (0 < sigma) & (sigma < np.inf)):
-            raise PearlError("degenerate coordinate axis (zero or non-finite variance)")
-        return cls(mu=mu, sigma=sigma)
+            return cls(mu=coords.mean(axis=0), sigma=coords.std(axis=0, ddof=1))
 
     def transform(self, coords):
         return (np.asarray(coords, dtype=np.float64) - self.mu) / self.sigma
@@ -234,16 +241,16 @@ def load_model(path):
     )
     if "coord_normalizer" in extra:
         cn = extra["coord_normalizer"]
-        if not (isinstance(cn, dict) and all(_is_pair(cn.get(k)) for k in ("mu", "sigma"))):
+        if not (isinstance(cn, dict) and all(_is_numbers(cn.get(k)) for k in ("mu", "sigma"))):
             raise CheckpointManifestError(
-                f"{path}: extra.coord_normalizer must hold 'mu' and 'sigma', two numbers each"
+                f"{path}: extra.coord_normalizer must hold 'mu' and 'sigma', lists of numbers"
             )
-        model.normalizer = CoordNormalizer(
-            mu=np.asarray(cn["mu"], dtype=np.float64),
-            sigma=np.asarray(cn["sigma"], dtype=np.float64),
-        )
+        try:
+            model.normalizer = CoordNormalizer(mu=cn["mu"], sigma=cn["sigma"])
+        except PearlError as exc:
+            raise CheckpointManifestError(f"{path}: extra.coord_normalizer: {exc}") from None
     return model
 
 
-def _is_pair(v):
-    return isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v)
+def _is_numbers(v):
+    return isinstance(v, list) and all(type(x) in (int, float) for x in v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import NORMALIZED_LOG, RAW_COUNTS
+from .data_io import NORMALIZED_LOG, RAW_COUNTS, rows_of
 from .errors import DataFormatError, PearlError
 
 
@@ -66,12 +66,9 @@ def smooth_8neighbor(m, geoms):
     count: the order a CSR averaging-matrix product would add them in.
     """
     _require_kind(m, NORMALIZED_LOG)
-    by_spot = {g.spot_id: g for g in geoms}
-    missing = [s for s in m.spot_ids if s not in by_spot]
-    if missing:
-        raise DataFormatError(f"no geometry for spot {missing[0]!r}")
     n = m.n_spots
-    cells = [(g.slide_id, g.array_row, g.array_col) for g in map(by_spot.get, m.spot_ids)]
+    rows = rows_of(m.spot_ids, [g.spot_id for g in geoms], "coords")
+    cells = [(geoms[i].slide_id, geoms[i].array_row, geoms[i].array_col) for i in rows]
     index = {}
     for i, cell in enumerate(cells):
         if index.setdefault(cell, i) != i:

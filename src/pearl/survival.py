@@ -159,9 +159,9 @@ class SurvivalTrainConfig:
 
     def __post_init__(self):
         if not 1 <= self.patience <= self.max_epochs:
-            raise PearlError("survival: need 1 <= patience <= max_epochs")
+            raise PearlError("need 1 <= patience <= max_epochs")
         if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
-            raise PearlError("survival: need finite lr > 0 and weight_decay >= 0")
+            raise PearlError("need finite lr > 0 and weight_decay >= 0")
 
 
 def train_cox(E, sizes, times, events, config):

@@ -23,7 +23,7 @@ from .data_io import (
     SurvivalRecord,
     SurvivalTable,
 )
-from .errors import PearlError
+from .errors import ConfigError, PearlError
 
 
 @dataclass
@@ -45,16 +45,16 @@ class SynthConfig:
         for name in ("n_spots", "n_genes", "n_pathways", "n_slides", "d_img", "n_subjects",
                      "embed_dim"):
             if getattr(self, name) < 1:
-                raise PearlError(f"synth config: {name} must be >= 1")
+                raise PearlError(f"{name} must be >= 1")
         if self.n_spots < 2:  # activities are standardised over the spots
-            raise PearlError("synth config: n_spots must be >= 2")
+            raise PearlError("n_spots must be >= 2")
         if self.n_slides > self.n_spots:
-            raise PearlError("synth config: n_slides must be <= n_spots")
+            raise PearlError("n_slides must be <= n_spots")
         if not 0 <= self.noise_sigma < math.inf:
-            raise PearlError("synth config: noise_sigma must be finite and >= 0")
+            raise PearlError("noise_sigma must be finite and >= 0")
         for name in ("coupling", "censor_rate"):
             if not 0 <= getattr(self, name) <= 1:
-                raise PearlError(f"synth config: {name} must be in [0, 1]")
+                raise PearlError(f"{name} must be in [0, 1]")
 
 
 def _grid_layout(n_spots, n_slides):
@@ -152,7 +152,9 @@ def gen_st_dataset(
     try:
         counts = rng.poisson(np.exp(log_rate)).astype(np.float64)
     except ValueError:  # numpy refuses a rate whose draws could overflow int64
-        raise PearlError(f"noise_sigma {noise_sigma} makes a Poisson rate too large") from None
+        raise ConfigError(
+            f"synth: noise_sigma {noise_sigma} makes a Poisson rate too large"
+        ) from None
     # kept as CSR because perfbench/workloads.py reads `expr.matrix.toarray()`;
     # the package's one scipy import, made only here
     import scipy.sparse as sp

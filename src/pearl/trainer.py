@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import data_io
 from .autodiff import AdamW, Tensor
 from .encoders import CoordNormalizer
 from .errors import PearlError, TrainingDiverged
@@ -57,25 +58,18 @@ class SpotDataset:
 
     @classmethod
     def from_tables(cls, scores, geoms, patch, hvg):
-        """Dataset on the score table's spots, looked up in the other three tables.
-
-        `geoms` is a SpotGeometry list.
-        """
-        geo = {g.spot_id: g for g in geoms}
-        feat_index = {s: i for i, s in enumerate(patch.spot_ids)}
-        hvg_index = {s: i for i, s in enumerate(hvg.spot_ids)}
+        """Dataset on the score table's spots, looked up in the SpotGeometry list
+        `geoms`, then in the feature and HVG tables; the first of the three that
+        lacks a spot is named."""
         ids = list(scores.spot_ids)
-        for name, table in (("coords", geo), ("features", feat_index), ("hvg", hvg_index)):
-            absent = next((s for s in ids if s not in table), None)
-            if absent is not None:
-                raise PearlError(f"spot {absent!r} of the scores is missing from the {name} table")
+        geo = [geoms[i] for i in data_io.rows_of(ids, [g.spot_id for g in geoms], "coords")]
         return cls(
             spot_ids=ids,
-            slide_ids=[geo[s].slide_id for s in ids],
+            slide_ids=[g.slide_id for g in geo],
             scores=scores.scores,
-            coords=np.array([[geo[s].x, geo[s].y] for s in ids]),
-            features=patch.features[[feat_index[s] for s in ids]],
-            y_gene=hvg.dense()[[hvg_index[s] for s in ids]],
+            coords=np.array([[g.x, g.y] for g in geo]),
+            features=patch.features[data_io.rows_of(ids, patch.spot_ids, "features")],
+            y_gene=hvg.dense()[data_io.rows_of(ids, hvg.spot_ids, "hvg")],
         )
 
     @property

@@ -1,13 +1,15 @@
 """Shared pytest hooks and helpers.
 
-The acceptance tests register one verdict line per criterion; printing them
-from the terminal-summary hook keeps the lines visible even though pytest
-captures test stdout at the file-descriptor level.
+The acceptance tests register one verdict line per criterion, and the golden
+chain one naming the mode it ran in; printing them from the terminal-summary
+hook keeps the lines visible even though pytest captures test stdout at the
+file-descriptor level.
 """
 
 import json
 
 acceptance_lines = []
+golden_lines = []
 
 # manifest corruptions that every checkpoint loader refuses with a
 # CheckpointManifestError (both model and Cox checkpoints have an embed_dim)
@@ -37,7 +39,9 @@ def significant_digits(cell):
 
 
 def pytest_terminal_summary(terminalreporter):
-    if acceptance_lines:
-        terminalreporter.section("acceptance criteria")
-        for line in acceptance_lines:
-            terminalreporter.write_line(line)
+    sections = {"acceptance criteria": acceptance_lines, "golden chain": golden_lines}
+    for title, lines in sections.items():
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

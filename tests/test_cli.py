@@ -15,6 +15,7 @@ from pearl.cli import _read_slide_embeddings, main
 from pearl.encoders import load_model
 from pearl.errors import ConfigError, DataFormatError
 
+import golden_chain
 from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
 
 
@@ -24,79 +25,10 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One tiny synth -> preprocess -> score -> train -> predict chain."""
+    """(root, data, config path): the golden chain's ten commands, synth to
+    run-cv, with every output in `data`."""
     root = tmp_path_factory.mktemp("cli")
-    cfg = {
-        "synth": {
-            "n_spots": 48,
-            "n_genes": 30,
-            "n_pathways": 3,
-            "n_slides": 2,
-            "d_img": 6,
-            "n_subjects": 12,
-            "embed_dim": 8,
-        },
-        "preprocess": {"min_spots_per_gene": 2, "top_hvg": 10},
-        "ssgsea": {"null_sets": 3},
-        "train": {"batch_size": 8, "max_epochs": 2, "patience": 1},
-        "model": {
-            "n_heads": 1,
-            "d_k": 2,
-            "phi_hidden": 4,
-            "proj_hidden": 8,
-            "head_hidden": 8,
-            "embed_dim": 8,
-        },
-    }
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    data = root / "data"
-    out = ["--out-dir", str(data)]
-    base = ["--config", str(cfg_path), "--seed", "0", *out]
-    assert run(["synth", *base]) == 0
-    assert run(
-        [
-            "preprocess", "--config", str(cfg_path), *out,
-            "--expression", str(data / "expression.tsv"),
-            "--coords", str(data / "coords.csv"),
-        ]
-    ) == 0
-    assert run(
-        [
-            "score-pathways", *base,
-            "--expression", str(data / "normalized.tsv"),
-            "--gene-sets", str(data / "gene_sets.gmt"),
-        ]
-    ) == 0
-    assert run(
-        [
-            "train-contrastive", *base,
-            "--scores", str(data / "scores.tsv"),
-            "--coords", str(data / "coords.csv"),
-            "--features", str(data / "features.tsv"),
-            "--hvg", str(data / "hvg.tsv"),
-        ]
-    ) == 0
-    assert run(
-        [
-            "train-heads", *base,
-            "--checkpoint", str(data / "stage1"),
-            "--scores", str(data / "scores.tsv"),
-            "--coords", str(data / "coords.csv"),
-            "--features", str(data / "features.tsv"),
-            "--hvg", str(data / "hvg.tsv"),
-        ]
-    ) == 0
-    assert run(
-        [
-            "predict", *out,
-            "--checkpoint", str(data / "final"),
-            "--features", str(data / "features.tsv"),
-            "--coords", str(data / "coords.csv"),
-            "--emit-embeddings",
-        ]
-    ) == 0
-    return root, data, cfg_path
+    return root, root / "data", golden_chain.run_chain(root / "data")
 
 
 class TestPipeline:
@@ -168,7 +100,28 @@ class TestPipeline:
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
-            "error": "data_format", "message": f"{coords}: no coordinates for feature spot {absent!r}"
+            "error": "data_format",
+            "message": f"{coords}: spot {absent!r} is missing from the coords table",
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_train_heads_refuses_a_non_finite_normalizer(self, pipeline, tmp_path, capsys):
+        # a NaN sigma would otherwise reach final.manifest.json as a bare NaN
+        _, data, cfg_path = pipeline
+        for suffix in (".manifest.json", ".params.bin"):
+            (tmp_path / f"stage1{suffix}").write_bytes((data / f"stage1{suffix}").read_bytes())
+        manifest = json.loads((tmp_path / "stage1.manifest.json").read_text())
+        manifest["extra"]["coord_normalizer"]["sigma"] = [0.0, float("nan")]
+        (tmp_path / "stage1.manifest.json").write_text(json.dumps(manifest))
+        argv = ["train-heads", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                "--checkpoint", str(tmp_path / "stage1")]
+        argv += [x for k, name in _DATASET.items() for x in (f"--{k}", str(data / name))]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "checkpoint_manifest",
+            "message": f"{tmp_path / 'stage1'}: extra.coord_normalizer: degenerate coordinate "
+                       "axis (zero or non-finite variance)",
         }
         assert not (tmp_path / "out").exists()
 
@@ -208,6 +161,31 @@ class TestPipeline:
         assert rep["n_spots"] == 48
         assert rep["n_targets"] == 3
         assert np.isfinite(rep["mse"])
+
+    @pytest.mark.parametrize("case", ["swapped", "one_fewer", "one_more"])
+    def test_evaluate_refuses_other_spots(self, pipeline, tmp_path, capsys, case):
+        _, data, _ = pipeline
+        header, *rows = (data / "scores.tsv").read_text().splitlines()
+        ids = [r.split("\t")[0] for r in rows]
+        if case == "swapped":
+            rows[:2] = rows[1::-1]
+            expected = f"row 1 holds {ids[1]!r} here but {ids[0]!r} in --pred"
+        elif case == "one_fewer":
+            rows.pop()
+            expected = f"row 48 holds no spot here but {ids[47]!r} in --pred"
+        else:
+            rows.append("extra\t" + rows[0].split("\t", 1)[1])
+            expected = "row 49 holds 'extra' here but no spot in --pred"
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("\n".join([header, *rows]) + "\n")
+        argv = ["evaluate", "--out-dir", str(tmp_path / "out"),
+                "--pred", str(data / "yhat_path.tsv"), "--truth", str(truth)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "data_format", "message": f"{truth}: {expected}"
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_survival_train_eval(self, pipeline, tmp_path):
         _, data, _ = pipeline
@@ -351,6 +329,21 @@ def test_preprocess_refuses_a_filter_that_keeps_no_gene(pipeline, tmp_path, caps
         "error": "error",
         "message": "no gene is nonzero in preprocess.min_spots_per_gene = 1000 spots: the "
                    f"matrix has 48 spots, and the most spots any gene is nonzero in is {most}",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_preprocess_spot_missing_from_coords(pipeline, tmp_path, capsys):
+    _, data, cfg_path = pipeline
+    lines = (data / "coords.csv").read_text().splitlines()
+    dropped = lines[5].split(",")[0]
+    coords = tmp_path / "coords.csv"
+    coords.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+    capsys.readouterr()
+    assert run(["preprocess", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                "--expression", str(data / "expression.tsv"), "--coords", str(coords)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "data_format", "message": f"spot {dropped!r} is missing from the coords table"
     }
     assert not (tmp_path / "out").exists()
 
@@ -688,12 +681,24 @@ class TestFailureInjection:
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--folds", "2",
                 *_cv_inputs(data, features=str(features))]
         assert run(argv) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "error"
-        assert repr(dropped) in err["message"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "data_format",
+            "message": f"spot {dropped!r} is missing from the features table",
+        }
 
     @pytest.mark.parametrize("table", ["coords", "features", "hvg"])
     def test_spot_missing_from_a_training_table_named(self, pipeline, tmp_path, capsys, table):
+        self._train_without_a_spot(pipeline, tmp_path, capsys, table, ["train-contrastive"])
+
+    def test_train_heads_spot_missing_from_hvg(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        argv = ["train-heads", "--checkpoint", str(data / "stage1")]
+        self._train_without_a_spot(pipeline, tmp_path, capsys, "hvg", argv)
+
+    @staticmethod
+    def _train_without_a_spot(pipeline, tmp_path, capsys, table, argv):
+        """Run `argv` on the pipeline's dataset with one scored spot dropped from
+        `table`; it must fail naming the spot and the table, writing nothing."""
         _, data, cfg_path = pipeline
         dropped = data_io.read_scores(data / "scores.tsv").spot_ids[3]
         sep = "," if table == "coords" else "\t"
@@ -701,13 +706,13 @@ class TestFailureInjection:
         broken = tmp_path / _DATASET[table]
         broken.write_text("".join(ln + "\n" for ln in lines if ln.split(sep)[0] != dropped))
         paths = {k: str(data / name) for k, name in _DATASET.items()} | {table: str(broken)}
-        argv = ["train-contrastive", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+        argv = [*argv, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
         argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
-            "error": "error",
-            "message": f"spot {dropped!r} of the scores is missing from the {table} table",
+            "error": "data_format",
+            "message": f"spot {dropped!r} is missing from the {table} table",
         }
         assert not (tmp_path / "out").exists()
 
@@ -906,9 +911,9 @@ class TestErrors:
             "--out-dir", str(tmp_path),
         ]
         assert run(argv) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert set(err) == {"error", "message"}
-        assert "patience" in err["message"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": "survival: need 1 <= patience <= max_epochs"
+        }
 
     def test_zero_embed_dim_rejected(self, pipeline, tmp_path, capsys):
         _, data, _ = pipeline
@@ -916,7 +921,7 @@ class TestErrors:
             x for k, name in _DATASET.items() for x in (f"--{k}", str(data / name))
         ]
         err = _config_error(tmp_path, capsys, {"model": {"embed_dim": 0}}, argv)
-        assert err["message"] == "model config: embed_dim must be >= 1"
+        assert err == {"error": "config", "message": "model: embed_dim must be >= 1"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -1072,13 +1077,13 @@ class TestConfigValues:
     )
     def test_synth_refuses(self, tmp_path, capsys, fields, needle):
         err = _config_error(tmp_path, capsys, {"synth": fields})
-        assert err["error"] == "error" and err["message"] == f"synth config: {needle}"
+        assert err == {"error": "config", "message": f"synth: {needle}"}
         assert not (tmp_path / "out").exists()
 
     def test_synth_rate_overflow_refused(self, tmp_path, capsys):
         err = _config_error(tmp_path, capsys, {"synth": {"noise_sigma": 10.0}})
         assert err == {
-            "error": "error", "message": "noise_sigma 10.0 makes a Poisson rate too large"
+            "error": "config", "message": "synth: noise_sigma 10.0 makes a Poisson rate too large"
         }
         assert not (tmp_path / "out").exists()
 
@@ -1096,9 +1101,12 @@ class TestConfigValues:
              "lr > 0 and weight_decay >= 0"),
             ("preprocess", {"target_sum": float("nan")}, "target_sum must be finite"),
             ("preprocess", {"target_sum": float("inf")}, "target_sum must be finite"),
+            ("train", {"batch_size": 0}, "batch_size must be >= 2"),
+            ("ssgsea", {"null_sets": 0}, "null_sets must be >= 1"),
         ],
         ids=["negative_lr", "zero_lr", "nan_lr", "negative_decay", "inf_lr", "inf_decay",
-             "no_patience", "inf_survival_lr_and_decay", "nan_target_sum", "inf_target_sum"],
+             "no_patience", "inf_survival_lr_and_decay", "nan_target_sum", "inf_target_sum",
+             "zero_batch_size", "no_null_sets"],
     )
     def test_training_sections_refuse(self, pipeline, tmp_path, capsys, section, fields, needle):
         _, data, _ = pipeline
@@ -1113,7 +1121,8 @@ class TestConfigValues:
             argv = ["preprocess"]
         argv += [x for k, name in inputs.items() for x in (f"--{k}", str(data / name))]
         err = _config_error(tmp_path, capsys, {section: fields}, argv)
-        assert err["error"] == "error" and needle in err["message"]
+        assert err["error"] == "config" and err["message"].startswith(f"{section}: ")
+        assert needle in err["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -636,6 +638,11 @@ class TestTextTables:
         np.testing.assert_array_equal(values2, values)
 
 
+def _set_normalizer(mu, sigma):
+    """A manifest edit that sets the checkpoint's coordinate normalizer."""
+    return lambda m: m.update(extra={"coord_normalizer": {"mu": mu, "sigma": sigma}})
+
+
 class TestCheckpoint:
     def _model(self):
         return PearlModel(
@@ -732,12 +739,19 @@ class TestCheckpoint:
         [
             lambda m: m["hyperparams"].update(embed_dim=0),
             lambda m: m["hyperparams"].update(tau_init=1e6),
-            lambda m: m.update(extra={"coord_normalizer": {"mu": [0.0, 0.0], "sigma": "x"}}),
+            _set_normalizer([0.0, 0.0], "x"),
             lambda m: m["params"][0].update(shape=[-4, 2]),
             lambda m: m.update(hyperparams=[]),
+            _set_normalizer([0.0, 0.0], [0.0, 1.0]),
+            _set_normalizer([0.0, 0.0], [1.0, -2.0]),
+            _set_normalizer([0.0, 0.0], [1.0, float("nan")]),
+            _set_normalizer([0.0, 0.0], [float("inf"), 1.0]),
+            _set_normalizer([float("-inf"), 0.0], [1.0, 1.0]),
+            _set_normalizer([0.0], [1.0]),
         ],
         ids=["zero_embed_dim", "tau_out_of_range", "bad_normalizer", "negative_shape",
-             "hyperparams_not_object"],
+             "hyperparams_not_object", "zero_sigma", "negative_sigma", "nan_sigma",
+             "infinite_sigma", "infinite_mu", "one_axis"],
     )
     def test_invalid_manifest_field_rejected(self, tmp_path, edit):
         import json
@@ -747,7 +761,7 @@ class TestCheckpoint:
         manifest = json.loads((tmp_path / "ckpt.manifest.json").read_text())
         edit(manifest)
         (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointManifestError):
+        with pytest.raises(CheckpointManifestError, match=re.escape(path)):
             load_model(path)
 
 

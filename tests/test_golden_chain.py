@@ -1,0 +1,35 @@
+"""The golden chain (see golden_chain.py) in tier-1: exact where this
+environment is the record's, determinism elsewhere."""
+
+import golden_chain
+from conftest import golden_lines
+
+
+def test_golden_chain(tmp_path):
+    mode = golden_chain.mode()
+    check = golden_chain.check_exact if mode == "exact" else golden_chain.check_determinism
+    bad = check(tmp_path)
+    golden_lines.append(
+        f"GOLDEN CHAIN {'FAIL' if bad else 'PASS'}: {mode} mode, "
+        + (f"differ: {', '.join(bad)}" if bad else "every output equal")
+    )
+    assert bad == []
+
+
+def test_one_byte_edit_to_any_output_is_caught(tmp_path):
+    golden_chain.run_chain(tmp_path / "chain")
+    expected = golden_chain.digests(tmp_path / "chain")
+    assert len(expected) == 29
+    for path in sorted((tmp_path / "chain").iterdir()):
+        data = path.read_bytes()
+        # flip the last byte's low bit; an empty file (no pathway dropped) gains a byte
+        path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]) if data else b"\n")
+        assert golden_chain.mismatches(expected, golden_chain.digests(tmp_path / "chain")) == [
+            path.name
+        ]
+        path.write_bytes(data)
+
+
+def test_chain_is_deterministic(tmp_path):
+    # the check that runs where the environment is not the record's
+    assert golden_chain.check_determinism(tmp_path) == []
