@@ -276,6 +276,10 @@ def cmd_evaluate(args, cfg):
         i = next(i for i, (t, p) in enumerate(itertools.zip_longest(*ids)) if t != p)
         t, p = (repr(s[i]) if i < len(s) else "no spot" for s in ids)
         raise DataFormatError(f"row {i + 1} holds {t} here but {p} in --pred", path=args.truth)
+    if (width := len(pred.pathway_names)) != len(truth.pathway_names):
+        raise DataFormatError(
+            f"{width} value columns here but {len(truth.pathway_names)} in --truth", path=args.pred
+        )
     report = evaluate_expression(pred.scores, truth.scores, truth.pathway_names)
     _write_json(_outpath(args, "report.json"), report.to_dict())
     with open(_outpath(args, "per_target_pcc.csv"), "w", encoding="utf-8") as fh:

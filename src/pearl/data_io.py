@@ -7,10 +7,13 @@ Formats:
   - survival CSV
   - float tables, TSV of id columns then floats: patch features
     (spot_id f0...), pathway scores (spot <pathway>...) and slide embeddings
-    (spot_id slide_id e0..., one row per spot).  A float32 table is written
-    at 9 significant digits and any other at 17, as float64: the fewest that
-    round-trip every value of the dtype (IEEE 754 binary32 and binary64)
+    (spot_id slide_id e0..., one row per spot)
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
+
+Every float a text writer writes is spelled by `_float_spec`: a float32
+array at 9 significant digits, anything else as float64 at 17, the fewest
+that round-trip every value of the dtype (IEEE 754 binary32 and binary64).
+Writing a non-finite value is a DataFormatError naming the file.
 
 Text tables are read through `_rows`, so a malformed file raises
 DataFormatError naming its physical line, a repeated key (first field) of a
@@ -189,6 +192,17 @@ def rows_of(ids, table_ids, table, path=None):
     if (absent := next((s for s in ids if s not in row), None)) is not None:
         raise DataFormatError(f"spot {absent!r} is missing from the {table} table", path=path)
     return [row[s] for s in ids]
+
+
+def _float_spec(values, path):
+    """The `%` conversion that spells every value of the array `values` so
+    that it reads back bit-identical: `%.9g` for float32, `%.17g` for any
+    other dtype, written as float64.  A non-finite value is refused, naming
+    the file `path` it was to be written to."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DataFormatError(f"cannot write the non-finite value {values[~finite][0]}", path=path)
+    return "%.9g" if values.dtype == np.float32 else "%.17g"
 
 
 def _names_file(reader):
@@ -407,8 +421,8 @@ def write_expression(m, path):
     matrix with spots but no genes, or genes but no spots, has no cell to
     carry its ids and is refused; a 0 x 0 one is the bare header.
 
-    Values are written as `_fmt` writes them, `_WRITE_CELLS` lines per `%`
-    call.
+    Values are spelled by `_float_spec` (float64), `_WRITE_CELLS` lines per
+    `%` call.
     """
     dense = m.dense()
     if dense.size == 0 and dense.shape != (0, 0):
@@ -416,6 +430,7 @@ def write_expression(m, path):
             f"a matrix of {m.n_spots} spots and {m.n_genes} genes has no cell "
             "to keep its ids in a triplet file"
         )
+    line = f"%s\t%s\t{_float_spec(dense, path)}\n"
     by_id = np.argsort(m.gene_ids)  # the mask's columns in gene-id order
     mask = (dense != 0)[:, by_id]
     if mask.size:
@@ -430,27 +445,8 @@ def write_expression(m, path):
             r, c = row[start : start + _WRITE_CELLS], col[start : start + _WRITE_CELLS]
             cells = np.empty((r.size, 3), dtype=object)
             cells[:, 0], cells[:, 1] = spot_ids[r], gene_ids[c]
-            cells[:, 2] = _fmt_values(dense[r, c])
-            fh.write("%s\t%s\t%s\n" * r.size % tuple(cells.ravel().tolist()))
-
-
-def _fmt_values(v):
-    """Objects whose `%s` is `_fmt` of each value of float64 array `v`: an int
-    for a whole value under 1e15 in magnitude, else the float (whose str is
-    its repr)."""
-    finite = np.isfinite(v)
-    if not finite.all():
-        _fmt(v[~finite][0])  # raises, as _fmt does on a value with no int
-    out = v.astype(object)
-    whole = (v == np.trunc(v)) & (np.abs(v) < 1e15)
-    out[whole] = v[whole].astype(np.int64)
-    return out
-
-
-def _fmt(v):
-    # repr round-trips float64 exactly; integers print compactly
-    f = float(v)
-    return str(int(f)) if f == int(f) and abs(f) < 1e15 else repr(f)
+            cells[:, 2] = dense[r, c]
+            fh.write(line * r.size % tuple(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +482,13 @@ def read_coords(path):
 
 
 def write_coords(geoms, path):
+    xy = np.array([(g.x, g.y) for g in geoms], dtype=np.float64)
+    spec = _float_spec(xy, path)
+    line = f"%s,%s,{spec},{spec},%s,%s\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(COORDS_HEADER + "\n")
-        for g in geoms:
-            fh.write(
-                f"{g.spot_id},{g.slide_id},{_fmt(g.x)},{_fmt(g.y)},{g.array_row},{g.array_col}\n"
-            )
+        for g, (x, y) in zip(geoms, xy.tolist()):
+            fh.write(line % (g.spot_id, g.slide_id, x, y, g.array_row, g.array_col))
 
 
 @_names_file
@@ -528,12 +525,12 @@ def read_survival(path):
 
 
 def write_survival(table, path):
+    times = np.array([r.time for r in table.rows], dtype=np.float64)
+    line = f"%s,{_float_spec(times, path)},%d,%s\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SURVIVAL_HEADER + "\n")
-        for r in table.rows:
-            fh.write(
-                f"{r.subject_id},{repr(r.time)},{int(r.event)},{';'.join(r.slide_ids)}\n"
-            )
+        for r, t in zip(table.rows, times.tolist()):
+            fh.write(line % (r.subject_id, t, r.event, ";".join(r.slide_ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +571,11 @@ def _read_float_table(path, id_names):
 
 
 def _write_float_table(path, header, ids, values):
-    """Write `header`, then per row its id fields and its values.
-
-    A float32 array is written at 9 significant digits, anything else as
-    float64 at 17, so every value reads back exactly in its dtype.  Each row
-    is one `%` call; rows are converted one at a time, so no Python float
-    list of the whole table is held.
+    """Write `header`, then per row its id fields and its values, spelled by
+    `_float_spec`.  Each row is one `%` call; rows are converted one at a
+    time, so no Python float list of the whole table is held.
     """
-    digits = 9 if values.dtype == np.float32 else 17
-    fmt = f"\t%.{digits}g" * values.shape[1] + "\n"
+    fmt = f"\t{_float_spec(values, path)}" * values.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for row_ids, row in zip(ids, values):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_io import NORMALIZED_LOG, RAW_COUNTS, rows_of
-from .errors import DataFormatError, PearlError
+from .errors import ConfigError, DataFormatError, PearlError
 
 
 @dataclass
@@ -108,7 +108,7 @@ def run_pipeline(m, geoms, config):
     filtered = filter_genes(m, config.min_spots_per_gene)
     if filtered.n_genes == 0:
         most = int(np.count_nonzero(m.dense(), axis=0).max(initial=0))
-        raise PearlError(
+        raise ConfigError(
             f"no gene is nonzero in preprocess.min_spots_per_gene = "
             f"{config.min_spots_per_gene} spots: the matrix has {m.n_spots} spots, "
             f"and the most spots any gene is nonzero in is {most}"

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import data_io
 from .autodiff import AdamW, Tensor
 from .encoders import CoordNormalizer
-from .errors import PearlError, TrainingDiverged
+from .errors import ConfigError, PearlError, TrainingDiverged
 
 
 @dataclass
@@ -112,12 +112,12 @@ def _split(dataset, config, min_val):
         dataset.slide_ids, config.val_fraction, config.seed
     )
     if len(train_idx) < 2:
-        raise PearlError(
+        raise ConfigError(
             f"training split has {len(train_idx)} spots and validation split {len(val_idx)}, "
             f"training needs at least 2: lower val_fraction (now {config.val_fraction})"
         )
     if len(val_idx) < min_val:
-        raise PearlError(
+        raise ConfigError(
             f"validation split has {len(val_idx)} spots, needs at least {min_val}: raise "
             f"val_fraction (now {config.val_fraction}); a one-spot slide gives none"
         )

@@ -5,6 +5,9 @@ and the sha256 of each of their 29 outputs.
     python tests/golden_chain.py --determinism   # that check, whatever the environment
     python tests/golden_chain.py --write         # rewrite tests/golden_chain.json
 
+`--write` prints the names of the outputs whose digest differs from the
+record it replaces (or `none`), so a rewritten record shows what changed.
+
 The record holds each output's digest and the environment it was made in
 (`environment()`).  Where the running environment is the record's, the check
 is exact: every output must match its recorded digest.  Elsewhere, where
@@ -157,8 +160,11 @@ def main(argv=None):
         if args.write:
             run_chain(Path(root) / "chain")
             record = {"environment": environment(), "files": digests(Path(root) / "chain")}
+            old = json.loads(RECORD.read_text())["files"] if RECORD.exists() else {}
+            changed = mismatches(old, record["files"])
             RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-            print(f"wrote {len(record['files'])} digests to {RECORD}")
+            print(f"wrote {len(record['files'])} digests to {RECORD}; "
+                  f"changed: {', '.join(changed) or 'none'}")
             return 0
         chosen = "determinism" if args.determinism else mode()
         bad = (check_exact if chosen == "exact" else check_determinism)(root)

@@ -187,6 +187,19 @@ class TestPipeline:
         }
         assert not (tmp_path / "out").exists()
 
+    def test_evaluate_refuses_another_width(self, pipeline, tmp_path, capsys):
+        # the gene head's 10 columns against the 3 pathway scores of the same spots
+        _, data, _ = pipeline
+        argv = ["evaluate", "--out-dir", str(tmp_path / "out"),
+                "--pred", str(data / "yhat_gene.tsv"), "--truth", str(data / "scores.tsv")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "data_format",
+            "message": f"{data / 'yhat_gene.tsv'}: 10 value columns here but 3 in --truth",
+        }
+        assert not (tmp_path / "out").exists()
+
     def test_survival_train_eval(self, pipeline, tmp_path):
         _, data, _ = pipeline
         cfg = tmp_path / "surv.json"
@@ -326,7 +339,7 @@ def test_preprocess_refuses_a_filter_that_keeps_no_gene(pipeline, tmp_path, caps
                 "--expression", str(data / "expression.tsv"),
                 "--coords", str(data / "coords.csv")]) == 1
     assert json.loads(capsys.readouterr().err) == {
-        "error": "error",
+        "error": "config",
         "message": "no gene is nonzero in preprocess.min_spots_per_gene = 1000 spots: the "
                    f"matrix has 48 spots, and the most spots any gene is nonzero in is {most}",
     }
@@ -867,38 +880,52 @@ class TestErrors:
         assert err["message"].startswith(f"{table}: not UTF-8 text: ")
         assert not (tmp_path / "out").exists()
 
-    def test_one_spot_validation_split_rejected(self, tmp_path, capsys):
-        # one 12-spot slide at val_fraction 0.05: a single validation spot
+    @staticmethod
+    def _train_contrastive_on_one_slide(tmp_path, capsys, n, val_fraction):
+        """The JSON error of train-contrastive on one slide of `n` spots."""
         rng = np.random.default_rng(0)
-        ids = [f"s{i}" for i in range(12)]
+        ids = [f"s{i}" for i in range(n)]
         data_io.write_coords(
             [data_io.SpotGeometry(s, "sl", float(i), 0.0, 0, i) for i, s in enumerate(ids)],
             tmp_path / "coords.csv",
         )
         data_io.write_scores(
-            data_io.PathwayScoreMatrix(ids, ["A", "B"], rng.normal(size=(12, 2))),
+            data_io.PathwayScoreMatrix(ids, ["A", "B"], rng.normal(size=(n, 2))),
             tmp_path / "scores.tsv",
         )
         data_io.write_features(
-            data_io.PatchFeatureMatrix(ids, rng.normal(size=(12, 3))), tmp_path / "features.tsv"
+            data_io.PatchFeatureMatrix(ids, rng.normal(size=(n, 3))), tmp_path / "features.tsv"
         )
         data_io.write_expression(
             data_io.ExpressionMatrix(
-                ids, ["g0", "g1"], rng.uniform(size=(12, 2)), data_io.NORMALIZED_LOG
+                ids, ["g0", "g1"], rng.uniform(size=(n, 2)), data_io.NORMALIZED_LOG
             ),
             tmp_path / "hvg.tsv",
         )
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(
-            {"train": {"batch_size": 4, "max_epochs": 2, "patience": 1, "val_fraction": 0.05}}
-        ))
+        cfg.write_text(json.dumps({"train": {
+            "batch_size": 4, "max_epochs": 2, "patience": 1, "val_fraction": val_fraction
+        }}))
         argv = ["train-contrastive", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
         for name in ("scores.tsv", "coords.csv", "features.tsv", "hvg.tsv"):
             argv += [f"--{name.split('.')[0]}", str(tmp_path / name)]
         assert run(argv) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "error"
+        return json.loads(capsys.readouterr().err)
+
+    def test_one_spot_validation_split_rejected(self, tmp_path, capsys):
+        # one 12-spot slide at val_fraction 0.05: a single validation spot
+        err = self._train_contrastive_on_one_slide(tmp_path, capsys, 12, 0.05)
+        assert err["error"] == "config"
         assert "val_fraction" in err["message"]
+
+    def test_one_spot_training_split_is_a_config_error(self, tmp_path, capsys):
+        # three spots at val_fraction 0.5: one training spot, no training batch
+        err = self._train_contrastive_on_one_slide(tmp_path, capsys, 3, 0.5)
+        assert err == {
+            "error": "config",
+            "message": "training split has 1 spots and validation split 2, training needs "
+                       "at least 2: lower val_fraction (now 0.5)",
+        }
 
     def test_bad_survival_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

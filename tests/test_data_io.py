@@ -28,7 +28,8 @@ from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
 def reference_triplets(m):
     """The text write_expression should write, one cell at a time: every
     nonzero cell; a 0 at the first gene by id for a spot with none, then a 0
-    at the first spot for a gene still with none; by spot, then gene id."""
+    at the first spot for a gene still with none; by spot, then gene id;
+    each value at float64's round-trip 17 significant digits."""
     dense = m.dense()
     kept = set(zip(*np.nonzero(dense)))
     for i in range(m.n_spots):
@@ -39,7 +40,7 @@ def reference_triplets(m):
             kept.add((0, j))
     cells = sorted(kept, key=lambda c: (c[0], m.gene_ids[c[1]]))
     return "spot\tgene\tvalue\n" + "".join(
-        f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{data_io._fmt(dense[i, j])}\n" for i, j in cells
+        f"{m.spot_ids[i]}\t{m.gene_ids[j]}\t{dense[i, j]:.17g}\n" for i, j in cells
     )
 
 
@@ -340,19 +341,16 @@ class TestBulkTriplets:
         genes = ["a", "b", "c", "d"]
         m = ExpressionMatrix(["s0", "s1", "s2"], genes, dense, NORMALIZED_LOG)
         data_io.write_expression(m, tmp_path / "m.tsv")
+        # every value at 17 significant digits, whole ones with no point or exponent
+        spelled = [
+            ["0.10000000000000001", "2", "1000000000000000", "123456789012345"],
+            ["10000000000000000", "2.5e-300", "-7", "0.33333333333333331"],
+            ["-2.5", "999999999999999", "4", "1.0000000000000001e+300"],
+        ]
         want = "spot\tgene\tvalue\n" + "".join(
-            f"s{i}\t{g}\t{data_io._fmt(dense[i, j])}\n"
-            for i in range(3) for j, g in enumerate(genes)
+            f"s{i}\t{g}\t{spelled[i][j]}\n" for i in range(3) for j, g in enumerate(genes)
         )
         assert (tmp_path / "m.tsv").read_text() == want
-
-    @pytest.mark.parametrize("value, error", [(np.inf, OverflowError), (np.nan, ValueError)])
-    def test_writer_refuses_non_finite_as_fmt_does(self, tmp_path, value, error):
-        m = ExpressionMatrix(["s0"], ["a", "b"], np.array([[1.0, value]]), NORMALIZED_LOG)
-        with pytest.raises(error):
-            data_io._fmt(value)
-        with pytest.raises(error):
-            data_io.write_expression(m, tmp_path / "m.tsv")
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
     def test_ids_with_no_cell_are_refused(self, tmp_path, shape):
@@ -641,6 +639,104 @@ class TestTextTables:
 def _set_normalizer(mu, sigma):
     """A manifest edit that sets the checkpoint's coordinate normalizer."""
     return lambda m: m.update(extra={"coord_normalizer": {"mu": mu, "sigma": sigma}})
+
+
+def _write(kind, values, path):
+    """Write the 2-D array `values` through the writer of `kind`, putting the
+    values in after the table object is built, so a non-finite one gets past
+    the object's own checks to the writer."""
+    n, k = values.shape
+    ids, names = [f"s{i}" for i in range(n)], [f"c{j}" for j in range(k)]
+    table = kind.rstrip("0123456789")
+    if table == "expression":
+        data_io.write_expression(ExpressionMatrix(ids, names, values, NORMALIZED_LOG), path)
+    elif table == "coords":
+        geoms = [data_io.SpotGeometry(s, "sl", x, y, 0, i)
+                 for i, (s, (x, y)) in enumerate(zip(ids, values.tolist()))]
+        data_io.write_coords(geoms, path)
+    elif table == "survival":
+        survival = data_io.SurvivalTable([])
+        survival.rows = [data_io.SurvivalRecord(s, t, i % 2 == 0, (f"sl{i}",))
+                         for i, (s, (t,)) in enumerate(zip(ids, values.tolist()))]
+        data_io.write_survival(survival, path)
+    elif table == "features":
+        fm = data_io.PatchFeatureMatrix(ids, np.zeros(values.shape, values.dtype))
+        fm.features[...] = values
+        data_io.write_features(fm, path)
+    elif table == "scores":
+        sm = data_io.PathwayScoreMatrix(ids, names, np.zeros(values.shape, values.dtype))
+        sm.scores[...] = values
+        data_io.write_scores(sm, path)
+    else:
+        data_io.write_embeddings(ids, ["sl"] * n, values, path)
+
+
+def _read(kind, path):
+    """What `_write(kind, ...)` wrote to `path`, read back as a float64 array."""
+    table = kind.rstrip("0123456789")
+    if table == "expression":
+        m = data_io.parse_expression(path, value_kind=NORMALIZED_LOG)
+        return m.dense()[:, np.argsort(m.gene_ids)]  # c0..c9 sort as numbered
+    if table == "coords":
+        return np.array([(g.x, g.y) for g in data_io.read_coords(path)])
+    if table == "survival":
+        return np.array([[r.time] for r in data_io.read_survival(path).rows])
+    if table == "features":
+        return data_io.read_features(path).features
+    if table == "scores":
+        return data_io.read_scores(path).scores
+    return data_io.read_embeddings(path)[2]
+
+
+class TestFloatSpelling:
+    """Every writer that spells floats, at each dtype its table is written in."""
+
+    KINDS = ["expression", "coords", "survival", "features32", "features64",
+             "scores32", "scores64", "embeddings32", "embeddings64"]
+    # subnormals, extremes, whole values >= 1e15, -0.0, and values with no short spelling
+    F64_EDGES = [5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1e15,
+                 2.0**53 + 2, 123456789012345678.0, -0.0, 0.1, 1 / 3]
+    F32_EDGES = [1.401298464324817e-45, -1.401298464324817e-45, 1.1754942106924411e-38,
+                 3.4028234663852886e38, -3.4028234663852886e38, 1e15, 2.0**60, -0.0, 0.1, 1 / 3]
+
+    def _values(self, kind):
+        """Seeded values for `kind`'s table, edge values first: any sign for
+        coordinates and float tables, >= 0 or -0.0 for expression, > 0 for
+        survival times."""
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        dtype = np.float32 if kind.endswith("32") else np.float64
+        edges, exponents = (self.F32_EDGES, (-44, 37)) if dtype == np.float32 else (
+            self.F64_EDGES, (-300, 300))
+        cols = {"coords": 2, "survival": 1}.get(kind, 6)
+        values = rng.normal(size=(40, cols)) * 10.0 ** rng.integers(*exponents, size=(40, cols))
+        values.flat[: len(edges)] = edges
+        if kind == "expression":
+            values = np.where(values < 0, -values, values)  # keeps -0.0
+        elif kind == "survival":
+            values = np.abs(values) + (values == 0)
+        return values.astype(dtype)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_writer_round_trips_bit_identical(self, tmp_path, kind):
+        values = self._values(kind)
+        p = tmp_path / "t.txt"
+        _write(kind, values, p)
+        back = _read(kind, p)
+        assert back.dtype == np.float64
+        # a zero triplet cell, -0.0 too, is not stored: it reads back as +0.0
+        want = values + 0.0 if kind == "expression" else values
+        assert back.astype(values.dtype).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_writer_refuses_non_finite(self, tmp_path, kind, bad):
+        values = self._values(kind)
+        values[-1, -1] = bad
+        p = tmp_path / "t.txt"
+        with pytest.raises(DataFormatError, match="non-finite") as info:
+            _write(kind, values, p)
+        assert info.value.path == p
+        assert not p.exists()
 
 
 class TestCheckpoint:

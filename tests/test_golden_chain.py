@@ -1,6 +1,9 @@
 """The golden chain (see golden_chain.py) in tier-1: exact where this
 environment is the record's, determinism elsewhere."""
 
+import hashlib
+import json
+
 import golden_chain
 from conftest import golden_lines
 
@@ -28,6 +31,31 @@ def test_one_byte_edit_to_any_output_is_caught(tmp_path):
             path.name
         ]
         path.write_bytes(data)
+
+
+def test_write_names_the_changed_outputs(tmp_path, monkeypatch, capsys):
+    outputs = {"a.tsv": "1\n", "b.csv": "2\n", "c.json": "{}\n"}
+
+    def run_chain(out):  # three files instead of the chain's 29
+        out.mkdir()
+        for name, text in outputs.items():
+            (out / name).write_text(text)
+
+    record = tmp_path / "record.json"  # absent at first: every output is new
+    monkeypatch.setattr(golden_chain, "RECORD", record)
+    monkeypatch.setattr(golden_chain, "run_chain", run_chain)
+    printed = []
+    for edit in ({}, {}, {"b.csv": "3\n"}, {"a.tsv": "0\n", "c.json": "[]\n"}):
+        outputs.update(edit)
+        assert golden_chain.main(["--write"]) == 0
+        printed.append(capsys.readouterr().out)
+        assert json.loads(record.read_text())["files"] == {
+            name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()
+        }
+    assert printed == [
+        f"wrote 3 digests to {record}; changed: {names}\n"
+        for names in ("a.tsv, b.csv, c.json", "none", "b.csv", "a.tsv, c.json")
+    ]
 
 
 def test_chain_is_deterministic(tmp_path):
