@@ -1,21 +1,21 @@
 """Command-line orchestration of the pipeline.
 
-Every subcommand reads declared inputs, writes declared outputs under
---out-dir (gradcheck prints its report), and exits 0 on success; every
-failure, a usage error included, prints a machine-readable JSON object to
-stderr and exits 1.  A subcommand declares only the flags it reads, so any
-other flag is a usage error.  Hyperparameters come from a single JSON config
-file, built into one dataclass per section, with --seed in each seed field,
-before any subcommand runs; a field filled in from --seed or the input tables
-is refused.  Paths come from flags.  Input tables are read, and expression,
-coordinate and float tables written, through data_io; the command writes its
-own JSON reports, loss curves and id lists.
+Every subcommand reads declared inputs and writes declared outputs under
+--out-dir (gradcheck prints its report); `main` then exits 0.  Every failure,
+a usage error or a missing input (a checkpoint's manifest too) included,
+prints a machine-readable JSON object to stderr and exits 1.  A subcommand
+declares only the flags it reads, so any other flag is a usage error.
+Hyperparameters come from a single JSON config file, built into one
+dataclass per section, with --seed in each seed field, before any subcommand
+runs; a field filled in from --seed or the input tables is refused.  Paths
+come from flags.  Tables are read and written through data_io, and per-spot
+tables meet by spot id (in `evaluate` too, so --truth's order is free); the
+command writes its own JSON reports, loss curves and id lists.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -45,8 +45,10 @@ _CONFIG_SECTIONS = {
 }
 # each section's field that --seed sets
 _SEEDS = {"ssgsea": "rng_seed", "train": "seed", "model": "seed", "survival": "seed"}
-# the model's sizes, each read off one input table: {field: that table's flag}
-_SIZES = {"n_pathways": "scores", "n_genes": "hvg", "d_img": "features"}
+# the model's sizes, each the width of one input table:
+# {field: (that table's flag, its SpotDataset array)}
+_SIZES = {"n_pathways": ("scores", "scores"), "n_genes": ("hvg", "y_gene"),
+          "d_img": ("features", "features")}
 # fields filled in from --seed or the input tables; a config may not set them
 COMMAND_SET = {
     section: (*(_SIZES if section == "model" else ()), name) for section, name in _SEEDS.items()
@@ -56,39 +58,27 @@ COMMAND_SET = {
 def load_config(path, seed=0):
     """{section name: config dataclass} for every section, defaults where the
     file (or a missing `path`) gives none, and `seed` in each `_SEEDS` field.
-    A field must be known, not set by a command, and of its default's type
-    (an int may stand for a float); a section that refuses its values is a
-    ConfigError naming the section."""
-    raw = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            # invalid JSON, bytes that are not UTF-8, or nesting too deep to decode
-            except (ValueError, RecursionError) as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    for section, values in raw.items():
-        if section not in _CONFIG_SECTIONS:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section {section!r} must be a JSON object")
+    A field must be known, not set by a command, and `of_type` its default's
+    type; a section that refuses its values is a ConfigError naming the
+    section."""
+    raw = {} if path is None else data_io.read_json(path, ConfigError, "config")
+    if (unknown := next((s for s in raw if s not in _CONFIG_SECTIONS), None)) is not None:
+        raise ConfigError(f"unknown config section {unknown!r}")
     config = {}
     for section, cls in _CONFIG_SECTIONS.items():
         defaults = {f.name: f.default for f in fields(cls)}
-        values = dict(raw.get(section, {}))
+        if not isinstance(values := raw.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
+        values = dict(values)
         for key, value in values.items():
             name = f"{section}.{key}"
             if key in COMMAND_SET.get(section, ()):
                 raise ConfigError(f"{name} is set by the command from --seed or its inputs")
             if key not in defaults:
                 raise ConfigError(f"unknown field {name}")
-            kind = type(defaults[key])
-            if kind is float and type(value) is int:
-                values[key] = float(value)
-            elif type(value) is not kind:
+            if not data_io.of_type(value, kind := type(defaults[key])):
                 raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            values[key] = kind(value)  # an int given for a float becomes one
         if section in _SEEDS:
             values[_SEEDS[section]] = seed
         try:
@@ -152,7 +142,6 @@ def cmd_synth(args, cfg):
         np.concatenate([embeddings[s] for s in slides]),
         _outpath(args, "survival_embeddings.tsv"),
     )
-    return 0
 
 
 def _read_slide_embeddings(path):
@@ -174,7 +163,6 @@ def cmd_preprocess(args, cfg):
     data_io.write_expression(hvg, _outpath(args, "hvg.tsv"))
     with open(_outpath(args, "hvg_genes.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(hvg.gene_ids) + "\n")
-    return 0
 
 
 def cmd_score_pathways(args, cfg):
@@ -184,7 +172,6 @@ def cmd_score_pathways(args, cfg):
     data_io.write_scores(sm, _outpath(args, "scores.tsv"))
     with open(_outpath(args, "dropped_pathways.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(dropped) + ("\n" if dropped else ""))
-    return 0
 
 
 def _load_dataset(args):
@@ -199,12 +186,8 @@ def _load_dataset(args):
 
 
 def _table_sizes(dataset):
-    """The `_SIZES` fields as the dataset's tables give them."""
-    return {
-        "n_pathways": dataset.scores.shape[1],
-        "n_genes": dataset.y_gene.shape[1],
-        "d_img": dataset.features.shape[1],
-    }
+    """{`_SIZES` field: (its table's flag, the width the dataset gives it)}."""
+    return {n: (flag, getattr(dataset, a).shape[1]) for n, (flag, a) in _SIZES.items()}
 
 
 def _refuse_misfit(args, held, widths):
@@ -219,7 +202,8 @@ def _refuse_misfit(args, held, widths):
 
 
 def _model_config(cfg, dataset, fold=0):
-    return replace(cfg["model"], **_table_sizes(dataset), seed=cfg["model"].seed + fold)
+    sizes = {n: width for n, (_, width) in _table_sizes(dataset).items()}
+    return replace(cfg["model"], **sizes, seed=cfg["model"].seed + fold)
 
 
 def cmd_train_contrastive(args, cfg):
@@ -228,18 +212,15 @@ def cmd_train_contrastive(args, cfg):
     model, history = trainer.train_stage1(dataset, model, cfg["train"])
     save_model(model, _outpath(args, "stage1"))
     _write_curve(_outpath(args, "stage1_loss.csv"), history)
-    return 0
 
 
 def cmd_train_heads(args, cfg):
     dataset = _load_dataset(args)
     model = load_model(args.checkpoint)
-    sizes = _table_sizes(dataset)
-    _refuse_misfit(args, model.config, {n: (flag, sizes[n]) for n, flag in _SIZES.items()})
+    _refuse_misfit(args, model.config, _table_sizes(dataset))
     model, history = trainer.train_stage2(dataset, model, cfg["train"])
     save_model(model, _outpath(args, "final"))
     _write_curve(_outpath(args, "stage2_loss.csv"), history)
-    return 0
 
 
 def cmd_predict(args, cfg):
@@ -265,36 +246,35 @@ def cmd_predict(args, cfg):
             h,
             _outpath(args, "embeddings.tsv"),
         )
-    return 0
 
 
 def cmd_evaluate(args, cfg):
     pred = data_io.read_scores(args.pred)
     truth = data_io.read_scores(args.truth)
-    if pred.spot_ids != truth.spot_ids:  # the same spots in the same order
-        ids = (truth.spot_ids, pred.spot_ids)
-        i = next(i for i, (t, p) in enumerate(itertools.zip_longest(*ids)) if t != p)
-        t, p = (repr(s[i]) if i < len(s) else "no spot" for s in ids)
-        raise DataFormatError(f"row {i + 1} holds {t} here but {p} in --pred", path=args.truth)
+    rows = data_io.rows_of(pred.spot_ids, truth.spot_ids, "truth", args.truth)
     if (width := len(pred.pathway_names)) != len(truth.pathway_names):
         raise DataFormatError(
             f"{width} value columns here but {len(truth.pathway_names)} in --truth", path=args.pred
         )
-    report = evaluate_expression(pred.scores, truth.scores, truth.pathway_names)
+    report = evaluate_expression(pred.scores, truth.scores[rows], truth.pathway_names)
     _write_json(_outpath(args, "report.json"), report.to_dict())
     with open(_outpath(args, "per_target_pcc.csv"), "w", encoding="utf-8") as fh:
         fh.write("target,pcc\n")
         for name, v in zip(report.target_names, report.per_target_pcc):
             fh.write(f"{name},{v!r}\n")
-    return 0
 
 
 def _load_cohort(args):
     """(E, sizes, times, events): every subject's spot embeddings in one
     float32 (N, dim) array, subjects in survival-table order, each subject's
     slides in the order it lists them, and sizes[i] rows for subject i.
-    Every slide a subject lists must have embeddings."""
+    Every slide a subject lists must have embeddings, and a cohort the Cox
+    loss cannot score (under 2 subjects, or no event) is refused."""
     table = data_io.read_survival(args.survival)
+    if len(table.rows) < 2:
+        raise DataFormatError("the Cox loss needs at least 2 subjects", path=args.survival)
+    if not any(r.event for r in table.rows):
+        raise DataFormatError("the Cox loss needs at least one event", path=args.survival)
     rows, values = _read_slide_embeddings(args.embeddings)
     idx, sizes = [], []
     for r in table.rows:
@@ -318,7 +298,6 @@ def cmd_survival_train(args, cfg):
     head, history = survival.train_cox(E, sizes, times, events, cfg["survival"])
     survival.save_cox(head, _outpath(args, "cox"))
     _write_curve(_outpath(args, "cox_loss.csv"), {"loss": history})
-    return 0
 
 
 def cmd_survival_eval(args, cfg):
@@ -326,9 +305,11 @@ def cmd_survival_eval(args, cfg):
     head = survival.load_cox(args.checkpoint)
     _refuse_misfit(args, head, {"embed_dim": ("embeddings", E.shape[1])})
     risks = survival.predict_risks(head, E, sizes)
-    ci = survival.c_index(risks, times, events)
+    try:
+        ci = survival.c_index(risks, times, events)
+    except PearlError as exc:  # no subject with an event is outlived
+        raise DataFormatError(str(exc), path=args.survival) from None
     _write_json(_outpath(args, "survival_report.json"), {"c_index": ci, "n_subjects": len(times)})
-    return 0
 
 
 def cmd_gradcheck(args, cfg):
@@ -344,7 +325,6 @@ def cmd_gradcheck(args, cfg):
         raise PearlError(
             f"gradient check over {gradsuite.REL_TOL:.0e} relative error: {', '.join(failed)}"
         )
-    return 0
 
 
 def cmd_run_cv(args, cfg):
@@ -397,7 +377,6 @@ def cmd_run_cv(args, cfg):
         "retrieval_top1": agg([r["retrieval_top1"] for r in fold_reports]),
     }
     _write_json(_outpath(args, "aggregate.json"), aggregate)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +454,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, load_config(getattr(args, "config", None), getattr(args, "seed", 0)))
+        args.fn(args, load_config(getattr(args, "config", None), getattr(args, "seed", 0)))
     except PearlError as exc:
         return _fail(exc.code, exc)
     except OSError as exc:  # e.g. a missing, unreadable or directory path
         return _fail("io", exc)
+    return 0
 
 
 def _fail(code, exc):

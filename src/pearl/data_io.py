@@ -9,6 +9,7 @@ Formats:
     (spot_id f0...), pathway scores (spot <pathway>...) and slide embeddings
     (spot_id slide_id e0..., one row per spot)
   - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
+  - JSON objects (config files, checkpoint manifests), read by `read_json`
 
 Every float a text writer writes is spelled by `_float_spec`: a float32
 array at 9 significant digits, anything else as float64 at 17, the fewest
@@ -30,7 +31,6 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +219,26 @@ def _names_file(reader):
             raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from None
 
     return read
+
+
+def read_json(path, error, what):
+    """The JSON object in the file `path`, the `what` (e.g. "config") it
+    holds.  Invalid JSON, bytes that are not UTF-8, nesting too deep to decode
+    or a root that is not an object is an `error` naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: {what} root must be a JSON object")
+    return obj
+
+
+def of_type(value, kind):
+    """Whether the JSON value `value` is of type `kind`: exactly (a bool is
+    not an int), except that an int may stand for a float."""
+    return type(value) is kind or (kind is float and type(value) is int)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +442,8 @@ def write_expression(m, path):
     carry its ids and is refused; a 0 x 0 one is the bare header.
 
     Values are spelled by `_float_spec` (float64), `_WRITE_CELLS` lines per
-    `%` call.
+    `%` call; a negative value is refused, as `_float_spec` refuses a
+    non-finite one.
     """
     dense = m.dense()
     if dense.size == 0 and dense.shape != (0, 0):
@@ -431,6 +452,8 @@ def write_expression(m, path):
             "to keep its ids in a triplet file"
         )
     line = f"%s\t%s\t{_float_spec(dense, path)}\n"
+    if (negative := dense < 0).any():  # `parse_expression` refuses one; -0.0 is not < 0
+        raise DataFormatError(f"cannot write the negative value {dense[negative][0]}", path=path)
     by_id = np.argsort(m.gene_ids)  # the mask's columns in gene-id order
     mask = (dense != 0)[:, by_id]
     if mask.size:
@@ -659,7 +682,7 @@ def _is_param_entry(p):
         isinstance(p, dict)
         and isinstance(p.get("name"), str)
         and isinstance(p.get("shape"), list)
-        and all(type(n) is int and n >= 0 for n in p["shape"])
+        and all(of_type(n, int) and n >= 0 for n in p["shape"])
     )
 
 
@@ -667,26 +690,17 @@ def load_checkpoint(path, kinds, build):
     """Return (object, extra): `build(**hyperparams)` with its `parameters()`
     filled from the blob, and the manifest's `extra` object.
 
-    The manifest must be a JSON object with this format version, a
-    `hyperparams` object, a `params` list of {name, shape} entries with no
-    name twice and, if present, an `extra` object; anything else is a
-    CheckpointManifestError.
+    The manifest, read by `read_json` (a missing one is an OSError), must be
+    a JSON object with this format version, a `hyperparams` object, a
+    `params` list of {name, shape} entries with no name twice and, if
+    present, an `extra` object; anything else is a CheckpointManifestError.
     The hyperparameter keys must be exactly those of `kinds`, {name: type},
-    each value of its type (an int may stand for a float), and a PearlError
-    from `build` is a CheckpointManifestError.  The built parameters' names
-    and shapes must be the manifest's.
+    each value `of_type` its type, and a PearlError from `build` is a
+    CheckpointManifestError.  The built parameters' names and shapes must be
+    the manifest's.
     """
     manifest_path = path + ".manifest.json"
-    if not os.path.exists(manifest_path):
-        raise DataFormatError(f"missing manifest {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        # invalid JSON, bytes that are not UTF-8, or nesting too deep to decode
-        except (ValueError, RecursionError) as exc:
-            raise CheckpointManifestError(f"{manifest_path}: not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise CheckpointManifestError(f"{manifest_path}: manifest must be a JSON object")
+    manifest = read_json(manifest_path, CheckpointManifestError, "manifest")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointVersionError(
             f"format version {manifest.get('format_version')} != {CHECKPOINT_FORMAT_VERSION}"
@@ -709,21 +723,15 @@ def load_checkpoint(path, kinds, build):
     *offsets, expected = itertools.accumulate(
         (math.prod(p["shape"]) * 4 for p in entries), initial=0
     )
-    if len(blob) < expected:
-        raise CheckpointTruncatedError(
-            f"blob holds {len(blob)} bytes, manifest declares {expected}"
-        )
-    if len(blob) > expected:
-        raise CheckpointShapeError(
-            f"blob holds {len(blob)} bytes, manifest declares {expected}"
-        )
+    if len(blob) != expected:
+        error = CheckpointTruncatedError if len(blob) < expected else CheckpointShapeError
+        raise error(f"blob holds {len(blob)} bytes, manifest declares {expected}")
     bad = sorted(set(hyper) ^ set(kinds))
     if bad:
         kind = "unknown" if bad[0] in hyper else "missing"
         raise CheckpointShapeError(f"{kind} hyperparameter {bad[0]!r}")
     for name, kind in kinds.items():
-        value = hyper[name]
-        if type(value) is not kind and not (kind is float and type(value) is int):
+        if not of_type(value := hyper[name], kind):
             raise CheckpointManifestError(
                 f"hyperparameter {name!r} must be of type {kind.__name__}, got {value!r}"
             )

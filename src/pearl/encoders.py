@@ -23,6 +23,8 @@ from .errors import CheckpointManifestError, PearlError
 
 TAU_MIN = 1e-3
 TAU_MAX = 100.0
+# the name prefixes of the prediction heads' parameters, which stage 2 trains
+_HEADS = ("head_path", "head_gene")
 
 
 @dataclass
@@ -140,16 +142,10 @@ class PearlModel:
         return list(self.params.items())
 
     def stage1_parameters(self):
-        return [
-            (n, p)
-            for n, p in self.params.items()
-            if not n.startswith(("head_path", "head_gene"))
-        ]
+        return [(n, p) for n, p in self.params.items() if not n.startswith(_HEADS)]
 
     def stage2_parameters(self):
-        return [
-            (n, p) for n, p in self.params.items() if n.startswith(("head_path", "head_gene"))
-        ]
+        return [(n, p) for n, p in self.params.items() if n.startswith(_HEADS)]
 
     @property
     def tau(self):
@@ -253,4 +249,4 @@ def load_model(path):
 
 
 def _is_numbers(v):
-    return isinstance(v, list) and all(type(x) in (int, float) for x in v)
+    return isinstance(v, list) and all(data_io.of_type(x, float) for x in v)

@@ -48,6 +48,8 @@ class SynthConfig:
                 raise PearlError(f"{name} must be >= 1")
         if self.n_spots < 2:  # activities are standardised over the spots
             raise PearlError("n_spots must be >= 2")
+        if self.n_genes < 3 * self.n_pathways:  # each pathway gets >= 3 genes of its own
+            raise PearlError(f"n_genes must be >= 3 * n_pathways = {3 * self.n_pathways}")
         if self.n_slides > self.n_spots:
             raise PearlError("n_slides must be <= n_spots")
         if not 0 <= self.noise_sigma < math.inf:

@@ -13,7 +13,8 @@ golden_lines = []
 
 # manifest corruptions that every checkpoint loader refuses with a
 # CheckpointManifestError (both model and Cox checkpoints have an embed_dim)
-MANIFEST_TAMPERS = ("invalid_json", "too_deep_to_decode", "embed_dim_not_int", "no_params")
+MANIFEST_TAMPERS = ("invalid_json", "too_deep_to_decode", "not_utf8", "array_root",
+                    "embed_dim_not_int", "no_params")
 
 
 def tamper_manifest(path, kind):
@@ -24,6 +25,12 @@ def tamper_manifest(path, kind):
         return
     if kind == "too_deep_to_decode":  # json.load raises RecursionError, not ValueError
         path.write_text("[" * 200000)
+        return
+    if kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+        return
+    if kind == "array_root":
+        path.write_text("[]")
         return
     manifest = json.loads(text)
     if kind == "embed_dim_not_int":

@@ -164,28 +164,39 @@ class TestPipeline:
 
     @pytest.mark.parametrize("case", ["swapped", "one_fewer", "one_more"])
     def test_evaluate_refuses_other_spots(self, pipeline, tmp_path, capsys, case):
+        # --pred's spots are looked up in --truth by id: --truth's order and a
+        # spot only --truth holds change nothing; a --pred spot it lacks is refused
         _, data, _ = pipeline
         header, *rows = (data / "scores.tsv").read_text().splitlines()
         ids = [r.split("\t")[0] for r in rows]
         if case == "swapped":
             rows[:2] = rows[1::-1]
-            expected = f"row 1 holds {ids[1]!r} here but {ids[0]!r} in --pred"
         elif case == "one_fewer":
             rows.pop()
-            expected = f"row 48 holds no spot here but {ids[47]!r} in --pred"
         else:
             rows.append("extra\t" + rows[0].split("\t", 1)[1])
-            expected = "row 49 holds 'extra' here but no spot in --pred"
         truth = tmp_path / "truth.tsv"
         truth.write_text("\n".join([header, *rows]) + "\n")
-        argv = ["evaluate", "--out-dir", str(tmp_path / "out"),
-                "--pred", str(data / "yhat_path.tsv"), "--truth", str(truth)]
+
+        def evaluate(truth, out):
+            return run(["evaluate", "--out-dir", str(tmp_path / out),
+                        "--pred", str(data / "yhat_path.tsv"), "--truth", str(truth)])
+
         capsys.readouterr()
-        assert run(argv) == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "data_format", "message": f"{truth}: {expected}"
-        }
-        assert not (tmp_path / "out").exists()
+        if case == "one_fewer":
+            assert evaluate(truth, "out") == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "data_format",
+                "message": f"{truth}: spot {ids[47]!r} is missing from the truth table",
+            }
+            assert not (tmp_path / "out").exists()
+            return
+        assert evaluate(truth, "out") == 0
+        assert evaluate(data / "scores.tsv", "in_order") == 0
+        for name in ("report.json", "per_target_pcc.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "in_order" / name
+            ).read_bytes(), name
 
     def test_evaluate_refuses_another_width(self, pipeline, tmp_path, capsys):
         # the gene head's 10 columns against the 3 pathway scores of the same spots
@@ -528,6 +539,59 @@ class TestCohort:
         assert json.loads(lines[0]) == {"error": "data_format", "message": f"{surv}: {message}"}
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _cohort(directory, times, events):
+        """survival-train's input flags on a cohort of one 4-wide spot per
+        subject, written to `directory`."""
+        directory.mkdir()
+        n = len(times)
+        data_io.write_embeddings([f"sl{i}_0" for i in range(n)], [f"sl{i}" for i in range(n)],
+                                 np.random.default_rng(0).normal(size=(n, 4)),
+                                 directory / "emb.tsv")
+        data_io.write_survival(
+            data_io.SurvivalTable([
+                data_io.SurvivalRecord(f"p{i}", t, e, (f"sl{i}",))
+                for i, (t, e) in enumerate(zip(times, events))
+            ]),
+            directory / "surv.csv",
+        )
+        return ["--survival", str(directory / "surv.csv"),
+                "--embeddings", str(directory / "emb.tsv")]
+
+    @pytest.mark.parametrize(
+        "command, times, events, message",
+        [
+            ("survival-train", [1.0], [True], "the Cox loss needs at least 2 subjects"),
+            ("survival-eval", [1.0], [True], "the Cox loss needs at least 2 subjects"),
+            ("survival-train", [1.0, 2.0, 3.0], [False] * 3,
+             "the Cox loss needs at least one event"),
+            ("survival-eval", [1.0, 2.0, 3.0], [False] * 3,
+             "the Cox loss needs at least one event"),
+            # the one event is at the latest time, so no subject outlives it
+            ("survival-eval", [3.0, 1.0, 2.0], [True, False, False], "no comparable pairs"),
+        ],
+        ids=["train-one_subject", "eval-one_subject", "train-all_censored", "eval-all_censored",
+             "eval-no_comparable_pair"],
+    )
+    def test_cohort_it_cannot_score_refused(
+        self, tmp_path, capsys, command, times, events, message
+    ):
+        argv = [command, "--out-dir", str(tmp_path / "out"),
+                *self._cohort(tmp_path / "bad", times, events)]
+        if command == "survival-eval":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"survival": {"max_epochs": 2, "patience": 1}}))
+            good = self._cohort(tmp_path / "good", [1.0, 2.0, 3.0], [True, True, False])
+            train = ["survival-train", "--config", str(cfg), "--out-dir", str(tmp_path / "ckpt")]
+            assert run([*train, *good]) == 0
+            argv += ["--checkpoint", str(tmp_path / "ckpt" / "cox")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "data_format", "message": f"{tmp_path / 'bad' / 'surv.csv'}: {message}"
+        }
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("old", ["kind", "biases"])
     def test_old_cox_checkpoint_refused(self, pipeline, cox_checkpoint, tmp_path, capsys, old):
         # Cox checkpoints used to carry a `kind` hyperparameter and the two
@@ -643,6 +707,21 @@ class TestFailureInjection:
             assert err["error"] == "config" and "train.bogus" in err["message"]
         elif kind == "unknown_field":
             assert err["error"] == "usage" and "unrecognized arguments: --config" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "train-heads", "survival-eval"])
+    def test_missing_checkpoint_is_io_error(self, pipeline, tmp_path, capsys, command):
+        # the manifest is opened like any other input
+        _, data, _ = pipeline
+        inputs, _, _ = FILE_COMMANDS[command]
+        argv = [command, "--out-dir", str(tmp_path / "out"),
+                "--checkpoint", str(tmp_path / "absent")]
+        argv += [x for k, name in inputs.items() if k != "checkpoint"
+                 for x in (f"--{k}", str(data / name))]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and f"{tmp_path / 'absent'}.manifest.json" in err["message"]
         assert not (tmp_path / "out").exists()
 
     @staticmethod
@@ -862,6 +941,15 @@ class TestErrors:
         assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "can't decode byte 0xff" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_config_root_not_object(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[]")
+        assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": f"{path}: config root must be a JSON object"
+        }
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_expression_table(self, pipeline, tmp_path, capsys):
@@ -1097,10 +1185,12 @@ class TestConfigValues:
             ({"noise_sigma": -1.0}, "noise_sigma must be finite and >= 0"),
             ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0"),
             ({"censor_rate": 1.5}, "censor_rate must be in [0, 1]"),
+            # gen_st_dataset gives each pathway at least 3 genes of its own
+            ({"n_genes": 10, "n_pathways": 5}, "n_genes must be >= 3 * n_pathways = 15"),
         ],
         ids=["negative_spots", "one_spot", "no_genes", "no_pathways", "no_slides", "no_d_img",
              "no_subjects", "no_embed_dim", "slides_above_spots", "negative_noise", "nan_noise",
-             "censor_above_1"],
+             "censor_above_1", "genes_below_3_per_pathway"],
     )
     def test_synth_refuses(self, tmp_path, capsys, fields, needle):
         err = _config_error(tmp_path, capsys, {"synth": fields})

@@ -335,8 +335,8 @@ class TestBulkTriplets:
         monkeypatch.setattr(data_io, "_WRITE_CELLS", cells)
         dense = np.array([
             [0.1, 2.0, 1e15, 123456789012345.0],
-            [1e16, 2.5e-300, -7.0, 1 / 3],
-            [-2.5, 999999999999999.0, 4.0, 1e300],
+            [1e16, 2.5e-300, 7.0, 1 / 3],
+            [2.5, 999999999999999.0, 4.0, 1e300],
         ])
         genes = ["a", "b", "c", "d"]
         m = ExpressionMatrix(["s0", "s1", "s2"], genes, dense, NORMALIZED_LOG)
@@ -344,8 +344,8 @@ class TestBulkTriplets:
         # every value at 17 significant digits, whole ones with no point or exponent
         spelled = [
             ["0.10000000000000001", "2", "1000000000000000", "123456789012345"],
-            ["10000000000000000", "2.5e-300", "-7", "0.33333333333333331"],
-            ["-2.5", "999999999999999", "4", "1.0000000000000001e+300"],
+            ["10000000000000000", "2.5e-300", "7", "0.33333333333333331"],
+            ["2.5", "999999999999999", "4", "1.0000000000000001e+300"],
         ]
         want = "spot\tgene\tvalue\n" + "".join(
             f"s{i}\t{g}\t{spelled[i][j]}\n" for i in range(3) for j, g in enumerate(genes)
@@ -735,6 +735,17 @@ class TestFloatSpelling:
         p = tmp_path / "t.txt"
         with pytest.raises(DataFormatError, match="non-finite") as info:
             _write(kind, values, p)
+        assert info.value.path == p
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [-0.25, -5e-324], ids=["negative", "negative_subnormal"])
+    def test_expression_writer_refuses_negative(self, tmp_path, bad):
+        # `parse_expression` refuses a negative value on every line; -0.0 is written
+        values = self._values("expression")
+        values[-1, -1] = bad
+        p = tmp_path / "t.txt"
+        with pytest.raises(DataFormatError, match=f"negative value {bad}$") as info:
+            _write("expression", values, p)
         assert info.value.path == p
         assert not p.exists()
 
