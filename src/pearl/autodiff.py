@@ -2,14 +2,17 @@
 
 Tape-based: each op closes over what its backward needs; backward() walks a
 topological order of the graph and accumulates adjoints.  First-order only;
-the graph is discarded after use.  Kernels preserve the input dtype, forward
-and backward (the tests run every case of gradsuite.CASES on float32), so a
-float64 graph can be built for finite-difference checks while models run in
-float32: constants are Python floats, which NumPy does not let promote.
-`matmul`, `transpose`, `softmax_rows`, `reshape` and `slice_rows` also take
-stacked (..., n, m) arrays, which is how attention runs all heads at once.
-Inside `no_grad()` kernels record no parents and no backward closure, so
-inference builds no tape.
+the graph lives as long as its loss is referenced, and is freed by reference
+counting once it is not (no node refers back to a child).  Kernels preserve
+the input dtype, forward and backward (the tests run every case of
+gradsuite.CASES on float32), so a float64 graph can be built for
+finite-difference checks while models run in float32: constants are Python
+floats, which NumPy does not let promote.  `matmul`, `transpose`,
+`softmax_rows`, `reshape` and `slice_rows` also take stacked (..., n, m)
+arrays.  `attention` runs all heads at once as one node, bit-identical to
+its five-kernel chain, that keeps one (..., n, m) array in the graph, the
+probabilities, where the chain keeps three.  Inside `no_grad()` kernels
+record no parents and no backward closure, so inference builds no tape.
 """
 
 from __future__ import annotations
@@ -243,18 +246,53 @@ def gelu(a):
     return _node(out, (a,), bw)
 
 
-def softmax_rows(a):
-    """Row-wise softmax with max subtraction."""
-    x = a.values
+def _softmax(x):
+    """Softmax over the last axis, with max subtraction."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_bw(out, g):
+    """The gradient at the input of `_softmax` given its output `out` and the
+    gradient `g` at that output."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def softmax_rows(a):
+    """Row-wise softmax with max subtraction."""
+    out = _softmax(a.values)
 
     def bw(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        return (_softmax_bw(out, g),)
 
     return _node(out, (a,), bw)
+
+
+def attention(q, k, v, scale):
+    """matmul(softmax_rows(mul_scalar(matmul(q, transpose(k)), scale)), v) as
+    one node, for q (..., n, d), k (..., m, d) and v (..., m, e) with equal
+    leading dims; `scale` is a Python float.  It runs those five kernels' numpy operations in their order,
+    forward and backward, so values and gradients are bit-identical, but the
+    graph keeps only q, k, v and the probabilities, not the (..., n, m)
+    scores before and after scaling."""
+    qv, kv, vv = q.values, k.values, v.values
+    if (
+        qv.ndim < 2
+        or kv.ndim != qv.ndim
+        or (*qv.shape[:-2], qv.shape[-1]) != (*kv.shape[:-2], kv.shape[-1])
+        or vv.shape[:-1] != kv.shape[:-1]
+    ):
+        raise PearlError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
+    probs = _softmax((qv @ np.swapaxes(kv, -1, -2)) * scale)
+
+    def bw(g):
+        gs = _softmax_bw(probs, g @ np.swapaxes(vv, -1, -2)) * scale
+        gk = np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2)
+        return gs @ kv, gk, np.swapaxes(probs, -1, -2) @ g
+
+    return _node(probs @ vv, (q, k, v), bw)
 
 
 def layer_norm(a, gain, bias):

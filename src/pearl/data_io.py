@@ -237,8 +237,15 @@ def read_json(path, error, what):
 
 def of_type(value, kind):
     """Whether the JSON value `value` is of type `kind`: exactly (a bool is
-    not an int), except that an int may stand for a float."""
-    return type(value) is kind or (kind is float and type(value) is int)
+    not an int), except that an int may stand for a float if it has one
+    (10**400 does not)."""
+    if kind is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return type(value) is kind
 
 
 # ---------------------------------------------------------------------------

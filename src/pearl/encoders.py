@@ -188,8 +188,7 @@ class PearlModel:
             ad.reshape(ad.matmul(h, self.params[f"tf{l}.wqkv"]), (n, 3 * H, d_k)), (1, 0, 2)
         )
         q, k, v = (ad.slice_rows(qkv, j * H, (j + 1) * H) for j in range(3))
-        scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_k))
-        heads = ad.matmul(ad.softmax_rows(scores), v)  # (H, N, d_k)
+        heads = ad.attention(q, k, v, 1.0 / math.sqrt(d_k))  # (H, N, d_k)
         concat = ad.reshape(ad.transpose(heads, (1, 0, 2)), (n, H * d_k))
         mh = ad.matmul(concat, self.params[f"tf{l}.wo"])
         h = ad.layer_norm(ad.add(h, mh), self.params[f"tf{l}.ln1.g"], self.params[f"tf{l}.ln1.b"])

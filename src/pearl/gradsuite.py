@@ -39,6 +39,7 @@ CASES = {
     "matmul_stacked": ([(2, 3, 4), (2, 4, 5)], ad.matmul),
     "gelu": ([(3, 4)], ad.gelu),
     "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
+    "attention": ([(2, 3, 4)] * 3, lambda q, k, v: ad.attention(q, k, v, 0.5)),
     "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
     "add": ([(3, 4), (4,)], ad.add),
     "mul": ([(3, 4), (3, 4)], ad.mul),

@@ -6,7 +6,10 @@ hook keeps the lines visible even though pytest captures test stdout at the
 file-descriptor level.
 """
 
+import gc
 import json
+
+import pytest
 
 acceptance_lines = []
 golden_lines = []
@@ -38,6 +41,29 @@ def tamper_manifest(path, kind):
     else:
         del manifest["params"]
     path.write_text(json.dumps(manifest))
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic garbage collector off for the test, so only reference
+    counting frees what it builds."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+def graph_nodes(loss):
+    """The number of nodes `autodiff.backward(loss)` visits: the requires_grad
+    ancestors of `loss`, itself included."""
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t.requires_grad and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
 
 
 def significant_digits(cell):

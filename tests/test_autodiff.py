@@ -1,4 +1,3 @@
-import gc
 import inspect
 import weakref
 
@@ -80,6 +79,35 @@ class TestStacked:
             return ad.sum_all(ad.mul(ad.reshape(heads, (2, 4, 2)), w))
 
         assert ad.gradcheck(fn, [x]) < gradsuite.REL_TOL
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_composed_chain_bit_for_bit(self, dtype):
+        # q, k, v strided like the transformer's: slices of one permuted (3H, N, d_k) array
+        rng = np.random.default_rng(14)
+        qkv = rng.normal(size=(5, 6, 3)).astype(dtype).transpose(1, 0, 2)
+        w = Tensor(rng.normal(size=(2, 5, 3)).astype(dtype))
+        scale = 3.0**-0.5
+
+        def run(op):
+            q, k, v = (Tensor(qkv[2 * j : 2 * j + 2], requires_grad=True) for j in range(3))
+            out = op(q, k, v)
+            ad.backward(ad.sum_all(ad.mul(out, w)))
+            return [out.values, q.grad, k.grad, v.grad]
+
+        fused = run(lambda q, k, v: ad.attention(q, k, v, scale))
+        chain = run(lambda q, k, v: ad.matmul(
+            ad.softmax_rows(ad.mul_scalar(ad.matmul(q, ad.transpose(k)), scale)), v))
+        assert [a.dtype for a in fused] == [dtype] * 4
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+
+    def test_shape_mismatch(self):
+        q = t64(np.ones((2, 3, 4)))
+        with pytest.raises(PearlError):
+            ad.attention(q, t64(np.ones((2, 3, 5))), q, 0.5)
+        with pytest.raises(PearlError):
+            ad.attention(q, q, t64(np.ones((2, 2, 4))), 0.5)
 
 
 class TestNoGrad:
@@ -237,22 +265,16 @@ class TestBackward:
 
         assert ad.gradcheck(fn, [a, b]) < gradsuite.REL_TOL
 
-    def test_graph_freed_on_return_without_gc(self):
+    def test_graph_freed_on_return_without_gc(self, no_gc):
         w = t64(np.ones((4, 3)))
         x = t64(np.arange(12.0).reshape(3, 4), grad=False)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            hidden = ad.gelu(ad.matmul(x, w))
-            node = weakref.ref(hidden)
-            loss = ad.sum_all(hidden)
-            del hidden
-            ad.backward(loss)
-            del loss
-            assert node() is None
-        finally:
-            if was_enabled:
-                gc.enable()
+        hidden = ad.gelu(ad.matmul(x, w))
+        node = weakref.ref(hidden)
+        loss = ad.sum_all(hidden)
+        del hidden
+        ad.backward(loss)
+        del loss
+        assert node() is None
         assert w.grad.shape == (4, 3)
 
     def test_deep_chain_no_recursion_limit(self):

@@ -1340,6 +1340,13 @@ class TestConfigSurface:
         assert type(cfg["train"].lr) is float and cfg["train"].lr == 1.0
         assert type(cfg["ssgsea"].weight_exponent) is float
 
+    def test_int_with_no_float_refused(self, tmp_path, capsys):
+        # JSON integers have no size limit; 10**400 overflows a float
+        err = _config_error(tmp_path, capsys, {"train": {"lr": 10**400}})
+        assert err == {"error": "config",
+                       "message": f"train.lr must be of type float, got {10**400}"}
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsage:
     @pytest.mark.parametrize(

@@ -855,10 +855,11 @@ class TestCheckpoint:
             _set_normalizer([0.0, 0.0], [float("inf"), 1.0]),
             _set_normalizer([float("-inf"), 0.0], [1.0, 1.0]),
             _set_normalizer([0.0], [1.0]),
+            _set_normalizer([10**400, 0], [1.0, 1.0]),
         ],
         ids=["zero_embed_dim", "tau_out_of_range", "bad_normalizer", "negative_shape",
              "hyperparams_not_object", "zero_sigma", "negative_sigma", "nan_sigma",
-             "infinite_sigma", "infinite_mu", "one_axis"],
+             "infinite_sigma", "infinite_mu", "one_axis", "mu_int_with_no_float"],
     )
     def test_invalid_manifest_field_rejected(self, tmp_path, edit):
         import json

@@ -26,7 +26,7 @@ from pearl.survival import (
 )
 from pearl.synthgen import gen_survival_cohort
 
-from conftest import MANIFEST_TAMPERS, tamper_manifest
+from conftest import MANIFEST_TAMPERS, graph_nodes, tamper_manifest
 
 
 def brute_force_cox(risks, times, events):
@@ -281,14 +281,9 @@ class TestCoxHead:
             rng = np.random.default_rng(n_subjects)
             bags = [rng.normal(size=(m, 4)) for m in rng.integers(1, 9, size=n_subjects)]
             risks = CoxHead(embed_dim=4, attn_hidden=3).subject_risks(*cohort_array(bags))
-            loss = cox_loss(risks, np.arange(n_subjects, dtype=float), np.ones(n_subjects, bool))
-            seen, stack = set(), [loss]  # the nodes backward() visits
-            while stack:
-                t = stack.pop()
-                if t.requires_grad and id(t) not in seen:
-                    seen.add(id(t))
-                    stack.extend(t._parents)
-            return len(seen)
+            return graph_nodes(
+                cox_loss(risks, np.arange(n_subjects, dtype=float), np.ones(n_subjects, bool))
+            )
 
         assert n_nodes(3) == n_nodes(30) == 11  # 7 ops and 4 parameters
 

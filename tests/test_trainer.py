@@ -1,3 +1,7 @@
+import tracemalloc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,8 @@ from pearl.trainer import (
     train_stage1,
     train_stage2,
 )
+
+from conftest import graph_nodes
 
 
 def brute_force_contrastive(h_img, h_path, inv_tau):
@@ -194,8 +200,62 @@ class TestFit:
         assert len(history["train_loss"]) == 4
         assert history["train_loss"] == sorted(history["train_loss"], reverse=True)
 
+    def test_previous_step_graph_freed_before_the_next_is_built(self, no_gc):
+        # each batch_loss call finds the loss it returned last time dead
+        w, loss = self._quadratic()
+        previous, alive = [], []
+
+        def batch_loss(batch):
+            alive.extend(r() is not None for r in previous[-1:])
+            out = loss(batch)
+            previous.append(weakref.ref(out))
+            return out
+
+        fit([("w", w)], TrainConfig(max_epochs=2, patience=1, lr=1e-1), lambda: [0, 1, 2],
+            batch_loss)
+        assert alive == [False] * 5
+
 
 class TestStage1:
+    def test_one_attention_node_per_layer(self, no_gc):
+        ds = tiny_dataset()
+
+        def n_nodes(n_layers):
+            model = PearlModel(replace(tiny_model().config, n_layers=n_layers))
+            model.normalizer = CoordNormalizer.fit(ds.coords)
+            return graph_nodes(_stage1_batch_loss(model, ds, np.arange(6)))
+
+        # a layer is 19 ops and 10 parameters: attention is one node, not the
+        # five (transpose, matmul, mul_scalar, softmax_rows, matmul) it replaces
+        assert [n_nodes(1), n_nodes(2) - n_nodes(1)] == [70, 29]
+
+    def test_peak_memory_at_benchmark_shape(self):
+        # 400 spots on 2 slides (a 256-spot batch, a 104-spot one, 40 for
+        # validation), 20 pathways, d_img 64 and the default ModelConfig: the
+        # sizes of perfbench's train-infer; 2 epochs, the fewest a TrainConfig
+        # allows, peak as high as one.  Measured 37.0 MiB with three (H, N, N)
+        # score arrays per layer in the graph and the previous step's graph
+        # alive while the next was built, 28.0 MiB with neither.
+        rng = np.random.default_rng(0)
+        n = 400
+        ds = SpotDataset(
+            spot_ids=[f"s{i}" for i in range(n)],
+            slide_ids=[f"sl{i % 2}" for i in range(n)],
+            scores=rng.normal(size=(n, 20)),
+            coords=rng.uniform(0, 100, size=(n, 2)),
+            features=rng.normal(size=(n, 64)),
+            y_gene=rng.normal(size=(n, 100)),
+        )
+        model = PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_stage1(ds, model, TrainConfig(max_epochs=2, patience=1))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_loss_decreases_and_best_restored(self):
         ds = tiny_dataset(n=24, seed=1)
         cfg = TrainConfig(batch_size=4, max_epochs=8, patience=3, lr=1e-2, seed=0)
