@@ -11,8 +11,11 @@ floats, which NumPy does not let promote.  `matmul`, `transpose`,
 `softmax_rows`, `reshape` and `slice_rows` also take stacked (..., n, m)
 arrays.  `attention` runs all heads at once as one node, bit-identical to
 its five-kernel chain, that keeps one (..., n, m) array in the graph, the
-probabilities, where the chain keeps three.  Inside `no_grad()` kernels
-record no parents and no backward closure, so inference builds no tape.
+probabilities, where the chain keeps three.  `affine` is a linear layer,
+`add(matmul(x, w), b)`, as one node, bit-identical to the pair, that keeps
+x and w where the pair also keeps the product x @ w.  Inside `no_grad()`
+kernels record no parents and no backward closure, so inference builds no
+tape.
 """
 
 from __future__ import annotations
@@ -131,8 +134,8 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b):
-    """(..., n, k) @ (..., k, m); stacked operands must have equal leading dims."""
+def _check_matmul(name, a, b):
+    """Refuse operands that kernel `name` cannot multiply as a @ b."""
     av, bv = a.values, b.values
     if (
         av.ndim < 2
@@ -140,18 +143,47 @@ def matmul(a, b):
         or av.shape[:-2] != bv.shape[:-2]
         or av.shape[-1] != bv.shape[-2]
     ):
-        raise PearlError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+        raise PearlError(f"{name} shape mismatch: {a.shape} x {b.shape}")
 
-    # an operand that needs no gradient gets None, not a product nobody reads
+
+def _matmul_bw(g, av, bv, need_a, need_b):
+    """The gradients at av and bv of av @ bv given `g` at the product; an
+    operand that needs no gradient gets None, not a product nobody reads."""
+    return (
+        g @ np.swapaxes(bv, -1, -2) if need_a else None,
+        np.swapaxes(av, -1, -2) @ g if need_b else None,
+    )
+
+
+def matmul(a, b):
+    """(..., n, k) @ (..., k, m); stacked operands must have equal leading dims."""
+    _check_matmul("matmul", a, b)
+    av, bv = a.values, b.values
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (
-            g @ np.swapaxes(bv, -1, -2) if need_a else None,
-            np.swapaxes(av, -1, -2) @ g if need_b else None,
-        )
+        return _matmul_bw(g, av, bv, need_a, need_b)
 
     return _node(av @ bv, (a, b), bw)
+
+
+def affine(x, w, b):
+    """add(matmul(x, w), b) as one node, for x (..., n, k), w (..., k, m) and
+    a (m,) bias of their dtype: values and gradients are those of the two
+    nodes, bit for bit, but the graph keeps x and w, not the product x @ w."""
+    _check_matmul("affine", x, w)
+    if b.shape != (w.shape[-1],):
+        raise PearlError(f"affine bias shape {b.shape}, expected ({w.shape[-1]},)")
+    xv, wv, bv = x.values, w.values, b.values
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    out = xv @ wv
+    out += bv
+
+    def bw(g):
+        gb = _unbroadcast(g, bv.shape) if need_b else None
+        return (*_matmul_bw(g, xv, wv, need_x, need_w), gb)
+
+    return _node(out, (x, w, b), bw)
 
 
 def transpose(a, axes=None):
@@ -218,8 +250,10 @@ def exp(a):
 def tanh(a):
     out = np.tanh(a.values)
 
-    def bw(g):
-        return (g * (1.0 - out * out),)
+    def bw(g):  # g * (1.0 - out * out), in one temporary
+        t = out * out
+        np.subtract(1.0, t, out=t)
+        return (np.multiply(g, t, out=t),)
 
     return _node(out, (a,), bw)
 

@@ -145,14 +145,24 @@ def cmd_synth(args, cfg):
 
 
 def _read_slide_embeddings(path):
-    """({slide id: its row indices}, float64 (rows, dim) embeddings), slides
-    and rows in file order; values float32 cannot hold are refused."""
-    spot_ids, slide_ids, values = data_io.read_embeddings(path)
-    data_io.check_float32(path, spot_ids, values)
-    rows = {}
-    for i, slide in enumerate(slide_ids):
-        rows.setdefault(slide, []).append(i)
-    return rows, values
+    """({slide id: its row indices}, float32 (rows, dim) embeddings), slides
+    and rows in file order.  Each block of lines is checked by
+    `check_float32` and cast on its own, so no float64 array of the whole
+    table is made; the first block holding a value float32 cannot hold is
+    refused.  The float32 blocks are joined a MiB at a time: piled up whole,
+    the small arrays grow the heap, whose pages the process keeps once they
+    are freed (1 MB of survival-train's peak RSS)."""
+    rows, n, joined, blocks = {}, 0, [], []
+    for spot_ids, slide_ids, values in data_io.embedding_blocks(path):
+        data_io.check_float32(path, spot_ids, values)
+        for i, slide in enumerate(slide_ids, start=n):
+            rows.setdefault(slide, []).append(i)
+        n += len(values)
+        blocks.append(values.astype(np.float32))
+        if sum(b.nbytes for b in blocks) >= 1 << 20:
+            joined.append(np.concatenate(blocks))
+            blocks = []
+    return rows, np.concatenate(joined + blocks)
 
 
 def cmd_preprocess(args, cfg):
@@ -267,9 +277,11 @@ def cmd_evaluate(args, cfg):
 def _load_cohort(args):
     """(E, sizes, times, events): every subject's spot embeddings in one
     float32 (N, dim) array, subjects in survival-table order, each subject's
-    slides in the order it lists them, and sizes[i] rows for subject i.
-    Every slide a subject lists must have embeddings, and a cohort the Cox
-    loss cannot score (under 2 subjects, or no event) is refused."""
+    slides in the order it lists them, and sizes[i] rows for subject i.  E is
+    the file's table itself when its rows are in that order already, and a
+    gathered copy otherwise.  Every slide a subject lists must have
+    embeddings, and a cohort the Cox loss cannot score (under 2 subjects, or
+    no event) is refused."""
     table = data_io.read_survival(args.survival)
     if len(table.rows) < 2:
         raise DataFormatError("the Cox loss needs at least 2 subjects", path=args.survival)
@@ -286,11 +298,10 @@ def _load_cohort(args):
                 )
             idx += rows[s]
         sizes.append(len(idx) - start)
-    E = values.astype(np.float32)  # the Cox head's dtype; cast before the gather
-    del values  # so the float64 table is gone before the gather copies
     times = np.array([r.time for r in table.rows])
     events = np.array([r.event for r in table.rows])
-    return E[idx], np.array(sizes), times, events
+    E = values if idx == list(range(len(values))) else values[idx]
+    return E, np.array(sizes), times, events
 
 
 def cmd_survival_train(args, cfg):

@@ -18,11 +18,14 @@ Writing a non-finite value is a DataFormatError naming the file.
 
 Text tables are read through `_rows`, so a malformed file raises
 DataFormatError naming its physical line, a repeated key (first field) of a
-keyed table included.  Expression files are parsed in blocks of lines
-instead, and one in which the block parse finds anything off is re-read
-through `_rows`, so its error is the same.  The text readers are
-wrapped in `_names_file`, so the error names the file too.  Parsed structures
-are immutable by convention and safe to share read-only.
+keyed table included.  Expression files and float tables are parsed in
+blocks of lines instead: an expression file in which the block parse finds
+anything off is re-read through `_rows`, and a block of a float table that
+`np.loadtxt` cannot parse as the line reader would goes through the line
+reader's per-line checks, so the error is the same.  The text readers are
+wrapped in `_names_file` (`embedding_blocks`, a generator, in `_naming`),
+so the error names the file too.  Parsed structures are immutable by
+convention and safe to share read-only.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,18 +209,25 @@ def _float_spec(values, path):
     return "%.9g" if values.dtype == np.float32 else "%.17g"
 
 
+@contextmanager
+def _naming(path):
+    """Make a DataFormatError raised in the block, or bytes that are not
+    UTF-8, a DataFormatError naming `path`."""
+    try:
+        yield
+    except DataFormatError as exc:
+        raise DataFormatError(exc.detail, exc.line, path) from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from None
+
+
 def _names_file(reader):
-    """Make a DataFormatError raised by `reader(path, ...)`, or bytes that are
-    not UTF-8, a DataFormatError naming the path."""
+    """`reader(path, ...)` with its errors named by `_naming(path)`."""
 
     @functools.wraps(reader)
     def read(path, *args, **kwargs):
-        try:
+        with _naming(path):
             return reader(path, *args, **kwargs)
-        except DataFormatError as exc:
-            raise DataFormatError(exc.detail, exc.line, path) from None
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from None
 
     return read
 
@@ -298,35 +309,47 @@ def read_gmt(path):
 
 
 def _rows(path, sep, head, exact=False, keyed=False):
-    """Yield (physical line number, fields) for each non-blank line of a table.
-
-    The first is the header; it must start with the fields `head` (equal them
-    if `exact`), and every later line must be as wide.  If `keyed`, a line
-    whose first field is an earlier line's is an error naming the header's
-    first field.  An empty file is an error on line 1.
-    """
-    header, keys = None, set()
+    """Yield (physical line number, fields) for each non-blank line of a table:
+    the `_header` line, then each later line's `_fields`, keyed if `keyed`."""
     with open(path, "r", encoding="utf-8") as fh:
-        for n, ln in enumerate(fh, start=1):
-            if ln.isspace():
-                continue
-            fields = ln.rstrip("\n").split(sep)
-            if header is None:
-                header = fields
-                if header[: len(head)] != list(head) or (exact and len(header) != len(head)):
-                    what = "header" if exact else "header starting"
-                    raise DataFormatError(f"expected {what} {sep.join(head)!r}", line=n)
-            elif len(fields) != len(header):
-                raise DataFormatError(
-                    f"expected {len(header)} fields, got {len(fields)}", line=n
-                )
-            elif keyed:
-                if fields[0] in keys:
-                    raise DataFormatError(f"duplicate {header[0]} {fields[0]!r}", line=n)
-                keys.add(fields[0])
-            yield n, fields
-    if header is None:
-        raise DataFormatError("empty file", line=1)
+        lines = enumerate(fh, start=1)
+        n, header = _header(lines, sep, head, exact)
+        yield n, header
+        keys = set() if keyed else None
+        for n, ln in lines:
+            if (fields := _fields(n, ln, sep, header, keys)) is not None:
+                yield n, fields
+
+
+def _header(lines, sep, head, exact=False):
+    """(line number, fields) of the first non-blank of `lines`, (number, text)
+    pairs: the header, which must start with the fields `head` (equal them if
+    `exact`).  No such line is an "empty file" error on line 1."""
+    for n, ln in lines:
+        if not ln.isspace():
+            header = ln.rstrip("\n").split(sep)
+            if header[: len(head)] != list(head) or (exact and len(header) != len(head)):
+                what = "header" if exact else "header starting"
+                raise DataFormatError(f"expected {what} {sep.join(head)!r}", line=n)
+            return n, header
+    raise DataFormatError("empty file", line=1)
+
+
+def _fields(n, ln, sep, header, keys=None):
+    """The fields of line `n`, `ln`, of a table under `header`, or None if it
+    is blank.  It must be as wide as the header.  If `keys` is a set, a first
+    field already in it is an error naming the header's first field; it is
+    added otherwise."""
+    if ln.isspace():
+        return None
+    fields = ln.rstrip("\n").split(sep)
+    if len(fields) != len(header):
+        raise DataFormatError(f"expected {len(header)} fields, got {len(fields)}", line=n)
+    if keys is not None:
+        if fields[0] in keys:
+            raise DataFormatError(f"duplicate {header[0]} {fields[0]!r}", line=n)
+        keys.add(fields[0])
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +357,10 @@ def _rows(path, sep, head, exact=False, keyed=False):
 # ---------------------------------------------------------------------------
 
 
-# lines per block of the bulk triplet reader (a `readlines` hint) and cells per
-# `%` call of the triplet writer: big enough that per-block overhead is small,
-# small enough that a block's Python strings do not raise the peak RSS
+# characters per block of lines of the bulk triplet and float-table readers (a
+# `readlines` hint) and cells per `%` call of the triplet writer: big enough
+# that per-block overhead is small, small enough that a block's Python strings
+# do not raise the peak RSS
 _BLOCK_BYTES = 1 << 17
 _WRITE_CELLS = 4096
 
@@ -568,36 +592,102 @@ def write_survival(table, path):
 # ---------------------------------------------------------------------------
 
 
-def _read_float_table(path, id_names):
-    """(one list per id column, float column names, float64 values) of a TSV.
+# characters numpy's float parser skips around a number and `float()` does not
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
-    numpy parses a row per call, rounding as float() does.  An empty table, a
-    header with no value column or a repeated value-column name, a cell that
-    is not a finite number or a repeated first id is an error.
+
+def _float_blocks(path, id_names):
+    """Yield a float table's value-column names, then (one list per id column,
+    float64 values) for each block of `_BLOCK_BYTES` of its lines.
+
+    A block is parsed by `_in_bulk`, or if that refuses it, by `_float_rows`,
+    the reference.  An empty table, a header with no value column or a
+    repeated value-column name, a cell that is not a finite number or a
+    repeated first id is an error.  Bytes that are not UTF-8 are refused when
+    their block is read, before any other fault of that block.
     """
-    rows = _rows(path, "\t", id_names, keyed=True)
-    header_line, header = next(rows)
     k = len(id_names)
-    names = header[k:]
-    if not names:
-        raise DataFormatError("no value column after the id columns", line=header_line)
-    if (repeated := _repeated(names)) is not None:
-        raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
-    ids = [[] for _ in id_names]
-    values = []
-    for lineno, fields in rows:
+    with open(path, "r", encoding="utf-8") as fh:
+        header_line, header = _header(enumerate(fh, start=1), "\t", id_names)
+        names = header[k:]
+        if not names:
+            raise DataFormatError("no value column after the id columns", line=header_line)
+        if (repeated := _repeated(names)) is not None:
+            raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
+        yield names
+        keys, first, n_rows = set(), header_line + 1, 0
+        while block := fh.readlines(_BLOCK_BYTES):
+            ids, values = _in_bulk(block, k, len(names), keys) or _float_rows(
+                block, first, header, k, keys
+            )
+            first += len(block)
+            n_rows += len(values)
+            yield ids, values
+    if not n_rows:
+        raise DataFormatError("no rows after the header", line=header_line)
+
+
+def _in_bulk(block, k, width, keys):
+    """What `_float_rows` gives for `block`, lines with `k` id columns and
+    `width` values, from one `np.loadtxt` call; or None if the block holds a
+    line with no values, a cell `np.loadtxt` refuses or reads where `float()`
+    would not, a row that is not `width` wide, a non-finite value or a first
+    id seen before.  `keys`, the first ids seen, gains the block's."""
+    parts = [ln.split("\t", k) for ln in block]
+    if any(len(p) <= k or p[k].isspace() or not p[k] for p in parts) or any(
+        c in ln for ln in block for c in _LOADTXT_ONLY_SPACE
+    ):
+        return None
+    try:
+        values = np.loadtxt(
+            [p[k] for p in parts], dtype=np.float64, delimiter="\t", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    firsts = {p[0] for p in parts}
+    if (
+        values.shape != (len(block), width)
+        or not np.isfinite(values).all()
+        or len(firsts) != len(block)
+        or not keys.isdisjoint(firsts)
+    ):
+        return None
+    keys |= firsts
+    return [list(column) for column in zip(*(p[:k] for p in parts))], values
+
+
+def _float_rows(block, first, header, k, keys):
+    """(one list per id column, float64 values) of `block`, the lines of a
+    float table under `header` from physical line `first` on, with `k` id
+    columns, parsed one row at a time: numpy reads each cell as float() does.
+    `keys`, the first ids seen, gains the block's."""
+    ids, values = [[] for _ in range(k)], []
+    for n, ln in enumerate(block, start=first):
+        if (fields := _fields(n, ln, "\t", header, keys)) is None:
+            continue
         try:
             row = np.array(fields[k:], dtype=np.float64)
         except ValueError as exc:
-            raise DataFormatError(str(exc), line=lineno) from None
+            raise DataFormatError(str(exc), line=n) from None
         if not np.isfinite(row).all():
-            raise DataFormatError("non-finite value", line=lineno)
+            raise DataFormatError("non-finite value", line=n)
         for column, v in zip(ids, fields):
             column.append(v)
         values.append(row)
-    if not values:
-        raise DataFormatError("no rows after the header", line=header_line)
-    return ids, names, np.array(values)
+    return ids, np.array(values).reshape(-1, len(header) - k)
+
+
+def _read_float_table(path, id_names):
+    """(one list per id column, float column names, float64 values) of a TSV,
+    read by `_float_blocks`."""
+    blocks = _float_blocks(path, id_names)
+    names = next(blocks)
+    ids, values = [[] for _ in id_names], []
+    for block_ids, block_values in blocks:
+        for column, block_column in zip(ids, block_ids):
+            column += block_column
+        values.append(block_values)
+    return ids, names, np.concatenate(values)
 
 
 def _write_float_table(path, header, ids, values):
@@ -651,6 +741,17 @@ def read_embeddings(path):
     """(spot ids, slide ids, float64 (spots, dim) embeddings) of an embedding TSV."""
     (spot_ids, slide_ids), _, values = _read_float_table(path, ("spot_id", "slide_id"))
     return spot_ids, slide_ids, values
+
+
+def embedding_blocks(path):
+    """Yield (spot ids, slide ids, float64 values) for each block of lines of
+    an embedding TSV, in file order: `read_embeddings` a block at a time,
+    its errors naming the file while the blocks are consumed."""
+    with _naming(path):
+        blocks = _float_blocks(path, ("spot_id", "slide_id"))
+        next(blocks)
+        for (spot_ids, slide_ids), values in blocks:
+            yield spot_ids, slide_ids, values
 
 
 def write_embeddings(spot_ids, slide_ids, values, path):

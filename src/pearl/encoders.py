@@ -162,8 +162,9 @@ class PearlModel:
     # -- forward passes -----------------------------------------------------
 
     def _mlp(self, x, prefix):
-        h = ad.gelu(ad.add(ad.matmul(x, self.params[f"{prefix}.w1"]), self.params[f"{prefix}.b1"]))
-        return ad.add(ad.matmul(h, self.params[f"{prefix}.w2"]), self.params[f"{prefix}.b2"])
+        p = self.params
+        h = ad.gelu(ad.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return ad.affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     def encode_pathways(self, scores, coords_norm):
         """scores: (N, P) NES matrix; coords_norm: (N, 2) normalized coords."""

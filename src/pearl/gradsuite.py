@@ -37,6 +37,7 @@ def _contrastive(hi, hp, log_tau):  # the model's inverse temperature exp(-log_t
 CASES = {
     "matmul": ([(3, 4), (4, 2)], ad.matmul),
     "matmul_stacked": ([(2, 3, 4), (2, 4, 5)], ad.matmul),
+    "affine": ([(3, 4), (4, 2), (2,)], ad.affine),
     "gelu": ([(3, 4)], ad.gelu),
     "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
     "attention": ([(2, 3, 4)] * 3, lambda q, k, v: ad.attention(q, k, v, 0.5)),

@@ -56,7 +56,7 @@ class CoxHead:
             raise PearlError(f"pool needs an (N, {self.embed_dim}) array, got shape {E.shape}")
         if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(E):
             raise PearlError(f"pool needs one or more bag sizes >= 1 that sum to N = {len(E)}")
-        h = ad.tanh(ad.add(ad.matmul(Tensor(E), self.params["attn.w1"]), self.params["attn.b1"]))
+        h = ad.tanh(ad.affine(Tensor(E), self.params["attn.w1"], self.params["attn.b1"]))
         return _segment_pool(ad.matmul(h, self.params["attn.w2"]), E, sizes)
 
     def subject_risks(self, E, sizes):

@@ -8,6 +8,7 @@ file-descriptor level.
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,17 @@ def graph_nodes(loss):
             seen.add(id(t))
             stack.extend(t._parents)
     return len(seen)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes `tracemalloc` traces while it runs)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def significant_digits(cell):

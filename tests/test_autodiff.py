@@ -110,6 +110,55 @@ class TestAttention:
             ad.attention(q, q, t64(np.ones((2, 2, 4))), 0.5)
 
 
+class TestAffine:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_matmul_then_add_bit_for_bit(self, dtype):
+        # x strided like an activation sliced from a wider array
+        rng = np.random.default_rng(15)
+        xv = rng.normal(size=(7, 10)).astype(dtype)[:, ::2]
+        wv, bv = rng.normal(size=(5, 3)).astype(dtype), rng.normal(size=3).astype(dtype)
+        proj = Tensor(rng.normal(size=(7, 3)).astype(dtype))
+
+        def run(op):
+            x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+            out = op(x, w, b)
+            ad.backward(ad.sum_all(ad.mul(out, proj)))
+            return [out.values, x.grad, w.grad, b.grad]
+
+        fused = run(ad.affine)
+        chain = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        assert [a.dtype for a in fused] == [dtype] * 4
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+
+    def test_constant_operands_get_no_gradient(self):
+        x = t64(np.ones((2, 3)), grad=False)
+        out = ad.affine(x, t64(np.ones((3, 4))), t64(np.zeros(4), grad=False))
+        gx, gw, gb = out._backward(np.ones((2, 4)))
+        assert gx is None and gb is None and gw.shape == (3, 4)
+
+    def test_shape_mismatch(self):
+        x, w = t64(np.ones((2, 3))), t64(np.ones((3, 4)))
+        with pytest.raises(PearlError):
+            ad.affine(x, t64(np.ones((2, 4))), t64(np.zeros(4)))
+        with pytest.raises(PearlError):
+            ad.affine(x, w, t64(np.zeros(3)))
+        with pytest.raises(PearlError):
+            ad.affine(x, w, t64(np.zeros((1, 4))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tanh_backward_equals_the_formula_bit_for_bit(dtype):
+    # the in-place backward against g * (1.0 - out * out), over saturated and
+    # near-zero inputs too
+    rng = np.random.default_rng(16)
+    x = (rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-8, 3, size=(40, 9))).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    out = ad.tanh(Tensor(x, requires_grad=True))
+    (grad,) = out._backward(g)
+    assert grad.dtype == dtype
+    assert grad.tobytes() == (g * (1.0 - out.values * out.values)).tobytes()
+
+
 class TestNoGrad:
     def test_records_no_graph(self):
         a, b = t64(np.ones((2, 3))), t64(np.ones((3, 2)))

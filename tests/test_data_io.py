@@ -366,6 +366,155 @@ class TestBulkTriplets:
         assert data_io.parse_expression(tmp_path / "m.tsv").matrix.shape == (0, 0)
 
 
+def _float_table_corpus(n_files):
+    """Seeded float tables (k, bytes): k id columns (1, a feature table, or
+    2, an embedding table) and the file, with what a hand-made file holds:
+    cells that only `float()` reads, or that no reader takes, blank lines,
+    first ids repeated, rows too short or too long, CRLF endings, a missing
+    final newline, bytes that are not UTF-8, and header-only and empty files."""
+    rng = np.random.default_rng(20261020)
+    odd = ["1_0", "١", "1.5\r", "nan", "inf", "1e400", "1#2", "0x1p3", "", "1\x1c", "\x1f2"]
+    blank = ["", "  ", "\t\t", "　"]
+    for _ in range(n_files):
+        k, width, n = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(0, 30))
+        if rng.uniform() < 0.03:
+            yield k, b""
+            continue
+        header = ["spot_id", "slide_id"][:k] + [f"e{j}" for j in range(width)]
+        values = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-30, 30, size=(n, width))
+        lines = []
+        for i, row in enumerate(values.tolist()):
+            spot = f"s{rng.integers(0, i)}" if i and rng.uniform() < 0.01 else f"s{i}"
+            cells = [repr(v) if rng.uniform() < 0.5 else f"{v:.9g}" for v in row]
+            if rng.uniform() < 0.05:
+                cells[rng.integers(0, width)] = str(rng.choice(odd))
+            if rng.uniform() < 0.01:
+                cells = cells[:-1] if rng.uniform() < 0.5 else cells + ["1"]
+            lines.append("\t".join([spot, f"sl{i // 4}"][:k] + cells))
+            if rng.uniform() < 0.01:
+                lines.append(str(rng.choice(blank)))
+        eol = str(rng.choice(["\n", "\r\n"]))
+        text = eol.join(["\t".join(header), *lines]) + eol * (rng.uniform() < 0.8)
+        data = text.encode("utf-8")
+        if len(data) > 40 and rng.uniform() < 0.05:
+            at = int(rng.integers(len(data) // 2, len(data)))
+            data = data[:at] + b"\xff" + data[at + 1 :]
+        yield k, data
+
+
+def _blocks_outcome(path):
+    """The blocks `embedding_blocks(path)` yields, or the error raised while
+    they are consumed."""
+    return _outcome(
+        lambda p: [(s, sl, v.tobytes(), v.shape) for s, sl, v in data_io.embedding_blocks(p)],
+        path,
+    )
+
+
+def _float32_outcome(path):
+    """What survival-train reads from the embedding table `path`."""
+    from pearl import cli
+
+    return _outcome(lambda p: (lambda rows, E: (rows, E.tobytes(), E.shape))(
+        *cli._read_slide_embeddings(p)), path)
+
+
+def _reference_float32(path):
+    """`_float32_outcome` as the whole-table reader gives it: the float64
+    table read, checked by `check_float32`, then cast."""
+
+    def read(p):
+        spot_ids, slide_ids, values = data_io.read_embeddings(p)
+        data_io.check_float32(p, spot_ids, values)
+        rows = {}
+        for i, slide in enumerate(slide_ids):
+            rows.setdefault(slide, []).append(i)
+        E = values.astype(np.float32)
+        return rows, E.tobytes(), E.shape
+
+    return _outcome(read, path)
+
+
+class TestBulkFloatTables:
+    """Blocks parsed by `np.loadtxt` give what the per-row reader gives, or go to it."""
+
+    @pytest.mark.filterwarnings("error")  # e.g. np.loadtxt's on a block with no data
+    @pytest.mark.parametrize("block_bytes", [1, 40, 200, 1 << 17])
+    def test_matches_the_row_reader(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", block_bytes)
+        bulk = data_io._in_bulk
+        taken, refused = [0], [0]
+
+        def counted(*args):
+            out = bulk(*args)
+            (taken if out is not None else refused)[0] += 1
+            return out
+
+        monkeypatch.setattr(data_io, "_in_bulk", counted)
+
+        def read(k, p):
+            if k == 1:
+                return _outcome(lambda q: (lambda fm: (fm.spot_ids, fm.features.tobytes(),
+                                                       fm.features.shape))(
+                    data_io.read_features(q)), p)
+            table = _outcome(lambda q: (lambda s, sl, v: (s, sl, v.tobytes(), v.shape))(
+                *data_io.read_embeddings(q)), p)
+            return table, _blocks_outcome(p), _float32_outcome(p)
+
+        errors = 0
+        for n, (k, text) in enumerate(_float_table_corpus(400)):
+            p = tmp_path / f"{n}.tsv"
+            p.write_bytes(text)
+            got = read(k, p)
+            with monkeypatch.context() as m:
+                m.setattr(data_io, "_in_bulk", lambda *args: None)
+                want = read(k, p)
+                if k == 2:
+                    assert got[2] == _reference_float32(p), text
+            assert got == want, text
+            for outcome in got if k == 2 else [got]:
+                if isinstance(outcome[0], str):  # an error, raised while consuming blocks too
+                    errors += 1
+                    assert outcome[3] == p and outcome[0].startswith(f"{p}: "), text
+        # the corpus reaches both parsers, and both outcomes
+        assert taken[0] > 200 and refused[0] > 50
+        assert 100 < errors < 700
+
+    def test_repeated_id_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", 64)
+        p = tmp_path / "e.tsv"
+        p.write_text("spot_id\tslide_id\te0\n" + "".join(f"s{i}\tsl\t{i}\n" for i in range(40))
+                     + "s3\tsl\t5\n")
+        with pytest.raises(DataFormatError) as info:
+            list(data_io.embedding_blocks(p))
+        assert str(info.value) == f"{p}: line 42: duplicate spot_id 's3'"
+
+    def test_value_beyond_float32_in_a_later_block(self, tmp_path, monkeypatch):
+        # the float32 path checks each block as it is read, with check_float32's message
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", 64)
+        p = tmp_path / "e.tsv"
+        values = np.arange(80.0).reshape(40, 2)
+        values[30, 1] = 1e39
+        data_io.write_embeddings([f"s{i}" for i in range(40)], ["sl"] * 40, values, p)
+        assert len(list(data_io.embedding_blocks(p))) > 5
+        assert _float32_outcome(p) == _reference_float32(p) == (
+            f"{p}: spot 's30': value 1e+39 is beyond float32's range",
+            "spot 's30': value 1e+39 is beyond float32's range", None, p,
+        )
+
+    def test_well_formed_tables_are_not_read_by_row(self, tmp_path, monkeypatch):
+        def refuse(block, *args):
+            raise AssertionError(f"a block of {len(block)} lines was read by row")
+
+        monkeypatch.setattr(data_io, "_float_rows", refuse)
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", 1 << 12)
+        values = np.random.default_rng(4).normal(size=(300, 16))
+        p = tmp_path / "e.tsv"
+        data_io.write_embeddings([f"s{i}" for i in range(300)], ["sl"] * 300, values, p)
+        assert p.stat().st_size > 10 * data_io._BLOCK_BYTES
+        assert data_io.read_embeddings(p)[2].tobytes() == values.tobytes()
+
+
 class TestCoordsSurvivalFeatures:
     def test_coords_roundtrip(self, tmp_path):
         geoms = [

@@ -285,7 +285,7 @@ class TestCoxHead:
                 cox_loss(risks, np.arange(n_subjects, dtype=float), np.ones(n_subjects, bool))
             )
 
-        assert n_nodes(3) == n_nodes(30) == 11  # 7 ops and 4 parameters
+        assert n_nodes(3) == n_nodes(30) == 10  # 6 ops and 4 parameters
 
     @pytest.mark.parametrize(
         "E, sizes",

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -24,7 +23,7 @@ from pearl.trainer import (
     train_stage2,
 )
 
-from conftest import graph_nodes
+from conftest import graph_nodes, traced_peak
 
 
 def brute_force_contrastive(h_img, h_path, inv_tau):
@@ -225,9 +224,11 @@ class TestStage1:
             model.normalizer = CoordNormalizer.fit(ds.coords)
             return graph_nodes(_stage1_batch_loss(model, ds, np.arange(6)))
 
-        # a layer is 19 ops and 10 parameters: attention is one node, not the
-        # five (transpose, matmul, mul_scalar, softmax_rows, matmul) it replaces
-        assert [n_nodes(1), n_nodes(2) - n_nodes(1)] == [70, 29]
+        # a layer is 17 ops and 10 parameters: attention is one node, not the
+        # five (transpose, matmul, mul_scalar, softmax_rows, matmul) it
+        # replaces, and each of the feed-forward's two linear layers is one
+        # affine node, not a matmul and an add
+        assert [n_nodes(1), n_nodes(2) - n_nodes(1)] == [62, 27]
 
     def test_peak_memory_at_benchmark_shape(self):
         # 400 spots on 2 slides (a 256-spot batch, a 104-spot one, 40 for
@@ -247,13 +248,7 @@ class TestStage1:
             y_gene=rng.normal(size=(n, 100)),
         )
         model = PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            train_stage1(ds, model, TrainConfig(max_epochs=2, patience=1))
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(train_stage1, ds, model, TrainConfig(max_epochs=2, patience=1))
         assert peak < 32 * 2**20
 
     def test_loss_decreases_and_best_restored(self):
