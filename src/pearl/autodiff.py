@@ -7,15 +7,14 @@ counting once it is not (no node refers back to a child).  Kernels preserve
 the input dtype, forward and backward (the tests run every case of
 gradsuite.CASES on float32), so a float64 graph can be built for
 finite-difference checks while models run in float32: constants are Python
-floats, which NumPy does not let promote.  `matmul`, `transpose`,
-`softmax_rows`, `reshape` and `slice_rows` also take stacked (..., n, m)
-arrays.  `attention` runs all heads at once as one node, bit-identical to
-its five-kernel chain, that keeps one (..., n, m) array in the graph, the
-probabilities, where the chain keeps three.  `affine` is a linear layer,
-`add(matmul(x, w), b)`, as one node, bit-identical to the pair, that keeps
-x and w where the pair also keeps the product x @ w.  Inside `no_grad()`
-kernels record no parents and no backward closure, so inference builds no
-tape.
+floats, which NumPy does not let promote.  `matmul`, `affine` and
+`transpose` take 2-D arrays only: the stacked (H, N, d) head arrays live
+inside `attention`, one node that runs the whole multi-head step on the
+fused (N, 3*H*d) projection and keeps only that input and the probabilities
+in the graph.  `affine` is a linear layer, `add(matmul(x, w), b)`, as one
+node, bit-identical to the pair, that keeps x and w where the pair also
+keeps the product x @ w.  Inside `no_grad()` kernels record no parents and
+no backward closure, so inference builds no tape.
 """
 
 from __future__ import annotations
@@ -137,26 +136,18 @@ def backward(loss):
 def _check_matmul(name, a, b):
     """Refuse operands that kernel `name` cannot multiply as a @ b."""
     av, bv = a.values, b.values
-    if (
-        av.ndim < 2
-        or bv.ndim != av.ndim
-        or av.shape[:-2] != bv.shape[:-2]
-        or av.shape[-1] != bv.shape[-2]
-    ):
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise PearlError(f"{name} shape mismatch: {a.shape} x {b.shape}")
 
 
 def _matmul_bw(g, av, bv, need_a, need_b):
     """The gradients at av and bv of av @ bv given `g` at the product; an
     operand that needs no gradient gets None, not a product nobody reads."""
-    return (
-        g @ np.swapaxes(bv, -1, -2) if need_a else None,
-        np.swapaxes(av, -1, -2) @ g if need_b else None,
-    )
+    return g @ bv.T if need_a else None, av.T @ g if need_b else None
 
 
 def matmul(a, b):
-    """(..., n, k) @ (..., k, m); stacked operands must have equal leading dims."""
+    """(n, k) @ (k, m)."""
     _check_matmul("matmul", a, b)
     av, bv = a.values, b.values
     need_a, need_b = a.requires_grad, b.requires_grad
@@ -168,12 +159,12 @@ def matmul(a, b):
 
 
 def affine(x, w, b):
-    """add(matmul(x, w), b) as one node, for x (..., n, k), w (..., k, m) and
-    a (m,) bias of their dtype: values and gradients are those of the two
-    nodes, bit for bit, but the graph keeps x and w, not the product x @ w."""
+    """add(matmul(x, w), b) as one node, for x (n, k), w (k, m) and a (m,)
+    bias of their dtype: values and gradients are those of the two nodes,
+    bit for bit, but the graph keeps x and w, not the product x @ w."""
     _check_matmul("affine", x, w)
-    if b.shape != (w.shape[-1],):
-        raise PearlError(f"affine bias shape {b.shape}, expected ({w.shape[-1]},)")
+    if b.shape != (w.shape[1],):
+        raise PearlError(f"affine bias shape {b.shape}, expected ({w.shape[1]},)")
     xv, wv, bv = x.values, w.values, b.values
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     out = xv @ wv
@@ -186,17 +177,13 @@ def affine(x, w, b):
     return _node(out, (x, w, b), bw)
 
 
-def transpose(a, axes=None):
-    """Permute the axes as np.transpose(a, axes) does; by default swap the last two."""
-    if axes is None:
-        n = a.values.ndim
-        axes = (*range(n - 2), n - 1, n - 2)
-    inverse = tuple(np.argsort(axes))
+def transpose(a):
+    """Swap the two axes of a 2-D array."""
 
     def bw(g):
-        return (np.transpose(g, inverse),)
+        return (g.T,)
 
-    return _node(np.transpose(a.values, axes), (a,), bw)
+    return _node(a.values.T, (a,), bw)
 
 
 def add(a, b):
@@ -304,29 +291,42 @@ def softmax_rows(a):
     return _node(out, (a,), bw)
 
 
-def attention(q, k, v, scale):
-    """matmul(softmax_rows(mul_scalar(matmul(q, transpose(k)), scale)), v) as
-    one node, for q (..., n, d), k (..., m, d) and v (..., m, e) with equal
-    leading dims; `scale` is a Python float.  It runs those five kernels' numpy operations in their order,
-    forward and backward, so values and gradients are bit-identical, but the
-    graph keeps only q, k, v and the probabilities, not the (..., n, m)
-    scores before and after scaling."""
-    qv, kv, vv = q.values, k.values, v.values
-    if (
-        qv.ndim < 2
-        or kv.ndim != qv.ndim
-        or (*qv.shape[:-2], qv.shape[-1]) != (*kv.shape[:-2], kv.shape[-1])
-        or vv.shape[:-1] != kv.shape[:-1]
-    ):
-        raise PearlError(f"attention shape mismatch: {q.shape}, {k.shape}, {v.shape}")
-    probs = _softmax((qv @ np.swapaxes(kv, -1, -2)) * scale)
+def attention(qkv, n_heads, scale):
+    """Multi-head scaled dot-product attention as one node.
+
+    `qkv` is the (N, 3*H*d) product of N tokens with a fused projection, H =
+    `n_heads`, its columns laid out [Q heads | K heads | V heads] with head i
+    at block i of each: columns [(j*H + i)*d, (j*H + i + 1)*d) hold head i of
+    the queries (j = 0), keys (1) or values (2).  The result is (N, H*d), head
+    i's softmax(q k^T * scale) v at columns [i*d, (i+1)*d); `scale` is a
+    Python float.  Inside, the columns are viewed as stacked (3H, N, d) heads,
+    and the numpy operations of the chain reshape, transpose, slice, matmul(q,
+    k^T), mul_scalar, softmax_rows, matmul(., v), transpose, reshape run in
+    their order, forward and backward, so values and gradients are
+    bit-identical to it.  The backward writes the query, key and value
+    gradients into one (3H, N, d) view of the (N, 3*H*d) gradient.  The graph
+    keeps only `qkv` and the (H, N, N) probabilities.
+    """
+    x = qkv.values
+    if x.ndim != 2 or n_heads < 1 or x.shape[1] % (3 * n_heads):
+        raise PearlError(f"attention needs (N, 3*{n_heads}*d) qkv, got shape {qkv.shape}")
+    n, H = x.shape[0], n_heads
+    d = x.shape[1] // (3 * H)
+    heads = x.reshape(n, 3 * H, d).transpose(1, 0, 2)
+    q, k, v = heads[:H], heads[H : 2 * H], heads[2 * H :]
+    probs = _softmax((q @ k.transpose(0, 2, 1)) * scale)
 
     def bw(g):
-        gs = _softmax_bw(probs, g @ np.swapaxes(vv, -1, -2)) * scale
-        gk = np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2)
-        return gs @ kv, gk, np.swapaxes(probs, -1, -2) @ g
+        g = g.reshape(n, H, d).transpose(1, 0, 2)
+        gs = _softmax_bw(probs, g @ v.transpose(0, 2, 1)) * scale
+        gx = np.empty(x.shape, x.dtype)
+        gheads = gx.reshape(n, 3 * H, d).transpose(1, 0, 2)
+        gheads[:H] = gs @ k
+        gheads[H : 2 * H] = (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+        gheads[2 * H :] = probs.transpose(0, 2, 1) @ g
+        return (gx,)
 
-    return _node(probs @ vv, (q, k, v), bw)
+    return _node((probs @ v).transpose(1, 0, 2).reshape(n, H * d), (qkv,), bw)
 
 
 def layer_norm(a, gain, bias):
@@ -435,24 +435,6 @@ def concat_rows(tensors):
         return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(vals)))
 
     return _node(out, tuple(tensors), bw)
-
-
-def slice_rows(a, start, stop):
-    def bw(g):
-        full = np.zeros_like(a.values)
-        full[start:stop] = g
-        return (full,)
-
-    return _node(a.values[start:stop], (a,), bw)
-
-
-def reshape(a, shape):
-    orig = a.shape
-
-    def bw(g):
-        return (g.reshape(orig),)
-
-    return _node(a.values.reshape(shape), (a,), bw)
 
 
 # ---------------------------------------------------------------------------

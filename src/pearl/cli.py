@@ -351,7 +351,10 @@ def cmd_run_cv(args, cfg):
 
     slides = sorted(set(dataset.slide_ids))
     if len(slides) < args.folds:
-        raise PearlError(f"{len(slides)} slides cannot form {args.folds} slide-disjoint folds")
+        raise UsageError(
+            f"--folds {args.folds}: the spots of {args.coords} lie on {len(slides)} slides, "
+            f"which cannot form {args.folds} slide-disjoint folds"
+        )
     fold_of = {s: i % args.folds for i, s in enumerate(slides)}
     spot_fold = np.array([fold_of[s] for s in dataset.slide_ids])
     fold_reports = []

@@ -807,11 +807,12 @@ def load_checkpoint(path, kinds, build):
     CheckpointManifestError.  The built parameters' names and shapes must be
     the manifest's.
     """
-    manifest_path = path + ".manifest.json"
+    manifest_path, blob_path = path + ".manifest.json", path + ".params.bin"
     manifest = read_json(manifest_path, CheckpointManifestError, "manifest")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointVersionError(
-            f"format version {manifest.get('format_version')} != {CHECKPOINT_FORMAT_VERSION}"
+            f"{manifest_path}: format version {manifest.get('format_version')} != "
+            f"{CHECKPOINT_FORMAT_VERSION}"
         )
     hyper, entries = manifest.get("hyperparams"), manifest.get("params")
     extra = manifest.get("extra", {})
@@ -825,7 +826,7 @@ def load_checkpoint(path, kinds, build):
         )
     if (repeated := _repeated(p["name"] for p in entries)) is not None:
         raise CheckpointManifestError(f"{manifest_path}: parameter {repeated!r} listed twice")
-    with open(path + ".params.bin", "rb") as fh:
+    with open(blob_path, "rb") as fh:
         blob = fh.read()
     # each entry's byte offset in the blob, entries back to back in manifest order
     *offsets, expected = itertools.accumulate(
@@ -833,29 +834,32 @@ def load_checkpoint(path, kinds, build):
     )
     if len(blob) != expected:
         error = CheckpointTruncatedError if len(blob) < expected else CheckpointShapeError
-        raise error(f"blob holds {len(blob)} bytes, manifest declares {expected}")
+        raise error(f"{blob_path}: blob holds {len(blob)} bytes, manifest declares {expected}")
     bad = sorted(set(hyper) ^ set(kinds))
     if bad:
         kind = "unknown" if bad[0] in hyper else "missing"
-        raise CheckpointShapeError(f"{kind} hyperparameter {bad[0]!r}")
+        raise CheckpointShapeError(f"{manifest_path}: {kind} hyperparameter {bad[0]!r}")
     for name, kind in kinds.items():
         if not of_type(value := hyper[name], kind):
             raise CheckpointManifestError(
-                f"hyperparameter {name!r} must be of type {kind.__name__}, got {value!r}"
+                f"{manifest_path}: hyperparameter {name!r} must be of type {kind.__name__}, "
+                f"got {value!r}"
             )
     try:
         obj = build(**hyper)
     except PearlError as exc:
-        raise CheckpointManifestError(f"{path}: {exc}") from None
+        raise CheckpointManifestError(f"{manifest_path}: {exc}") from None
     stored = {p["name"]: (tuple(p["shape"]), o) for p, o in zip(entries, offsets)}
     targets = obj.parameters()
     if set(stored) != {n for n, _ in targets}:
-        raise CheckpointShapeError("parameter names do not match the declared hyperparameters")
+        raise CheckpointShapeError(
+            f"{manifest_path}: parameter names do not match the declared hyperparameters"
+        )
     for n, t in targets:
         shape, offset = stored[n]
         if shape != t.values.shape:
             raise CheckpointShapeError(
-                f"parameter {n!r}: manifest shape {shape}, expected {t.values.shape}"
+                f"{manifest_path}: parameter {n!r}: shape {shape}, expected {t.values.shape}"
             )
         count = math.prod(shape)
         t.values = np.frombuffer(blob, "<f4", count, offset).astype(np.float32).reshape(shape)

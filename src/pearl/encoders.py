@@ -4,9 +4,9 @@ projection heads, learnable temperature, and the two prediction heads.
 The transformer treats the N spots of a batch as tokens with model dimension
 equal to the pathway count P; attention mixes spots within the batch.  Each
 layer projects to queries, keys and values of all H heads with one fused
-(P, 3*H*d_k) matrix, columns [Q heads | K heads | V heads] with head i at
-block i of each, and attends on stacked (H, N, d_k) arrays.  Inference uses
-the image branch only.
+(P, 3*H*d_k) matrix, in the column layout `autodiff.attention` states, and
+that one node runs all the heads, so a layer is 2-D nodes end to end.
+Inference uses the image branch only.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ class PearlModel:
         limit = math.sqrt(6.0 / (P + d_k))
         for l in range(config.n_layers):
             # head by head, q then k then v, each a (P, d_k) xavier draw: the
-            # draws of separate per-head matrices, laid out fused
+            # draws of separate per-head matrices, laid out fused in the
+            # column order `autodiff.attention` states
             draws = rng.uniform(-limit, limit, size=(H, 3, P, d_k))
             wqkv = draws.transpose(2, 1, 0, 3).reshape(P, 3 * H * d_k).astype(dtype)
             self.params[f"tf{l}.wqkv"] = Tensor(wqkv, requires_grad=True)
@@ -182,21 +183,13 @@ class PearlModel:
         return self._mlp(h, "proj_path")
 
     def _transformer_layer(self, h, l):
-        H, d_k = self.config.n_heads, self.config.d_k
-        n = h.shape[0]
-        # (N, 3*H*d_k) -> (3*H, N, d_k): rows [0, H) are queries, then keys, values
-        qkv = ad.transpose(
-            ad.reshape(ad.matmul(h, self.params[f"tf{l}.wqkv"]), (n, 3 * H, d_k)), (1, 0, 2)
-        )
-        q, k, v = (ad.slice_rows(qkv, j * H, (j + 1) * H) for j in range(3))
-        heads = ad.attention(q, k, v, 1.0 / math.sqrt(d_k))  # (H, N, d_k)
-        concat = ad.reshape(ad.transpose(heads, (1, 0, 2)), (n, H * d_k))
-        mh = ad.matmul(concat, self.params[f"tf{l}.wo"])
-        h = ad.layer_norm(ad.add(h, mh), self.params[f"tf{l}.ln1.g"], self.params[f"tf{l}.ln1.b"])
+        p = self.params
+        qkv = ad.matmul(h, p[f"tf{l}.wqkv"])
+        heads = ad.attention(qkv, self.config.n_heads, 1.0 / math.sqrt(self.config.d_k))
+        h = ad.layer_norm(ad.add(h, ad.matmul(heads, p[f"tf{l}.wo"])),
+                          p[f"tf{l}.ln1.g"], p[f"tf{l}.ln1.b"])
         ffn = self._mlp(h, f"tf{l}.ffn")
-        return ad.layer_norm(
-            ad.add(h, ffn), self.params[f"tf{l}.ln2.g"], self.params[f"tf{l}.ln2.b"]
-        )
+        return ad.layer_norm(ad.add(h, ffn), p[f"tf{l}.ln2.g"], p[f"tf{l}.ln2.b"])
 
     def encode_images(self, features):
         """Row-wise projection of patch features to the shared embedding."""
@@ -238,13 +231,14 @@ def load_model(path):
     if "coord_normalizer" in extra:
         cn = extra["coord_normalizer"]
         if not (isinstance(cn, dict) and all(_is_numbers(cn.get(k)) for k in ("mu", "sigma"))):
-            raise CheckpointManifestError(
-                f"{path}: extra.coord_normalizer must hold 'mu' and 'sigma', lists of numbers"
-            )
+            raise CheckpointManifestError(f"{path}.manifest.json: extra.coord_normalizer must "
+                                          "hold 'mu' and 'sigma', lists of numbers")
         try:
             model.normalizer = CoordNormalizer(mu=cn["mu"], sigma=cn["sigma"])
         except PearlError as exc:
-            raise CheckpointManifestError(f"{path}: extra.coord_normalizer: {exc}") from None
+            raise CheckpointManifestError(
+                f"{path}.manifest.json: extra.coord_normalizer: {exc}"
+            ) from None
     return model
 
 

@@ -46,7 +46,7 @@ CONFIG = {
     "ssgsea": {"null_sets": 3},
     "train": {"batch_size": 8, "max_epochs": 2, "patience": 1},
     "model": {
-        "n_heads": 1,
+        "n_heads": 2,
         "d_k": 2,
         "phi_hidden": 4,
         "proj_hidden": 8,

@@ -32,18 +32,24 @@ class TestMatmul:
         with pytest.raises(PearlError):
             ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+    @pytest.mark.parametrize("op", [ad.matmul, lambda a, b: ad.affine(a, b, t64(np.zeros(2)))],
+                             ids=["matmul", "affine"])
+    def test_not_2d_refused(self, op):
+        with pytest.raises(PearlError):
+            op(t64(np.ones((2, 3, 4))), t64(np.ones((2, 4, 2))))
+        with pytest.raises(PearlError):
+            op(t64(np.ones((2, 3, 4))), t64(np.ones((4, 2))))
+
     @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)])
-    def test_backward_skips_constant_operand(self, stacked, needs):
+    def test_backward_skips_constant_operand(self, needs):
         # an operand without requires_grad gets None; the other gets exactly
         # the full formula's product
         rng = np.random.default_rng(1)
-        lead = (2,) if stacked else ()
-        av, bv = rng.normal(size=(*lead, 3, 4)), rng.normal(size=(*lead, 4, 5))
-        g = rng.normal(size=(*lead, 3, 5))
+        av, bv = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+        g = rng.normal(size=(3, 5))
         out = ad.matmul(Tensor(av, requires_grad=needs[0]), Tensor(bv, requires_grad=needs[1]))
         ga, gb = out._backward(g)
-        full = (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g)
+        full = (g @ bv.T, av.T @ g)
         for need, got, want in zip(needs, (ga, gb), full):
             if need:
                 assert got.tobytes() == want.tobytes()
@@ -51,63 +57,51 @@ class TestMatmul:
                 assert got is None
 
 
-class TestStacked:
-    def test_matmul_matches_per_slice(self):
-        rng = np.random.default_rng(10)
-        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2))
-        out = ad.matmul(t64(a, grad=False), t64(b, grad=False)).values
-        for i in range(3):
-            np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-12)
-
-    def test_matmul_leading_dims_must_match(self):
-        with pytest.raises(PearlError):
-            ad.matmul(t64(np.ones((2, 3, 4))), t64(np.ones((3, 4, 2))))
-        with pytest.raises(PearlError):
-            ad.matmul(t64(np.ones((2, 3, 4))), t64(np.ones((4, 2))))
-
-    def test_gradcheck_stacked_attention(self):
-        # the transformer's head batching: permute, slice, stacked matmuls, softmax
-        rng = np.random.default_rng(11)
-        x = t64(rng.normal(size=(4, 6, 2)))
-        w = Tensor(rng.normal(size=(2, 4, 2)))
-
-        def fn(x):
-            qkv = ad.transpose(x, (1, 0, 2))  # (6, 4, 2)
-            q, k, v = (ad.slice_rows(qkv, 2 * j, 2 * j + 2) for j in range(3))
-            attn = ad.softmax_rows(ad.matmul(q, ad.transpose(k)))
-            heads = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (4, 4))
-            return ad.sum_all(ad.mul(ad.reshape(heads, (2, 4, 2)), w))
-
-        assert ad.gradcheck(fn, [x]) < gradsuite.REL_TOL
+def _attention_chain(x, n_heads, scale, g):
+    """The multi-head attention of a fused (N, 3*H*d) `x` as the chain of
+    kernels it replaces, in plain numpy: its output, and the gradient at x
+    given `g` at that output, each node's backward run in reverse order."""
+    n, H = x.shape[0], n_heads
+    d = x.shape[1] // (3 * H)
+    heads = np.transpose(x.reshape(n, 3 * H, d), (1, 0, 2))  # reshape, transpose
+    q, k, v = heads[:H], heads[H : 2 * H], heads[2 * H :]  # three slices
+    kt = np.swapaxes(k, -1, -2)
+    scores = (q @ kt) * scale  # matmul, mul_scalar
+    shifted = scores - scores.max(axis=-1, keepdims=True)  # softmax_rows
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = np.transpose(probs @ v, (1, 0, 2)).reshape(n, H * d)  # matmul, transpose, reshape
+    go = np.transpose(g.reshape(n, H, d), (1, 0, 2))
+    gp, gv = go @ np.swapaxes(v, -1, -2), np.swapaxes(probs, -1, -2) @ go
+    gs = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True)) * scale
+    gq, gk = gs @ np.swapaxes(kt, -1, -2), np.swapaxes(np.swapaxes(q, -1, -2) @ gs, -1, -2)
+    gx = np.transpose(np.concatenate([gq, gk, gv]), (1, 0, 2)).reshape(x.shape)
+    return out, gx
 
 
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_the_composed_chain_bit_for_bit(self, dtype):
-        # q, k, v strided like the transformer's: slices of one permuted (3H, N, d_k) array
         rng = np.random.default_rng(14)
-        qkv = rng.normal(size=(5, 6, 3)).astype(dtype).transpose(1, 0, 2)
-        w = Tensor(rng.normal(size=(2, 5, 3)).astype(dtype))
-        scale = 3.0**-0.5
-
-        def run(op):
-            q, k, v = (Tensor(qkv[2 * j : 2 * j + 2], requires_grad=True) for j in range(3))
-            out = op(q, k, v)
-            ad.backward(ad.sum_all(ad.mul(out, w)))
-            return [out.values, q.grad, k.grad, v.grad]
-
-        fused = run(lambda q, k, v: ad.attention(q, k, v, scale))
-        chain = run(lambda q, k, v: ad.matmul(
-            ad.softmax_rows(ad.mul_scalar(ad.matmul(q, ad.transpose(k)), scale)), v))
-        assert [a.dtype for a in fused] == [dtype] * 4
-        assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+        for n_heads in (2, 3):
+            # x is a product, as the transformer's h @ wqkv is
+            h, w = rng.normal(size=(5, 4)), rng.normal(size=(4, 9 * n_heads))
+            x = h.astype(dtype) @ w.astype(dtype)
+            g = rng.normal(size=(5, 3 * n_heads)).astype(dtype)
+            scale = 3.0**-0.5
+            out = ad.attention(Tensor(x, requires_grad=True), n_heads, scale)
+            (gx,) = out._backward(g)
+            want_out, want_gx = _attention_chain(x, n_heads, scale, g)
+            assert [out.dtype, gx.dtype] == [dtype, dtype]
+            assert out.values.tobytes() == want_out.tobytes()
+            assert gx.tobytes() == want_gx.tobytes()
 
     def test_shape_mismatch(self):
-        q = t64(np.ones((2, 3, 4)))
+        # 10 columns do not split into 3 * 2 equal parts; qkv must be 2-D
+        with pytest.raises(PearlError, match=r"attention needs \(N, 3\*2\*d\) qkv"):
+            ad.attention(t64(np.ones((4, 10))), 2, 0.5)
         with pytest.raises(PearlError):
-            ad.attention(q, t64(np.ones((2, 3, 5))), q, 0.5)
-        with pytest.raises(PearlError):
-            ad.attention(q, q, t64(np.ones((2, 2, 4))), 0.5)
+            ad.attention(t64(np.ones((2, 4, 12))), 2, 0.5)
 
 
 class TestAffine:

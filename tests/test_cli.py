@@ -120,8 +120,8 @@ class TestPipeline:
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "checkpoint_manifest",
-            "message": f"{tmp_path / 'stage1'}: extra.coord_normalizer: degenerate coordinate "
-                       "axis (zero or non-finite variance)",
+            "message": f"{tmp_path / 'stage1'}.manifest.json: extra.coord_normalizer: "
+                       "degenerate coordinate axis (zero or non-finite variance)",
         }
         assert not (tmp_path / "out").exists()
 
@@ -291,6 +291,20 @@ class TestPipeline:
         for fold in range(2):
             rep = json.loads((tmp_path / f"fold_{fold}.json").read_text())
             assert rep["n_test_spots"] == 24
+
+    def test_run_cv_more_folds_than_slides(self, pipeline, tmp_path, capsys):
+        _, data, cfg_path = pipeline
+        out = tmp_path / "out"
+        argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "3",
+                *_cv_inputs(data)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "usage",
+            "message": f"--folds 3: the spots of {data / 'coords.csv'} lie on 2 slides, "
+                       "which cannot form 3 slide-disjoint folds",
+        }
+        assert not out.exists()
 
 
 def test_preprocess_keeps_zero_count_spot(tmp_path):
@@ -664,10 +678,11 @@ class TestCohort:
         argv += [x for k, name in _SURVIVAL.items() for x in (f"--{k}", str(data / name))]
         capsys.readouterr()
         assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "checkpoint_shape"
-        if old == "kind":
-            assert err["message"] == "unknown hyperparameter 'kind'"
+        reason = {"kind": "unknown hyperparameter 'kind'",
+                  "biases": "parameter names do not match the declared hyperparameters"}[old]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "checkpoint_shape", "message": f"{tmp_path / 'ckpt'}.manifest.json: {reason}"
+        }
         assert not (tmp_path / "out").exists()
 
 

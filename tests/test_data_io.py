@@ -982,6 +982,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointShapeError, match=f"{tamper} hyperparameter '{key}'"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit, error, suffix, message",
+        [
+            (lambda m: m.update(format_version=1), CheckpointVersionError, ".manifest.json",
+             "format version 1 != 2"),
+            (lambda m: m["hyperparams"].update(kind="x"), CheckpointShapeError, ".manifest.json",
+             "unknown hyperparameter 'kind'"),
+            (lambda m: m["hyperparams"].update(embed_dim=2.5), CheckpointManifestError,
+             ".manifest.json", "hyperparameter 'embed_dim' must be of type int, got 2.5"),
+            (lambda m: m["hyperparams"].update(embed_dim=0), CheckpointManifestError,
+             ".manifest.json", "embed_dim must be >= 1"),
+            (lambda m: m["params"].pop(), CheckpointShapeError, ".params.bin",
+             r"blob holds \d+ bytes, manifest declares \d+"),
+            (lambda m: m["params"][0].update(name="phi.w9"), CheckpointShapeError,
+             ".manifest.json", "parameter names do not match the declared hyperparameters"),
+            (lambda m: m["params"][0]["shape"].reverse(), CheckpointShapeError, ".manifest.json",
+             r"parameter 'phi.w1': shape \(128, 2\), expected \(2, 128\)"),
+        ],
+        ids=["version", "unknown_key", "type", "build", "blob_size", "names", "shape"],
+    )
+    def test_refusal_names_the_file(self, tmp_path, edit, error, suffix, message):
+        import json
+
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        manifest = json.loads((tmp_path / "ckpt.manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(error) as exc:
+            load_model(path)
+        assert re.fullmatch(re.escape(path + suffix) + ": " + message, str(exc.value))
+
     @pytest.mark.parametrize("tamper", MANIFEST_TAMPERS)
     def test_malformed_manifest_rejected(self, tmp_path, tamper):
         path = str(tmp_path / "ckpt")
