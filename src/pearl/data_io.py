@@ -764,6 +764,11 @@ def write_embeddings(spot_ids, slide_ids, values, path):
 # ---------------------------------------------------------------------------
 
 
+def manifest_of(path):
+    """The manifest file of the checkpoint `path`."""
+    return path + ".manifest.json"
+
+
 def save_checkpoint(obj, hyperparams, path, extra=None):
     """Write <path>.manifest.json and <path>.params.bin.
 
@@ -778,7 +783,7 @@ def save_checkpoint(obj, hyperparams, path, extra=None):
     }
     if extra:
         manifest["extra"] = extra
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(manifest_of(path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     blob = b"".join(np.ascontiguousarray(p.values, dtype="<f4").tobytes() for _, p in params)
     with open(path + ".params.bin", "wb") as fh:
@@ -807,7 +812,7 @@ def load_checkpoint(path, kinds, build):
     CheckpointManifestError.  The built parameters' names and shapes must be
     the manifest's.
     """
-    manifest_path, blob_path = path + ".manifest.json", path + ".params.bin"
+    manifest_path, blob_path = manifest_of(path), path + ".params.bin"
     manifest = read_json(manifest_path, CheckpointManifestError, "manifest")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointVersionError(

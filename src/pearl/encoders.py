@@ -231,13 +231,15 @@ def load_model(path):
     if "coord_normalizer" in extra:
         cn = extra["coord_normalizer"]
         if not (isinstance(cn, dict) and all(_is_numbers(cn.get(k)) for k in ("mu", "sigma"))):
-            raise CheckpointManifestError(f"{path}.manifest.json: extra.coord_normalizer must "
-                                          "hold 'mu' and 'sigma', lists of numbers")
+            raise CheckpointManifestError(
+                f"{data_io.manifest_of(path)}: extra.coord_normalizer must hold 'mu' and "
+                "'sigma', lists of numbers"
+            )
         try:
             model.normalizer = CoordNormalizer(mu=cn["mu"], sigma=cn["sigma"])
         except PearlError as exc:
             raise CheckpointManifestError(
-                f"{path}.manifest.json: extra.coord_normalizer: {exc}"
+                f"{data_io.manifest_of(path)}: extra.coord_normalizer: {exc}"
             ) from None
     return model
 
