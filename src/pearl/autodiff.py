@@ -1,20 +1,22 @@
 """Minimal reverse-mode automatic differentiation on dense numpy arrays.
 
 Tape-based: each op closes over what its backward needs; backward() walks a
-topological order of the graph and accumulates adjoints.  First-order only;
-the graph lives as long as its loss is referenced, and is freed by reference
-counting once it is not (no node refers back to a child).  Kernels preserve
-the input dtype, forward and backward (the tests run every case of
-gradsuite.CASES on float32), so a float64 graph can be built for
-finite-difference checks while models run in float32: constants are Python
-floats, which NumPy does not let promote.  `matmul`, `affine` and
-`transpose` take 2-D arrays only: the stacked (H, N, d) head arrays live
-inside `attention`, one node that runs the whole multi-head step on the
-fused (N, 3*H*d) projection and keeps only that input and the probabilities
-in the graph.  `affine` is a linear layer, `add(matmul(x, w), b)`, as one
-node, bit-identical to the pair, that keeps x and w where the pair also
-keeps the product x @ w.  Inside `no_grad()` kernels record no parents and
-no backward closure, so inference builds no tape.
+topological order of the graph and accumulates adjoints.  First-order only.
+backward() consumes the graph: once a node has passed its gradients on, its
+closure and parent links are dropped, so reference counting frees each
+activation during the walk (no node refers back to a child), and a second
+backward() on the same loss is an error.  Kernels preserve the input dtype,
+forward and backward (the tests run every case of gradsuite.CASES on
+float32), so a float64 graph can be built for finite-difference checks
+while models run in float32: constants are Python floats, which NumPy does
+not let promote.  `matmul`, `affine` and `transpose` take 2-D arrays only.
+`attention` is one node for a layer's whole multi-head step, from the tokens
+h and the fused projection wqkv; the graph keeps only those two, and its
+backward recomputes the projection and each head's probabilities, head by
+head.  `affine` is a linear layer, `add(matmul(x, w), b)`, as one node,
+bit-identical to the pair, that keeps x and w where the pair also keeps the
+product x @ w.  Inside `no_grad()` kernels record no parents and no backward
+closure, so inference builds no tape.
 """
 
 from __future__ import annotations
@@ -89,43 +91,63 @@ def _accumulate(t, g):
 
 
 def backward(loss):
-    """Populate .grad for every requires_grad ancestor of a scalar loss.
-
-    Repeated calls without zeroing accumulate gradients.
-    """
+    """Populate .grad for every requires_grad ancestor of a scalar loss, and
+    consume its graph (a second call on it is a PearlError); .grad
+    accumulates across graphs until it is zeroed."""
     if loss.values.size != 1:
         raise PearlError(f"backward requires a scalar loss, got shape {loss.shape}")
-    # depth-first post-order on an explicit stack: no recursion limit, and no
+    topo = _post_order(loss) if loss.requires_grad else []
+    adjoint = {id(loss): np.ones_like(loss.values)}
+    while topo:
+        _propagate(topo.pop(), adjoint)
+
+
+def _post_order(loss):
+    """The requires_grad ancestors of `loss`, itself included, each after all
+    of its parents.  A function of its own, so that the walk's last nodes die
+    when it returns."""
+    # depth-first on an explicit stack: no recursion limit, and no
     # self-referencing closure whose cycle would keep the graph alive after
     # return until the cyclic garbage collector runs
     topo, seen = [], {id(loss)}
-    stack = [(loss, iter(loss._parents))] if loss.requires_grad else []
+    stack = [(loss, _parents_of(loss))]
     while stack:
         t, parents = stack[-1]
         for p in parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
-                stack.append((p, iter(p._parents)))
+                stack.append((p, _parents_of(p)))
                 break
         else:
             stack.pop()
             topo.append(t)
-    adjoint = {id(loss): np.ones_like(loss.values)}
-    for t in reversed(topo):
-        g = adjoint.pop(id(t), None)
-        if g is None:
-            continue
-        if t._backward is None:
+    return topo
+
+
+def _propagate(t, adjoint):
+    """Pass node t's gradient in `adjoint` on to its parents, or into .grad at
+    a leaf, then drop t's closure and parent links, whether or not it got a
+    gradient.  A function of its own, so that t dies when it returns."""
+    g = adjoint.pop(id(t), None)
+    if t._backward is None:
+        if g is not None:
             _accumulate(t, g)
+        return
+    for p, pg in zip(t._parents, () if g is None else t._backward(g)):
+        if pg is None or not p.requires_grad:
             continue
-        parent_grads = t._backward(g)
-        for p, pg in zip(t._parents, parent_grads):
-            if pg is None or not p.requires_grad:
-                continue
-            if id(p) in adjoint:
-                adjoint[id(p)] = adjoint[id(p)] + pg
-            else:
-                adjoint[id(p)] = pg
+        if id(p) in adjoint:
+            adjoint[id(p)] = adjoint[id(p)] + pg
+        else:
+            adjoint[id(p)] = pg
+    t._backward, t._parents = None, None
+
+
+def _parents_of(t):
+    """An iterator over the parents of `t`, unless `backward` consumed them."""
+    if t._parents is None:
+        raise PearlError("backward already consumed this graph; build the loss again")
+    return iter(t._parents)
 
 
 # ---------------------------------------------------------------------------
@@ -291,42 +313,53 @@ def softmax_rows(a):
     return _node(out, (a,), bw)
 
 
-def attention(qkv, n_heads, scale):
-    """Multi-head scaled dot-product attention as one node.
+def attention(h, wqkv, n_heads, scale):
+    """A layer's whole multi-head self-attention step, scaled dot-product, as
+    one node.
 
-    `qkv` is the (N, 3*H*d) product of N tokens with a fused projection, H =
+    `h` holds N tokens (N, m) and `wqkv` the fused (m, 3*H*d) projection, H =
     `n_heads`, its columns laid out [Q heads | K heads | V heads] with head i
     at block i of each: columns [(j*H + i)*d, (j*H + i + 1)*d) hold head i of
     the queries (j = 0), keys (1) or values (2).  The result is (N, H*d), head
     i's softmax(q k^T * scale) v at columns [i*d, (i+1)*d); `scale` is a
-    Python float.  Inside, the columns are viewed as stacked (3H, N, d) heads,
-    and the numpy operations of the chain reshape, transpose, slice, matmul(q,
-    k^T), mul_scalar, softmax_rows, matmul(., v), transpose, reshape run in
-    their order, forward and backward, so values and gradients are
-    bit-identical to it.  The backward writes the query, key and value
-    gradients into one (3H, N, d) view of the (N, 3*H*d) gradient.  The graph
-    keeps only `qkv` and the (H, N, N) probabilities.
+    Python float.  The node runs the numpy operations of the chain matmul(h,
+    wqkv), then per head matmul(q, k^T), mul_scalar, softmax_rows, matmul(.,
+    v), in their order, forward and backward, so values and gradients are
+    bit-identical to it.  The graph keeps only `h` and `wqkv`: the backward
+    recomputes the projection and each head's (N, N) probabilities, one head
+    at a time, writes the query, key and value gradients into one (N,
+    3*H*d) array and hands that to the projection's matmul backward.
     """
-    x = qkv.values
-    if x.ndim != 2 or n_heads < 1 or x.shape[1] % (3 * n_heads):
-        raise PearlError(f"attention needs (N, 3*{n_heads}*d) qkv, got shape {qkv.shape}")
-    n, H = x.shape[0], n_heads
-    d = x.shape[1] // (3 * H)
-    heads = x.reshape(n, 3 * H, d).transpose(1, 0, 2)
-    q, k, v = heads[:H], heads[H : 2 * H], heads[2 * H :]
-    probs = _softmax((q @ k.transpose(0, 2, 1)) * scale)
+    _check_matmul("attention", h, wqkv)
+    hv, wv = h.values, wqkv.values
+    n, H = hv.shape[0], n_heads
+    if H < 1 or wv.shape[1] % (3 * H):
+        raise PearlError(f"attention needs (m, 3*{H}*d) wqkv, got shape {wqkv.shape}")
+    d = wv.shape[1] // (3 * H)
+    need_h, need_w = h.requires_grad, wqkv.requires_grad
+
+    def heads():
+        """(q, k, v, probs) of each head in order, from a fresh projection."""
+        x = (hv @ wv).reshape(n, 3 * H, d)
+        for i in range(H):
+            q, k, v = x[:, i], x[:, H + i], x[:, 2 * H + i]
+            yield q, k, v, _softmax((q @ k.T) * scale)
+
+    out = np.empty((n, H, d), hv.dtype)
+    for i, (_, _, v, probs) in enumerate(heads()):
+        out[:, i] = probs @ v
 
     def bw(g):
-        g = g.reshape(n, H, d).transpose(1, 0, 2)
-        gs = _softmax_bw(probs, g @ v.transpose(0, 2, 1)) * scale
-        gx = np.empty(x.shape, x.dtype)
-        gheads = gx.reshape(n, 3 * H, d).transpose(1, 0, 2)
-        gheads[:H] = gs @ k
-        gheads[H : 2 * H] = (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
-        gheads[2 * H :] = probs.transpose(0, 2, 1) @ g
-        return (gx,)
+        g = g.reshape(n, H, d)
+        gx = np.empty((n, 3 * H, d), hv.dtype)
+        for i, (q, k, v, probs) in enumerate(heads()):
+            gs = _softmax_bw(probs, g[:, i] @ v.T) * scale
+            gx[:, i] = gs @ k
+            gx[:, H + i] = (q.T @ gs).T
+            gx[:, 2 * H + i] = probs.T @ g[:, i]
+        return _matmul_bw(gx.reshape(n, 3 * H * d), hv, wv, need_h, need_w)
 
-    return _node((probs @ v).transpose(1, 0, 2).reshape(n, H * d), (qkv,), bw)
+    return _node(out.reshape(n, H * d), (h, wqkv), bw)
 
 
 def layer_norm(a, gain, bias):

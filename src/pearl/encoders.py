@@ -5,8 +5,9 @@ The transformer treats the N spots of a batch as tokens with model dimension
 equal to the pathway count P; attention mixes spots within the batch.  Each
 layer projects to queries, keys and values of all H heads with one fused
 (P, 3*H*d_k) matrix, in the column layout `autodiff.attention` states, and
-that one node runs all the heads, so a layer is 2-D nodes end to end.
-Inference uses the image branch only.
+that one node runs the projection and all the heads, so a layer is 2-D nodes
+end to end and its graph holds no (N, N) probabilities.  Inference uses the
+image branch only; a loaded checkpoint fills parameters built unfilled.
 """
 
 from __future__ import annotations
@@ -86,26 +87,32 @@ class CoordNormalizer:
 
 
 def _xavier(rng, shape, dtype):
+    """A xavier-uniform draw from `rng`; with no `rng`, an unfilled array for a
+    checkpoint to fill."""
+    if rng is None:
+        return np.empty(shape, dtype)
     limit = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 class PearlModel:
     """All trainable parameters, addressable by name in a fixed order, and the
-    coordinate normalizer the pathway encoder was trained with."""
+    coordinate normalizer the pathway encoder was trained with.  With `draw`
+    false the weights are left unfilled, for a checkpoint to fill, and no
+    random generator is made."""
 
-    def __init__(self, config, dtype=np.float32):
+    def __init__(self, config, dtype=np.float32, draw=True):
         for name in ("n_pathways", "n_genes", "d_img"):  # the sizes a command fills in
             if getattr(config, name) < 1:
                 raise PearlError(f"model config: {name} must be >= 1")
         self.config = config
         self.dtype = dtype
         self.normalizer = None  # the CoordNormalizer stage-1 training fits
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if draw else None
         P = config.n_pathways
         self.params = {}
 
-        def param(name, shape, fill=None):  # xavier draws, or the constant `fill`
+        def param(name, shape, fill=None):  # `_xavier(rng, ...)`, or the constant `fill`
             v = _xavier(rng, shape, dtype) if fill is None else np.full(shape, fill, dtype)
             self.params[name] = Tensor(v, requires_grad=True)
 
@@ -122,8 +129,11 @@ class PearlModel:
             # head by head, q then k then v, each a (P, d_k) xavier draw: the
             # draws of separate per-head matrices, laid out fused in the
             # column order `autodiff.attention` states
-            draws = rng.uniform(-limit, limit, size=(H, 3, P, d_k))
-            wqkv = draws.transpose(2, 1, 0, 3).reshape(P, 3 * H * d_k).astype(dtype)
+            if rng is None:
+                wqkv = np.empty((P, 3 * H * d_k), dtype)
+            else:
+                draws = rng.uniform(-limit, limit, size=(H, 3, P, d_k))
+                wqkv = draws.transpose(2, 1, 0, 3).reshape(P, 3 * H * d_k).astype(dtype)
             self.params[f"tf{l}.wqkv"] = Tensor(wqkv, requires_grad=True)
             param(f"tf{l}.wo", (H * d_k, P))
             param(f"tf{l}.ln1.g", (P,), 1.0)
@@ -184,8 +194,8 @@ class PearlModel:
 
     def _transformer_layer(self, h, l):
         p = self.params
-        qkv = ad.matmul(h, p[f"tf{l}.wqkv"])
-        heads = ad.attention(qkv, self.config.n_heads, 1.0 / math.sqrt(self.config.d_k))
+        heads = ad.attention(h, p[f"tf{l}.wqkv"], self.config.n_heads,
+                             1.0 / math.sqrt(self.config.d_k))
         h = ad.layer_norm(ad.add(h, ad.matmul(heads, p[f"tf{l}.wo"])),
                           p[f"tf{l}.ln1.g"], p[f"tf{l}.ln1.b"])
         ffn = self._mlp(h, f"tf{l}.ffn")
@@ -226,7 +236,7 @@ def load_model(path):
     model, extra = data_io.load_checkpoint(
         path,
         {f.name: type(f.default) for f in fields(ModelConfig)},
-        lambda **hyper: PearlModel(ModelConfig(**hyper)),
+        lambda **hyper: PearlModel(ModelConfig(**hyper), draw=False),
     )
     if "coord_normalizer" in extra:
         cn = extra["coord_normalizer"]

@@ -38,7 +38,7 @@ CASES = {
     "affine": ([(3, 4), (4, 2), (2,)], ad.affine),
     "gelu": ([(3, 4)], ad.gelu),
     "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
-    "attention": ([(3, 12)], lambda x: ad.attention(x, 2, 0.5)),
+    "attention": ([(3, 4), (4, 12)], lambda h, w: ad.attention(h, w, 2, 0.5)),
     "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
     "add": ([(3, 4), (4,)], ad.add),
     "mul": ([(3, 4), (3, 4)], ad.mul),

@@ -26,10 +26,11 @@ class CoxHead:
 
     HYPERPARAMS = {"embed_dim": int, "attn_hidden": int}  # what a checkpoint holds, by type
 
-    def __init__(self, embed_dim=256, attn_hidden=128, seed=0):
+    def __init__(self, embed_dim=256, attn_hidden=128, seed=0, draw=True):
+        # with `draw` false, weights are left unfilled for a checkpoint to fill
         if min(embed_dim, attn_hidden) < 1:
             raise PearlError("embed_dim and attn_hidden must be >= 1")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         dtype = np.float32
         self.embed_dim = embed_dim
         self.attn_hidden = attn_hidden
@@ -192,4 +193,6 @@ def save_cox(head, path):
 
 
 def load_cox(path):
-    return data_io.load_checkpoint(path, CoxHead.HYPERPARAMS, CoxHead)[0]
+    return data_io.load_checkpoint(
+        path, CoxHead.HYPERPARAMS, lambda **hyper: CoxHead(**hyper, draw=False)
+    )[0]

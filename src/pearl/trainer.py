@@ -165,8 +165,8 @@ def fit(params, config, batches, batch_loss, val_loss=None):
     epoch's values are those it started from: for one full batch, exactly
     the values that produced the score.  After `config.patience` epochs with
     no lower score, training stops and `params` get the best values back.
-    A step's graph is released right after its backward pass, before the
-    optimizer step, so no two batches' graphs are alive at once.
+    A step's graph is freed by its backward pass, which consumes it, before
+    the optimizer step, so no two batches' graphs are alive at once.
     Returns the per-epoch {"train_loss", "val_loss"} (no val_loss: empty).
     """
     tensors = [p for _, p in params]
@@ -187,7 +187,7 @@ def fit(params, config, batches, batch_loss, val_loss=None):
             if not math.isfinite(lv):
                 raise TrainingDiverged(epoch, bi)
             ad.backward(loss)
-            del loss  # free this step's graph before the next one is built
+            del loss  # backward freed the graph; this frees its loss node
             opt.step()
             losses.append(lv)
         score = float(np.mean(losses))

@@ -79,29 +79,62 @@ def _attention_chain(x, n_heads, scale, g):
     return out, gx
 
 
+def _closure_arrays(fn):
+    """Every array a backward closure `fn` holds, through the functions it
+    closes over too."""
+    arrays, stack, seen = [], [fn], set()
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif inspect.isfunction(v) and id(v) not in seen:
+                seen.add(id(v))
+                stack.append(v)
+    return arrays
+
+
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_the_composed_chain_bit_for_bit(self, dtype):
+        # the node against the projection h @ w, the chain on its product, and
+        # the projection's matmul gradient: values and both gradients
         rng = np.random.default_rng(14)
         for n_heads in (2, 3):
-            # x is a product, as the transformer's h @ wqkv is
-            h, w = rng.normal(size=(5, 4)), rng.normal(size=(4, 9 * n_heads))
-            x = h.astype(dtype) @ w.astype(dtype)
+            hv = rng.normal(size=(5, 4)).astype(dtype)
+            wv = rng.normal(size=(4, 9 * n_heads)).astype(dtype)
             g = rng.normal(size=(5, 3 * n_heads)).astype(dtype)
             scale = 3.0**-0.5
-            out = ad.attention(Tensor(x, requires_grad=True), n_heads, scale)
-            (gx,) = out._backward(g)
-            want_out, want_gx = _attention_chain(x, n_heads, scale, g)
-            assert [out.dtype, gx.dtype] == [dtype, dtype]
+            h, w = Tensor(hv, requires_grad=True), Tensor(wv, requires_grad=True)
+            out = ad.attention(h, w, n_heads, scale)
+            gh, gw = out._backward(g)
+            want_out, want_gx = _attention_chain(hv @ wv, n_heads, scale, g)
+            assert [out.dtype, gh.dtype, gw.dtype] == [dtype] * 3
             assert out.values.tobytes() == want_out.tobytes()
-            assert gx.tobytes() == want_gx.tobytes()
+            assert gh.tobytes() == (want_gx @ wv.T).tobytes()
+            assert gw.tobytes() == (hv.T @ want_gx).tobytes()
+
+    def test_graph_keeps_no_probabilities_or_projection(self):
+        # N 5, m 4, H 2, d 3: H*N*N = 50 and N*3*H*d = 90 elements, sizes no
+        # input shares
+        n, H = 5, 2
+        rng = np.random.default_rng(17)
+        h, w = t64(rng.normal(size=(n, 4))), t64(rng.normal(size=(4, 18)))
+        out = ad.attention(h, w, H, 0.5)
+        held = _closure_arrays(out._backward)
+        sizes = {a.size for a in held} | {a.base.size for a in held if a.base is not None}
+        assert any(a is h.values for a in held) and any(a is w.values for a in held)
+        assert not sizes & {H * n * n, n * 18}
 
     def test_shape_mismatch(self):
-        # 10 columns do not split into 3 * 2 equal parts; qkv must be 2-D
-        with pytest.raises(PearlError, match=r"attention needs \(N, 3\*2\*d\) qkv"):
-            ad.attention(t64(np.ones((4, 10))), 2, 0.5)
+        # 10 columns do not split into 3 * 2 equal parts; h and wqkv must be
+        # 2-D and multiply
+        with pytest.raises(PearlError, match=r"attention needs \(m, 3\*2\*d\) wqkv"):
+            ad.attention(t64(np.ones((4, 3))), t64(np.ones((3, 10))), 2, 0.5)
         with pytest.raises(PearlError):
-            ad.attention(t64(np.ones((2, 4, 12))), 2, 0.5)
+            ad.attention(t64(np.ones((2, 4, 3))), t64(np.ones((3, 12))), 2, 0.5)
+        with pytest.raises(PearlError):
+            ad.attention(t64(np.ones((4, 3))), t64(np.ones((4, 12))), 2, 0.5)
 
 
 class TestAffine:
@@ -282,12 +315,21 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
 
     def test_accumulation(self):
+        # two graphs built separately: the second backward adds to .grad
+        w = t64([1.0, 2.0])
+        ad.backward(ad.sum_all(ad.mul(w, w)))
+        first = w.grad.copy()
+        ad.backward(ad.sum_all(ad.mul(w, w)))
+        np.testing.assert_array_equal(w.grad, 2.0 * first)
+
+    def test_consumed_graph_refused(self):
         w = t64([1.0, 2.0])
         loss = ad.sum_all(ad.mul(w, w))
         ad.backward(loss)
         first = w.grad.copy()
-        ad.backward(loss)
-        np.testing.assert_array_equal(w.grad, 2.0 * first)
+        with pytest.raises(PearlError, match="already consumed"):
+            ad.backward(loss)
+        np.testing.assert_array_equal(w.grad, first)
 
     def test_reuse_sums_both_paths(self):
         w = t64([3.0])
@@ -319,6 +361,22 @@ class TestBackward:
         del loss
         assert node() is None
         assert w.grad.shape == (4, 3)
+
+    def test_intermediates_freed_while_the_loss_lives(self, no_gc):
+        # a node that gets a gradient, one whose consumer hands it None and
+        # that consumer are all freed by the time backward returns, though
+        # `loss` is still referenced
+        w = t64(np.ones((4, 3)))
+        x = t64(np.arange(12.0).reshape(3, 4), grad=False)
+        hidden = ad.gelu(ad.matmul(x, w))
+        cut = ad.exp(ad.matmul(x, w))
+        stop = ad._node(np.zeros((3, 3)), (cut,), lambda g: (None,))
+        nodes = [weakref.ref(t) for t in (hidden, cut, stop)]
+        loss = ad.sum_all(ad.add(hidden, stop))
+        del hidden, cut, stop
+        ad.backward(loss)
+        assert [r() for r in nodes] == [None, None, None]
+        assert np.isfinite(loss.item()) and w.grad.shape == (4, 3)
 
     def test_deep_chain_no_recursion_limit(self):
         w = t64([1.0, 2.0])

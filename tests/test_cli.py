@@ -1576,6 +1576,31 @@ class TestNumpyOnly:
             assert (out / name).read_bytes() == (data / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command", ["predict", "survival-eval"])
+def test_loading_a_checkpoint_draws_no_weights(pipeline, cox_checkpoint, tmp_path, command):
+    # the checkpoint fills every parameter, so neither command imports
+    # numpy.random
+    _, data, _ = pipeline
+    argv = {
+        "predict": ["predict", "--out-dir", str(tmp_path), "--checkpoint", str(data / "final"),
+                    "--features", str(data / "features.tsv")],
+        "survival-eval": ["survival-eval", "--out-dir", str(tmp_path),
+                          "--checkpoint", str(cox_checkpoint),
+                          "--survival", str(data / "survival.csv"),
+                          "--embeddings", str(data / "survival_embeddings.tsv")],
+    }[command]
+    script = (
+        "import json, sys\n"
+        "from pearl.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _readme_commands():
     """The argv of each `pearl ...` line of README's command block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
