@@ -25,6 +25,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import data_io, preprocess, ssgsea, synthgen, survival, trainer
+# perfbench's tracer wraps `cli._read_slide_embeddings`, so the name stays
+from .data_io import read_slide_embeddings as _read_slide_embeddings
 from .encoders import ModelConfig, PearlModel, load_model, save_model
 from .errors import ConfigError, DataFormatError, PearlError, UsageError
 from .metrics import evaluate_expression
@@ -144,29 +146,28 @@ def cmd_synth(args, cfg):
     )
 
 
-def _read_slide_embeddings(path):
-    """({slide id: its row indices}, float32 (rows, dim) embeddings), slides
-    and rows in file order.  Each block of lines is checked by
-    `check_float32` and cast on its own, so no float64 array of the whole
-    table is made; the first block holding a value float32 cannot hold is
-    refused.  The float32 blocks are joined a MiB at a time: piled up whole,
-    the small arrays grow the heap, whose pages the process keeps once they
-    are freed (1 MB of survival-train's peak RSS)."""
-    rows, n, joined, blocks = {}, 0, [], []
-    for spot_ids, slide_ids, values in data_io.embedding_blocks(path):
-        data_io.check_float32(path, spot_ids, values)
-        for i, slide in enumerate(slide_ids, start=n):
-            rows.setdefault(slide, []).append(i)
-        n += len(values)
-        blocks.append(values.astype(np.float32))
-        if sum(b.nbytes for b in blocks) >= 1 << 20:
-            joined.append(np.concatenate(blocks))
-            blocks = []
-    return rows, np.concatenate(joined + blocks)
+def _read_expression(path, value_kind=data_io.RAW_COUNTS):
+    """The expression table `path`, which must hold a spot: a header-only file
+    is a valid 0 x 0 matrix, but there is nothing in it to process."""
+    m = data_io.parse_expression(path, value_kind=value_kind)
+    if m.n_spots == 0:
+        raise DataFormatError("expression matrix has no spots", path=path)
+    return m
+
+
+def _fault_of(path, fn, *args):
+    """`fn(*args)`, a DataFormatError it raises named as a fault of the file
+    `path`.  `ssgsea.score_matrix` raises one only for gene sets that share no
+    gene with the matrix, and `trainer.train_stage1` only for a coordinate
+    axis of the training split that its normalizer cannot scale."""
+    try:
+        return fn(*args)
+    except DataFormatError as exc:
+        raise DataFormatError(exc.detail, path=path) from None
 
 
 def cmd_preprocess(args, cfg):
-    m = data_io.parse_expression(args.expression)
+    m = _read_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
     normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     data_io.write_expression(normed, _outpath(args, "normalized.tsv"))
@@ -176,9 +177,10 @@ def cmd_preprocess(args, cfg):
 
 
 def cmd_score_pathways(args, cfg):
-    m = data_io.parse_expression(args.expression, value_kind=data_io.NORMALIZED_LOG)
+    m = _read_expression(args.expression, value_kind=data_io.NORMALIZED_LOG)
     sets = data_io.read_gmt(args.gene_sets)
-    sm, dropped = ssgsea.score_matrix(m, sets, cfg["ssgsea"], threads=args.threads)
+    sm, dropped = _fault_of(args.gene_sets, ssgsea.score_matrix, m, sets, cfg["ssgsea"],
+                            args.threads)
     data_io.write_scores(sm, _outpath(args, "scores.tsv"))
     with open(_outpath(args, "dropped_pathways.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(dropped) + ("\n" if dropped else ""))
@@ -219,7 +221,7 @@ def _model_config(cfg, dataset, fold=0):
 def cmd_train_contrastive(args, cfg):
     dataset = _load_dataset(args)
     model = PearlModel(_model_config(cfg, dataset))
-    model, history = trainer.train_stage1(dataset, model, cfg["train"])
+    model, history = _fault_of(args.coords, trainer.train_stage1, dataset, model, cfg["train"])
     save_model(model, _outpath(args, "stage1"))
     _write_curve(_outpath(args, "stage1_loss.csv"), history)
 
@@ -340,13 +342,14 @@ def cmd_gradcheck(args, cfg):
 
 def cmd_run_cv(args, cfg):
     tcfg = cfg["train"]
-    m = data_io.parse_expression(args.expression)
+    m = _read_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
     sets = data_io.read_gmt(args.gene_sets)
     patch = data_io.read_features(args.features)
     data_io.check_float32(args.features, patch.spot_ids, patch.features)
     normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
-    sm, _ = ssgsea.score_matrix(normed, sets, cfg["ssgsea"], threads=args.threads)
+    sm, _ = _fault_of(args.gene_sets, ssgsea.score_matrix, normed, sets, cfg["ssgsea"],
+                      args.threads)
     dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
 
     slides = sorted(set(dataset.slide_ids))
@@ -362,7 +365,7 @@ def cmd_run_cv(args, cfg):
         train_ds = dataset.subset(np.flatnonzero(spot_fold != fold))
         test_ds = dataset.subset(np.flatnonzero(spot_fold == fold))
         model = PearlModel(_model_config(cfg, dataset, fold))
-        model, _ = trainer.train_stage1(train_ds, model, tcfg)
+        model, _ = _fault_of(args.coords, trainer.train_stage1, train_ds, model, tcfg)
         model, _ = trainer.train_stage2(train_ds, model, tcfg)
         _, yp, yg = trainer.predict(model, test_ds.features, tcfg.batch_size)
         path_rep = evaluate_expression(yp, test_ds.scores)

@@ -22,10 +22,10 @@ keyed table included.  Expression files and float tables are parsed in
 blocks of lines instead: an expression file in which the block parse finds
 anything off is re-read through `_rows`, and a block of a float table that
 `np.loadtxt` cannot parse as the line reader would goes through the line
-reader's per-line checks, so the error is the same.  The text readers are
-wrapped in `_names_file` (`embedding_blocks`, a generator, in `_naming`),
-so the error names the file too.  Parsed structures are immutable by
-convention and safe to share read-only.
+reader's per-line checks, so the error is the same; `_read_float_table` is
+the one loop over a float table's blocks, float64 or float32.  The text
+readers are wrapped in `_names_file`, so the error names the file too.
+Parsed structures are immutable by convention and safe to share read-only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import functools
 import itertools
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,36 +208,36 @@ def _float_spec(values, path):
     return "%.9g" if values.dtype == np.float32 else "%.17g"
 
 
-@contextmanager
-def _naming(path):
-    """Make a DataFormatError raised in the block, or bytes that are not
-    UTF-8, a DataFormatError naming `path`."""
-    try:
-        yield
-    except DataFormatError as exc:
-        raise DataFormatError(exc.detail, exc.line, path) from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from None
-
-
 def _names_file(reader):
-    """`reader(path, ...)` with its errors named by `_naming(path)`."""
+    """`reader(path, ...)`, a DataFormatError it raises, or bytes that are
+    not UTF-8, made a DataFormatError naming `path`."""
 
     @functools.wraps(reader)
     def read(path, *args, **kwargs):
-        with _naming(path):
+        try:
             return reader(path, *args, **kwargs)
+        except DataFormatError as exc:
+            raise DataFormatError(exc.detail, exc.line, path) from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text: {exc}", path=path) from None
 
     return read
 
 
 def read_json(path, error, what):
     """The JSON object in the file `path`, the `what` (e.g. "config") it
-    holds.  Invalid JSON, bytes that are not UTF-8, nesting too deep to decode
-    or a root that is not an object is an `error` naming the path."""
+    holds.  Invalid JSON, bytes that are not UTF-8, nesting too deep to
+    decode, a root that is not an object or a key repeated in any object is
+    an `error` naming the path."""
+
+    def unique(pairs):
+        if (repeated := _repeated(key for key, _ in pairs)) is not None:
+            raise error(f"{path}: {what} repeats the key {repeated!r} in one object")
+        return dict(pairs)
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique)
         except (ValueError, RecursionError) as exc:
             raise error(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -596,37 +595,6 @@ def write_survival(table, path):
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _float_blocks(path, id_names):
-    """Yield a float table's value-column names, then (one list per id column,
-    float64 values) for each block of `_BLOCK_BYTES` of its lines.
-
-    A block is parsed by `_in_bulk`, or if that refuses it, by `_float_rows`,
-    the reference.  An empty table, a header with no value column or a
-    repeated value-column name, a cell that is not a finite number or a
-    repeated first id is an error.  Bytes that are not UTF-8 are refused when
-    their block is read, before any other fault of that block.
-    """
-    k = len(id_names)
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line, header = _header(enumerate(fh, start=1), "\t", id_names)
-        names = header[k:]
-        if not names:
-            raise DataFormatError("no value column after the id columns", line=header_line)
-        if (repeated := _repeated(names)) is not None:
-            raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
-        yield names
-        keys, first, n_rows = set(), header_line + 1, 0
-        while block := fh.readlines(_BLOCK_BYTES):
-            ids, values = _in_bulk(block, k, len(names), keys) or _float_rows(
-                block, first, header, k, keys
-            )
-            first += len(block)
-            n_rows += len(values)
-            yield ids, values
-    if not n_rows:
-        raise DataFormatError("no rows after the header", line=header_line)
-
-
 def _in_bulk(block, k, width, keys):
     """What `_float_rows` gives for `block`, lines with `k` id columns and
     `width` values, from one `np.loadtxt` call; or None if the block holds a
@@ -677,17 +645,48 @@ def _float_rows(block, first, header, k, keys):
     return ids, np.array(values).reshape(-1, len(header) - k)
 
 
-def _read_float_table(path, id_names):
-    """(one list per id column, float column names, float64 values) of a TSV,
-    read by `_float_blocks`."""
-    blocks = _float_blocks(path, id_names)
-    names = next(blocks)
-    ids, values = [[] for _ in id_names], []
-    for block_ids, block_values in blocks:
-        for column, block_column in zip(ids, block_ids):
-            column += block_column
-        values.append(block_values)
-    return ids, names, np.concatenate(values)
+def _read_float_table(path, id_names, float32=False):
+    """(one list per id column, float column names, values) of a TSV whose
+    header starts with `id_names`: float64 values, or float32 if `float32`.
+
+    Each block of `_BLOCK_BYTES` of lines is parsed by `_in_bulk`, or if that
+    refuses it, by `_float_rows`, the reference.  An empty table, a header
+    with no value column or a repeated value-column name, a cell that is not
+    a finite number or a repeated first id is an error.  Bytes that are not
+    UTF-8 are refused when their block is read, before any other fault of
+    that block.  A float32 table has each block checked by `check_float32`
+    and cast on its own, so no float64 array of the whole table is made.
+    The blocks are joined a MiB at a time: piled up whole, the small arrays
+    grow the heap, whose pages the process keeps once they are freed (1 MB
+    of survival-train's peak RSS).
+    """
+    k = len(id_names)
+    ids, joined, blocks = [[] for _ in id_names], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        header_line, header = _header(enumerate(fh, start=1), "\t", id_names)
+        names = header[k:]
+        if not names:
+            raise DataFormatError("no value column after the id columns", line=header_line)
+        if (repeated := _repeated(names)) is not None:
+            raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
+        keys, first = set(), header_line + 1
+        while block := fh.readlines(_BLOCK_BYTES):
+            block_ids, values = _in_bulk(block, k, len(names), keys) or _float_rows(
+                block, first, header, k, keys
+            )
+            first += len(block)
+            if float32:
+                check_float32(path, block_ids[0], values)
+                values = values.astype(np.float32)
+            for column, block_column in zip(ids, block_ids):
+                column += block_column
+            blocks.append(values)
+            if sum(b.nbytes for b in blocks) >= 1 << 20:
+                joined.append(np.concatenate(blocks))
+                blocks = []
+    if not ids[0]:
+        raise DataFormatError("no rows after the header", line=header_line)
+    return ids, names, np.concatenate(joined + blocks)
 
 
 def _write_float_table(path, header, ids, values):
@@ -743,15 +742,16 @@ def read_embeddings(path):
     return spot_ids, slide_ids, values
 
 
-def embedding_blocks(path):
-    """Yield (spot ids, slide ids, float64 values) for each block of lines of
-    an embedding TSV, in file order: `read_embeddings` a block at a time,
-    its errors naming the file while the blocks are consumed."""
-    with _naming(path):
-        blocks = _float_blocks(path, ("spot_id", "slide_id"))
-        next(blocks)
-        for (spot_ids, slide_ids), values in blocks:
-            yield spot_ids, slide_ids, values
+@_names_file
+def read_slide_embeddings(path):
+    """({slide id: its row indices}, float32 (rows, dim) embeddings) of an
+    embedding TSV, slides and rows in file order: what the Cox head reads.
+    A value float32 cannot hold is refused in the first block that has one."""
+    (_, slide_ids), _, values = _read_float_table(path, ("spot_id", "slide_id"), float32=True)
+    rows = {}
+    for i, slide in enumerate(slide_ids):
+        rows.setdefault(slide, []).append(i)
+    return rows, values
 
 
 def write_embeddings(spot_ids, slide_ids, values, path):

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io
 from .autodiff import Tensor
-from .errors import CheckpointManifestError, PearlError
+from .errors import CheckpointManifestError, DataFormatError, PearlError
 
 TAU_MIN = 1e-3
 TAU_MAX = 100.0
@@ -70,7 +70,7 @@ class CoordNormalizer:
                 f"need 2 values each of mu and sigma, got {self.mu.size} and {self.sigma.size}"
             )
         if not np.all(np.isfinite(self.mu) & (0 < self.sigma) & (self.sigma < np.inf)):
-            raise PearlError("degenerate coordinate axis (zero or non-finite variance)")
+            raise DataFormatError("degenerate coordinate axis (zero or non-finite variance)")
 
     @classmethod
     def fit(cls, coords):

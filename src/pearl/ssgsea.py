@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import NORMALIZED_LOG, PathwayScoreMatrix
-from .errors import DegeneratePathway, PearlError
+from .errors import DataFormatError, DegeneratePathway, PearlError
 
 _SPOT_CHUNK = 256  # spots scored per matmul block
 NES_EPSILON = 1e-12  # floor on a null set's mean |ES|, the NES denominator
@@ -155,7 +155,7 @@ def score_matrix(m, sets, config, threads=1):
         kept.append(s.name)
         member_masks.append(mask)
     if not kept:
-        raise PearlError("no pathway overlaps the measured genes")
+        raise DataFormatError("no pathway overlaps the measured genes")
     member_mat = np.stack(member_masks)  # (P, n_genes)
     sizes = member_mat.sum(axis=1)
     distinct_sizes, size_index = np.unique(sizes, return_inverse=True)

@@ -18,7 +18,7 @@ golden_lines = []
 # manifest corruptions that every checkpoint loader refuses with a
 # CheckpointManifestError (both model and Cox checkpoints have an embed_dim)
 MANIFEST_TAMPERS = ("invalid_json", "too_deep_to_decode", "not_utf8", "array_root",
-                    "embed_dim_not_int", "no_params")
+                    "embed_dim_not_int", "no_params", "repeated_key")
 
 
 def tamper_manifest(path, kind):
@@ -35,6 +35,9 @@ def tamper_manifest(path, kind):
         return
     if kind == "array_root":
         path.write_text("[]")
+        return
+    if kind == "repeated_key":  # embed_dim twice among the hyperparameters
+        path.write_text(text.replace('"hyperparams": {', '"hyperparams": {"embed_dim": 1,', 1))
         return
     manifest = json.loads(text)
     if kind == "embed_dim_not_int":

@@ -821,14 +821,63 @@ class TestFailureInjection:
 
     def test_overflowing_coordinate_spread_refused(self, pipeline, tmp_path):
         # finite x = +-1e308 overflow the sample std, which would scale every x to 0
-        _, _, proc = self._train_on_coords(pipeline, tmp_path, {1: "1e308", 2: "-1e308"})
+        coords, _, proc = self._train_on_coords(pipeline, tmp_path, {1: "1e308", 2: "-1e308"})
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1  # no numpy overflow warning
         assert json.loads(proc.stderr) == {
-            "error": "error",
-            "message": "degenerate coordinate axis (zero or non-finite variance)",
+            "error": "data_format",
+            "message": f"{coords}: degenerate coordinate axis (zero or non-finite variance)",
         }
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _refused(pipeline, tmp_path, capsys, command, **paths):
+        """The JSON error of `command` in process, on the pipeline's inputs with
+        the files `paths` (flag -> path) in their place, asserting that it
+        exits 1 and writes no output."""
+        _, data, cfg_path = pipeline
+        argv = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+        argv += [x for k, name in FILE_COMMANDS[command][0].items()
+                 for x in (f"--{k.replace('_', '-')}", str(paths.get(k, data / name)))]
+        if command == "run-cv":
+            argv += ["--folds", "2"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        return json.loads(err)
+
+    @pytest.mark.parametrize("command", ["preprocess", "score-pathways", "run-cv"])
+    def test_header_only_expression_refused(self, pipeline, tmp_path, capsys, command):
+        # a valid 0 x 0 matrix to the reader, but no spot to process
+        table = tmp_path / "expression.tsv"
+        table.write_text("spot\tgene\tvalue\n")
+        assert self._refused(pipeline, tmp_path, capsys, command, expression=table) == {
+            "error": "data_format", "message": f"{table}: expression matrix has no spots"
+        }
+
+    @pytest.mark.parametrize("command", ["score-pathways", "run-cv"])
+    def test_gene_sets_sharing_no_gene_refused(self, pipeline, tmp_path, capsys, command):
+        gmt = tmp_path / "gene_sets.gmt"
+        gmt.write_text("A\tna\tnot_a_gene\tnor_this\nB\tna\tnone_here\n")
+        assert self._refused(pipeline, tmp_path, capsys, command, gene_sets=gmt) == {
+            "error": "data_format", "message": f"{gmt}: no pathway overlaps the measured genes"
+        }
+
+    @pytest.mark.parametrize("command", ["train-contrastive", "run-cv"])
+    def test_constant_coordinate_axis_refused(self, pipeline, tmp_path, capsys, command):
+        # the normalizer fitted on the training split cannot scale a constant x
+        _, data, _ = pipeline
+        lines = [ln.split(",") for ln in (data / "coords.csv").read_text().splitlines()]
+        for fields in lines[1:]:
+            fields[2] = "7.5"
+        coords = tmp_path / "coords.csv"
+        coords.write_text("".join(",".join(fields) + "\n" for fields in lines))
+        assert self._refused(pipeline, tmp_path, capsys, command, coords=coords) == {
+            "error": "data_format",
+            "message": f"{coords}: degenerate coordinate axis (zero or non-finite variance)",
+        }
 
     def test_run_cv_spot_missing_from_features(self, pipeline, tmp_path, capsys):
         _, data, cfg_path = pipeline
@@ -1008,6 +1057,17 @@ class TestErrors:
         assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "can't decode byte 0xff" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key_refused(self, tmp_path, capsys):
+        # json keeps a repeated key's last value, which would build max_epochs 50
+        path = tmp_path / "c.json"
+        path.write_text('{"train": {"max_epochs": 3, "max_epochs": 50}}')
+        assert run(["synth", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "message": f"{path}: config repeats the key 'max_epochs' in one object",
+        }
         assert not (tmp_path / "out").exists()
 
     def test_config_root_not_object(self, tmp_path, capsys):

@@ -402,21 +402,10 @@ def _float_table_corpus(n_files):
         yield k, data
 
 
-def _blocks_outcome(path):
-    """The blocks `embedding_blocks(path)` yields, or the error raised while
-    they are consumed."""
-    return _outcome(
-        lambda p: [(s, sl, v.tobytes(), v.shape) for s, sl, v in data_io.embedding_blocks(p)],
-        path,
-    )
-
-
 def _float32_outcome(path):
     """What survival-train reads from the embedding table `path`."""
-    from pearl import cli
-
     return _outcome(lambda p: (lambda rows, E: (rows, E.tobytes(), E.shape))(
-        *cli._read_slide_embeddings(p)), path)
+        *data_io.read_slide_embeddings(p)), path)
 
 
 def _reference_float32(path):
@@ -459,7 +448,7 @@ class TestBulkFloatTables:
                     data_io.read_features(q)), p)
             table = _outcome(lambda q: (lambda s, sl, v: (s, sl, v.tobytes(), v.shape))(
                 *data_io.read_embeddings(q)), p)
-            return table, _blocks_outcome(p), _float32_outcome(p)
+            return table, _float32_outcome(p)
 
         errors = 0
         for n, (k, text) in enumerate(_float_table_corpus(400)):
@@ -470,10 +459,10 @@ class TestBulkFloatTables:
                 m.setattr(data_io, "_in_bulk", lambda *args: None)
                 want = read(k, p)
                 if k == 2:
-                    assert got[2] == _reference_float32(p), text
+                    assert got[1] == _reference_float32(p), text
             assert got == want, text
             for outcome in got if k == 2 else [got]:
-                if isinstance(outcome[0], str):  # an error, raised while consuming blocks too
+                if isinstance(outcome[0], str):  # an error, by the float32 reader too
                     errors += 1
                     assert outcome[3] == p and outcome[0].startswith(f"{p}: "), text
         # the corpus reaches both parsers, and both outcomes
@@ -485,9 +474,10 @@ class TestBulkFloatTables:
         p = tmp_path / "e.tsv"
         p.write_text("spot_id\tslide_id\te0\n" + "".join(f"s{i}\tsl\t{i}\n" for i in range(40))
                      + "s3\tsl\t5\n")
-        with pytest.raises(DataFormatError) as info:
-            list(data_io.embedding_blocks(p))
-        assert str(info.value) == f"{p}: line 42: duplicate spot_id 's3'"
+        for read in (data_io.read_embeddings, data_io.read_slide_embeddings):
+            with pytest.raises(DataFormatError) as info:
+                read(p)
+            assert str(info.value) == f"{p}: line 42: duplicate spot_id 's3'"
 
     def test_value_beyond_float32_in_a_later_block(self, tmp_path, monkeypatch):
         # the float32 path checks each block as it is read, with check_float32's message
@@ -496,11 +486,34 @@ class TestBulkFloatTables:
         values = np.arange(80.0).reshape(40, 2)
         values[30, 1] = 1e39
         data_io.write_embeddings([f"s{i}" for i in range(40)], ["sl"] * 40, values, p)
-        assert len(list(data_io.embedding_blocks(p))) > 5
+        assert p.stat().st_size > 5 * data_io._BLOCK_BYTES
         assert _float32_outcome(p) == _reference_float32(p) == (
             f"{p}: spot 's30': value 1e+39 is beyond float32's range",
             "spot 's30': value 1e+39 is beyond float32's range", None, p,
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_table_over_a_mib_matches_the_row_reader(self, tmp_path, monkeypatch, dtype):
+        # the blocks are joined a MiB at a time, for float64 and float32 tables alike
+        monkeypatch.setattr(data_io, "_BLOCK_BYTES", 1 << 14)
+        n, width = 4000, 40 if dtype == np.float64 else 80
+        values = np.random.default_rng(7).normal(size=(n, width)).astype(dtype)
+        assert values.nbytes > 1 << 20
+        p = tmp_path / "e.tsv"
+        data_io.write_embeddings([f"s{i}" for i in range(n)], [f"sl{i % 3}" for i in range(n)],
+                                 values, p)
+
+        def read(q):
+            if dtype == np.float64:
+                spot_ids, slide_ids, table = data_io.read_embeddings(q)
+                return spot_ids, slide_ids, table.dtype, table.tobytes()
+            rows, table = data_io.read_slide_embeddings(q)
+            return rows, table.dtype, table.tobytes()
+
+        got = read(p)
+        assert got[-2:] == (dtype, values.tobytes())
+        monkeypatch.setattr(data_io, "_in_bulk", lambda *args: None)
+        assert got == read(p)
 
     def test_well_formed_tables_are_not_read_by_row(self, tmp_path, monkeypatch):
         def refuse(block, *args):
@@ -1021,6 +1034,17 @@ class TestCheckpoint:
         tamper_manifest(tmp_path / "ckpt.manifest.json", tamper)
         with pytest.raises(CheckpointManifestError):
             load_model(path)
+
+    def test_repeated_manifest_key_named(self, tmp_path):
+        # json keeps a repeated key's last value; the reader refuses the file instead
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        tamper_manifest(tmp_path / "ckpt.manifest.json", "repeated_key")
+        with pytest.raises(CheckpointManifestError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}.manifest.json: manifest repeats the key 'embed_dim' in one object"
+        )
 
     @pytest.mark.parametrize(
         "edit",
