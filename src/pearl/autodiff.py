@@ -2,21 +2,28 @@
 
 Tape-based: each op closes over what its backward needs; backward() walks a
 topological order of the graph and accumulates adjoints.  First-order only.
-backward() consumes the graph: once a node has passed its gradients on, its
-closure and parent links are dropped, so reference counting frees each
-activation during the walk (no node refers back to a child), and a second
-backward() on the same loss is an error.  Kernels preserve the input dtype,
-forward and backward (the tests run every case of gradsuite.CASES on
-float32), so a float64 graph can be built for finite-difference checks
-while models run in float32: constants are Python floats, which NumPy does
-not let promote.  `matmul`, `affine` and `transpose` take 2-D arrays only.
-`attention` is one node for a layer's whole multi-head step, from the tokens
-h and the fused projection wqkv; the graph keeps only those two, and its
-backward recomputes the projection and each head's probabilities, head by
-head.  `affine` is a linear layer, `add(matmul(x, w), b)`, as one node,
-bit-identical to the pair, that keeps x and w where the pair also keeps the
-product x @ w.  Inside `no_grad()` kernels record no parents and no backward
-closure, so inference builds no tape.
+backward() consumes the graph, its intermediate values too: before the walk
+it sets .values to None on every node it will visit except the loss and the
+leaves, and once a node has passed its gradients on, its closure and parent
+links are dropped, so reference counting frees each activation as soon as
+no closure still needs it (no node refers back to a child), and a second
+backward() on the same loss is an error.  So a kernel's backward closure
+captures the arrays and shapes it needs, never an input Tensor (the tests
+run every case of gradsuite.CASES on intermediate inputs), and may
+overwrite an array that only it still holds: tanh's writes its gradient
+into its own output, whose consumers have all run by then.  Kernels
+preserve the input dtype, forward and backward (the tests run every case
+of gradsuite.CASES on float32), so a float64 graph can be built for
+finite-difference checks while models run in float32: constants are
+Python floats, which NumPy does not let promote.  `matmul`, `affine` and
+`transpose` take 2-D arrays only.  `attention` is one node for a layer's
+whole multi-head step, from the tokens h and the fused projection wqkv; the
+graph keeps only those two, and its backward recomputes the projection and
+each head's probabilities, head by head.  `affine` is a linear layer,
+`add(matmul(x, w), b)`, as one node, bit-identical to the pair, that keeps x
+and w where the pair also keeps the product x @ w.  Inside `no_grad()`
+kernels record no parents and no backward closure, so inference builds no
+tape.
 """
 
 from __future__ import annotations
@@ -92,11 +99,18 @@ def _accumulate(t, g):
 
 def backward(loss):
     """Populate .grad for every requires_grad ancestor of a scalar loss, and
-    consume its graph (a second call on it is a PearlError); .grad
-    accumulates across graphs until it is zeroed."""
+    consume its graph (a second call on it is a PearlError): afterwards only
+    the loss and the leaves have .values.  .grad accumulates across graphs
+    until it is zeroed."""
     if loss.values.size != 1:
         raise PearlError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo = _post_order(loss) if loss.requires_grad else []
+    # the loss gets a copy of its value, which a closure may overwrite (tanh's
+    # does); every other intermediate value lives on only in the closures
+    loss.values = loss.values.copy()
+    for t in topo:
+        if t._backward is not None and t is not loss:
+            t.values = None
     adjoint = {id(loss): np.ones_like(loss.values)}
     while topo:
         _propagate(topo.pop(), adjoint)
@@ -211,13 +225,12 @@ def transpose(a):
 def add(a, b):
     """Elementwise add; b may be a (n,) row vector broadcast over rows of a,
     or a scalar tensor."""
-    av, bv = a.values, b.values
-    out = av + bv
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _node(out, (a, b), bw)
+    return _node(a.values + b.values, (a, b), bw)
 
 
 def _unbroadcast(g, shape):
@@ -257,12 +270,12 @@ def exp(a):
 
 
 def tanh(a):
-    out = np.tanh(a.values)
+    out = np.asarray(np.tanh(a.values))  # an array, not a scalar, at 0-d too: bw writes into it
 
-    def bw(g):  # g * (1.0 - out * out), in one temporary
-        t = out * out
-        np.subtract(1.0, t, out=t)
-        return (np.multiply(g, t, out=t),)
+    def bw(g):  # g * (1.0 - out * out), into out: its consumers have all run
+        np.multiply(out, out, out=out)
+        np.subtract(1.0, out, out=out)
+        return (np.multiply(g, out, out=out),)
 
     return _node(out, (a,), bw)
 
@@ -364,17 +377,17 @@ def attention(h, wqkv, n_heads, scale):
 
 def layer_norm(a, gain, bias):
     """Per-row standardization followed by an affine transform."""
-    x = a.values
+    x, gv = a.values, gain.values
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = xc * inv
-    out = xhat * gain.values + bias.values
+    out = xhat * gv + bias.values
     n = x.shape[-1]
 
     def bw(g):
-        gxhat = g * gain.values
+        gxhat = g * gv
         gvar = (gxhat * xc).sum(axis=-1, keepdims=True) * (-0.5) * (inv * inv * inv)
         gmu = -gxhat.sum(axis=-1, keepdims=True) * inv + gvar * (-2.0 / n) * xc.sum(
             axis=-1, keepdims=True
@@ -438,36 +451,33 @@ def mse(pred, target):
 
 
 def sum_all(a):
-    out = np.asarray(a.values.sum(dtype=np.float64), dtype=a.dtype)
+    shape, dtype = a.shape, a.dtype
+    out = np.asarray(a.values.sum(dtype=np.float64), dtype=dtype)
 
     def bw(g):
-        return (np.broadcast_to(g.reshape(()), a.shape).astype(a.dtype),)
+        return (np.broadcast_to(g.reshape(()), shape).astype(dtype),)
 
     return _node(out, (a,), bw)
 
 
 def concat_cols(tensors):
     vals = [t.values for t in tensors]
-    widths = [v.shape[1] for v in vals]
-    out = np.concatenate(vals, axis=1)
-    offsets = np.cumsum([0] + widths)
+    offsets = np.cumsum([0] + [v.shape[1] for v in vals])
 
     def bw(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(vals)))
+        return tuple(g[:, i:j] for i, j in zip(offsets[:-1], offsets[1:]))
 
-    return _node(out, tuple(tensors), bw)
+    return _node(np.concatenate(vals, axis=1), tuple(tensors), bw)
 
 
 def concat_rows(tensors):
     vals = [t.values for t in tensors]
-    heights = [v.shape[0] for v in vals]
-    out = np.concatenate(vals, axis=0)
-    offsets = np.cumsum([0] + heights)
+    offsets = np.cumsum([0] + [v.shape[0] for v in vals])
 
     def bw(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(vals)))
+        return tuple(g[i:j] for i, j in zip(offsets[:-1], offsets[1:]))
 
-    return _node(out, tuple(tensors), bw)
+    return _node(np.concatenate(vals, axis=0), tuple(tensors), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,6 @@ def cmd_run_cv(args, cfg):
             "n_test_spots": test_ds.n_spots,
         }
         fold_reports.append(report)
-        _write_json(_outpath(args, f"fold_{fold}.json"), report)
 
     def agg(values):  # the parser refuses --folds < 2, so the sample std is defined
         vals = np.array(values, dtype=np.float64)
@@ -393,6 +392,9 @@ def cmd_run_cv(args, cfg):
         "gene": {m: agg([r["gene"][m] for r in fold_reports]) for m in metrics},
         "retrieval_top1": agg([r["retrieval_top1"] for r in fold_reports]),
     }
+    # written only now, so a fault in any fold leaves --out-dir as it was
+    for report in fold_reports:
+        _write_json(_outpath(args, f"fold_{report['fold']}.json"), report)
     _write_json(_outpath(args, "aggregate.json"), aggregate)
 
 

@@ -645,6 +645,22 @@ def _float_rows(block, first, header, k, keys):
     return ids, np.array(values).reshape(-1, len(header) - k)
 
 
+def _max_rows(path, skip, width):
+    """An upper bound on the rows of `width` values in file `path` after its
+    first `skip` lines: one per line end (\n, \r\n or a lone \r, as text
+    mode reads them; a \r\n split between two chunks counts twice) and
+    one for an unterminated last line, and at most one per 2 * `width`
+    bytes, the fewest a row of `width` tab-separated values takes."""
+    lines, size, last = 0, 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK_BYTES):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # a fast scan: counting \r and \r\n costs 3x counting \n
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            size, last = size + len(chunk), chunk[-1:]
+    return min(lines + (last not in b"\r\n") - skip, size // (2 * width))
+
+
 def _read_float_table(path, id_names, float32=False):
     """(one list per id column, float column names, values) of a TSV whose
     header starts with `id_names`: float64 values, or float32 if `float32`.
@@ -654,14 +670,13 @@ def _read_float_table(path, id_names, float32=False):
     with no value column or a repeated value-column name, a cell that is not
     a finite number or a repeated first id is an error.  Bytes that are not
     UTF-8 are refused when their block is read, before any other fault of
-    that block.  A float32 table has each block checked by `check_float32`
-    and cast on its own, so no float64 array of the whole table is made.
-    The blocks are joined a MiB at a time: piled up whole, the small arrays
-    grow the heap, whose pages the process keeps once they are freed (1 MB
-    of survival-train's peak RSS).
+    that block.  The values go into one array of the output dtype, sized by
+    `_max_rows` before the first block is parsed, so the table is never
+    held twice; a float32 table has each block checked by `check_float32`
+    before it is cast into that array, so no float64 copy of it is made.
     """
     k = len(id_names)
-    ids, joined, blocks = [[] for _ in id_names], [], []
+    ids = [[] for _ in id_names]
     with open(path, "r", encoding="utf-8") as fh:
         header_line, header = _header(enumerate(fh, start=1), "\t", id_names)
         names = header[k:]
@@ -669,7 +684,9 @@ def _read_float_table(path, id_names, float32=False):
             raise DataFormatError("no value column after the id columns", line=header_line)
         if (repeated := _repeated(names)) is not None:
             raise DataFormatError(f"repeated column {repeated!r}", line=header_line)
-        keys, first = set(), header_line + 1
+        table = np.empty((_max_rows(path, header_line, len(names)), len(names)),
+                         np.float32 if float32 else np.float64)
+        keys, first, filled = set(), header_line + 1, 0
         while block := fh.readlines(_BLOCK_BYTES):
             block_ids, values = _in_bulk(block, k, len(names), keys) or _float_rows(
                 block, first, header, k, keys
@@ -677,16 +694,13 @@ def _read_float_table(path, id_names, float32=False):
             first += len(block)
             if float32:
                 check_float32(path, block_ids[0], values)
-                values = values.astype(np.float32)
+            table[filled : filled + len(values)] = values
+            filled += len(values)
             for column, block_column in zip(ids, block_ids):
                 column += block_column
-            blocks.append(values)
-            if sum(b.nbytes for b in blocks) >= 1 << 20:
-                joined.append(np.concatenate(blocks))
-                blocks = []
-    if not ids[0]:
+    if not filled:
         raise DataFormatError("no rows after the header", line=header_line)
-    return ids, names, np.concatenate(joined + blocks)
+    return ids, names, table[:filled]
 
 
 def _write_float_table(path, header, ids, values):

@@ -1,7 +1,8 @@
 """Shared pytest hooks and helpers.
 
-The acceptance tests register one verdict line per criterion, and the golden
-chain one naming the mode it ran in; printing them from the terminal-summary
+The acceptance tests register one verdict line per criterion, the golden
+chain one naming the mode it ran in, and each memory guard its measured
+`tracemalloc` peak beside its bound; printing them from the terminal-summary
 hook keeps the lines visible even though pytest captures test stdout at the
 file-descriptor level.
 """
@@ -14,6 +15,7 @@ import pytest
 
 acceptance_lines = []
 golden_lines = []
+memory_lines = []
 
 # manifest corruptions that every checkpoint loader refuses with a
 # CheckpointManifestError (both model and Cox checkpoints have an embed_dim)
@@ -81,13 +83,22 @@ def traced_peak(fn, *args):
     return out, peak
 
 
+def peak_bound(what, peak, mib):
+    """`mib` MiB in bytes, the bound a memory guard holds `peak` bytes (its
+    measured `tracemalloc` peak of `what`) under; both go to the summary."""
+    memory_lines.append(f"{what}: peak {peak / 2**20:.2f} MiB, bound {mib} MiB "
+                        f"({100 * (1 - peak / (mib * 2**20)):.0f}% headroom)")
+    return mib * 2**20
+
+
 def significant_digits(cell):
     """Significant digits of a number written as text, e.g. 3 for '-1.25e-07'."""
     return len(cell.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0"))
 
 
 def pytest_terminal_summary(terminalreporter):
-    sections = {"acceptance criteria": acceptance_lines, "golden chain": golden_lines}
+    sections = {"acceptance criteria": acceptance_lines, "golden chain": golden_lines,
+                "memory guards": memory_lines}
     for title, lines in sections.items():
         if lines:
             terminalreporter.section(title)

@@ -149,8 +149,9 @@ class TestAffine:
         def run(op):
             x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
             out = op(x, w, b)
+            values = out.values  # backward drops it from the node
             ad.backward(ad.sum_all(ad.mul(out, proj)))
-            return [out.values, x.grad, w.grad, b.grad]
+            return [values, x.grad, w.grad, b.grad]
 
         fused = run(ad.affine)
         chain = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
@@ -176,14 +177,15 @@ class TestAffine:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_tanh_backward_equals_the_formula_bit_for_bit(dtype):
     # the in-place backward against g * (1.0 - out * out), over saturated and
-    # near-zero inputs too
+    # near-zero inputs too; it writes into out, so the formula goes first
     rng = np.random.default_rng(16)
     x = (rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-8, 3, size=(40, 9))).astype(dtype)
     g = rng.normal(size=x.shape).astype(dtype)
     out = ad.tanh(Tensor(x, requires_grad=True))
+    expected = g * (1.0 - out.values * out.values)
     (grad,) = out._backward(g)
     assert grad.dtype == dtype
-    assert grad.tobytes() == (g * (1.0 - out.values * out.values)).tobytes()
+    assert grad.tobytes() == expected.tobytes()
 
 
 class TestNoGrad:
@@ -235,6 +237,23 @@ def test_float32_in_float32_out(name):
     assert [g.dtype for g in grads] == [np.float32] * len(out._parents)
     ad.backward(out if out.values.size == 1 else ad.sum_all(out))
     assert [t.grad.dtype for t in inputs] == [np.float32] * len(inputs)
+
+
+@pytest.mark.parametrize("name", list(gradsuite.CASES))
+def test_intermediate_inputs_get_the_leaf_gradients(name):
+    # each input passed through mul_scalar(., 1.0), a node whose values
+    # backward drops: a closure that reads an input Tensor then fails
+    shapes, op = gradsuite.CASES[name]
+    rng = np.random.default_rng(17)
+    values = [rng.normal(size=s) for s in shapes]
+    w = Tensor(rng.normal(size=op(*(t64(v) for v in values)).shape))
+
+    def grads(wrap):
+        leaves = [t64(v) for v in values]
+        ad.backward(ad.sum_all(ad.mul(op(*(wrap(t) for t in leaves)), w)))
+        return [t.grad.tobytes() for t in leaves]
+
+    assert grads(lambda t: ad.mul_scalar(t, 1.0)) == grads(lambda t: t)
 
 
 class TestSoftmax:
@@ -330,6 +349,20 @@ class TestBackward:
         with pytest.raises(PearlError, match="already consumed"):
             ad.backward(loss)
         np.testing.assert_array_equal(w.grad, first)
+
+    def test_intermediate_values_dropped(self):
+        w = t64(np.ones((4, 3)))
+        x = t64(np.arange(12.0).reshape(3, 4), grad=False)
+        hidden = ad.tanh(ad.matmul(x, w))
+        total = ad.sum_all(ad.mul(hidden, hidden))
+        # a tanh loss: its backward writes into its output, not into the loss's value
+        loss = ad.tanh(ad.mul_scalar(total, 0.1))
+        nodes = [hidden._parents[0], hidden, total, loss._parents[0]]
+        value = loss.item()
+        ad.backward(loss)
+        assert [t.values for t in nodes] == [None] * 4
+        assert loss.item() == value
+        assert x.values.shape == (3, 4) and w.values.shape == (4, 3)
 
     def test_reuse_sums_both_paths(self):
         w = t64([3.0])

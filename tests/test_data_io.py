@@ -494,7 +494,7 @@ class TestBulkFloatTables:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_table_over_a_mib_matches_the_row_reader(self, tmp_path, monkeypatch, dtype):
-        # the blocks are joined a MiB at a time, for float64 and float32 tables alike
+        # many blocks fill one preallocated array, for float64 and float32 tables alike
         monkeypatch.setattr(data_io, "_BLOCK_BYTES", 1 << 14)
         n, width = 4000, 40 if dtype == np.float64 else 80
         values = np.random.default_rng(7).normal(size=(n, width)).astype(dtype)

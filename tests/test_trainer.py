@@ -23,7 +23,7 @@ from pearl.trainer import (
     train_stage2,
 )
 
-from conftest import graph_nodes, traced_peak
+from conftest import graph_nodes, peak_bound, traced_peak
 
 
 def brute_force_contrastive(h_img, h_path, inv_tau):
@@ -239,7 +239,8 @@ class TestStage1:
         # with stacked per-head nodes around the attention node, 24.3 MiB
         # with attention one node on the fused qkv product, 14.3 MiB with
         # that node keeping only h and wqkv (its backward recomputes each
-        # head) and backward freeing each node as it passes it.
+        # head) and backward freeing each node as it passes it, 13.4 MiB with
+        # backward dropping every intermediate value before its walk.
         rng = np.random.default_rng(0)
         n = 400
         ds = SpotDataset(
@@ -252,7 +253,7 @@ class TestStage1:
         )
         model = PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
         _, peak = traced_peak(train_stage1, ds, model, TrainConfig(max_epochs=2, patience=1))
-        assert peak < 18 * 2**20
+        assert peak < peak_bound("train_stage1, two epochs, benchmark train-infer", peak, 15)
 
     def test_loss_decreases_and_best_restored(self):
         ds = tiny_dataset(n=24, seed=1)
