@@ -1,10 +1,11 @@
 """Command-line orchestration of the pipeline.
 
-Every subcommand reads declared inputs and writes declared outputs under
---out-dir (gradcheck prints its report); `main` then exits 0.  Every failure,
-a usage error or a missing input (a checkpoint's manifest too) included,
-prints a machine-readable JSON object to stderr and exits 1.  A subcommand
-declares only the flags it reads, so any other flag is a usage error.
+Every subcommand reads the inputs and writes the outputs under --out-dir
+that its `COMMANDS` entry declares (gradcheck prints its report); `main`
+then exits 0.  Every failure, a usage error or a missing input (a
+checkpoint's manifest too) included, prints a machine-readable JSON object
+to stderr and exits 1.  A subcommand declares only the flags it reads, so
+any other flag is a usage error.
 Hyperparameters come from a single JSON config file, built into one
 dataclass per section, with --seed in each seed field, before any subcommand
 runs; a field filled in from --seed or the input tables is refused.  Paths
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -268,6 +270,9 @@ def cmd_evaluate(args, cfg):
         raise DataFormatError(
             f"{width} value columns here but {len(truth.pathway_names)} in --truth", path=args.pred
         )
+    if (n := len(pred.spot_ids)) < 2:
+        raise DataFormatError(f"a PCC needs at least 2 spots, but this table holds {n}",
+                              path=args.pred)
     report = evaluate_expression(pred.scores, truth.scores[rows], truth.pathway_names)
     _write_json(_outpath(args, "report.json"), report.to_dict())
     with open(_outpath(args, "per_target_pcc.csv"), "w", encoding="utf-8") as fh:
@@ -360,6 +365,12 @@ def cmd_run_cv(args, cfg):
         )
     fold_of = {s: i % args.folds for i, s in enumerate(slides)}
     spot_fold = np.array([fold_of[s] for s in dataset.slide_ids])
+    # every fold holds a slide, so at least one spot; its PCC needs two
+    if (sizes := np.bincount(spot_fold)).min() < 2:
+        raise UsageError(
+            f"--folds {args.folds}: fold {sizes.argmin()} is a single spot of {args.coords}, "
+            "but scoring a fold needs at least 2"
+        )
     fold_reports = []
     for fold in range(args.folds):
         train_ds = dataset.subset(np.flatnonzero(spot_fold != fold))
@@ -437,35 +448,58 @@ _SEEDED = ("config", "seed", "out_dir")
 _THREADED = ("config", "seed", "threads", "out_dir")
 
 
+def _inputs(*names):
+    """{flag: keywords} of required input paths."""
+    return {name: {"required": True} for name in names}
+
+
+def _checkpoint(name):
+    """The two files of the checkpoint `name`."""
+    return data_io.manifest_of(name), data_io.blob_of(name)
+
+
+# a subcommand: `fn(args, cfg)` runs it; it reads the `_COMMON` flags `shared`, then its own
+# `flags` ({flag: argparse keywords}), and writes the files `outputs` under --out-dir
+Command = namedtuple("Command", "fn shared flags outputs")
+_DATASET = _inputs("scores", "coords", "features", "hvg")
+_COHORT = _inputs("embeddings", "survival")
+COMMANDS = {
+    "synth": Command(cmd_synth, _SEEDED, {}, ("expression.tsv", "coords.csv", "gene_sets.gmt",
+                     "features.tsv", "survival.csv", "survival_embeddings.tsv")),
+    "preprocess": Command(cmd_preprocess, ("config", "out_dir"), _inputs("expression", "coords"),
+                          ("normalized.tsv", "hvg.tsv", "hvg_genes.txt")),
+    "score-pathways": Command(cmd_score_pathways, _THREADED, _inputs("expression", "gene_sets"),
+                              ("scores.tsv", "dropped_pathways.txt")),
+    "train-contrastive": Command(cmd_train_contrastive, _SEEDED, _DATASET,
+                                 (*_checkpoint("stage1"), "stage1_loss.csv")),
+    "train-heads": Command(cmd_train_heads, _SEEDED, {**_inputs("checkpoint"), **_DATASET},
+                           (*_checkpoint("final"), "stage2_loss.csv")),
+    "predict": Command(cmd_predict, ("out_dir",), {  # embeddings.tsv only with --emit-embeddings
+        **_inputs("checkpoint", "features"), "coords": {"required": False},
+        "emit_embeddings": {"action": "store_true"},
+    }, ("yhat_path.tsv", "yhat_gene.tsv", "embeddings.tsv")),
+    "evaluate": Command(cmd_evaluate, ("out_dir",), _inputs("pred", "truth"),
+                        ("report.json", "per_target_pcc.csv")),
+    "survival-train": Command(cmd_survival_train, _SEEDED, _COHORT,
+                              (*_checkpoint("cox"), "cox_loss.csv")),
+    "survival-eval": Command(cmd_survival_eval, ("out_dir",), {**_inputs("checkpoint"), **_COHORT},
+                             ("survival_report.json",)),
+    "gradcheck": Command(cmd_gradcheck, (), {}, ()),
+    "run-cv": Command(cmd_run_cv, _THREADED, {  # 1 fold trains on no slide; <k> is a fold
+        **_inputs("expression", "coords", "gene_sets", "features"),
+        "folds": {"type": _bounded_int(2), "default": 5},
+    }, ("fold_<k>.json", "aggregate.json")),
+}
+
+
 def build_parser():
     parser = _Parser(prog="pearl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, common, **flags):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        for flag in common:
-            p.add_argument(f"--{flag.replace('_', '-')}", **_COMMON[flag])
-        for flag, required in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", required=required, default=None)
-        return p
-
-    dataset = {"scores": True, "coords": True, "features": True, "hvg": True}
-    cohort = {"embeddings": True, "survival": True}
-    add("synth", cmd_synth, _SEEDED)
-    add("preprocess", cmd_preprocess, ("config", "out_dir"), expression=True, coords=True)
-    add("score-pathways", cmd_score_pathways, _THREADED, expression=True, gene_sets=True)
-    add("train-contrastive", cmd_train_contrastive, _SEEDED, **dataset)
-    add("train-heads", cmd_train_heads, _SEEDED, checkpoint=True, **dataset)
-    p = add("predict", cmd_predict, ("out_dir",), checkpoint=True, features=True, coords=False)
-    p.add_argument("--emit-embeddings", action="store_true")
-    add("evaluate", cmd_evaluate, ("out_dir",), pred=True, truth=True)
-    add("survival-train", cmd_survival_train, _SEEDED, **cohort)
-    add("survival-eval", cmd_survival_eval, ("out_dir",), checkpoint=True, **cohort)
-    add("gradcheck", cmd_gradcheck, ())
-    p = add("run-cv", cmd_run_cv, _THREADED, expression=True, coords=True, gene_sets=True,
-            features=True)
-    p.add_argument("--folds", type=_bounded_int(2), default=5)  # 1 fold trains on no slide
+        p.set_defaults(fn=command.fn)
+        for flag, keywords in [*((f, _COMMON[f]) for f in command.shared), *command.flags.items()]:
+            p.add_argument(f"--{flag.replace('_', '-')}", **keywords)
     return parser
 
 

@@ -783,6 +783,11 @@ def manifest_of(path):
     return path + ".manifest.json"
 
 
+def blob_of(path):
+    """The parameter blob of the checkpoint `path`."""
+    return path + ".params.bin"
+
+
 def save_checkpoint(obj, hyperparams, path, extra=None):
     """Write <path>.manifest.json and <path>.params.bin.
 
@@ -800,7 +805,7 @@ def save_checkpoint(obj, hyperparams, path, extra=None):
     with open(manifest_of(path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     blob = b"".join(np.ascontiguousarray(p.values, dtype="<f4").tobytes() for _, p in params)
-    with open(path + ".params.bin", "wb") as fh:
+    with open(blob_of(path), "wb") as fh:
         fh.write(blob)
 
 
@@ -826,7 +831,7 @@ def load_checkpoint(path, kinds, build):
     CheckpointManifestError.  The built parameters' names and shapes must be
     the manifest's.
     """
-    manifest_path, blob_path = manifest_of(path), path + ".params.bin"
+    manifest_path, blob_path = manifest_of(path), blob_of(path)
     manifest = read_json(manifest_path, CheckpointManifestError, "manifest")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointVersionError(

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -212,6 +213,23 @@ class TestPipeline:
         }
         assert not (tmp_path / "out").exists()
 
+    def test_evaluate_refuses_a_single_spot(self, pipeline, tmp_path, capsys):
+        # one spot has no PCC; --pred is the table named
+        _, data, _ = pipeline
+        for name in ("yhat_path.tsv", "scores.tsv"):
+            header, first = (data / name).read_text().splitlines()[:2]
+            (tmp_path / name).write_text(f"{header}\n{first}\n")
+        argv = ["evaluate", "--out-dir", str(tmp_path / "out"),
+                "--pred", str(tmp_path / "yhat_path.tsv"), "--truth", str(tmp_path / "scores.tsv")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "data_format",
+            "message": f"{tmp_path / 'yhat_path.tsv'}: a PCC needs at least 2 spots, "
+                       "but this table holds 1",
+        }
+        assert not (tmp_path / "out").exists()
+
     def test_survival_train_eval(self, pipeline, tmp_path):
         _, data, _ = pipeline
         cfg = tmp_path / "surv.json"
@@ -332,6 +350,27 @@ class TestPipeline:
             "error": "usage",
             "message": f"--folds 3: the spots of {data / 'coords.csv'} lie on 2 slides, "
                        "which cannot form 3 slide-disjoint folds",
+        }
+        assert not out.exists()
+
+    def test_run_cv_refuses_a_single_spot_fold(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the last spot alone on a third slide: fold 2 would test one spot, so
+        # run-cv stops before any fold trains
+        _, data, cfg_path = pipeline
+        monkeypatch.setattr(trainer, "train_stage1", lambda *args: pytest.fail("a fold trained"))
+        *lines, last = (data / "coords.csv").read_text().splitlines()
+        spot, _, rest = last.split(",", 2)
+        coords = tmp_path / "coords.csv"
+        coords.write_text("\n".join([*lines, f"{spot},slideX,{rest}"]) + "\n")
+        out = tmp_path / "out"
+        argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "3",
+                *_cv_inputs(data, coords=str(coords))]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "usage",
+            "message": f"--folds 3: fold 2 is a single spot of {coords}, "
+                       "but scoring a fold needs at least 2",
         }
         assert not out.exists()
 
@@ -1636,6 +1675,48 @@ class TestFlagSurface:
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
+# each parser's usage line at 80 columns: it pins the flags' order, which are
+# required, and which take a value, so --help and every usage error keep them
+USAGE = {
+    "pearl": "usage: pearl [-h]\n             {synth,preprocess,score-pathways,train-contrastive,"
+             "train-heads,predict,evaluate,survival-train,survival-eval,gradcheck,run-cv}\n"
+             "             ...\n",
+    "synth": "usage: pearl synth [-h] [--config CONFIG] [--seed SEED] [--out-dir OUT_DIR]\n",
+    "preprocess": "usage: pearl preprocess [-h] [--config CONFIG] [--out-dir OUT_DIR]\n"
+                  "                        --expression EXPRESSION --coords COORDS\n",
+    "score-pathways": "usage: pearl score-pathways [-h] [--config CONFIG] [--seed SEED]\n"
+                      "                            [--threads THREADS] [--out-dir OUT_DIR]\n"
+                      "                            --expression EXPRESSION --gene-sets GENE_SETS\n",
+    "train-contrastive": "usage: pearl train-contrastive [-h] [--config CONFIG] [--seed SEED]\n"
+                         "                               [--out-dir OUT_DIR] --scores SCORES"
+                         " --coords\n"
+                         "                               COORDS --features FEATURES --hvg HVG\n",
+    "train-heads": "usage: pearl train-heads [-h] [--config CONFIG] [--seed SEED]\n"
+                   "                         [--out-dir OUT_DIR] --checkpoint CHECKPOINT --scores\n"
+                   "                         SCORES --coords COORDS --features FEATURES --hvg HVG\n",
+    "predict": "usage: pearl predict [-h] [--out-dir OUT_DIR] --checkpoint CHECKPOINT\n"
+               "                     --features FEATURES [--coords COORDS] [--emit-embeddings]\n",
+    "evaluate": "usage: pearl evaluate [-h] [--out-dir OUT_DIR] --pred PRED --truth TRUTH\n",
+    "survival-train": "usage: pearl survival-train [-h] [--config CONFIG] [--seed SEED]\n"
+                      "                            [--out-dir OUT_DIR] --embeddings EMBEDDINGS\n"
+                      "                            --survival SURVIVAL\n",
+    "survival-eval": "usage: pearl survival-eval [-h] [--out-dir OUT_DIR] --checkpoint CHECKPOINT\n"
+                     "                           --embeddings EMBEDDINGS --survival SURVIVAL\n",
+    "gradcheck": "usage: pearl gradcheck [-h]\n",
+    "run-cv": "usage: pearl run-cv [-h] [--config CONFIG] [--seed SEED] [--threads THREADS]\n"
+              "                    [--out-dir OUT_DIR] --expression EXPRESSION --coords\n"
+              "                    COORDS --gene-sets GENE_SETS --features FEATURES\n"
+              "                    [--folds FOLDS]\n",
+}
+
+
+def test_usage_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    usage = {"pearl": cli.build_parser().format_usage()}
+    usage.update((name, p.format_usage()) for name, p in _subparsers().items())
+    assert usage == USAGE
+
+
 class TestNumpyOnly:
     """No subcommand but synth needs scipy; synthgen imports it on call."""
 
@@ -1709,7 +1790,26 @@ def _readme_commands():
     return [shlex.split(ln)[1:] for ln in lines]
 
 
+def _readme_command_table():
+    """{command: (its shared flags, its outputs)}, as README's command table
+    lists them in backquotes (a flag after an output names its condition)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("```", 1)[0]
+    rows = [ln.strip("|").split("|") for ln in section.splitlines() if ln.startswith("|")][2:]
+    return {
+        command.strip(): (re.findall(r"`([^`]+)`", shared),
+                          [n for n in re.findall(r"`([^`]+)`", outputs) if not n.startswith("--")])
+        for command, shared, outputs in rows
+    }
+
+
 class TestReadme:
+    def test_command_table_is_the_declaration(self):
+        assert _readme_command_table() == {
+            name: ([f"--{f.replace('_', '-')}" for f in c.shared], list(c.outputs))
+            for name, c in cli.COMMANDS.items()
+        }
+
     def test_command_block_covers_every_subcommand(self):
         assert [argv[0] for argv in _readme_commands()] == list(_subparsers())
 

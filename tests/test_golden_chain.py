@@ -6,6 +6,7 @@ import json
 
 import golden_chain
 from conftest import golden_lines
+from pearl import cli
 
 
 def test_golden_chain(tmp_path):
@@ -31,6 +32,30 @@ def test_one_byte_edit_to_any_output_is_caught(tmp_path):
             path.name
         ]
         path.write_bytes(data)
+
+
+def test_each_command_writes_exactly_its_declared_outputs(tmp_path, monkeypatch):
+    out, pearl = tmp_path / "chain", golden_chain.pearl
+    argvs, written = {}, {}
+
+    def spy(argv):  # the files that are new under --out-dir after each call
+        before = set(out.iterdir()) if out.exists() else set()
+        code = pearl(argv)
+        argvs[argv[0]], written[argv[0]] = argv, {p.name for p in set(out.iterdir()) - before}
+        return code
+
+    monkeypatch.setattr(golden_chain, "pearl", spy)
+    golden_chain.run_chain(out)
+    folds = int(argvs["run-cv"][argvs["run-cv"].index("--folds") + 1])
+    # `<k>` stands for each fold; a name without it is the same for every k
+    assert written == {
+        name: {o.replace("<k>", str(k)) for o in cli.COMMANDS[name].outputs for k in range(folds)}
+        for name in argvs
+    }
+    assert set(cli.COMMANDS) - set(argvs) == {"gradcheck"}  # it prints its report
+    assert set().union(*written.values()) == set(
+        json.loads(golden_chain.RECORD.read_text())["files"]
+    )
 
 
 def test_write_names_the_changed_outputs(tmp_path, monkeypatch, capsys):
