@@ -352,25 +352,27 @@ def cmd_run_cv(args, cfg):
     sets = data_io.read_gmt(args.gene_sets)
     patch = data_io.read_features(args.features)
     data_io.check_float32(args.features, patch.spot_ids, patch.features)
-    normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
-    sm, _ = _fault_of(args.gene_sets, ssgsea.score_matrix, normed, sets, cfg["ssgsea"],
-                      args.threads)
-    dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
-
-    slides = sorted(set(dataset.slide_ids))
+    # the folds, from the spots' slides before any is processed (which keeps their order)
+    rows = data_io.rows_of(m.spot_ids, [g.spot_id for g in geoms], "coords")
+    slide_ids = [geoms[i].slide_id for i in rows]
+    slides = sorted(set(slide_ids))
     if len(slides) < args.folds:
         raise UsageError(
             f"--folds {args.folds}: the spots of {args.coords} lie on {len(slides)} slides, "
             f"which cannot form {args.folds} slide-disjoint folds"
         )
     fold_of = {s: i % args.folds for i, s in enumerate(slides)}
-    spot_fold = np.array([fold_of[s] for s in dataset.slide_ids])
+    spot_fold = np.array([fold_of[s] for s in slide_ids])
     # every fold holds a slide, so at least one spot; its PCC needs two
     if (sizes := np.bincount(spot_fold)).min() < 2:
         raise UsageError(
             f"--folds {args.folds}: fold {sizes.argmin()} is a single spot of {args.coords}, "
             "but scoring a fold needs at least 2"
         )
+    normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
+    sm, _ = _fault_of(args.gene_sets, ssgsea.score_matrix, normed, sets, cfg["ssgsea"],
+                      args.threads)
+    dataset = SpotDataset.from_tables(sm, geoms, patch, hvg)
     fold_reports = []
     for fold in range(args.folds):
         train_ds = dataset.subset(np.flatnonzero(spot_fold != fold))

@@ -8,7 +8,8 @@ Formats:
   - float tables, TSV of id columns then floats: patch features
     (spot_id f0...), pathway scores (spot <pathway>...) and slide embeddings
     (spot_id slide_id e0..., one row per spot)
-  - checkpoints: <name>.manifest.json + <name>.params.bin (little-endian f32)
+  - checkpoints: <name>.manifest.json + <name>.params.bin, the parameters'
+    little-endian f32 back to back, written and read one parameter at a time
   - JSON objects (config files, checkpoint manifests), read by `read_json`
 
 Every float a text writer writes is spelled by `_float_spec`: a float32
@@ -31,9 +32,10 @@ Parsed structures are immutable by convention and safe to share read-only.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -804,9 +806,9 @@ def save_checkpoint(obj, hyperparams, path, extra=None):
         manifest["extra"] = extra
     with open(manifest_of(path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    blob = b"".join(np.ascontiguousarray(p.values, dtype="<f4").tobytes() for _, p in params)
     with open(blob_of(path), "wb") as fh:
-        fh.write(blob)
+        for _, p in params:  # a float32 parameter on a little-endian host is not copied
+            fh.write(np.ascontiguousarray(p.values, dtype="<f4"))
 
 
 def _is_param_entry(p):
@@ -819,8 +821,8 @@ def _is_param_entry(p):
 
 
 def load_checkpoint(path, kinds, build):
-    """Return (object, extra): `build(**hyperparams)` with its `parameters()`
-    filled from the blob, and the manifest's `extra` object.
+    """Return (object, extra): `build(**hyperparams)`, the float32 arrays of its
+    `parameters()` filled in place from the blob, and the manifest's `extra`.
 
     The manifest, read by `read_json` (a missing one is an OSError), must be
     a JSON object with this format version, a `hyperparams` object, a
@@ -851,40 +853,34 @@ def load_checkpoint(path, kinds, build):
     if (repeated := _repeated(p["name"] for p in entries)) is not None:
         raise CheckpointManifestError(f"{manifest_path}: parameter {repeated!r} listed twice")
     with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    # each entry's byte offset in the blob, entries back to back in manifest order
-    *offsets, expected = itertools.accumulate(
-        (math.prod(p["shape"]) * 4 for p in entries), initial=0
-    )
-    if len(blob) != expected:
-        error = CheckpointTruncatedError if len(blob) < expected else CheckpointShapeError
-        raise error(f"{blob_path}: blob holds {len(blob)} bytes, manifest declares {expected}")
-    bad = sorted(set(hyper) ^ set(kinds))
-    if bad:
-        kind = "unknown" if bad[0] in hyper else "missing"
-        raise CheckpointShapeError(f"{manifest_path}: {kind} hyperparameter {bad[0]!r}")
-    for name, kind in kinds.items():
-        if not of_type(value := hyper[name], kind):
-            raise CheckpointManifestError(
-                f"{manifest_path}: hyperparameter {name!r} must be of type {kind.__name__}, "
-                f"got {value!r}"
-            )
-    try:
-        obj = build(**hyper)
-    except PearlError as exc:
-        raise CheckpointManifestError(f"{manifest_path}: {exc}") from None
-    stored = {p["name"]: (tuple(p["shape"]), o) for p, o in zip(entries, offsets)}
-    targets = obj.parameters()
-    if set(stored) != {n for n, _ in targets}:
-        raise CheckpointShapeError(
-            f"{manifest_path}: parameter names do not match the declared hyperparameters"
-        )
-    for n, t in targets:
-        shape, offset = stored[n]
-        if shape != t.values.shape:
-            raise CheckpointShapeError(
-                f"{manifest_path}: parameter {n!r}: shape {shape}, expected {t.values.shape}"
-            )
-        count = math.prod(shape)
-        t.values = np.frombuffer(blob, "<f4", count, offset).astype(np.float32).reshape(shape)
+        expected = 4 * sum(math.prod(p["shape"]) for p in entries)
+        if (size := os.fstat(fh.fileno()).st_size) != expected:
+            error = CheckpointTruncatedError if size < expected else CheckpointShapeError
+            raise error(f"{blob_path}: blob holds {size} bytes, manifest declares {expected}")
+        if bad := sorted(set(hyper) ^ set(kinds)):
+            kind = "unknown" if bad[0] in hyper else "missing"
+            raise CheckpointShapeError(f"{manifest_path}: {kind} hyperparameter {bad[0]!r}")
+        for name, kind in kinds.items():
+            if not of_type(value := hyper[name], kind):
+                raise CheckpointManifestError(f"{manifest_path}: hyperparameter {name!r} must "
+                                              f"be of type {kind.__name__}, got {value!r}")
+        try:
+            obj = build(**hyper)
+        except PearlError as exc:
+            raise CheckpointManifestError(f"{manifest_path}: {exc}") from None
+        shapes = {p["name"]: tuple(p["shape"]) for p in entries}
+        targets = dict(obj.parameters())
+        if shapes.keys() != targets.keys():
+            raise CheckpointShapeError(f"{manifest_path}: parameter names do not match the "
+                                       "declared hyperparameters")
+        for n, t in targets.items():  # the first mismatch in the object's order is named
+            if (shape := shapes[n]) != t.values.shape:
+                raise CheckpointShapeError(f"{manifest_path}: parameter {n!r}: shape {shape}, "
+                                           f"expected {t.values.shape}")
+        for p in entries:  # in blob order, each straight into its built float32 array
+            values = targets[p["name"]].values
+            if fh.readinto(values) < values.nbytes:  # cut since its size was read
+                raise CheckpointTruncatedError(f"{blob_path}: blob ends inside {p['name']!r}")
+            if sys.byteorder == "big":  # the blob is little-endian
+                values.byteswap(inplace=True)
     return obj, extra

@@ -272,11 +272,12 @@ def train_stage2(dataset, model, config):
 
 def embed_images(model, features, batch_size=256):
     """Frozen forward of the image branch over all rows."""
-    out = []
+    out = np.empty((features.shape[0], model.config.embed_dim), model.dtype)
     with ad.no_grad():
         for start in range(0, features.shape[0], batch_size):
-            out.append(model.encode_images(features[start : start + batch_size]).values)
-    return np.concatenate(out, axis=0) if out else np.zeros((0, model.config.embed_dim))
+            rows = slice(start, start + batch_size)
+            out[rows] = model.encode_images(features[rows]).values
+    return out
 
 
 def predict(model, features, batch_size=256):

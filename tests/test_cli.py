@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
-from pearl import cli, data_io, gradsuite, survival, trainer
+from pearl import cli, data_io, gradsuite, preprocess, survival, trainer
 from pearl.cli import _read_slide_embeddings, main
-from pearl.encoders import load_model
+from pearl.encoders import ModelConfig, PearlModel, load_model, save_model
 from pearl.errors import ConfigError, DataFormatError, TrainingDiverged
 
 import golden_chain
@@ -339,8 +339,10 @@ class TestPipeline:
         assert calls == [0, 1]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_run_cv_more_folds_than_slides(self, pipeline, tmp_path, capsys):
+    def test_run_cv_more_folds_than_slides(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the slides of --coords decide it, before any spot is preprocessed
         _, data, cfg_path = pipeline
+        monkeypatch.setattr(preprocess, "run_pipeline", lambda *args: pytest.fail("preprocessed"))
         out = tmp_path / "out"
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "3",
                 *_cv_inputs(data)]
@@ -355,8 +357,9 @@ class TestPipeline:
 
     def test_run_cv_refuses_a_single_spot_fold(self, pipeline, tmp_path, capsys, monkeypatch):
         # the last spot alone on a third slide: fold 2 would test one spot, so
-        # run-cv stops before any fold trains
+        # run-cv stops before any spot is preprocessed or any fold trains
         _, data, cfg_path = pipeline
+        monkeypatch.setattr(preprocess, "run_pipeline", lambda *args: pytest.fail("preprocessed"))
         monkeypatch.setattr(trainer, "train_stage1", lambda *args: pytest.fail("a fold trained"))
         *lines, last = (data / "coords.csv").read_text().splitlines()
         spot, _, rest = last.split(",", 2)
@@ -650,6 +653,18 @@ class TestCohort:
         assert table.shape == (4216, 256) and len(rows) == 160
         assert peak < peak_bound("read_slide_embeddings, benchmark cohort", peak, 6)
 
+    def test_eval_peak_memory_at_benchmark_shape(self, tmp_path):
+        # survival-eval with an untrained Cox head of the default sizes.
+        # Measured 8.44 MiB, reading the checkpoint whole or one parameter at a
+        # time: the float32 table and the pooled forward set the peak.
+        inputs = self._benchmark_cohort(tmp_path / "in")
+        survival.save_cox(survival.CoxHead(), str(tmp_path / "cox"))
+        argv = ["survival-eval", "--checkpoint", str(tmp_path / "cox"),
+                "--out-dir", str(tmp_path / "out"), *inputs]
+        code, peak = traced_peak(run, argv)
+        assert code == 0
+        assert peak < peak_bound("survival-eval, benchmark cohort", peak, 9.5)
+
     @pytest.mark.parametrize(
         "listed, message",
         [
@@ -765,6 +780,69 @@ class TestCohort:
         assert not (tmp_path / "out").exists()
 
 
+class TestTrainInferMemory:
+    @staticmethod
+    def _inputs(directory):
+        """(train-heads' input flags, predict's) at perfbench train-infer's
+        shapes, written to `directory`: 400 training spots on 2 slides (20
+        pathway scores, 64 features, 100 HVG values each) and 2000 held-out
+        spots on 10 more, with an untrained stage-1 checkpoint of the model
+        the benchmark trains."""
+        rng = np.random.default_rng(0)
+        directory.mkdir()
+        ids = [f"s{i}" for i in range(2400)]
+        slides = [f"slide{i // 200}" for i in range(2400)]
+        data_io.write_coords(
+            [data_io.SpotGeometry(s, sl, 10.0 * (i % 20), 10.0 * (i // 20), i // 20, i % 20)
+             for i, (s, sl) in enumerate(zip(ids, slides))],
+            directory / "coords.csv",
+        )
+        features = rng.normal(size=(2400, 64)).astype(np.float32)
+        for name, rows in (("train", slice(0, 400)), ("heldout", slice(400, None))):
+            data_io.write_features(data_io.PatchFeatureMatrix(ids[rows], features[rows]),
+                                   directory / f"{name}_features.tsv")
+        data_io.write_scores(
+            data_io.PathwayScoreMatrix(ids[:400], [f"PW{k}" for k in range(20)],
+                                       rng.normal(size=(400, 20)).astype(np.float32)),
+            directory / "scores.tsv",
+        )
+        data_io.write_expression(
+            data_io.ExpressionMatrix(ids[:400], [f"g{j}" for j in range(100)],
+                                     rng.exponential(size=(400, 100)).astype(np.float32),
+                                     data_io.NORMALIZED_LOG),
+            directory / "hvg.tsv",
+        )
+        model = PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
+        save_model(model, str(directory / "stage1"))
+        heads = {"scores": "scores.tsv", "coords": "coords.csv",
+                 "features": "train_features.tsv", "hvg": "hvg.tsv", "checkpoint": "stage1"}
+        predict = {"features": "heldout_features.tsv", "coords": "coords.csv",
+                   "checkpoint": "stage1"}
+        return [[x for k, name in flags.items() for x in (f"--{k}", str(directory / name))]
+                for flags in (heads, predict)]
+
+    def test_train_heads_peak_memory_at_benchmark_shape(self, tmp_path):
+        # 2 epochs, the fewest a TrainConfig allows.  Measured 13.68 MiB,
+        # reading the checkpoint whole or one parameter at a time: stage-2
+        # training sets the peak.
+        heads, _ = self._inputs(tmp_path / "in")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"train": {"max_epochs": 2, "patience": 1}}))
+        argv = ["train-heads", "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *heads]
+        code, peak = traced_peak(run, argv)
+        assert code == 0
+        assert peak < peak_bound("train-heads, two epochs, benchmark train-infer", peak, 15.5)
+
+    def test_predict_peak_memory_at_benchmark_shape(self, tmp_path):
+        # Measured 18.51 MiB, reading the checkpoint whole or one parameter at
+        # a time: the heads' forward over all 2000 rows at once sets the peak.
+        _, predict = self._inputs(tmp_path / "in")
+        argv = ["predict", "--out-dir", str(tmp_path / "out"), "--emit-embeddings", *predict]
+        code, peak = traced_peak(run, argv)
+        assert code == 0
+        assert peak < peak_bound("predict, benchmark train-infer", peak, 21)
+
+
 # each command that hands a table to a float32 model, that table, and the
 # column of its value cells
 FLOAT32_TABLES = [
@@ -868,6 +946,27 @@ class TestFailureInjection:
         assert run(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io" and f"{tmp_path / 'absent'}.manifest.json" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["predict", "train-heads", "survival-eval"])
+    def test_unopenable_blob_is_io_error(self, pipeline, tmp_path, capsys, command, kind):
+        # a sound manifest beside a blob that cannot be opened as a file
+        _, data, _ = pipeline
+        inputs, _, _ = FILE_COMMANDS[command]
+        ckpt = str(tmp_path / "ckpt")
+        source = data_io.manifest_of(str(data / inputs["checkpoint"]))
+        Path(data_io.manifest_of(ckpt)).write_bytes(Path(source).read_bytes())
+        blob = Path(data_io.blob_of(ckpt))
+        if kind == "directory":
+            blob.mkdir()
+        argv = [command, "--out-dir", str(tmp_path / "out"), "--checkpoint", ckpt]
+        argv += [x for k, name in inputs.items() if k != "checkpoint"
+                 for x in (f"--{k}", str(data / name))]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "io" and str(blob) in err["message"]
         assert not (tmp_path / "out").exists()
 
     @staticmethod

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from pearl.errors import (
     DataFormatError,
 )
 
-from conftest import MANIFEST_TAMPERS, significant_digits, tamper_manifest
+from conftest import (MANIFEST_TAMPERS, peak_bound, significant_digits, tamper_manifest,
+                      traced_peak)
 
 
 def reference_triplets(m):
@@ -953,6 +955,87 @@ class TestCheckpoint:
         (tmp_path / "ckpt.params.bin").write_bytes(blob[:-4])
         with pytest.raises(CheckpointTruncatedError):
             load_model(path)
+
+    @staticmethod
+    def _benchmark_model():
+        """perfbench train-infer's model: 2.75 MiB of float32 parameters, the
+        largest 0.50 MiB (256 x 512 or 512 x 256)."""
+        return PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
+
+    def test_load_peak_memory_at_benchmark_shape(self, tmp_path):
+        # Measured 6.02 MiB reading the blob whole and copying each parameter
+        # out of it, 2.78 MiB reading each parameter straight into the array
+        # the unfilled model was built with.  Bound: the model plus its
+        # largest parameter.
+        m = self._benchmark_model()
+        path = str(tmp_path / "ckpt")
+        save_model(m, path)
+        m2, peak = traced_peak(load_model, path)
+        for (_, p1), (_, p2) in zip(m.parameters(), m2.parameters()):
+            np.testing.assert_array_equal(p1.values, p2.values)
+        assert peak < peak_bound("load_model, benchmark train-infer", peak, 3.25)
+
+    def test_save_peak_memory_at_benchmark_shape(self, tmp_path):
+        # Measured 5.51 MiB joining the whole blob before writing it, 0.04 MiB
+        # writing each float32 parameter from its own array (the rest is the
+        # manifest's JSON).  Bound: less than one copy of the largest parameter.
+        m = self._benchmark_model()
+        _, peak = traced_peak(save_model, m, str(tmp_path / "ckpt"))
+        assert (tmp_path / "ckpt.params.bin").stat().st_size == 4 * sum(
+            p.values.size for _, p in m.parameters())
+        assert peak < peak_bound("save_model, benchmark train-infer", peak, 0.5)
+
+    def test_entries_reordered_with_the_blob_load_the_same_values(self, tmp_path):
+        # the blob follows the manifest's entry order, whatever the model's
+        import json
+
+        m = self._model()
+        path = str(tmp_path / "ckpt")
+        save_model(m, path)
+        manifest = json.loads((tmp_path / "ckpt.manifest.json").read_text())
+        blob = (tmp_path / "ckpt.params.bin").read_bytes()
+        sizes = [4 * int(np.prod(p["shape"])) for p in manifest["params"]]
+        ends = np.cumsum(sizes)
+        chunks = [blob[end - size : end] for size, end in zip(sizes, ends)]
+        manifest["params"].reverse()
+        (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "ckpt.params.bin").write_bytes(b"".join(reversed(chunks)))
+        assert (tmp_path / "ckpt.params.bin").read_bytes() != blob
+        m2 = load_model(path)
+        for (n1, p1), (n2, p2) in zip(m.parameters(), m2.parameters()):
+            assert n1 == n2 and p2.values.dtype == np.float32
+            np.testing.assert_array_equal(p1.values, p2.values)
+
+    def test_first_shape_mismatch_in_the_model_order_named(self, tmp_path):
+        # two transposed shapes, listed in the reverse of the model's order:
+        # the model's first parameter is the one named
+        import json
+
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        manifest = json.loads((tmp_path / "ckpt.manifest.json").read_text())
+        by_name = {p["name"]: p for p in manifest["params"]}
+        for name in ("phi.w1", "head_gene.w1"):
+            by_name[name]["shape"].reverse()
+        manifest["params"].reverse()
+        (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointShapeError) as exc:
+            load_model(path)
+        assert str(exc.value) == (
+            f"{path}.manifest.json: parameter 'phi.w1': shape (128, 2), expected (2, 128)"
+        )
+
+    def test_blob_cut_while_read(self, tmp_path, monkeypatch):
+        # the size is read once, from the open file: a blob cut after that
+        # is refused, not left partly unfilled
+        path = str(tmp_path / "ckpt")
+        save_model(self._model(), path)
+        blob = (tmp_path / "ckpt.params.bin").read_bytes()
+        (tmp_path / "ckpt.params.bin").write_bytes(blob[:-4])
+        monkeypatch.setattr(data_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+        with pytest.raises(CheckpointTruncatedError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}.params.bin: blob ends inside 'head_gene.b2'"
 
     def test_version_mismatch(self, tmp_path):
         import json

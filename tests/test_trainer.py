@@ -401,6 +401,11 @@ class TestEmbeddingUtilities:
         direct = model.encode_images(F).values
         np.testing.assert_allclose(batched, direct, atol=1e-6)
 
+    def test_embed_images_of_no_rows(self):
+        model = tiny_model()
+        h = embed_images(model, np.zeros((0, 5)))
+        assert h.shape == (0, model.config.embed_dim) and h.dtype == model.dtype
+
     def test_predict_is_the_heads_on_the_embeddings(self):
         model = tiny_model()
         F = np.random.default_rng(7).normal(size=(10, 5))
