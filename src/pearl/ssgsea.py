@@ -15,9 +15,10 @@ with S(b) = sum of w**b over the m hits,
 
 `score_matrix` evaluates it for every spot, pathway and null set at once:
 W holds each spot's rank weights, A stacks the pathway and null membership
-masks, and S(b) is the matmul W**b @ A.  Spots go through in chunks of a
-fixed size (_SPOT_CHUNK), which bounds memory; `threads` only sizes the pool
-the chunks are mapped over, so scores do not depend on it.  `enrichment_score`
+masks, and S(b) is the matmul W**b @ A.  Spots go through in chunks whose
+(spots, sets) float64 blocks fit in _CHUNK_BYTES, which bounds memory
+whatever the spot and null-set counts; `threads` only sizes the pool the
+chunks are mapped over, so scores do not depend on it.  `enrichment_score`
 and `nes` keep the explicit running sum as the scalar reference.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 from .data_io import NORMALIZED_LOG, PathwayScoreMatrix
 from .errors import DataFormatError, DegeneratePathway, PearlError
 
-_SPOT_CHUNK = 256  # spots scored per matmul block
+_CHUNK_BYTES = 1 << 17  # bytes of one chunk's (spots, sets) float64 block
 NES_EPSILON = 1e-12  # floor on a null set's mean |ES|, the NES denominator
 
 
@@ -165,23 +166,36 @@ def score_matrix(m, sets, config, threads=1):
         [member_mat]
         + [_null_masks(config.rng_seed, int(k), n_genes, n_null) for k in distinct_sizes]
     ).T.astype(np.float64)  # (n_genes, P + K * n_null)
-    set_sizes = np.concatenate([sizes, np.repeat(distinct_sizes, n_null)])
+    miss_counts = n_genes - np.concatenate([sizes, np.repeat(distinct_sizes, n_null)])
     alpha = config.weight_exponent
     rank_weights = np.arange(n_genes, 0, -1, dtype=np.float64)
     total_weight = n_genes * (n_genes + 1) / 2.0
     scores = np.empty((m.n_spots, n_kept))
 
-    def score_chunk(start):
-        block = slice(start, start + _SPOT_CHUNK)
+    def score_chunk(block):
         x = dense[block]
         w = np.empty_like(x)
-        order = np.argsort(-x, axis=1, kind="stable")
-        np.put_along_axis(w, order, rank_weights[None, :], axis=1)
-        miss_sum = (total_weight - w @ sets_mat) / (n_genes - set_sizes)
-        es = (w ** (alpha + 1.0) @ sets_mat) / (w**alpha @ sets_mat) - miss_sum
-        null_mean = np.abs(es[:, n_kept:]).reshape(len(x), -1, n_null).mean(axis=2)
-        scores[block] = es[:, :n_kept] / np.maximum(null_mean, NES_EPSILON)[:, size_index]
+        np.put_along_axis(w, np.argsort(-x, axis=1, kind="stable"), rank_weights[None, :], axis=1)
+        w_pow = np.power(w, alpha + 1.0)
+        es = w_pow @ sets_mat
+        s_alpha = np.matmul(np.power(w, alpha, out=w_pow), sets_mat)
+        np.divide(es, s_alpha, out=es)
+        miss_sum = np.matmul(w, sets_mat, out=s_alpha)
+        np.subtract(total_weight, miss_sum, out=miss_sum)
+        np.divide(miss_sum, miss_counts, out=miss_sum)
+        np.subtract(es, miss_sum, out=es)
+        null_abs = np.abs(es[:, n_kept:], out=es[:, n_kept:])
+        null_mean = null_abs.reshape(len(x), -1, n_null).mean(axis=2)
+        np.divide(es[:, :n_kept], np.maximum(null_mean, NES_EPSILON)[:, size_index],
+                  out=scores[block])
 
+    # a 1-row chunk would go to gemv, whose bits differ from a gemm row's, so
+    # a trailing single row joins the chunk before it
+    rows = max(2, _CHUNK_BYTES // sets_mat[0].nbytes)
+    bounds = list(range(0, m.n_spots, rows))
+    if m.n_spots - bounds[-1] == 1 and len(bounds) > 1:
+        bounds.pop()
+    bounds.append(m.n_spots)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(score_chunk, range(0, m.n_spots, _SPOT_CHUNK)))
+        list(ex.map(score_chunk, map(slice, bounds[:-1], bounds[1:])))
     return PathwayScoreMatrix(list(m.spot_ids), kept, scores), dropped

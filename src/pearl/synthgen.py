@@ -59,6 +59,14 @@ class SynthConfig:
                 raise PearlError(f"{name} must be in [0, 1]")
 
 
+class _Counts(np.ndarray):
+    """Dense counts with a `toarray()`: perfbench/workloads.py's train-infer
+    generator calls `expr.matrix.toarray()`, so this stays until it stops."""
+
+    def toarray(self):
+        return self.view(np.ndarray)
+
+
 def _grid_layout(n_spots, n_slides):
     """Split spots over slides as near-square grids; returns per-slide (rows, cols)."""
     per = [n_spots // n_slides + (1 if i < n_spots % n_slides else 0) for i in range(n_slides)]
@@ -157,15 +165,8 @@ def gen_st_dataset(
         raise ConfigError(
             f"synth: noise_sigma {noise_sigma} makes a Poisson rate too large"
         ) from None
-    # kept as CSR because perfbench/workloads.py reads `expr.matrix.toarray()`;
-    # the package's one scipy import, made only here
-    import scipy.sparse as sp
-
     expr = ExpressionMatrix(
-        spot_ids=spot_ids,
-        gene_ids=gene_ids,
-        matrix=sp.csr_matrix(counts),
-        value_kind=RAW_COUNTS,
+        spot_ids=spot_ids, gene_ids=gene_ids, matrix=counts.view(_Counts), value_kind=RAW_COUNTS
     )
 
     w_map = rng.normal(size=(n_pathways, d_img)) / math.sqrt(n_pathways)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
-from pearl import cli, data_io, gradsuite, preprocess, survival, trainer
+from pearl import cli, data_io, gradsuite, preprocess, survival, synthgen, trainer
 from pearl.cli import _read_slide_embeddings, main
 from pearl.encoders import ModelConfig, PearlModel, load_model, save_model
 from pearl.errors import ConfigError, DataFormatError, TrainingDiverged
@@ -778,6 +778,54 @@ class TestCohort:
             "error": "checkpoint_shape", "message": f"{tmp_path / 'ckpt'}.manifest.json: {reason}"
         }
         assert not (tmp_path / "out").exists()
+
+
+class TestScorePanelMemory:
+    @staticmethod
+    def _inputs(directory):
+        """preprocess's input flags and score-pathways' gene sets at perfbench
+        score-panel's shapes, written to `directory`: 300 spots x 300 genes,
+        the 20 planted pathways and 20 seeded decoys of 5 to 80 genes, 30 null
+        sets and 100 HVGs."""
+        directory.mkdir()
+        expr, geoms, sets, _, _ = synthgen.gen_st_dataset(
+            seed=1, n_spots=300, n_genes=300, n_pathways=20)
+        rng = np.random.default_rng(2)
+        decoys = [data_io.GeneSet(f"DECOY{i:02d}", "decoy",
+                                  frozenset(rng.choice(expr.gene_ids, size=k, replace=False)))
+                  for i, k in enumerate(np.linspace(5, 80, 20).round().astype(int))]
+        data_io.write_expression(expr, directory / "expression.tsv")
+        data_io.write_coords(geoms, directory / "coords.csv")
+        data_io.write_gmt(data_io.GeneSetCollection(sets.sets + decoys),
+                          directory / "gene_sets.gmt")
+        (directory / "config.json").write_text(json.dumps({
+            "preprocess": {"min_spots_per_gene": 50, "top_hvg": 100},
+            "ssgsea": {"null_sets": 30, "weight_exponent": 0.75},
+        }))
+        return ["--config", str(directory / "config.json"),
+                "--expression", str(directory / "expression.tsv"),
+                "--coords", str(directory / "coords.csv")]
+
+    def test_preprocess_peak_memory_at_benchmark_shape(self, tmp_path):
+        # Measured 5.12-5.15 MiB: the expression parse sets the peak.
+        argv = ["preprocess", "--out-dir", str(tmp_path / "out"), *self._inputs(tmp_path / "in")]
+        code, peak = traced_peak(run, argv)
+        assert code == 0
+        assert peak < peak_bound("preprocess, benchmark score-panel", peak, 6)
+
+    def test_score_pathways_peak_memory_at_benchmark_shape(self, tmp_path):
+        # Measured 8.75 MiB with fixed 256-spot chunks, whose float64 blocks
+        # of ES over every pathway and null set set the peak; 5.02 MiB with
+        # chunks of 128 KiB blocks, where the expression parse sets it.
+        pre = self._inputs(tmp_path / "in")
+        out = tmp_path / "out"
+        assert run(["preprocess", "--out-dir", str(out), *pre]) == 0
+        argv = ["score-pathways", *pre[:2], "--seed", "1", "--threads", "2",
+                "--out-dir", str(out), "--expression", str(out / "normalized.tsv"),
+                "--gene-sets", str(tmp_path / "in/gene_sets.gmt")]
+        code, peak = traced_peak(run, argv)
+        assert code == 0
+        assert peak < peak_bound("score-pathways, benchmark score-panel", peak, 5.75)
 
 
 class TestTrainInferMemory:
@@ -1817,7 +1865,7 @@ def test_usage_pinned(monkeypatch):
 
 
 class TestNumpyOnly:
-    """No subcommand but synth needs scipy; synthgen imports it on call."""
+    """No subcommand needs scipy: the package imports numpy only."""
 
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, pearl.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -1831,14 +1879,15 @@ class TestNumpyOnly:
         out = tmp_path / "out"
         base = ["--config", str(cfg_path), "--seed", "0", "--out-dir", str(out)]
         calls = [
+            ["synth", *base],
             ["preprocess", "--config", str(cfg_path), "--out-dir", str(out),
-             "--expression", str(data / "expression.tsv"), "--coords", str(data / "coords.csv")],
+             "--expression", str(out / "expression.tsv"), "--coords", str(out / "coords.csv")],
             ["score-pathways", *base,
              "--expression", str(out / "normalized.tsv"),
-             "--gene-sets", str(data / "gene_sets.gmt")],
+             "--gene-sets", str(out / "gene_sets.gmt")],
             ["train-contrastive", *base,
-             "--scores", str(out / "scores.tsv"), "--coords", str(data / "coords.csv"),
-             "--features", str(data / "features.tsv"), "--hvg", str(out / "hvg.tsv")],
+             "--scores", str(out / "scores.tsv"), "--coords", str(out / "coords.csv"),
+             "--features", str(out / "features.tsv"), "--hvg", str(out / "hvg.tsv")],
         ]
         script = (
             "import json, sys\n"
@@ -1852,7 +1901,9 @@ class TestNumpyOnly:
             [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        for name in ("normalized.tsv", "hvg.tsv", "scores.tsv", "stage1.params.bin"):
+        for name in ("expression.tsv", "coords.csv", "gene_sets.gmt", "features.tsv",
+                     "survival.csv", "survival_embeddings.tsv", "normalized.tsv", "hvg.tsv",
+                     "scores.tsv", "stage1.params.bin"):
             assert (out / name).read_bytes() == (data / name).read_bytes(), name
 
 

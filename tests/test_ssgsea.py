@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pearl import ssgsea
 from pearl.data_io import (
     NORMALIZED_LOG,
     ExpressionMatrix,
@@ -194,17 +195,30 @@ class TestScoreMatrix:
         s2, _ = score_matrix(m, sets, cfg, threads=4)
         np.testing.assert_array_equal(s1.scores, s2.scores)
 
-    def test_multi_chunk_matches_nes_and_threads(self):
-        # 300 spots span two spot chunks, so threads=2 really uses the pool;
-        # small integer values force heavy ties in the ranking
+    @staticmethod
+    def _multi_chunk_case():
+        """300 spots of small integer values, which force heavy ties in the
+        ranking, and five sets of four distinct sizes."""
         rng = np.random.default_rng(8)
         genes = [f"g{j:02d}" for j in range(30)]
         dense = rng.integers(0, 4, size=(300, 30)).astype(float)
-        m = make_matrix(dense, genes)
         member_sets = [
             set(rng.choice(genes, size=size, replace=False)) for size in (2, 5, 5, 11, 17)
         ]
+        return dense, genes, member_sets
+
+    @staticmethod
+    def _chunk_rows(monkeypatch, rows, n_null):
+        # the byte budget that makes `rows`-spot chunks of the five sets and
+        # their null draws (4 distinct sizes x n_null columns)
+        monkeypatch.setattr(ssgsea, "_CHUNK_BYTES", rows * 8 * (5 + 4 * n_null))
+
+    def test_multi_chunk_matches_nes_and_threads(self, monkeypatch):
+        # 64-spot chunks, so threads=2 really uses the pool
+        dense, genes, member_sets = self._multi_chunk_case()
+        m = make_matrix(dense, genes)
         sets = self._sets(*((f"P{k}", g) for k, g in enumerate(member_sets)))
+        self._chunk_rows(monkeypatch, 64, 6)
         for alpha in (0.75, 1.0):
             cfg = SsgseaConfig(weight_exponent=alpha, null_sets=6, rng_seed=4)
             s1, _ = score_matrix(m, sets, cfg, threads=1)
@@ -212,6 +226,20 @@ class TestScoreMatrix:
             np.testing.assert_array_equal(s1.scores, s2.scores)
             ref = [[nes(row, genes, g, cfg) for g in member_sets] for row in dense]
             np.testing.assert_allclose(s1.scores, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [2, 13, 64, 299])
+    def test_chunk_size_does_not_change_scores(self, monkeypatch, rows):
+        # against one 300-spot chunk, bit for bit; 13 and 299 leave a single
+        # trailing spot, which a 1-row matmul (gemv) would score differently
+        dense, genes, member_sets = self._multi_chunk_case()
+        m = make_matrix(dense, genes)
+        sets = self._sets(*((f"P{k}", g) for k, g in enumerate(member_sets)))
+        cfg = SsgseaConfig(null_sets=6, rng_seed=4)
+        self._chunk_rows(monkeypatch, 300, 6)
+        whole, _ = score_matrix(m, sets, cfg)
+        self._chunk_rows(monkeypatch, rows, 6)
+        chunked, _ = score_matrix(m, sets, cfg, threads=2)
+        assert chunked.scores.tobytes() == whole.scores.tobytes()
 
     def test_oracle_equivalence_random_instances(self):
         rng = np.random.default_rng(42)

@@ -20,6 +20,14 @@ class TestStDataset:
         assert expr.spot_ids == [g.spot_id for g in geoms]
         assert patch.spot_ids == expr.spot_ids
 
+    def test_counts_toarray_is_dense(self):
+        # perfbench/workloads.py's train-infer generator reads the counts
+        # through `expr.matrix.toarray()`
+        expr = gen_st_dataset(seed=0, n_spots=20, n_genes=12, n_pathways=2, d_img=4)[0]
+        counts = expr.matrix.toarray()
+        assert type(counts) is np.ndarray and counts.dtype == np.float64
+        assert counts.tobytes() == expr.dense().tobytes()
+
     def test_determinism(self):
         a = gen_st_dataset(seed=3, n_spots=30, n_genes=20, n_pathways=2, d_img=4)
         b = gen_st_dataset(seed=3, n_spots=30, n_genes=20, n_pathways=2, d_img=4)
