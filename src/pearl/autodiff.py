@@ -21,9 +21,11 @@ whole multi-head step, from the tokens h and the fused projection wqkv; the
 graph keeps only those two, and its backward recomputes the projection and
 each head's probabilities, head by head.  `affine` is a linear layer,
 `add(matmul(x, w), b)`, as one node, bit-identical to the pair, that keeps x
-and w where the pair also keeps the product x @ w.  Inside `no_grad()`
-kernels record no parents and no backward closure, so inference builds no
-tape.
+and w where the pair also keeps the product x @ w.  `row_blocks` runs a
+row-wise sub-network on blocks of rows as one node that keeps only its
+input and parameters, and recomputes each block in its backward.  Inside
+`no_grad()` kernels record no parents and no backward closure, so inference
+builds no tape.
 """
 
 from __future__ import annotations
@@ -72,14 +74,19 @@ class Tensor:
 
 
 @contextmanager
-def no_grad():
-    """Within the block, kernel outputs keep no graph and never require grad."""
+def _grad_mode(enabled):
+    """Within the block, kernels record a graph exactly when `enabled` is true."""
     global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+    previous, _grad_enabled = _grad_enabled, enabled
     try:
         yield
     finally:
         _grad_enabled = previous
+
+
+def no_grad():
+    """Within the block, kernel outputs keep no graph and never require grad."""
+    return _grad_mode(False)
 
 
 def _node(values, parents, backward_fn):
@@ -104,14 +111,20 @@ def backward(loss):
     until it is zeroed."""
     if loss.values.size != 1:
         raise PearlError(f"backward requires a scalar loss, got shape {loss.shape}")
-    topo = _post_order(loss) if loss.requires_grad else []
     # the loss gets a copy of its value, which a closure may overwrite (tanh's
     # does); every other intermediate value lives on only in the closures
     loss.values = loss.values.copy()
+    _walk(loss, np.ones_like(loss.values))
+
+
+def _walk(out, g):
+    """Backpropagate the gradient `g` at `out` through its graph, consuming
+    the graph and the values of every node in it but `out` and the leaves."""
+    topo = _post_order(out) if out.requires_grad else []
     for t in topo:
-        if t._backward is not None and t is not loss:
+        if t._backward is not None and t is not out:
             t.values = None
-    adjoint = {id(loss): np.ones_like(loss.values)}
+    adjoint = {id(out): g}
     while topo:
         _propagate(topo.pop(), adjoint)
 
@@ -290,7 +303,8 @@ def gelu(a):
     t += _SQRT_2_OVER_PI
     t *= x
     np.tanh(t, out=t)
-    out = t + 1.0
+    # the backward reads t; with no graph to record, the output overwrites it
+    out = t + 1.0 if _grad_enabled and a.requires_grad else np.add(t, 1.0, out=t)
     out *= x
     out *= 0.5
 
@@ -373,6 +387,71 @@ def attention(h, wqkv, n_heads, scale):
         return _matmul_bw(gx.reshape(n, 3 * H * d), hv, wv, need_h, need_w)
 
     return _node(out.reshape(n, H * d), (h, wqkv), bw)
+
+
+# rows per block of `row_blocks`: a constant, not a setting, so that a
+# block's sums depend neither on the input's size nor on a choice
+_ROW_BLOCK = 512
+
+
+def row_blocks(fn, x, *params):
+    """fn(x, *params) for a row-wise sub-network `fn`, as one node that runs
+    it on consecutive blocks of `_ROW_BLOCK` rows of x.
+
+    `fn(x_block, *params)` maps k rows of x to a Tensor of k rows, each a
+    function of its own input row alone: a layer that mixes rows, such as
+    the pathway encoder's attention, must never go through this kernel.  It
+    reaches every Tensor it differentiates through its arguments.
+
+    The forward runs `fn` without a graph, block by block, into one output
+    array, so no activation of `fn` outlives its block; the graph keeps
+    only x and the params.  The backward rebuilds each block's graph with
+    recording on, whatever the caller's mode, on fresh leaves over x's
+    block and the params' own arrays (so nothing reaches an outer .grad),
+    seeds it with the block's rows of the gradient, and returns x's
+    gradient block by block and each param's summed over the blocks in
+    block order.  Every sum over rows in fn's backward, a weight gradient's
+    x.T @ g among them, then runs over at most `_ROW_BLOCK` + 1 rows:
+    OpenBLAS 0.3.31 gave such float32 products the same bytes at 1 and 2
+    threads, and a product over 4216 rows did not.
+
+    Values equal fn(x, *params) in one piece, bit for bit, where each of
+    fn's kernels computes a row from that row alone: blocks start at
+    multiples of 512, which kept BLAS's rounding of each row, and a lone
+    last row joins the block before it, since a 1-row product (numpy's
+    matrix-vector path) rounds differently.  Gradients are bit for bit up
+    to `_ROW_BLOCK` + 1 rows, one block, and round differently above.
+    """
+    xv, pvs = x.values, [p.values for p in params]
+    need_x, need_ps = x.requires_grad, [p.requires_grad for p in params]
+    n = xv.shape[0]
+    cuts = list(range(_ROW_BLOCK, n, _ROW_BLOCK))
+    if cuts and cuts[-1] == n - 1:
+        cuts.pop()  # a lone last row joins the block before it
+    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    out = None
+    with _grad_mode(False):
+        for rows in blocks:  # at n = 0, one empty block gives the output's shape
+            xb = xv[rows]
+            y = fn(Tensor(xb), *params).values
+            if y.shape[:1] != xb.shape[:1]:
+                raise PearlError(f"row_blocks: fn maps {len(xb)} rows to shape {y.shape}")
+            if out is None:
+                out = np.empty((n, *y.shape[1:]), y.dtype)
+            out[rows] = y
+
+    def bw(g):
+        leaves = [Tensor(pv, requires_grad=need) for pv, need in zip(pvs, need_ps)]
+        gx = np.empty_like(xv) if need_x else None
+        with _grad_mode(True):
+            for rows in blocks:
+                xb = Tensor(xv[rows], requires_grad=need_x)
+                _walk(fn(xb, *leaves), g[rows])  # the leaves' .grad sum in block order
+                if need_x:
+                    gx[rows] = xb.grad
+        return (gx, *(p.grad for p in leaves))
+
+    return _node(out, (x, *params), bw)
 
 
 def layer_norm(a, gain, bias):

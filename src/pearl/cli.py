@@ -380,7 +380,7 @@ def cmd_run_cv(args, cfg):
         model = PearlModel(_model_config(cfg, dataset, fold))
         model, _ = _fault_of(args.coords, trainer.train_stage1, train_ds, model, tcfg)
         model, _ = trainer.train_stage2(train_ds, model, tcfg)
-        _, yp, yg = trainer.predict(model, test_ds.features, tcfg.batch_size)
+        _, yp, yg = trainer.predict(model, test_ds.features)
         path_rep = evaluate_expression(yp, test_ds.scores)
         gene_rep = evaluate_expression(yg, test_ds.y_gene)
         top1 = trainer.retrieval_top1(model, test_ds, tcfg.batch_size, seed=tcfg.seed)

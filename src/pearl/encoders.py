@@ -212,8 +212,11 @@ class PearlModel:
 
     def predict_heads(self, h_image):
         """(pathway, gene) predictions from image embeddings; never touches the pathway encoder."""
-        H = Tensor(h_image, dtype=self.dtype)
-        return self._mlp(H, "head_path"), self._mlp(H, "head_gene")
+        return tuple(self.predict_head(h_image, name) for name in _HEADS)
+
+    def predict_head(self, h_image, name):
+        """The predictions of head `name`, "head_path" or "head_gene", from image embeddings."""
+        return self._mlp(Tensor(h_image, dtype=self.dtype), name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import trainer
 from .autodiff import Tensor
 from .encoders import ModelConfig, PearlModel
-from .survival import _segment_pool, cox_loss
+from .survival import _attention_logits, _segment_pool, cox_loss
 
 REL_TOL = 1e-4
 
@@ -39,6 +39,8 @@ CASES = {
     "gelu": ([(3, 4)], ad.gelu),
     "softmax_rows": ([(2, 3, 4)], ad.softmax_rows),
     "attention": ([(3, 4), (4, 12)], lambda h, w: ad.attention(h, w, 2, 0.5)),
+    "row_blocks": ([(3, 4), (4, 2), (2,), (2, 1)],
+                   lambda *xs: ad.row_blocks(_attention_logits, *xs)),
     "layer_norm": ([(3, 4), (4,), (4,)], ad.layer_norm),
     "add": ([(3, 4), (4,)], ad.add),
     "mul": ([(3, 4), (3, 4)], ad.mul),

@@ -48,8 +48,11 @@ class CoxHead:
         """Attention-weighted mean of each bag -> (len(sizes), embed_dim).
 
         `E` is (N, embed_dim): the bags' spots back to back, bag i being the
-        next sizes[i] rows.  Every spot goes through one attention graph; a
-        segment softmax then normalises the logits within each bag.
+        next sizes[i] rows.  Every spot's attention logit comes from one
+        `row_blocks` node, which runs the attention layer on blocks of
+        spots and keeps no (N, attn_hidden) activation between forward and
+        backward; a segment softmax then normalises the logits within each
+        bag.
         """
         E = np.asarray(E, dtype=np.float32)  # no copy when E is float32 already
         sizes = np.asarray(sizes)
@@ -57,12 +60,19 @@ class CoxHead:
             raise PearlError(f"pool needs an (N, {self.embed_dim}) array, got shape {E.shape}")
         if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(E):
             raise PearlError(f"pool needs one or more bag sizes >= 1 that sum to N = {len(E)}")
-        h = ad.tanh(ad.affine(Tensor(E), self.params["attn.w1"], self.params["attn.b1"]))
-        return _segment_pool(ad.matmul(h, self.params["attn.w2"]), E, sizes)
+        p = self.params
+        logits = ad.row_blocks(_attention_logits, Tensor(E), p["attn.w1"], p["attn.b1"],
+                               p["attn.w2"])
+        return _segment_pool(logits, E, sizes)
 
     def subject_risks(self, E, sizes):
         """Risk tensor (len(sizes), 1) of the bags that `sizes` cuts `E` into."""
         return ad.matmul(self.pool(E, sizes), self.params["risk.w"])
+
+
+def _attention_logits(x, w1, b1, w2):
+    """The (n, 1) attention logits of the n spots `x`, one row per spot."""
+    return ad.matmul(ad.tanh(ad.affine(x, w1, b1)), w2)
 
 
 # spots per einsum in `_segment_pool`'s backward: 0.5 MiB of float32 at d = 256

@@ -254,7 +254,7 @@ def train_stage2(dataset, model, config):
     of every spot is computed once up front.  Returns (model, history).
     """
     train_idx, val_idx = _split(dataset, config, min_val=1)
-    h_all = embed_images(model, dataset.features, config.batch_size)
+    h_all = embed_images(model, dataset.features)
     rng = np.random.default_rng(config.seed + 1)
 
     def loss(idx):
@@ -270,23 +270,25 @@ def train_stage2(dataset, model, config):
     return model, history
 
 
-def embed_images(model, features, batch_size=256):
-    """Frozen forward of the image branch over all rows."""
-    out = np.empty((features.shape[0], model.config.embed_dim), model.dtype)
+def _rowwise(fn, x):
+    """The array fn(x) of a row-wise `fn` over the rows of array `x`, run
+    without a graph in `autodiff.row_blocks`' blocks."""
     with ad.no_grad():
-        for start in range(0, features.shape[0], batch_size):
-            rows = slice(start, start + batch_size)
-            out[rows] = model.encode_images(features[rows]).values
-    return out
+        return ad.row_blocks(lambda xb: fn(xb.values), Tensor(x)).values
 
 
-def predict(model, features, batch_size=256):
+def embed_images(model, features):
+    """Frozen forward of the image branch over all rows."""
+    return _rowwise(model.encode_images, features)
+
+
+def predict(model, features):
     """(h, yp, yg): the image embeddings of the rows of `features` and the
     heads' pathway and gene predictions from them, all arrays."""
-    h = embed_images(model, features, batch_size)
-    with ad.no_grad():
-        yp, yg = model.predict_heads(h)
-    return h, yp.values, yg.values
+    h = embed_images(model, features)
+    yp = _rowwise(lambda hb: model.predict_head(hb, "head_path"), h)
+    yg = _rowwise(lambda hb: model.predict_head(hb, "head_gene"), h)
+    return h, yp, yg
 
 
 def retrieval_top1(model, dataset, batch_size=256, seed=0):

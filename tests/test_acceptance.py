@@ -231,7 +231,7 @@ class TestAcceptance:
             )
             model, _ = trainer.train_stage1(train_ds, model, tcfg)
             model, _ = trainer.train_stage2(train_ds, model, tcfg)
-            h = trainer.embed_images(model, test_ds.features, 256)
+            h = trainer.embed_images(model, test_ds.features)
             yp, yg = model.predict_heads(h)
             path_pcc = evaluate_expression(yp.values, test_ds.scores).mean_pcc
             gene_pcc = evaluate_expression(yg.values, test_ds.y_gene).mean_pcc

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import weakref
 
@@ -8,6 +9,7 @@ from pearl import autodiff as ad
 from pearl import gradsuite
 from pearl.autodiff import AdamW, Tensor
 from pearl.errors import PearlError
+from pearl.survival import _attention_logits
 
 
 def t64(values, grad=True):
@@ -88,6 +90,8 @@ def _closure_arrays(fn):
             v = cell.cell_contents
             if isinstance(v, np.ndarray):
                 arrays.append(v)
+            elif isinstance(v, (list, tuple)):
+                arrays.extend(a for a in v if isinstance(a, np.ndarray))
             elif inspect.isfunction(v) and id(v) not in seen:
                 seen.add(id(v))
                 stack.append(v)
@@ -135,6 +139,95 @@ class TestAttention:
             ad.attention(t64(np.ones((2, 4, 3))), t64(np.ones((3, 12))), 2, 0.5)
         with pytest.raises(PearlError):
             ad.attention(t64(np.ones((4, 3))), t64(np.ones((4, 12))), 2, 0.5)
+
+
+def _gelu_mlp(x, w1, b1, w2):  # a row-wise sub-network with a GELU, as the model's heads
+    return ad.matmul(ad.gelu(ad.affine(x, w1, b1)), w2)
+
+
+class TestRowBlocks:
+    @staticmethod
+    def _run(fn, n, blocked, dtype=np.float32):
+        """[values, then the gradient at x and at each parameter] of fn on n
+        rows of 64 columns, through row_blocks or as one chain, under the loss
+        sum(out * g), which seeds the output with g exactly.  (At 16 columns
+        a 1-row block rounded as the rows among others did.)"""
+        rng = np.random.default_rng(n)
+        shapes = [(n, 64), (64, 32), (32,), (32, 3)]
+        inputs = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+        out = ad.row_blocks(fn, *inputs) if blocked else fn(*inputs)
+        values = out.values  # backward drops it from the node
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(rng.normal(size=out.shape).astype(dtype)))))
+        return [values] + [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("fn", [_attention_logits, _gelu_mlp], ids=["tanh", "gelu"])
+    @pytest.mark.parametrize("n", [1300, 1025, 513])
+    def test_values_equal_the_chain_bit_for_bit(self, fn, n):
+        # 1300 rows are blocks of 512, 512 and 276; at 1025 and 513 a lone last
+        # row joins the block before it
+        blocked, chain = self._run(fn, n, True)[0], self._run(fn, n, False)[0]
+        assert blocked.dtype == np.float32 and blocked.tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 300, 512, 513])
+    def test_gradients_equal_the_chain_bit_for_bit_in_one_block(self, n):
+        blocked, chain = self._run(_attention_logits, n, True), self._run(_attention_logits, n, False)
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in chain]
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-13)])
+    def test_gradients_close_to_the_chain_across_blocks(self, dtype, tol):
+        # three blocks: the parameter gradients sum per block, then over blocks
+        blocked = self._run(_attention_logits, 1300, True, dtype)
+        chain = self._run(_attention_logits, 1300, False, dtype)
+        assert blocked[1].tobytes() == chain[1].tobytes()  # x's, row by row
+        for got, want in zip(blocked[2:], chain[2:]):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_gradcheck_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_ROW_BLOCK", 2)  # 7 rows: blocks of 2, 2 and 3
+        rng = np.random.default_rng(19)
+        inputs = [t64(rng.normal(size=s)) for s in ((7, 4), (4, 3), (3,), (3, 2))]
+        w = Tensor(rng.normal(size=(7, 2)))
+        err = ad.gradcheck(
+            lambda *xs: ad.sum_all(ad.mul(ad.row_blocks(_attention_logits, *xs), w)), inputs
+        )
+        assert err < gradsuite.REL_TOL
+
+    def test_backward_records_whatever_the_callers_mode(self):
+        def grads(mode):
+            x, w1, b1, w2 = (t64(np.full(s, 0.1)) for s in ((5, 4), (4, 3), (3,), (3, 1)))
+            loss = ad.sum_all(ad.row_blocks(_attention_logits, x, w1, b1, w2))
+            with mode():
+                ad.backward(loss)
+            return [t.grad.tobytes() for t in (x, w1, b1, w2)]
+
+        assert grads(ad.no_grad) == grads(contextlib.nullcontext)
+
+    def test_graph_keeps_only_x_and_the_parameters(self):
+        # 6 rows, hidden 5: no (6, 5) activation is held, and no input's
+        # .grad is touched until backward hands the gradients on
+        rng = np.random.default_rng(20)
+        x, w1, b1, w2 = (t64(rng.normal(size=s)) for s in ((6, 4), (4, 5), (5,), (5, 1)))
+        out = ad.row_blocks(_attention_logits, x, w1, b1, w2)
+        assert out._parents == (x, w1, b1, w2)
+        held = _closure_arrays(out._backward)
+        assert all(any(a is t.values for a in held) for t in (x, w1, b1, w2))
+        assert 30 not in {a.size for a in held}
+        grads = out._backward(np.ones((6, 1)))
+        assert [g.shape for g in grads] == [(6, 4), (4, 5), (5,), (5, 1)]
+        assert [t.grad for t in (x, w1, b1, w2)] == [None] * 4
+
+    def test_no_rows(self):
+        x = t64(np.zeros((0, 4)))
+        w1, b1, w2 = t64(np.ones((4, 3))), t64(np.zeros(3)), t64(np.ones((3, 2)))
+        out = ad.row_blocks(_attention_logits, x, w1, b1, w2)
+        assert out.shape == (0, 2)
+        gx, gw1, _, _ = out._backward(np.zeros((0, 2)))
+        assert gx.shape == (0, 4) and not gw1.any()
+
+    def test_refuses_a_sub_network_that_is_not_row_wise(self):
+        with pytest.raises(PearlError, match=r"row_blocks: fn maps 3 rows to shape \(\)"):
+            ad.row_blocks(ad.sum_all, t64(np.ones((3, 2))))
 
 
 class TestAffine:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -606,14 +607,17 @@ class TestCohort:
     def _benchmark_cohort(directory):
         """survival-train's input flags on the benchmark's training cohort
         shape: the first 160 of 240 subjects with one slide of 4 to 48 spots
-        each, 4216 x 256 embeddings, written to `directory`."""
+        each, 4216 x 256 embeddings, written to `directory`.  As in the
+        benchmark's cohort, a slide's spots scatter by 0.1 around a
+        standard normal centre of their own."""
         rng = np.random.default_rng(3)
         sizes = rng.permutation(np.linspace(4, 48, 240).round().astype(int))[:160]
         assert sizes.sum() == 4216
         directory.mkdir()
         slides = [s for i, m in enumerate(sizes) for s in [f"sl{i}"] * m]
+        centres = np.repeat(rng.normal(size=(160, 256)), sizes, axis=0)
         data_io.write_embeddings([f"{s}_{j}" for j, s in enumerate(slides)], slides,
-                                 rng.normal(size=(4216, 256)).astype(np.float32),
+                                 (centres + 0.1 * rng.normal(size=(4216, 256))).astype(np.float32),
                                  directory / "emb.tsv")
         data_io.write_survival(
             data_io.SurvivalTable([
@@ -635,6 +639,8 @@ class TestCohort:
         # 9.4 MiB with backward dropping intermediate values, tanh's backward
         # writing into its output and the pooling backward making no (N, d)
         # array.  Any one of those three undone alone reads 11.0-11.3 MiB.
+        # 5.60 MiB with the attention logits computed in blocks of 512 spots
+        # by `autodiff.row_blocks`, which keeps no (N, 128) activation.
         inputs = self._benchmark_cohort(tmp_path / "in")
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"survival": {"max_epochs": 1, "patience": 1}}))
@@ -642,7 +648,31 @@ class TestCohort:
                 *inputs]
         code, peak = traced_peak(run, argv)
         assert code == 0
-        assert peak < peak_bound("survival-train, one epoch, benchmark cohort", peak, 10.5)
+        assert peak < peak_bound("survival-train, one epoch, benchmark cohort", peak, 6.25)
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # survival-train at the benchmark cohort shape in two processes, BLAS
+        # at 1 and at 2 threads (OpenBLAS reads the setting at import).  Two
+        # epochs, since fit restores the values the best epoch started from:
+        # after one, the initial weights.  With the attention layer's weight
+        # gradients summed over all 4216 spots at once, cox.params.bin
+        # differed here.
+        inputs = self._benchmark_cohort(tmp_path / "in")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"survival": {"max_epochs": 2, "patience": 2}}))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "pearl.cli", "survival-train", "--config", str(cfg),
+                 "--out-dir", str(out), *inputs],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("cox.params.bin",
+                                                                   "cox_loss.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_read_peak_memory_at_benchmark_shape(self, tmp_path):
         # the cohort's float32 embedding read on its own: the table is 4.1
@@ -656,14 +686,15 @@ class TestCohort:
     def test_eval_peak_memory_at_benchmark_shape(self, tmp_path):
         # survival-eval with an untrained Cox head of the default sizes.
         # Measured 8.44 MiB, reading the checkpoint whole or one parameter at a
-        # time: the float32 table and the pooled forward set the peak.
+        # time: the float32 table and the pooled forward set the peak.  5.35
+        # MiB with the attention logits computed in blocks of 512 spots.
         inputs = self._benchmark_cohort(tmp_path / "in")
         survival.save_cox(survival.CoxHead(), str(tmp_path / "cox"))
         argv = ["survival-eval", "--checkpoint", str(tmp_path / "cox"),
                 "--out-dir", str(tmp_path / "out"), *inputs]
         code, peak = traced_peak(run, argv)
         assert code == 0
-        assert peak < peak_bound("survival-eval, benchmark cohort", peak, 9.5)
+        assert peak < peak_bound("survival-eval, benchmark cohort", peak, 6)
 
     @pytest.mark.parametrize(
         "listed, message",
@@ -884,11 +915,14 @@ class TestTrainInferMemory:
     def test_predict_peak_memory_at_benchmark_shape(self, tmp_path):
         # Measured 18.51 MiB, reading the checkpoint whole or one parameter at
         # a time: the heads' forward over all 2000 rows at once sets the peak.
+        # 9.86 MiB with the image branch and each head run on blocks of 512
+        # rows by `autodiff.row_blocks`, and gelu writing its output over its
+        # tanh when no graph is recorded.
         _, predict = self._inputs(tmp_path / "in")
         argv = ["predict", "--out-dir", str(tmp_path / "out"), "--emit-embeddings", *predict]
         code, peak = traced_peak(run, argv)
         assert code == 0
-        assert peak < peak_bound("predict, benchmark train-infer", peak, 21)
+        assert peak < peak_bound("predict, benchmark train-infer", peak, 11)
 
 
 # each command that hands a table to a float32 model, that table, and the

@@ -349,7 +349,7 @@ class TestStage2:
         model, history = train_stage2(ds, tiny_model(), cfg)
         best = assert_stopped_at_best(history, cfg.patience, cfg.max_epochs)
         _, val_idx = slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)
-        h = embed_images(model, ds.features, cfg.batch_size)[val_idx]
+        h = embed_images(model, ds.features)[val_idx]
         with ad.no_grad():
             loss = supervised_loss(model, h, ds.scores[val_idx], ds.y_gene[val_idx])
         assert loss.item() == best
@@ -393,11 +393,12 @@ class TestStage2:
 
 
 class TestEmbeddingUtilities:
-    def test_embed_images_matches_direct(self):
+    def test_embed_images_matches_direct(self, monkeypatch):
+        monkeypatch.setattr(ad, "_ROW_BLOCK", 3)  # blocks of 3, 3, 4 rows
         model = tiny_model()
         rng = np.random.default_rng(7)
         F = rng.normal(size=(10, 5))
-        batched = embed_images(model, F, batch_size=3)
+        batched = embed_images(model, F)
         direct = model.encode_images(F).values
         np.testing.assert_allclose(batched, direct, atol=1e-6)
 
@@ -409,8 +410,8 @@ class TestEmbeddingUtilities:
     def test_predict_is_the_heads_on_the_embeddings(self):
         model = tiny_model()
         F = np.random.default_rng(7).normal(size=(10, 5))
-        h, yp, yg = predict(model, F, batch_size=3)
-        assert h.tobytes() == embed_images(model, F, batch_size=3).tobytes()
+        h, yp, yg = predict(model, F)
+        assert h.tobytes() == embed_images(model, F).tobytes()
         with ad.no_grad():
             heads = model.predict_heads(h)
         for got, want in zip((yp, yg), heads):
