@@ -394,6 +394,17 @@ def attention(h, wqkv, n_heads, scale):
 _ROW_BLOCK = 512
 
 
+def _row_slices(n, rows):
+    """Consecutive slices of `rows` rows covering range(n), the one cut of
+    every blocked loop; at n = 0, one empty slice.  A lone last row joins
+    the slice before it, since a 1-row product (numpy's matrix-vector path)
+    rounds differently from a row of a matrix product."""
+    cuts = list(range(rows, n, rows))
+    if cuts and cuts[-1] == n - 1:
+        cuts.pop()
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
 def row_blocks(fn, x, *params):
     """fn(x, *params) for a row-wise sub-network `fn`, as one node that runs
     it on consecutive blocks of `_ROW_BLOCK` rows of x.
@@ -416,19 +427,15 @@ def row_blocks(fn, x, *params):
     threads, and a product over 4216 rows did not.
 
     Values equal fn(x, *params) in one piece, bit for bit, where each of
-    fn's kernels computes a row from that row alone: blocks start at
-    multiples of 512, which kept BLAS's rounding of each row, and a lone
-    last row joins the block before it, since a 1-row product (numpy's
-    matrix-vector path) rounds differently.  Gradients are bit for bit up
-    to `_ROW_BLOCK` + 1 rows, one block, and round differently above.
+    fn's kernels computes a row from that row alone: the blocks are
+    `_row_slices`', which start at multiples of 512 and kept BLAS's
+    rounding of each row.  Gradients are bit for bit up to `_ROW_BLOCK` + 1
+    rows, one block, and round differently above.
     """
     xv, pvs = x.values, [p.values for p in params]
     need_x, need_ps = x.requires_grad, [p.requires_grad for p in params]
     n = xv.shape[0]
-    cuts = list(range(_ROW_BLOCK, n, _ROW_BLOCK))
-    if cuts and cuts[-1] == n - 1:
-        cuts.pop()  # a lone last row joins the block before it
-    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    blocks = _row_slices(n, _ROW_BLOCK)
     out = None
     with _grad_mode(False):
         for rows in blocks:  # at n = 0, one empty block gives the output's shape

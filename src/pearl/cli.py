@@ -349,9 +349,6 @@ def cmd_run_cv(args, cfg):
     tcfg = cfg["train"]
     m = _read_expression(args.expression)
     geoms = data_io.read_coords(args.coords)
-    sets = data_io.read_gmt(args.gene_sets)
-    patch = data_io.read_features(args.features)
-    data_io.check_float32(args.features, patch.spot_ids, patch.features)
     # the folds, from the spots' slides before any is processed (which keeps their order)
     rows = data_io.rows_of(m.spot_ids, [g.spot_id for g in geoms], "coords")
     slide_ids = [geoms[i].slide_id for i in rows]
@@ -369,6 +366,9 @@ def cmd_run_cv(args, cfg):
             f"--folds {args.folds}: fold {sizes.argmin()} is a single spot of {args.coords}, "
             "but scoring a fold needs at least 2"
         )
+    sets = data_io.read_gmt(args.gene_sets)
+    patch = data_io.read_features(args.features)
+    data_io.check_float32(args.features, patch.spot_ids, patch.features)
     normed, hvg = preprocess.run_pipeline(m, geoms, cfg["preprocess"])
     sm, _ = _fault_of(args.gene_sets, ssgsea.score_matrix, normed, sets, cfg["ssgsea"],
                       args.threads)

@@ -550,7 +550,7 @@ def write_coords(geoms, path):
 def read_survival(path):
     rows = _rows(path, ",", tuple(SURVIVAL_HEADER.split(",")), exact=True, keyed=True)
     next(rows)
-    records = []
+    records, owner = [], {}  # owner: the subject that lists each slide
     for lineno, fields in rows:
         ev = fields[2].strip().lower()
         if ev not in {"0", "1", "true", "false"}:
@@ -564,10 +564,14 @@ def read_survival(path):
         slides = tuple(s for s in fields[3].split(";") if s)
         if not slides:
             raise DataFormatError(f"subject {fields[0]!r} lists no slide", line=lineno)
-        if (repeated := _repeated(slides)) is not None:
-            raise DataFormatError(
-                f"subject {fields[0]!r} lists slide {repeated!r} twice", line=lineno
-            )
+        for s in slides:
+            if (other := owner.get(s)) is not None:
+                raise DataFormatError(
+                    f"subject {other!r} lists slide {s!r} twice" if other == fields[0]
+                    else f"subjects {other!r} and {fields[0]!r} both list slide {s!r}",
+                    line=lineno,
+                )
+            owner[s] = fields[0]
         records.append(
             SurvivalRecord(
                 subject_id=fields[0],

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _row_slices
 from .data_io import NORMALIZED_LOG, PathwayScoreMatrix
 from .errors import DataFormatError, DegeneratePathway, PearlError
 
@@ -176,26 +177,12 @@ def score_matrix(m, sets, config, threads=1):
         x = dense[block]
         w = np.empty_like(x)
         np.put_along_axis(w, np.argsort(-x, axis=1, kind="stable"), rank_weights[None, :], axis=1)
-        w_pow = np.power(w, alpha + 1.0)
-        es = w_pow @ sets_mat
-        s_alpha = np.matmul(np.power(w, alpha, out=w_pow), sets_mat)
-        np.divide(es, s_alpha, out=es)
-        miss_sum = np.matmul(w, sets_mat, out=s_alpha)
-        np.subtract(total_weight, miss_sum, out=miss_sum)
-        np.divide(miss_sum, miss_counts, out=miss_sum)
-        np.subtract(es, miss_sum, out=es)
-        null_abs = np.abs(es[:, n_kept:], out=es[:, n_kept:])
-        null_mean = null_abs.reshape(len(x), -1, n_null).mean(axis=2)
-        np.divide(es[:, :n_kept], np.maximum(null_mean, NES_EPSILON)[:, size_index],
-                  out=scores[block])
+        es = (np.power(w, alpha + 1.0) @ sets_mat / (np.power(w, alpha) @ sets_mat)
+              - (total_weight - w @ sets_mat) / miss_counts)
+        null_mean = np.abs(es[:, n_kept:]).reshape(len(x), -1, n_null).mean(axis=2)
+        scores[block] = es[:, :n_kept] / np.maximum(null_mean, NES_EPSILON)[:, size_index]
 
-    # a 1-row chunk would go to gemv, whose bits differ from a gemm row's, so
-    # a trailing single row joins the chunk before it
-    rows = max(2, _CHUNK_BYTES // sets_mat[0].nbytes)
-    bounds = list(range(0, m.n_spots, rows))
-    if m.n_spots - bounds[-1] == 1 and len(bounds) > 1:
-        bounds.pop()
-    bounds.append(m.n_spots)
+    rows = max(2, _CHUNK_BYTES // sets_mat[0].nbytes)  # 1-row chunks: see `_row_slices`
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(score_chunk, map(slice, bounds[:-1], bounds[1:])))
+        list(ex.map(score_chunk, _row_slices(m.n_spots, rows)))
     return PathwayScoreMatrix(list(m.spot_ids), kept, scores), dropped

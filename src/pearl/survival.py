@@ -75,18 +75,15 @@ def _attention_logits(x, w1, b1, w2):
     return ad.matmul(ad.tanh(ad.affine(x, w1, b1)), w2)
 
 
-# spots per einsum in `_segment_pool`'s backward: 0.5 MiB of float32 at d = 256
-_POOL_ROWS = 512
-
-
 def _segment_pool(logits, E, sizes):
     """Softmax of (N, 1) `logits` within each run of `sizes` consecutive rows,
     and the weighted sum of E's rows per run: (len(sizes), d).
 
     Each bag's weighted sum is one BLAS product on its contiguous block of E;
-    the backward's per-spot dots E_n . g_bag(n) are one einsum per block of
-    `_POOL_ROWS` rows, so no (N, d) array is made.  E is data, not a
-    parameter: the backward returns the logits gradient only.
+    the backward's per-spot dots E_n . g_bag(n) are one einsum per
+    `autodiff._row_slices` block of `_ROW_BLOCK` rows, so no (N, d) array is
+    made.  E is data, not a parameter: the backward returns the logits
+    gradient only.
     """
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -100,8 +97,7 @@ def _segment_pool(logits, E, sizes):
     def bw(g):
         owner = np.repeat(np.arange(len(sizes)), sizes)  # each spot's bag
         gw = np.empty(len(E), np.result_type(E, g))
-        for r in range(0, len(E), _POOL_ROWS):
-            rows = slice(r, r + _POOL_ROWS)
+        for rows in ad._row_slices(len(E), ad._ROW_BLOCK):
             gw[rows] = np.einsum("nd,nd->n", E[rows], g[owner[rows]])
         dot = np.add.reduceat(w * gw, starts)
         return ((w * (gw - np.repeat(dot, sizes))).reshape(shape),)

@@ -145,6 +145,17 @@ def _gelu_mlp(x, w1, b1, w2):  # a row-wise sub-network with a GELU, as the mode
     return ad.matmul(ad.gelu(ad.affine(x, w1, b1)), w2)
 
 
+@pytest.mark.parametrize("rows", [2, 3, 512])
+def test_row_slices_cover_the_rows_with_no_lone_row(rows):
+    for n in range(3 * rows + 3):
+        slices = ad._row_slices(n, rows)
+        assert [i for s in slices for i in range(n)[s]] == list(range(n))
+        lengths = [s.stop - s.start for s in slices]
+        assert (n > 0) == (0 not in lengths), n  # an empty slice at n = 0 only
+        assert max(lengths) <= rows + 1 and (1 not in lengths or n == 1), n
+    assert ad._row_slices(0, rows) == [slice(0, 0)]
+
+
 class TestRowBlocks:
     @staticmethod
     def _run(fn, n, blocked, dtype=np.float32):

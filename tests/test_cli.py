@@ -341,9 +341,11 @@ class TestPipeline:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_run_cv_more_folds_than_slides(self, pipeline, tmp_path, capsys, monkeypatch):
-        # the slides of --coords decide it, before any spot is preprocessed
+        # the slides of --coords decide it, before any spot is preprocessed or
+        # the gene sets are read
         _, data, cfg_path = pipeline
         monkeypatch.setattr(preprocess, "run_pipeline", lambda *args: pytest.fail("preprocessed"))
+        monkeypatch.setattr(data_io, "read_gmt", lambda *args: pytest.fail("gene sets read"))
         out = tmp_path / "out"
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "3",
                 *_cv_inputs(data)]
@@ -358,8 +360,10 @@ class TestPipeline:
 
     def test_run_cv_refuses_a_single_spot_fold(self, pipeline, tmp_path, capsys, monkeypatch):
         # the last spot alone on a third slide: fold 2 would test one spot, so
-        # run-cv stops before any spot is preprocessed or any fold trains
+        # run-cv stops before the features are read, any spot is preprocessed
+        # or any fold trains
         _, data, cfg_path = pipeline
+        monkeypatch.setattr(data_io, "read_features", lambda *args: pytest.fail("features read"))
         monkeypatch.setattr(preprocess, "run_pipeline", lambda *args: pytest.fail("preprocessed"))
         monkeypatch.setattr(trainer, "train_stage1", lambda *args: pytest.fail("a fold trained"))
         *lines, last = (data / "coords.csv").read_text().splitlines()
@@ -955,6 +959,8 @@ def test_value_beyond_float32_refused(pipeline, cox_checkpoint, tmp_path, comman
     paths[table] = str(broken)
     argv = [sys.executable, "-m", "pearl.cli", command, "--out-dir", str(tmp_path / "out")]
     argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+    if command == "run-cv":  # the fixture's 2 slides: the default 5 folds are refused first
+        argv += ["--folds", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1  # no numpy overflow warning
@@ -1640,8 +1646,13 @@ class TestConfigValues:
                 "subject 'subj0001' lists slide 'subj0001_slide0' twice",
             ),
             ("subj0001,2.5,1,", "subject 'subj0001' lists no slide"),
+            (
+                "subj0001,2.5,1,subj0001_slide0;subj0000_slide0",
+                "subjects 'subj0000' and 'subj0001' both list slide 'subj0000_slide0'",
+            ),
         ],
-        ids=["nan_time", "inf_time", "repeated_subject", "repeated_slide", "no_slide"],
+        ids=["nan_time", "inf_time", "repeated_subject", "repeated_slide", "no_slide",
+             "shared_slide"],
     )
     @pytest.mark.parametrize("command", ["survival-train", "survival-eval"])
     def test_survival_table_refuses(
