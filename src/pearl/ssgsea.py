@@ -24,7 +24,6 @@ and `nes` keep the explicit running sum as the scalar reference.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +182,8 @@ def score_matrix(m, sets, config, threads=1):
         scores[block] = es[:, :n_kept] / np.maximum(null_mean, NES_EPSILON)[:, size_index]
 
     rows = max(2, _CHUNK_BYTES // sets_mat[0].nbytes)  # 1-row chunks: see `_row_slices`
+    # imported here, not at module scope: commands that score nothing skip its stack
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as ex:
         list(ex.map(score_chunk, _row_slices(m.n_spots, rows)))
     return PathwayScoreMatrix(list(m.spot_ids), kept, scores), dropped

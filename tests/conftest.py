@@ -73,7 +73,16 @@ def graph_nodes(loss):
 
 
 def traced_peak(fn, *args):
-    """(fn(*args), the peak bytes `tracemalloc` traces while it runs)."""
+    """(fn(*args), the peak bytes `tracemalloc` traces while it runs warm).
+
+    `fn(*args)` runs once untraced first, so one-time work (a module's first
+    import, argparse's first `gettext` lookup) happens outside the traced
+    call.  A full collection then resets the collector's counts, so the
+    traced call's collections free its own cyclic garbage (argparse's
+    parsers) at the same points whatever ran before it in the process.
+    """
+    fn(*args)
+    gc.collect()
     tracemalloc.start()
     try:
         out = fn(*args)

@@ -1910,10 +1910,12 @@ def test_usage_pinned(monkeypatch):
 
 
 class TestNumpyOnly:
-    """No subcommand needs scipy: the package imports numpy only."""
+    """No subcommand needs scipy: the package imports numpy only.  Nor does
+    `import pearl.cli` load ssGSEA's thread pool, which only scoring needs."""
 
     def test_cli_import_loads_no_scipy(self):
-        code = "import sys, pearl.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        code = ("import sys, pearl.cli; print([m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'concurrent', 'logging')])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -1941,22 +1943,27 @@ class TestNumpyOnly:
             "for argv in json.loads(sys.argv[1]):\n"
             "    if main(argv) != 0:\n"
             "        sys.exit(f'{argv[0]} failed')\n"
+            "    print(argv[0], 'concurrent.futures' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+        # scoring loads the thread pool's module, the first time it scores
+        assert proc.stdout.splitlines() == ["synth False", "preprocess False",
+                                            "score-pathways True", "train-contrastive True"]
         for name in ("expression.tsv", "coords.csv", "gene_sets.gmt", "features.tsv",
                      "survival.csv", "survival_embeddings.tsv", "normalized.tsv", "hvg.tsv",
                      "scores.tsv", "stage1.params.bin"):
             assert (out / name).read_bytes() == (data / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command", ["predict", "survival-eval"])
+@pytest.mark.parametrize("command", ["predict", "survival-eval", "evaluate", "preprocess"])
 def test_loading_a_checkpoint_draws_no_weights(pipeline, cox_checkpoint, tmp_path, command):
-    # the checkpoint fills every parameter, so neither command imports
-    # numpy.random
-    _, data, _ = pipeline
+    # a checkpoint fills every parameter, so neither predict nor survival-eval
+    # imports numpy.random, and evaluate and preprocess draw nothing either.
+    # None of the four scores pathways, so none loads the thread pool's module.
+    _, data, cfg_path = pipeline
     argv = {
         "predict": ["predict", "--out-dir", str(tmp_path), "--checkpoint", str(data / "final"),
                     "--features", str(data / "features.tsv")],
@@ -1964,12 +1971,18 @@ def test_loading_a_checkpoint_draws_no_weights(pipeline, cox_checkpoint, tmp_pat
                           "--checkpoint", str(cox_checkpoint),
                           "--survival", str(data / "survival.csv"),
                           "--embeddings", str(data / "survival_embeddings.tsv")],
+        "evaluate": ["evaluate", "--out-dir", str(tmp_path), "--pred",
+                     str(data / "yhat_path.tsv"), "--truth", str(data / "scores.tsv")],
+        "preprocess": ["preprocess", "--config", str(cfg_path), "--out-dir", str(tmp_path),
+                       "--expression", str(data / "expression.tsv"),
+                       "--coords", str(data / "coords.csv")],
     }[command]
     script = (
         "import json, sys\n"
         "from pearl.cli import main\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"
         "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True
