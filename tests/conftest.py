@@ -9,9 +9,13 @@ file-descriptor level.
 
 import gc
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+from pearl.encoders import ModelConfig, PearlModel
 
 acceptance_lines = []
 golden_lines = []
@@ -47,6 +51,42 @@ def tamper_manifest(path, kind):
     else:
         del manifest["params"]
     path.write_text(json.dumps(manifest))
+
+
+BENCHMARK_SEED = 2  # its cohort trains on 160 subjects, 4216 x 256 embeddings
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench's `workloads` module, the one `perfbench/test_perfbench.py`
+    imports: the benchmark's input generators and sizes."""
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def benchmark_inputs(workloads, tmp_path_factory):
+    """`benchmark_inputs(name)`: the directory of the input files the benchmark
+    workload `name` runs on at `BENCHMARK_SEED`, generated on first use."""
+    generated = {}
+
+    def inputs(name):
+        if name not in generated:
+            generated[name] = tmp_path_factory.mktemp(name)
+            workloads.WORKLOADS[name].generate(BENCHMARK_SEED, str(generated[name]))
+        return generated[name]
+
+    return inputs
+
+
+@pytest.fixture
+def train_infer_model(workloads):
+    """An untrained model of the sizes the benchmark's train-infer trains:
+    2.75 MiB of float32 parameters, the largest 0.50 MiB (256 x 512)."""
+    return PearlModel(ModelConfig(n_pathways=workloads.TI_PATHWAYS, n_genes=workloads.TI_HVG,
+                                  d_img=workloads.TI_D_IMG))
 
 
 @pytest.fixture

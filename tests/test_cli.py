@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
-from pearl import cli, data_io, gradsuite, preprocess, survival, synthgen, trainer
+from pearl import cli, data_io, gradsuite, preprocess, survival, trainer
 from pearl.cli import _read_slide_embeddings, main
-from pearl.encoders import ModelConfig, PearlModel, load_model, save_model
+from pearl.encoders import load_model, save_model
 from pearl.errors import ConfigError, DataFormatError, TrainingDiverged
 
 import golden_chain
-from conftest import (MANIFEST_TAMPERS, peak_bound, significant_digits, tamper_manifest,
-                      traced_peak)
+from conftest import (BENCHMARK_SEED, MANIFEST_TAMPERS, peak_bound, significant_digits,
+                      tamper_manifest, traced_peak)
 
 
 def run(argv):
@@ -118,7 +118,7 @@ class TestPipeline:
         (tmp_path / "stage1.manifest.json").write_text(json.dumps(manifest))
         argv = ["train-heads", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
                 "--checkpoint", str(tmp_path / "stage1")]
-        argv += [x for k, name in _DATASET.items() for x in (f"--{k}", str(data / name))]
+        argv += _flags(_DATASET, data)
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
@@ -289,7 +289,7 @@ class TestPipeline:
         tamper_manifest(tmp_path / "ckpt.manifest.json", tamper)
         inputs = _SURVIVAL if command == "survival-eval" else {"features": "features.tsv"}
         argv = [command, "--checkpoint", str(tmp_path / "ckpt"), "--out-dir", str(tmp_path / "out")]
-        argv += [x for k, name in inputs.items() for x in (f"--{k}", str(data / name))]
+        argv += _flags(inputs, data)
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "checkpoint_manifest"
@@ -303,7 +303,7 @@ class TestPipeline:
                 "--config", str(cfg_path),
                 "--out-dir", str(tmp_path),
                 "--folds", "2",
-                *_cv_inputs(data),
+                *_flags(_CV_PATHS, data),
             ]
         ) == 0
         agg = json.loads((tmp_path / "aggregate.json").read_text())
@@ -332,7 +332,7 @@ class TestPipeline:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "2",
-                *_cv_inputs(data)]
+                *_flags(_CV_PATHS, data)]
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "training_diverged", "message": "non-finite loss at epoch 0, batch 0"
@@ -348,7 +348,7 @@ class TestPipeline:
         monkeypatch.setattr(data_io, "read_gmt", lambda *args: pytest.fail("gene sets read"))
         out = tmp_path / "out"
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "3",
-                *_cv_inputs(data)]
+                *_flags(_CV_PATHS, data)]
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
@@ -372,7 +372,7 @@ class TestPipeline:
         coords.write_text("\n".join([*lines, f"{spot},slideX,{rest}"]) + "\n")
         out = tmp_path / "out"
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(out), "--folds", "3",
-                *_cv_inputs(data, coords=str(coords))]
+                *_flags(_CV_PATHS | {"coords": coords}, data)]
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
@@ -496,7 +496,7 @@ class TestUndefinedMetrics:
             cli, "evaluate_expression", lambda pred, truth: evaluate(np.zeros_like(pred), truth)
         )
         argv = ["run-cv", "--config", str(cfg_path),
-                "--out-dir", str(tmp_path), "--folds", "2", *_cv_inputs(data)]
+                "--out-dir", str(tmp_path), "--folds", "2", *_flags(_CV_PATHS, data)]
         assert run(argv) == 0
         for fold in range(2):
             rep = _strict_json(tmp_path / f"fold_{fold}.json")
@@ -536,10 +536,12 @@ _CV_PATHS = {
 }
 
 
-def _cv_inputs(data, **paths):
-    """run-cv's input flags on the pipeline's files, or on the given `paths`."""
-    paths = {k: str(data / name) for k, name in _CV_PATHS.items()} | paths
-    return [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+def _flags(files, directory=""):
+    """Input flags naming `files` ({flag: file}) in `directory`, a file given
+    by its absolute path as it is: {"gene_sets": "x.gmt"} gives
+    ["--gene-sets", "<directory>/x.gmt"]."""
+    return [x for k, file in files.items()
+            for x in (f"--{k.replace('_', '-')}", os.path.join(directory, file))]
 
 
 # every subcommand that reads files: its inputs (flag -> file in the pipeline's
@@ -607,34 +609,7 @@ class TestCohort:
         E = cli._load_cohort(argparse.Namespace(survival=inputs[1], embeddings=inputs[3]))[0]
         assert E is tables[0][1] and E.dtype == np.float32
 
-    @staticmethod
-    def _benchmark_cohort(directory):
-        """survival-train's input flags on the benchmark's training cohort
-        shape: the first 160 of 240 subjects with one slide of 4 to 48 spots
-        each, 4216 x 256 embeddings, written to `directory`.  As in the
-        benchmark's cohort, a slide's spots scatter by 0.1 around a
-        standard normal centre of their own."""
-        rng = np.random.default_rng(3)
-        sizes = rng.permutation(np.linspace(4, 48, 240).round().astype(int))[:160]
-        assert sizes.sum() == 4216
-        directory.mkdir()
-        slides = [s for i, m in enumerate(sizes) for s in [f"sl{i}"] * m]
-        centres = np.repeat(rng.normal(size=(160, 256)), sizes, axis=0)
-        data_io.write_embeddings([f"{s}_{j}" for j, s in enumerate(slides)], slides,
-                                 (centres + 0.1 * rng.normal(size=(4216, 256))).astype(np.float32),
-                                 directory / "emb.tsv")
-        data_io.write_survival(
-            data_io.SurvivalTable([
-                data_io.SurvivalRecord(f"p{i}", 1.0 + rng.exponential(), rng.uniform() < 0.7,
-                                       (f"sl{i}",))
-                for i in range(len(sizes))
-            ]),
-            directory / "surv.csv",
-        )
-        return ["--survival", str(directory / "surv.csv"),
-                "--embeddings", str(directory / "emb.tsv")]
-
-    def test_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_peak_memory_at_benchmark_shape(self, benchmark_inputs, tmp_path):
         # one epoch of survival-train in process; five peak no higher.
         # Measured 17.8 MiB with the table read as float64 rows, then cast and
         # gathered, the attention's first layer a matmul and an add node and
@@ -645,57 +620,32 @@ class TestCohort:
         # array.  Any one of those three undone alone reads 11.0-11.3 MiB.
         # 5.60 MiB with the attention logits computed in blocks of 512 spots
         # by `autodiff.row_blocks`, which keeps no (N, 128) activation.
-        inputs = self._benchmark_cohort(tmp_path / "in")
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"survival": {"max_epochs": 1, "patience": 1}}))
         argv = ["survival-train", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
-                *inputs]
+                *_benchmark_flags(benchmark_inputs, "cohort")]
         code, peak = traced_peak(run, argv)
         assert code == 0
         assert peak < peak_bound("survival-train, one epoch, benchmark cohort", peak, 6.25)
 
-    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # survival-train at the benchmark cohort shape in two processes, BLAS
-        # at 1 and at 2 threads (OpenBLAS reads the setting at import).  Two
-        # epochs, since fit restores the values the best epoch started from:
-        # after one, the initial weights.  With the attention layer's weight
-        # gradients summed over all 4216 spots at once, cox.params.bin
-        # differed here.
-        inputs = self._benchmark_cohort(tmp_path / "in")
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"survival": {"max_epochs": 2, "patience": 2}}))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"out{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            proc = subprocess.run(
-                [sys.executable, "-m", "pearl.cli", "survival-train", "--config", str(cfg),
-                 "--out-dir", str(out), *inputs],
-                capture_output=True, text=True, env=env,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append([(out / name).read_bytes() for name in ("cox.params.bin",
-                                                                   "cox_loss.csv")])
-        assert outputs[0] == outputs[1]
-
-    def test_read_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_read_peak_memory_at_benchmark_shape(self, benchmark_inputs):
         # the cohort's float32 embedding read on its own: the table is 4.1
         # MiB.  Measured 8.9 MiB with the blocks joined a MiB at a time, 5.2
         # MiB filling one preallocated array.
-        self._benchmark_cohort(tmp_path / "in")
-        (rows, table), peak = traced_peak(data_io.read_slide_embeddings, tmp_path / "in/emb.tsv")
+        path = benchmark_inputs("cohort") / "train_embeddings.tsv"
+        (rows, table), peak = traced_peak(data_io.read_slide_embeddings, path)
         assert table.shape == (4216, 256) and len(rows) == 160
         assert peak < peak_bound("read_slide_embeddings, benchmark cohort", peak, 6)
 
-    def test_eval_peak_memory_at_benchmark_shape(self, tmp_path):
-        # survival-eval with an untrained Cox head of the default sizes.
-        # Measured 8.44 MiB, reading the checkpoint whole or one parameter at a
-        # time: the float32 table and the pooled forward set the peak.  5.35
-        # MiB with the attention logits computed in blocks of 512 spots.
-        inputs = self._benchmark_cohort(tmp_path / "in")
+    def test_eval_peak_memory_at_benchmark_shape(self, benchmark_inputs, tmp_path):
+        # survival-eval with an untrained Cox head of the default sizes, on
+        # the training cohort, the larger of the benchmark's two.  Measured
+        # 8.44 MiB, reading the checkpoint whole or one parameter at a time:
+        # the float32 table and the pooled forward set the peak.  5.35 MiB
+        # with the attention logits computed in blocks of 512 spots.
         survival.save_cox(survival.CoxHead(), str(tmp_path / "cox"))
         argv = ["survival-eval", "--checkpoint", str(tmp_path / "cox"),
-                "--out-dir", str(tmp_path / "out"), *inputs]
+                "--out-dir", str(tmp_path / "out"), *_benchmark_flags(benchmark_inputs, "cohort")]
         code, peak = traced_peak(run, argv)
         assert code == 0
         assert peak < peak_bound("survival-eval, benchmark cohort", peak, 6)
@@ -804,7 +754,7 @@ class TestCohort:
         (tmp_path / "ckpt.manifest.json").write_text(json.dumps(manifest))
         (tmp_path / "ckpt.params.bin").write_bytes(blob)
         argv = ["survival-eval", "--checkpoint", str(tmp_path / "ckpt")]
-        argv += [x for k, name in _SURVIVAL.items() for x in (f"--{k}", str(data / name))]
+        argv += _flags(_SURVIVAL, data)
         capsys.readouterr()
         assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         reason = {"kind": "unknown hyperparameter 'kind'",
@@ -815,118 +765,129 @@ class TestCohort:
         assert not (tmp_path / "out").exists()
 
 
-class TestScorePanelMemory:
-    @staticmethod
-    def _inputs(directory):
-        """preprocess's input flags and score-pathways' gene sets at perfbench
-        score-panel's shapes, written to `directory`: 300 spots x 300 genes,
-        the 20 planted pathways and 20 seeded decoys of 5 to 80 genes, 30 null
-        sets and 100 HVGs."""
-        directory.mkdir()
-        expr, geoms, sets, _, _ = synthgen.gen_st_dataset(
-            seed=1, n_spots=300, n_genes=300, n_pathways=20)
-        rng = np.random.default_rng(2)
-        decoys = [data_io.GeneSet(f"DECOY{i:02d}", "decoy",
-                                  frozenset(rng.choice(expr.gene_ids, size=k, replace=False)))
-                  for i, k in enumerate(np.linspace(5, 80, 20).round().astype(int))]
-        data_io.write_expression(expr, directory / "expression.tsv")
-        data_io.write_coords(geoms, directory / "coords.csv")
-        data_io.write_gmt(data_io.GeneSetCollection(sets.sets + decoys),
-                          directory / "gene_sets.gmt")
-        (directory / "config.json").write_text(json.dumps({
-            "preprocess": {"min_spots_per_gene": 50, "top_hvg": 100},
-            "ssgsea": {"null_sets": 30, "weight_exponent": 0.75},
-        }))
-        return ["--config", str(directory / "config.json"),
-                "--expression", str(directory / "expression.tsv"),
-                "--coords", str(directory / "coords.csv")]
+# the benchmark's input files the commands here read: {name: (workload,
+# {flag: file})}
+_BENCHMARK_FILES = {
+    # 160 subjects, each with one slide of 4 to 48 spots: 4216 x 256 float32
+    "cohort": ("cohort", {"survival": "train_survival.csv",
+                          "embeddings": "train_embeddings.tsv"}),
+    # 300 spots x 300 genes, and a config of 100 HVGs and 30 null sets
+    "panel": ("score-panel", {"config": "config.json", "expression": "expression.tsv",
+                              "coords": "coords.csv"}),
+    # 400 spots on 2 slides: 20 pathway scores, 64 features, 100 HVG values
+    "training": ("train-infer", {"scores": "train_scores.tsv", "coords": "coords.csv",
+                                 "features": "train_features.tsv", "hvg": "train_hvg.tsv"}),
+    # 2000 held-out spots on 10 slides
+    "heldout": ("train-infer", {"features": "heldout_features.tsv", "coords": "coords.csv"}),
+}
 
-    def test_preprocess_peak_memory_at_benchmark_shape(self, tmp_path):
+
+def _benchmark_flags(benchmark_inputs, name):
+    """Input flags on the benchmark files `_BENCHMARK_FILES[name]` lists."""
+    workload, files = _BENCHMARK_FILES[name]
+    return _flags(files, benchmark_inputs(workload))
+
+
+def _score_pathways_flags(benchmark_inputs, out):
+    """score-pathways' flags as the benchmark score-panel runs it, once its
+    preprocess has run into `out`."""
+    assert run(["preprocess", "--out-dir", str(out),
+                *_benchmark_flags(benchmark_inputs, "panel")]) == 0
+    d = benchmark_inputs("score-panel")
+    return ["--config", str(d / "config.json"), "--seed", str(BENCHMARK_SEED), "--threads", "2",
+            "--expression", str(out / "normalized.tsv"), "--gene-sets", str(d / "gene_sets.gmt")]
+
+
+@pytest.fixture
+def untrained_stage1(train_infer_model, tmp_path):
+    """An untrained stage-1 checkpoint of the model train-infer trains; the
+    benchmark trains its own."""
+    save_model(train_infer_model, str(tmp_path / "stage1"))
+    return str(tmp_path / "stage1")
+
+
+class TestScorePanelMemory:
+    def test_preprocess_peak_memory_at_benchmark_shape(self, benchmark_inputs, tmp_path):
         # Measured 5.12-5.15 MiB: the expression parse sets the peak.
-        argv = ["preprocess", "--out-dir", str(tmp_path / "out"), *self._inputs(tmp_path / "in")]
+        argv = ["preprocess", "--out-dir", str(tmp_path / "out"),
+                *_benchmark_flags(benchmark_inputs, "panel")]
         code, peak = traced_peak(run, argv)
         assert code == 0
         assert peak < peak_bound("preprocess, benchmark score-panel", peak, 6)
 
-    def test_score_pathways_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_score_pathways_peak_memory_at_benchmark_shape(self, benchmark_inputs, tmp_path):
         # Measured 8.75 MiB with fixed 256-spot chunks, whose float64 blocks
         # of ES over every pathway and null set set the peak; 5.02 MiB with
         # chunks of 128 KiB blocks, where the expression parse sets it.
-        pre = self._inputs(tmp_path / "in")
         out = tmp_path / "out"
-        assert run(["preprocess", "--out-dir", str(out), *pre]) == 0
-        argv = ["score-pathways", *pre[:2], "--seed", "1", "--threads", "2",
-                "--out-dir", str(out), "--expression", str(out / "normalized.tsv"),
-                "--gene-sets", str(tmp_path / "in/gene_sets.gmt")]
+        argv = ["score-pathways", "--out-dir", str(out),
+                *_score_pathways_flags(benchmark_inputs, out)]
         code, peak = traced_peak(run, argv)
         assert code == 0
         assert peak < peak_bound("score-pathways, benchmark score-panel", peak, 5.75)
 
 
 class TestTrainInferMemory:
-    @staticmethod
-    def _inputs(directory):
-        """(train-heads' input flags, predict's) at perfbench train-infer's
-        shapes, written to `directory`: 400 training spots on 2 slides (20
-        pathway scores, 64 features, 100 HVG values each) and 2000 held-out
-        spots on 10 more, with an untrained stage-1 checkpoint of the model
-        the benchmark trains."""
-        rng = np.random.default_rng(0)
-        directory.mkdir()
-        ids = [f"s{i}" for i in range(2400)]
-        slides = [f"slide{i // 200}" for i in range(2400)]
-        data_io.write_coords(
-            [data_io.SpotGeometry(s, sl, 10.0 * (i % 20), 10.0 * (i // 20), i // 20, i % 20)
-             for i, (s, sl) in enumerate(zip(ids, slides))],
-            directory / "coords.csv",
-        )
-        features = rng.normal(size=(2400, 64)).astype(np.float32)
-        for name, rows in (("train", slice(0, 400)), ("heldout", slice(400, None))):
-            data_io.write_features(data_io.PatchFeatureMatrix(ids[rows], features[rows]),
-                                   directory / f"{name}_features.tsv")
-        data_io.write_scores(
-            data_io.PathwayScoreMatrix(ids[:400], [f"PW{k}" for k in range(20)],
-                                       rng.normal(size=(400, 20)).astype(np.float32)),
-            directory / "scores.tsv",
-        )
-        data_io.write_expression(
-            data_io.ExpressionMatrix(ids[:400], [f"g{j}" for j in range(100)],
-                                     rng.exponential(size=(400, 100)).astype(np.float32),
-                                     data_io.NORMALIZED_LOG),
-            directory / "hvg.tsv",
-        )
-        model = PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
-        save_model(model, str(directory / "stage1"))
-        heads = {"scores": "scores.tsv", "coords": "coords.csv",
-                 "features": "train_features.tsv", "hvg": "hvg.tsv", "checkpoint": "stage1"}
-        predict = {"features": "heldout_features.tsv", "coords": "coords.csv",
-                   "checkpoint": "stage1"}
-        return [[x for k, name in flags.items() for x in (f"--{k}", str(directory / name))]
-                for flags in (heads, predict)]
-
-    def test_train_heads_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_train_heads_peak_memory_at_benchmark_shape(
+        self, benchmark_inputs, untrained_stage1, tmp_path
+    ):
         # 2 epochs, the fewest a TrainConfig allows.  Measured 13.68 MiB,
         # reading the checkpoint whole or one parameter at a time: stage-2
         # training sets the peak.
-        heads, _ = self._inputs(tmp_path / "in")
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"train": {"max_epochs": 2, "patience": 1}}))
-        argv = ["train-heads", "--config", str(cfg), "--out-dir", str(tmp_path / "out"), *heads]
+        argv = ["train-heads", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                "--checkpoint", untrained_stage1, *_benchmark_flags(benchmark_inputs, "training")]
         code, peak = traced_peak(run, argv)
         assert code == 0
         assert peak < peak_bound("train-heads, two epochs, benchmark train-infer", peak, 15.5)
 
-    def test_predict_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_predict_peak_memory_at_benchmark_shape(
+        self, benchmark_inputs, untrained_stage1, tmp_path
+    ):
         # Measured 18.51 MiB, reading the checkpoint whole or one parameter at
         # a time: the heads' forward over all 2000 rows at once sets the peak.
         # 9.86 MiB with the image branch and each head run on blocks of 512
         # rows by `autodiff.row_blocks`, and gelu writing its output over its
         # tanh when no graph is recorded.
-        _, predict = self._inputs(tmp_path / "in")
-        argv = ["predict", "--out-dir", str(tmp_path / "out"), "--emit-embeddings", *predict]
+        argv = ["predict", "--out-dir", str(tmp_path / "out"), "--checkpoint", untrained_stage1,
+                "--emit-embeddings", *_benchmark_flags(benchmark_inputs, "heldout")]
         code, peak = traced_peak(run, argv)
         assert code == 0
         assert peak < peak_bound("predict, benchmark train-infer", peak, 11)
+
+
+@pytest.mark.parametrize("command", ["survival-train", "score-pathways", "train-contrastive",
+                                     "predict"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(
+    command, benchmark_inputs, untrained_stage1, tmp_path
+):
+    # each command on its benchmark workload's inputs in two processes, BLAS
+    # at 1 and at 2 threads (OpenBLAS reads the setting at import), every
+    # output compared.  Training runs two epochs, since fit restores the
+    # values the best epoch started from: after one, the initial weights.
+    # With the Cox attention layer's weight gradients summed over all 4216
+    # spots at once, cox.params.bin differed here.
+    if command == "score-pathways":
+        argv = _score_pathways_flags(benchmark_inputs, tmp_path / "pre")
+    elif command == "predict":
+        argv = ["--checkpoint", untrained_stage1, "--emit-embeddings",
+                *_benchmark_flags(benchmark_inputs, "heldout")]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"survival": {"max_epochs": 2, "patience": 2},
+                                   "train": {"max_epochs": 2, "patience": 1}}))
+        inputs = "cohort" if command == "survival-train" else "training"
+        argv = ["--config", str(cfg), *_benchmark_flags(benchmark_inputs, inputs)]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "pearl.cli", command, *argv,
+                               "--out-dir", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 # each command that hands a table to a float32 model, that table, and the
@@ -957,8 +918,8 @@ def test_value_beyond_float32_refused(pipeline, cox_checkpoint, tmp_path, comman
     broken = tmp_path / inputs[table]
     broken.write_text("\n".join(lines) + "\n")
     paths[table] = str(broken)
-    argv = [sys.executable, "-m", "pearl.cli", command, "--out-dir", str(tmp_path / "out")]
-    argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+    argv = [sys.executable, "-m", "pearl.cli", command, "--out-dir", str(tmp_path / "out"),
+            *_flags(paths)]
     if command == "run-cv":  # the fixture's 2 slides: the default 5 folds are refused first
         argv += ["--folds", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True)
@@ -1000,8 +961,7 @@ class TestFailureInjection:
         # a command that reads no config does not declare --config
         reads_config = "--config" in FLAGS[command]
         cfg = {"train": {"bogus": 1}} if kind == "unknown_field" else {}
-        argv = [command, "--out-dir", str(tmp_path / "out")]
-        argv += [x for k, v in paths.items() for x in (f"--{k.replace('_', '-')}", v)]
+        argv = [command, "--out-dir", str(tmp_path / "out"), *_flags(paths)]
         if command == "run-cv":
             argv += ["--folds", "2"]
         if cfg:
@@ -1028,8 +988,7 @@ class TestFailureInjection:
         inputs, _, _ = FILE_COMMANDS[command]
         argv = [command, "--out-dir", str(tmp_path / "out"),
                 "--checkpoint", str(tmp_path / "absent")]
-        argv += [x for k, name in inputs.items() if k != "checkpoint"
-                 for x in (f"--{k}", str(data / name))]
+        argv += _flags({k: v for k, v in inputs.items() if k != "checkpoint"}, data)
         capsys.readouterr()
         assert run(argv) == 1
         err = json.loads(capsys.readouterr().err)
@@ -1049,8 +1008,7 @@ class TestFailureInjection:
         if kind == "directory":
             blob.mkdir()
         argv = [command, "--out-dir", str(tmp_path / "out"), "--checkpoint", ckpt]
-        argv += [x for k, name in inputs.items() if k != "checkpoint"
-                 for x in (f"--{k}", str(data / name))]
+        argv += _flags({k: v for k, v in inputs.items() if k != "checkpoint"}, data)
         capsys.readouterr()
         assert run(argv) == 1
         err = json.loads(capsys.readouterr().err)
@@ -1068,10 +1026,8 @@ class TestFailureInjection:
             lines[k][2] = x
         coords = tmp_path / "coords.csv"
         coords.write_text("".join(",".join(fields) + "\n" for fields in lines))
-        inputs = {k: str(data / name) for k, name in _DATASET.items()} | {"coords": str(coords)}
         argv = [sys.executable, "-m", "pearl.cli", "train-contrastive", "--config", str(cfg_path),
-                "--out-dir", str(tmp_path / "out")]
-        argv += [x for k, v in inputs.items() for x in (f"--{k}", v)]
+                "--out-dir", str(tmp_path / "out"), *_flags(_DATASET | {"coords": coords}, data)]
         return coords, lines, subprocess.run(argv, capture_output=True, text=True)
 
     def test_non_finite_coordinate_refused(self, pipeline, tmp_path):
@@ -1103,8 +1059,7 @@ class TestFailureInjection:
         exits 1 and writes no output."""
         _, data, cfg_path = pipeline
         argv = [command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
-        argv += [x for k, name in FILE_COMMANDS[command][0].items()
-                 for x in (f"--{k.replace('_', '-')}", str(paths.get(k, data / name)))]
+        argv += _flags(FILE_COMMANDS[command][0] | paths, data)
         if command == "run-cv":
             argv += ["--folds", "2"]
         capsys.readouterr()
@@ -1153,7 +1108,7 @@ class TestFailureInjection:
         features.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
         capsys.readouterr()
         argv = ["run-cv", "--config", str(cfg_path), "--out-dir", str(tmp_path), "--folds", "2",
-                *_cv_inputs(data, features=str(features))]
+                *_flags(_CV_PATHS | {"features": features}, data)]
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "data_format",
@@ -1179,9 +1134,8 @@ class TestFailureInjection:
         lines = (data / _DATASET[table]).read_text().splitlines()
         broken = tmp_path / _DATASET[table]
         broken.write_text("".join(ln + "\n" for ln in lines if ln.split(sep)[0] != dropped))
-        paths = {k: str(data / name) for k, name in _DATASET.items()} | {table: str(broken)}
-        argv = [*argv, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
-        argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
+        argv = [*argv, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                *_flags(_DATASET | {table: broken}, data)]
         capsys.readouterr()
         assert run(argv) == 1
         assert json.loads(capsys.readouterr().err) == {
@@ -1207,10 +1161,8 @@ class TestFailureInjection:
         broken.write_text("\n".join(lines) + "\n")
         checkpoint = data / "stage1"
         fitted = getattr(load_model(str(checkpoint)).config, size)
-        paths = {k: str(data / name) for k, name in _DATASET.items()} | {table: str(broken)}
         argv = ["train-heads", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
-                "--checkpoint", str(checkpoint)]
-        argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
+                "--checkpoint", str(checkpoint), *_flags(_DATASET | {table: broken}, data)]
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err
@@ -1240,9 +1192,8 @@ class TestFailureInjection:
         else:
             checkpoint = cox_checkpoint
             fitted = getattr(survival.load_cox(str(checkpoint)), size)
-        paths = {k: str(data / name) for k, name in paths.items()} | {table: str(broken)}
-        argv = [command, "--out-dir", str(tmp_path / "out"), "--checkpoint", str(checkpoint)]
-        argv += [x for k, v in paths.items() for x in (f"--{k}", v)]
+        argv = [command, "--out-dir", str(tmp_path / "out"), "--checkpoint", str(checkpoint),
+                *_flags(paths | {table: broken}, data)]
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err
@@ -1425,9 +1376,7 @@ class TestErrors:
 
     def test_zero_embed_dim_rejected(self, pipeline, tmp_path, capsys):
         _, data, _ = pipeline
-        argv = ["train-contrastive"] + [
-            x for k, name in _DATASET.items() for x in (f"--{k}", str(data / name))
-        ]
+        argv = ["train-contrastive", *_flags(_DATASET, data)]
         err = _config_error(tmp_path, capsys, {"model": {"embed_dim": 0}}, argv)
         assert err == {"error": "config", "message": "model: embed_dim must be >= 1"}
         assert not (tmp_path / "out").exists()
@@ -1629,7 +1578,7 @@ class TestConfigValues:
         else:
             inputs = {"expression": "expression.tsv", "coords": "coords.csv"}
             argv = ["preprocess"]
-        argv += [x for k, name in inputs.items() for x in (f"--{k}", str(data / name))]
+        argv += _flags(inputs, data)
         err = _config_error(tmp_path, capsys, {section: fields}, argv)
         assert err["error"] == "config" and err["message"].startswith(f"{section}: ")
         assert needle in err["message"]

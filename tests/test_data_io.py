@@ -956,18 +956,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             load_model(path)
 
-    @staticmethod
-    def _benchmark_model():
-        """perfbench train-infer's model: 2.75 MiB of float32 parameters, the
-        largest 0.50 MiB (256 x 512 or 512 x 256)."""
-        return PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
-
-    def test_load_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_load_peak_memory_at_benchmark_shape(self, tmp_path, train_infer_model):
         # Measured 6.02 MiB reading the blob whole and copying each parameter
         # out of it, 2.78 MiB reading each parameter straight into the array
         # the unfilled model was built with.  Bound: the model plus its
         # largest parameter.
-        m = self._benchmark_model()
+        m = train_infer_model
         path = str(tmp_path / "ckpt")
         save_model(m, path)
         m2, peak = traced_peak(load_model, path)
@@ -975,11 +969,11 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p1.values, p2.values)
         assert peak < peak_bound("load_model, benchmark train-infer", peak, 3.25)
 
-    def test_save_peak_memory_at_benchmark_shape(self, tmp_path):
+    def test_save_peak_memory_at_benchmark_shape(self, tmp_path, train_infer_model):
         # Measured 5.51 MiB joining the whole blob before writing it, 0.04 MiB
         # writing each float32 parameter from its own array (the rest is the
         # manifest's JSON).  Bound: less than one copy of the largest parameter.
-        m = self._benchmark_model()
+        m = train_infer_model
         _, peak = traced_peak(save_model, m, str(tmp_path / "ckpt"))
         assert (tmp_path / "ckpt.params.bin").stat().st_size == 4 * sum(
             p.values.size for _, p in m.parameters())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pearl import autodiff as ad
+from pearl import data_io
 from pearl.encoders import CoordNormalizer, ModelConfig, PearlModel
 from pearl.errors import PearlError, TrainingDiverged
 from pearl.trainer import (
@@ -229,10 +230,10 @@ class TestStage1:
         # layer_norm; attention is one node from h and the fused wqkv
         assert [n_nodes(1), n_nodes(2) - n_nodes(1)] == [54, 19]
 
-    def test_peak_memory_at_benchmark_shape(self):
+    def test_peak_memory_at_benchmark_shape(self, benchmark_inputs, train_infer_model):
         # 400 spots on 2 slides (a 256-spot batch, a 104-spot one, 40 for
         # validation), 20 pathways, d_img 64 and the default ModelConfig: the
-        # sizes of perfbench's train-infer; 2 epochs, the fewest a TrainConfig
+        # tables of perfbench's train-infer; 2 epochs, the fewest a TrainConfig
         # allows, peak as high as one.  Measured 37.0 MiB with three (H, N, N)
         # score arrays per layer in the graph and the previous step's graph
         # alive while the next was built, 28.0 MiB with neither; 26.3 MiB
@@ -241,18 +242,14 @@ class TestStage1:
         # that node keeping only h and wqkv (its backward recomputes each
         # head) and backward freeing each node as it passes it, 13.4 MiB with
         # backward dropping every intermediate value before its walk.
-        rng = np.random.default_rng(0)
-        n = 400
-        ds = SpotDataset(
-            spot_ids=[f"s{i}" for i in range(n)],
-            slide_ids=[f"sl{i % 2}" for i in range(n)],
-            scores=rng.normal(size=(n, 20)),
-            coords=rng.uniform(0, 100, size=(n, 2)),
-            features=rng.normal(size=(n, 64)),
-            y_gene=rng.normal(size=(n, 100)),
+        d = benchmark_inputs("train-infer")
+        ds = SpotDataset.from_tables(
+            data_io.read_scores(d / "train_scores.tsv"), data_io.read_coords(d / "coords.csv"),
+            data_io.read_features(d / "train_features.tsv"),
+            data_io.parse_expression(d / "train_hvg.tsv", value_kind=data_io.NORMALIZED_LOG),
         )
-        model = PearlModel(ModelConfig(n_pathways=20, n_genes=100, d_img=64))
-        _, peak = traced_peak(train_stage1, ds, model, TrainConfig(max_epochs=2, patience=1))
+        _, peak = traced_peak(train_stage1, ds, train_infer_model,
+                              TrainConfig(max_epochs=2, patience=1))
         assert peak < peak_bound("train_stage1, two epochs, benchmark train-infer", peak, 15)
 
     def test_loss_decreases_and_best_restored(self):
