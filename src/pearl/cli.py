@@ -62,9 +62,9 @@ COMMAND_SET = {
 def load_config(path, seed=0):
     """{section name: config dataclass} for every section, defaults where the
     file (or a missing `path`) gives none, and `seed` in each `_SEEDS` field.
-    A field must be known, not set by a command, and `of_type` its default's
-    type; a section that refuses its values is a ConfigError naming the
-    section."""
+    A field must be known, not set by a command, `of_type` its default's
+    type and, if an int, below 2**31; a section that refuses its values is a
+    ConfigError naming the section."""
     raw = {} if path is None else data_io.read_json(path, ConfigError, "config")
     if (unknown := next((s for s in raw if s not in _CONFIG_SECTIONS), None)) is not None:
         raise ConfigError(f"unknown config section {unknown!r}")
@@ -82,6 +82,8 @@ def load_config(path, seed=0):
                 raise ConfigError(f"unknown field {name}")
             if not data_io.of_type(value, kind := type(defaults[key])):
                 raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            if kind is int and value >= 2**31:  # a larger size reaches numpy as a traceback
+                raise ConfigError(f"{name} must be below 2**31, got {value}")
             values[key] = kind(value)  # an int given for a float becomes one
         if section in _SEEDS:
             values[_SEEDS[section]] = seed

@@ -794,7 +794,7 @@ def blob_of(path):
     return path + ".params.bin"
 
 
-def save_checkpoint(obj, hyperparams, path, extra=None):
+def save_checkpoint(obj, hyperparams, path):
     """Write <path>.manifest.json and <path>.params.bin.
 
     `obj.parameters()` is an ordered list of (name, Tensor); the blob stores
@@ -806,8 +806,6 @@ def save_checkpoint(obj, hyperparams, path, extra=None):
         "hyperparams": hyperparams,
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
-    if extra:
-        manifest["extra"] = extra
     with open(manifest_of(path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     with open(blob_of(path), "wb") as fh:
@@ -825,13 +823,13 @@ def _is_param_entry(p):
 
 
 def load_checkpoint(path, kinds, build):
-    """Return (object, extra): `build(**hyperparams)`, the float32 arrays of its
-    `parameters()` filled in place from the blob, and the manifest's `extra`.
+    """`build(**hyperparams)`, the float32 arrays of its `parameters()` filled
+    in place from the blob.
 
     The manifest, read by `read_json` (a missing one is an OSError), must be
-    a JSON object with this format version, a `hyperparams` object, a
-    `params` list of {name, shape} entries with no name twice and, if
-    present, an `extra` object; anything else is a CheckpointManifestError.
+    a JSON object with this format version, a `hyperparams` object and a
+    `params` list of {name, shape} entries with no name twice; anything else
+    is a CheckpointManifestError, and any other key is ignored.
     The hyperparameter keys must be exactly those of `kinds`, {name: type},
     each value `of_type` its type, and a PearlError from `build` is a
     CheckpointManifestError.  The built parameters' names and shapes must be
@@ -845,11 +843,8 @@ def load_checkpoint(path, kinds, build):
             f"{CHECKPOINT_FORMAT_VERSION}"
         )
     hyper, entries = manifest.get("hyperparams"), manifest.get("params")
-    extra = manifest.get("extra", {})
-    if not isinstance(hyper, dict) or not isinstance(extra, dict):
-        raise CheckpointManifestError(
-            f"{manifest_path}: 'hyperparams' and 'extra' must be JSON objects"
-        )
+    if not isinstance(hyper, dict):
+        raise CheckpointManifestError(f"{manifest_path}: 'hyperparams' must be a JSON object")
     if not isinstance(entries, list) or not all(map(_is_param_entry, entries)):
         raise CheckpointManifestError(
             f"{manifest_path}: 'params' must be a list of {{name, shape}} entries"
@@ -887,4 +882,4 @@ def load_checkpoint(path, kinds, build):
                 raise CheckpointTruncatedError(f"{blob_path}: blob ends inside {p['name']!r}")
             if sys.byteorder == "big":  # the blob is little-endian
                 values.byteswap(inplace=True)
-    return obj, extra
+    return obj

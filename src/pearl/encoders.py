@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io
 from .autodiff import Tensor
-from .errors import CheckpointManifestError, DataFormatError, PearlError
+from .errors import DataFormatError, PearlError
 
 TAU_MIN = 1e-3
 TAU_MAX = 100.0
@@ -56,21 +56,11 @@ class ModelConfig:
 
 @dataclass
 class CoordNormalizer:
-    """Per-axis standardization of raw spot coordinates (sample std, n-1): a
-    finite `mu` and a `sigma` in (0, inf), two of each, however it was made."""
+    """Per-axis standardization of raw spot coordinates (sample std, n-1):
+    a finite `mu` and a `sigma` in (0, inf) per axis, as `fit` makes it."""
 
     mu: np.ndarray
     sigma: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.mu.shape != (2,) or self.sigma.shape != (2,):
-            raise PearlError(
-                f"need 2 values each of mu and sigma, got {self.mu.size} and {self.sigma.size}"
-            )
-        if not np.all(np.isfinite(self.mu) & (0 < self.sigma) & (self.sigma < np.inf)):
-            raise DataFormatError("degenerate coordinate axis (zero or non-finite variance)")
 
     @classmethod
     def fit(cls, coords):
@@ -80,7 +70,10 @@ class CoordNormalizer:
         if coords.shape[0] < 2:
             raise PearlError("need at least 2 spots to fit the coordinate normalizer")
         with np.errstate(over="ignore", invalid="ignore"):
-            return cls(mu=coords.mean(axis=0), sigma=coords.std(axis=0, ddof=1))
+            mu, sigma = coords.mean(axis=0), coords.std(axis=0, ddof=1)
+        if not np.all(np.isfinite(mu) & (0 < sigma) & (sigma < np.inf)):
+            raise DataFormatError("degenerate coordinate axis (zero or non-finite variance)")
+        return cls(mu=mu, sigma=sigma)
 
     def transform(self, coords):
         return (np.asarray(coords, dtype=np.float64) - self.mu) / self.sigma
@@ -107,7 +100,7 @@ class PearlModel:
                 raise PearlError(f"model config: {name} must be >= 1")
         self.config = config
         self.dtype = dtype
-        self.normalizer = None  # the CoordNormalizer stage-1 training fits
+        self.normalizer = None  # the CoordNormalizer stage-1 training fits; never saved
         rng = np.random.default_rng(config.seed) if draw else None
         P = config.n_pathways
         self.params = {}
@@ -225,37 +218,14 @@ class PearlModel:
 
 
 def save_model(model, path):
-    extra = {}
-    if model.normalizer is not None:
-        extra["coord_normalizer"] = {
-            "mu": [float(v) for v in model.normalizer.mu],
-            "sigma": [float(v) for v in model.normalizer.sigma],
-        }
-    data_io.save_checkpoint(model, asdict(model.config), path, extra=extra)
+    data_io.save_checkpoint(model, asdict(model.config), path)
 
 
 def load_model(path):
-    """The saved model, with its coordinate normalizer if one was saved."""
-    model, extra = data_io.load_checkpoint(
+    """The saved model.  Its `normalizer` is None: the checkpoint holds
+    parameters and hyperparameters only."""
+    return data_io.load_checkpoint(
         path,
         {f.name: type(f.default) for f in fields(ModelConfig)},
         lambda **hyper: PearlModel(ModelConfig(**hyper), draw=False),
     )
-    if "coord_normalizer" in extra:
-        cn = extra["coord_normalizer"]
-        if not (isinstance(cn, dict) and all(_is_numbers(cn.get(k)) for k in ("mu", "sigma"))):
-            raise CheckpointManifestError(
-                f"{data_io.manifest_of(path)}: extra.coord_normalizer must hold 'mu' and "
-                "'sigma', lists of numbers"
-            )
-        try:
-            model.normalizer = CoordNormalizer(mu=cn["mu"], sigma=cn["sigma"])
-        except PearlError as exc:
-            raise CheckpointManifestError(
-                f"{data_io.manifest_of(path)}: extra.coord_normalizer: {exc}"
-            ) from None
-    return model
-
-
-def _is_numbers(v):
-    return isinstance(v, list) and all(data_io.of_type(x, float) for x in v)

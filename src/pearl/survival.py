@@ -211,4 +211,4 @@ def save_cox(head, path):
 def load_cox(path):
     return data_io.load_checkpoint(
         path, CoxHead.HYPERPARAMS, lambda **hyper: CoxHead(**hyper, draw=False)
-    )[0]
+    )

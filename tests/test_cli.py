@@ -108,35 +108,6 @@ class TestPipeline:
         }
         assert not (tmp_path / "out").exists()
 
-    def test_train_heads_refuses_a_non_finite_normalizer(self, pipeline, tmp_path, capsys):
-        # a NaN sigma would otherwise reach final.manifest.json as a bare NaN
-        _, data, cfg_path = pipeline
-        for suffix in (".manifest.json", ".params.bin"):
-            (tmp_path / f"stage1{suffix}").write_bytes((data / f"stage1{suffix}").read_bytes())
-        manifest = json.loads((tmp_path / "stage1.manifest.json").read_text())
-        manifest["extra"]["coord_normalizer"]["sigma"] = [0.0, float("nan")]
-        (tmp_path / "stage1.manifest.json").write_text(json.dumps(manifest))
-        argv = ["train-heads", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
-                "--checkpoint", str(tmp_path / "stage1")]
-        argv += _flags(_DATASET, data)
-        capsys.readouterr()
-        assert run(argv) == 1
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "checkpoint_manifest",
-            "message": f"{tmp_path / 'stage1'}.manifest.json: extra.coord_normalizer: "
-                       "degenerate coordinate axis (zero or non-finite variance)",
-        }
-        assert not (tmp_path / "out").exists()
-
-    def test_train_heads_keeps_the_stage1_normalizer(self, pipeline):
-        _, data, _ = pipeline
-        stage1, final = (
-            json.loads((data / f"{name}.manifest.json").read_text())["extra"]
-            for name in ("stage1", "final")
-        )
-        assert "coord_normalizer" in stage1
-        assert final["coord_normalizer"] == stage1["coord_normalizer"]
-
     def test_predictions_are_the_models_float32_outputs(self, pipeline):
         _, data, _ = pipeline
         model = load_model(str(data / "final"))
@@ -858,7 +829,7 @@ class TestTrainInferMemory:
 
 
 @pytest.mark.parametrize("command", ["survival-train", "score-pathways", "train-contrastive",
-                                     "predict"])
+                                     "train-heads", "predict"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(
     command, benchmark_inputs, untrained_stage1, tmp_path
 ):
@@ -879,6 +850,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(
                                    "train": {"max_epochs": 2, "patience": 1}}))
         inputs = "cohort" if command == "survival-train" else "training"
         argv = ["--config", str(cfg), *_benchmark_flags(benchmark_inputs, inputs)]
+        if command == "train-heads":
+            argv += ["--checkpoint", untrained_stage1]
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
@@ -1544,6 +1517,16 @@ class TestConfigValues:
         assert err == {
             "error": "config", "message": "synth: noise_sigma 10.0 makes a Poisson rate too large"
         }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key", [("synth", "n_spots"), ("ssgsea", "null_sets"),
+                                              ("model", "d_k")])
+    def test_oversized_int_refused(self, tmp_path, capsys, section, key):
+        # refused as the config is built, so nothing is allocated; synth's
+        # 10**19 spots ended in numpy's "Maximum allowed dimension exceeded"
+        err = _config_error(tmp_path, capsys, {section: {key: 10**19}})
+        assert err == {"error": "config",
+                       "message": f"{section}.{key} must be below 2**31, got {10**19}"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

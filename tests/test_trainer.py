@@ -290,6 +290,16 @@ class TestStage1:
         for (n1, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1.values, p2.values)
 
+    def test_normalizer_rebuilt_from_the_training_split(self):
+        # a checkpoint does not hold the normalizer: the training split rebuilds it
+        ds = tiny_dataset(n=24, seed=4)
+        cfg = TrainConfig(batch_size=4, max_epochs=2, patience=1, seed=3)
+        model, _ = train_stage1(ds, tiny_model(), cfg)
+        train_idx = slide_stratified_split(ds.slide_ids, cfg.val_fraction, cfg.seed)[0]
+        rebuilt = CoordNormalizer.fit(ds.coords[train_idx])
+        assert rebuilt.mu.tobytes() == model.normalizer.mu.tobytes()
+        assert rebuilt.sigma.tobytes() == model.normalizer.sigma.tobytes()
+
     def test_one_spot_validation_split_rejected(self):
         # one 12-spot slide at val_fraction 0.05 leaves a single validation
         # spot: no validation batch, so every epoch would score NaN
